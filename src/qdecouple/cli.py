@@ -27,7 +27,8 @@ from qdecouple import linalg
 
 def _apply_global_options(args: argparse.Namespace) -> None:
     """Resolve the dimension cap (flag, then environment, then default) and
-    any tolerance overrides into the module constants."""
+    any tolerance overrides into the module constants; ``main`` restores the
+    constants when the command returns."""
     if getattr(args, "cap", None) is None:
         env = os.environ.get("QDECOUPLE_DIM_CAP")
         if env:
@@ -184,6 +185,10 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 
 def _cmd_decouple_run(args: argparse.Namespace) -> int:
     started = time.time()
+    if args.csv and args.samples > decoupling.MAX_RETAINED_SAMPLES:
+        print(f"error: --csv needs --samples <= {decoupling.MAX_RETAINED_SAMPLES}; "
+              "larger runs do not retain per-sample distances", file=sys.stderr)
+        return 2
     state = _load_state(args.state, args.cap)
     ch = _load_channel(args.channel, args.cap)
     seed = haar.RngSeed(args.seed, args.stream)
@@ -363,12 +368,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    saved = (linalg.TOL_HERM, linalg.TOL_PSD, linalg.TOL_TRACE)
     try:
         _apply_global_options(args)
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        linalg.TOL_HERM, linalg.TOL_PSD, linalg.TOL_TRACE = saved
 
 
 if __name__ == "__main__":

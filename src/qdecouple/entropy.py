@@ -221,26 +221,41 @@ def _support_factor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, np.diag(w[keep]).astype(complex)
 
 
-def _hmax_fidelity_sdp(rho: np.ndarray, d_a: int, d_b: int
-                       ) -> tuple[float, np.ndarray, float]:
-    """max_sigma F(rho, I (x) sigma) via the PSD block embedding of fidelity.
+def _fidelity_embedding(rho: np.ndarray
+                        ) -> tuple[int, np.ndarray, list[tuple[np.ndarray, float]]]:
+    """Support-compressed PSD block embedding of the fidelity with rho.
 
-    The fixed corner is compressed onto supp(rho) so the program keeps a
-    strictly feasible interior even for rank-deficient states.
+    The embedding block is V = [[D, Y], [Y^H, X]] of size r + d, with the
+    fixed corner D = R^H rho R compressed onto supp(rho) (rank r) so the
+    programs keep a strictly feasible interior even for rank-deficient
+    states.  Returns r, the matrix Gamma with tr(Gamma V) = Re tr(R Y), and
+    the (coefficient, right-hand side) rows that fix the D corner, in the
+    order of ``herm_basis(r)``.
     """
-    d = d_a * d_b
+    d = rho.shape[0]
     r_iso, d_mat = _support_factor(rho)
     r = r_iso.shape[1]
-    build = sdp.ProblemBuilder()
     gam = np.zeros((r + d, r + d), dtype=complex)
     gam[:r, r:] = r_iso.conj().T / 2
     gam[r:, :r] = r_iso / 2
-    v_blk = build.add_block(r + d, -gam)
-    s_blk = build.add_block(d_b)
+    corner_rows = []
     for h in herm_basis(r):
         big = np.zeros((r + d, r + d), dtype=complex)
         big[:r, :r] = h
-        build.add_constraint({v_blk: big}, float(np.trace(d_mat @ h).real))
+        corner_rows.append((big, float(np.trace(d_mat @ h).real)))
+    return r, gam, corner_rows
+
+
+def _hmax_fidelity_sdp(rho: np.ndarray, d_a: int, d_b: int
+                       ) -> tuple[float, np.ndarray, float]:
+    """max_sigma F(rho, I (x) sigma) via the PSD block embedding of fidelity."""
+    d = d_a * d_b
+    r, gam, corner_rows = _fidelity_embedding(rho)
+    build = sdp.ProblemBuilder()
+    v_blk = build.add_block(r + d, -gam)
+    s_blk = build.add_block(d_b)
+    for big, rhs in corner_rows:
+        build.add_constraint({v_blk: big}, rhs)
     for h in herm_basis(d):
         big = np.zeros((r + d, r + d), dtype=complex)
         big[r:, r:] = h
@@ -443,8 +458,7 @@ def _smooth_hmin_dense(rho: np.ndarray, d_a: int, d_b: int, eps: float
     tr_rho = float(np.trace(rho).real)
     missing = max(0.0, 1.0 - tr_rho)
     subnormalized = missing > 1e-9
-    r_iso, d_mat = _support_factor(rho)
-    r = r_iso.shape[1]
+    r, gam, corner_rows = _fidelity_embedding(rho)
 
     build = sdp.ProblemBuilder()
     v_blk = build.add_block(r + d)                      # [[D, Y], [Y^H, rho_hat]]
@@ -454,18 +468,13 @@ def _smooth_hmin_dense(rho: np.ndarray, d_a: int, d_b: int, eps: float
     g_blk = build.add_block(2) if subnormalized else None
     w_blk = None if subnormalized else build.add_block(1)
 
-    for h in herm_basis(r):
-        big = np.zeros((r + d, r + d), dtype=complex)
-        big[:r, :r] = h
-        build.add_constraint({v_blk: big}, float(np.trace(d_mat @ h).real))
+    for big, rhs in corner_rows:
+        build.add_constraint({v_blk: big}, rhs)
     for h in herm_basis(d):
         big = np.zeros((r + d, r + d), dtype=complex)
         big[r:, r:] = h
         build.add_constraint({v_blk: big, s_blk: h,
                               sig_blk: -_trace_out_target(h, d_a, d_b)}, 0.0)
-    gam = np.zeros((r + d, r + d), dtype=complex)
-    gam[:r, r:] = r_iso.conj().T / 2
-    gam[r:, :r] = r_iso / 2
     fid = {v_blk: gam, t_blk: -np.eye(1, dtype=complex)}
     big22 = np.zeros((r + d, r + d), dtype=complex)
     big22[r:, r:] = np.eye(d)

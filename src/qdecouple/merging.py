@@ -7,9 +7,13 @@ rank-K maximally entangled pair, apply a Haar unitary and a rank-L block
 measurement on the sender's side, send the outcome, then decode on the
 receiver's side with an Uhlmann isometry toward the target state.
 
-``run_merging`` executes the protocol explicitly; ``estimate_merging_fidelity``
-estimates its mean fidelity from per-outcome marginals and Haar row blocks,
-without the protocol state, at costs where that state would not fit.
+By Uhlmann's theorem each outcome's decoder fidelity depends only on the
+outcome's sender-reference marginal, so neither entry point builds the
+protocol state: ``run_merging`` evaluates every outcome of one full Haar
+unitary, and ``estimate_merging_fidelity`` estimates the mean fidelity from
+one Haar row block per draw, at costs where even that unitary would not
+fit.  ``measurement_isometry`` and ``uhlmann_isometry`` are the explicit
+protocol's pieces, kept for checking this shortcut against it.
 """
 
 from __future__ import annotations
@@ -22,18 +26,13 @@ import numpy as np
 
 from qdecouple import entropy, haar
 from qdecouple.linalg import (
-    Dims,
     LabelError,
     PureState,
     StateOperator,
-    apply_matrix_pure,
     check_cap,
     fidelity,
-    inner,
-    maximally_entangled,
     pure_marginal,
     purified_distance,
-    tensor_pure,
     trace_norm,
 )
 
@@ -47,7 +46,12 @@ class MergingError(ValueError):
 @dataclass(frozen=True)
 class MergingInstance:
     """Tripartite pure state with sender/receiver/reference label sets plus
-    the entanglement registers' Schmidt ranks."""
+    the entanglement registers' Schmidt ranks.
+
+    ``cap`` bounds the entry count of the largest array a run allocates:
+    the (K|A|)^2 Haar unitary in ``run_merging`` and the K|A| x L row block
+    in ``estimate_merging_fidelity``; None means ``linalg.DIM_CAP``.
+    """
 
     psi: PureState
     k_rank: int
@@ -215,71 +219,38 @@ def _complete_isometry(cols: np.ndarray, extra: int) -> np.ndarray:
 
 
 def run_merging(instance: MergingInstance) -> MergingResult:
-    """Execute the merging protocol end to end for one Haar draw.
+    """Run the merging protocol for one Haar draw, outcome by outcome.
 
-    Local structure is explicit: the unitary and block measurement act on the
-    sender registers (A0, A) only, the classical outcome indexes the
-    receiver-side decoder, and each decoder acts on (B0, receiver labels)
-    only.
+    The draw is the unitary ``haar_unitary_indexed(seed, 0, K|A|)`` on the
+    sender registers (A0, A); outcome x is its rows x L .. (x + 1) L.  Each
+    outcome's probability, Uhlmann-decoder fidelity and decoupling test come
+    from its receiver-independent A1 E marginal (``outcome_fidelity``), so
+    the largest array is that (K|A|)^2 unitary, never the K^2|A||B||E|
+    protocol state; its entry count is held to the instance's cap.
     """
     inst = instance
-    psi, cap = inst.psi, inst.cap
+    psi = inst.psi
     k_dim, l_dim = inst.k_rank, inst.l_rank
     d_a = inst.dim_a
     n_out = inst.num_outcomes
-
-    used = psi.labels
-    a0, b0 = _fresh(used, "A0"), _fresh(used, "B0")
-    a1, b1 = _fresh(used, "A1"), _fresh(used, "B1")
-    phi_k = maximally_entangled(a0, b0, k_dim, cap=cap)
-    theta = tensor_pure(phi_k, psi, cap=cap)
-
-    u = haar.haar_unitary_indexed(inst.seed, 0, k_dim * d_a)
-    rotated = apply_matrix_pure(theta, u, on=[a0, *inst.a_labels],
-                                out=((a0 + inst.a_labels[0], k_dim * d_a),),
-                                cap=cap)
-    reg = a0 + inst.a_labels[0]
-
-    # receiver-side copy of the sender labels for the target state
-    relabel = {lab: lab + "'" for lab in inst.a_labels}
-    psi_moved = psi.relabel(relabel)
-    bprime_labels = [relabel[lab] for lab in inst.a_labels]
-    phi_l = maximally_entangled(a1, b1, l_dim, cap=cap)
-    target = tensor_pure(phi_l, psi_moved, cap=cap)
-    target_bob_pairs = tuple((lab, target.dims.dim_of(lab))
-                             for lab in [b1, *bprime_labels, *inst.b_labels])
-
-    rho_e = pure_marginal(psi, inst.e_labels)
-    d_e = rho_e.dims.total
-    ideal_marginal = np.kron(np.eye(l_dim) / l_dim, rho_e.matrix)
-
-    perm = rotated.permute([reg] + [lab for lab in rotated.labels if lab != reg])
-    rest_pairs = tuple(p for p in perm.dims.pairs if p[0] != reg)
-    amps = perm.amplitudes.reshape(k_dim * d_a, -1)
+    reg = k_dim * d_a
+    check_cap(reg * reg, inst.cap)
+    rho_ae = _sender_env_marginal(inst)
+    u = haar.haar_unitary_indexed(inst.seed, 0, reg)
 
     per_outcome: list[tuple[int, float, float]] = []
     decoupled = 0
     p_sum = 0.0
     overall = 0.0
     for x in range(n_out):
-        block = amps[x * l_dim:(x + 1) * l_dim, :]
-        p_x = float(np.vdot(block, block).real)
-        if p_x < 1e-15:
+        p_x, state, ideal = _outcome_state(u[x * l_dim:(x + 1) * l_dim], rho_ae, d_a)
+        if state is None:
             per_outcome.append((x, p_x, 0.0))
             continue
-        sigma_x = PureState(Dims(((a1, l_dim),) + rest_pairs),
-                            (block / math.sqrt(p_x)).reshape(-1),
-                            validate=False)
         p_sum += p_x
-        marg = pure_marginal(sigma_x, [a1, *inst.e_labels]).matrix
-        if trace_norm(marg - ideal_marginal) <= 4.0 * inst.epsilon_target:
+        if trace_norm(state - ideal) <= 4.0 * inst.epsilon_target:
             decoupled += 1
-        v, out_pairs = uhlmann_isometry(sigma_x, target,
-                                        bob_labels=[b0, *inst.b_labels],
-                                        delta=1.0)
-        eta_x = apply_matrix_pure(sigma_x, v, on=[b0, *inst.b_labels],
-                                  out=out_pairs, cap=cap)
-        f_x = abs(inner(target, eta_x))
+        f_x = fidelity(state, ideal)
         per_outcome.append((x, p_x, f_x))
         # classical outcome registers dephase, so the full-state fidelity is
         # the block fidelity sum_x sqrt(p_x / N) f_x against the uniform
@@ -301,6 +272,36 @@ def run_merging(instance: MergingInstance) -> MergingResult:
                          decoupled / max(n_out, 1), inst.seed)
 
 
+def _sender_env_marginal(inst: MergingInstance) -> np.ndarray:
+    """rho_AE as a matrix with the sender labels major."""
+    sender_env = [*inst.a_labels, *inst.e_labels]
+    return pure_marginal(inst.psi, sender_env).permute(sender_env).matrix
+
+
+def _outcome_state(rows: np.ndarray, rho_ae: np.ndarray, dim_a: int
+                   ) -> tuple[float, np.ndarray | None, np.ndarray]:
+    """(p_x, sigma_x / p_x, I/L (x) rho_E) for the outcome with block ``rows``.
+
+    sigma_x is the outcome's unnormalized A1 E marginal (see
+    ``outcome_fidelity``); the normalized state is None when p_x < 1e-15.
+    """
+    l_dim, reg = rows.shape
+    if reg % dim_a != 0:
+        raise MergingError(f"register dimension {reg} is not a multiple of |A| = {dim_a}")
+    k_dim = reg // dim_a
+    d_e = rho_ae.shape[0] // dim_a
+    # G as an (L|A|, L|A|) Gram matrix of the K-long columns of U_x
+    cols = rows.reshape(l_dim, k_dim, dim_a).transpose(1, 0, 2).reshape(k_dim, -1)
+    g = (cols.T @ cols.conj()).reshape(l_dim, dim_a, l_dim, dim_a) / k_dim
+    rho = rho_ae.reshape(dim_a, d_e, dim_a, d_e)
+    sigma = np.einsum("lamb,aebf->lemf", g, rho).reshape(l_dim * d_e, l_dim * d_e)
+    ideal = np.kron(np.eye(l_dim) / l_dim, np.einsum("aeaf->ef", rho))
+    p_x = float(np.trace(sigma).real)
+    if p_x < 1e-15:
+        return p_x, None, ideal
+    return p_x, sigma / p_x, ideal
+
+
 def outcome_fidelity(rows: np.ndarray, rho_ae: np.ndarray,
                      dim_a: int) -> tuple[float, float]:
     """(p_x, f_x) of the outcome whose block of the sender unitary is ``rows``.
@@ -314,25 +315,11 @@ def outcome_fidelity(rows: np.ndarray, rho_ae: np.ndarray,
         G_x[l, a, l', a'] = sum_k U_x[l, k, a] conj(U_x[l', k, a']),
 
     so p_x = tr sigma_x and, by Uhlmann's theorem, the decoder fidelity is
-    f_x = F(sigma_x / p_x, I/L (x) rho_E): the values ``run_merging`` gets
-    from the full protocol state and its per-outcome decoder.
+    f_x = F(sigma_x / p_x, I/L (x) rho_E): the values the explicit protocol
+    gets from its K^2|A||B||E| state and a per-outcome Uhlmann isometry.
     """
-    l_dim, reg = rows.shape
-    if reg % dim_a != 0:
-        raise MergingError(f"register dimension {reg} is not a multiple of |A| = {dim_a}")
-    k_dim = reg // dim_a
-    d_e = rho_ae.shape[0] // dim_a
-    # G as an (L|A|, L|A|) Gram matrix of the K-long columns of U_x
-    cols = rows.reshape(l_dim, k_dim, dim_a).transpose(1, 0, 2).reshape(k_dim, -1)
-    g = (cols.T @ cols.conj()).reshape(l_dim, dim_a, l_dim, dim_a) / k_dim
-    rho = rho_ae.reshape(dim_a, d_e, dim_a, d_e)
-    sigma = np.einsum("lamb,aebf->lemf", g, rho).reshape(l_dim * d_e, l_dim * d_e)
-    p_x = float(np.trace(sigma).real)
-    if p_x < 1e-15:
-        return p_x, 0.0
-    rho_e = np.einsum("aeaf->ef", rho)
-    ideal = np.kron(np.eye(l_dim) / l_dim, rho_e)
-    return p_x, fidelity(sigma / p_x, ideal)
+    p_x, state, ideal = _outcome_state(rows, rho_ae, dim_a)
+    return p_x, (0.0 if state is None else fidelity(state, ideal))
 
 
 def estimate_merging_fidelity(instance: MergingInstance,
@@ -351,8 +338,7 @@ def estimate_merging_fidelity(instance: MergingInstance,
         raise MergingError("a standard error needs at least two draws")
     reg = inst.k_rank * inst.dim_a
     check_cap(reg * inst.l_rank, inst.cap)
-    sender_env = [*inst.a_labels, *inst.e_labels]
-    rho_ae = pure_marginal(inst.psi, sender_env).permute(sender_env).matrix
+    rho_ae = _sender_env_marginal(inst)
     n_out = inst.num_outcomes
     samples = []
     for i in range(draws):
@@ -363,15 +349,6 @@ def estimate_merging_fidelity(instance: MergingInstance,
     std_err = float(np.std(samples, ddof=1) / math.sqrt(draws))
     cost = math.log2(inst.k_rank) - math.log2(inst.l_rank)
     return MergingEstimate(mean, std_err, samples, cost)
-
-
-def _fresh(used: Sequence[str], base: str) -> str:
-    if base not in used:
-        return base
-    i = 2
-    while f"{base}{i}" in used:
-        i += 1
-    return f"{base}{i}"
 
 
 # ---------------------------------------------------------------------------

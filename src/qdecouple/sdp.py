@@ -20,10 +20,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 
-class SdpError(RuntimeError):
-    """Solver could not produce a certified solution."""
-
-
 class SdpStatus(enum.Enum):
     OPTIMAL = "Optimal"
     INFEASIBLE = "Infeasible"

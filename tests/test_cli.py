@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from qdecouple import decoupling
 from qdecouple import entropy as ent
+from qdecouple import linalg
 from qdecouple.cli import main
 from qdecouple.linalg import state_from_json
 
@@ -181,3 +183,34 @@ def test_dimension_cap_environment_variable(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "gen-state", "classical", "--k", "2",
                          "--cap", "64", "--out", str(tmp_path / "x.json"))
     assert code == 0
+
+
+def test_tolerance_flags_do_not_outlive_the_call(tmp_path, capsys):
+    saved = (linalg.TOL_HERM, linalg.TOL_PSD, linalg.TOL_TRACE)
+    code, _, _ = run_cli(capsys, "gen-state", "classical", "--k", "1",
+                         "--tol-herm", "0.25", "--tol-psd", "0.5",
+                         "--tol-trace", "0.75", "--out", str(tmp_path / "s.json"))
+    assert code == 0
+    assert (linalg.TOL_HERM, linalg.TOL_PSD, linalg.TOL_TRACE) == saved
+    # also when the command fails
+    code, _, _ = run_cli(capsys, "entropy", "--state", str(tmp_path / "none.json"),
+                         "--kind", "hmin", "--target", "A", "--tol-psd", "0.5")
+    assert code == 1
+    assert (linalg.TOL_HERM, linalg.TOL_PSD, linalg.TOL_TRACE) == saved
+
+
+def test_decouple_csv_over_retention_limit_fails_before_sampling(
+        tmp_path, capsys, monkeypatch):
+    state_path = tmp_path / "cls.json"
+    run_cli(capsys, "gen-state", "classical", "--k", "1", "--out", str(state_path))
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("sampling started")
+    monkeypatch.setattr(decoupling, "run", no_run)
+    csv_path, out_path = tmp_path / "s.csv", tmp_path / "rep.json"
+    code, _, err = run_cli(capsys, "decouple", "run", "--state", str(state_path),
+                           "--channel", "id+trace:1,0",
+                           "--samples", str(decoupling.MAX_RETAINED_SAMPLES + 1),
+                           "--csv", str(csv_path), "--out", str(out_path))
+    assert code == 2 and "--csv" in err
+    assert not csv_path.exists() and not out_path.exists()

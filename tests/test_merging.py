@@ -11,6 +11,7 @@ from qdecouple import haar
 from qdecouple import merging as mg
 from qdecouple.linalg import (
     DimCapError,
+    Dims,
     PureState,
     apply_matrix_pure,
     dims_of,
@@ -22,6 +23,7 @@ from qdecouple.linalg import (
     random_density,
     random_pure,
     tensor_pure,
+    trace_norm,
 )
 
 
@@ -271,20 +273,68 @@ def test_merging_cost_trend_toward_conditional_entropy():
     assert all(r >= h_vn - 1e-6 for r in rates)
 
 
+# ---------------------------------------------------------------------------
+# explicit LOCC protocol, the oracle for run_merging
+# ---------------------------------------------------------------------------
+
+def rotated_protocol_state(inst):
+    """First half of the explicit protocol: Phi_K on (A0, B0) next to psi, and
+    the sender's Haar unitary on (A0, A) into the register R.
+
+    Returns the unitary, the unrotated state and the rotated amplitudes as a
+    (K|A|, rest) matrix with R major, plus the labels and dimensions of the
+    rest.  Single sender label only.
+    """
+    (a,) = inst.a_labels
+    reg = inst.k_rank * inst.dim_a
+    theta = tensor_pure(maximally_entangled("A0", "B0", inst.k_rank), inst.psi,
+                        cap=1 << 20)
+    u = haar.haar_unitary_indexed(inst.seed, 0, reg)
+    rotated = apply_matrix_pure(theta, u, on=("A0", a), out=(("R", reg),),
+                                cap=1 << 20)
+    perm = rotated.permute(["R"] + [lab for lab in rotated.labels if lab != "R"])
+    rest_pairs = tuple(p for p in perm.dims.pairs if p[0] != "R")
+    return u, theta, perm.amplitudes.reshape(reg, -1), rest_pairs
+
+
+def explicit_protocol(inst):
+    """The LOCC protocol on its full K^2|A||B||E| state, as the oracle for
+    ``run_merging``: per outcome, the block measurement's post-measurement
+    state, its A1 E marginal for the decoupling test, and the receiver's
+    Uhlmann isometry on (B0, B) toward Phi_L (x) psi with A moved to the
+    receiver.  Returns (per_outcome, fidelity, decoupled_fraction)."""
+    (a,) = inst.a_labels
+    l_dim, n_out = inst.l_rank, inst.num_outcomes
+    _, _, amps, rest_pairs = rotated_protocol_state(inst)
+    target = tensor_pure(maximally_entangled("A1", "B1", l_dim),
+                         inst.psi.relabel({a: a + "'"}), cap=1 << 20)
+    rho_e = pure_marginal(inst.psi, inst.e_labels).matrix
+    ideal = np.kron(np.eye(l_dim) / l_dim, rho_e)
+    per_outcome, overall, decoupled = [], 0.0, 0
+    for x in range(n_out):
+        block = amps[x * l_dim:(x + 1) * l_dim]
+        p_x = float(np.vdot(block, block).real)
+        sigma_x = PureState(Dims((("A1", l_dim),) + rest_pairs),
+                            (block / math.sqrt(p_x)).reshape(-1), validate=False)
+        marg = pure_marginal(sigma_x, ["A1", *inst.e_labels]).matrix
+        decoupled += trace_norm(marg - ideal) <= 4.0 * inst.epsilon_target
+        v, out_pairs = mg.uhlmann_isometry(sigma_x, target,
+                                           bob_labels=["B0", *inst.b_labels],
+                                           delta=1.0)
+        eta_x = apply_matrix_pure(sigma_x, v, on=["B0", *inst.b_labels],
+                                  out=out_pairs, cap=1 << 20)
+        f_x = abs(inner(target, eta_x))
+        per_outcome.append((x, p_x, f_x))
+        overall += math.sqrt(p_x / n_out) * f_x
+    return per_outcome, overall, decoupled / n_out
+
+
 def test_protocol_matches_explicit_isometry():
     # the in-protocol block slicing equals applying the explicit W, and the
     # classical flags are perfectly correlated (no cross-outcome amplitude)
-    psi = cc_state(1)
-    k_dim, l_dim = 2, 2
-    n_out = (k_dim * 2) // l_dim
-    phi = maximally_entangled("A0", "B0", k_dim)
-    theta = tensor_pure(phi, psi)
-    u = haar.haar_unitary_indexed(9, 0, k_dim * 2)
-    rotated = apply_matrix_pure(theta, u, on=("A0", "A"),
-                                out=(("R", k_dim * 2),))
-    perm = rotated.permute(["R"] + [l for l in rotated.labels if l != "R"])
-    amps = perm.amplitudes.reshape(k_dim * 2, -1)
-
+    inst = mg.MergingInstance(cc_state(1), 2, 2, 0.3, seed=haar.RngSeed(9))
+    u, theta, amps, _ = rotated_protocol_state(inst)
+    k_dim, l_dim, n_out = inst.k_rank, inst.l_rank, inst.num_outcomes
     w = mg.measurement_isometry(k_dim * 2, l_dim, u)
     theta_perm = theta.permute(["A0", "A"] + [l for l in theta.labels
                                               if l not in ("A0", "A")])
@@ -304,22 +354,38 @@ def test_protocol_matches_explicit_isometry():
 # per-outcome marginals and the row-block estimator
 # ---------------------------------------------------------------------------
 
-def test_outcome_fidelity_matches_run_merging():
-    # the receiver-independent closed form reproduces the explicit
-    # protocol's per-outcome probabilities and Uhlmann-decoder fidelities
+def test_run_merging_matches_explicit_protocol():
+    # run_merging's receiver-independent marginals reproduce the explicit
+    # protocol's per-outcome probabilities and Uhlmann-decoder fidelities,
+    # its overall fidelity and its decoupled fraction; at eps = 0.06 the
+    # cc(2) outcomes fall on both sides of the 4 eps decoupling test
     psi_r = random_pure(np.random.default_rng(5), (("A", 2), ("B", 3), ("E", 3)))
-    for psi, k_dim, l_dim in ((cc_state(2), 8, 1), (psi_r, 4, 2), (psi_r, 8, 4)):
-        inst = mg.MergingInstance(psi, k_dim, l_dim, 0.3, seed=haar.RngSeed(4),
+    fractions = []
+    for psi, k_dim, l_dim, eps in ((cc_state(2), 8, 1, 0.06), (psi_r, 4, 2, 0.3),
+                                   (psi_r, 8, 4, 0.3)):
+        inst = mg.MergingInstance(psi, k_dim, l_dim, eps, seed=haar.RngSeed(4),
                                   cap=1 << 16)
         res = mg.run_merging(inst)
-        u = haar.haar_unitary_indexed(inst.seed, 0, k_dim * inst.dim_a)
-        rho_ae = pure_marginal(psi, ["A", "E"]).permute(["A", "E"]).matrix
+        per_outcome, overall, decoupled = explicit_protocol(inst)
         assert len(res.per_outcome) == inst.num_outcomes
-        for x, p_x, f_x in res.per_outcome:
-            rows = u[x * l_dim:(x + 1) * l_dim]
-            p_y, f_y = mg.outcome_fidelity(rows, rho_ae, inst.dim_a)
-            assert p_y == pytest.approx(p_x, abs=1e-12)
-            assert f_y == pytest.approx(f_x, abs=1e-12)
+        for (x, p_x, f_x), (y, p_y, f_y) in zip(res.per_outcome, per_outcome):
+            assert x == y
+            assert p_x == pytest.approx(p_y, abs=1e-12)
+            assert f_x == pytest.approx(f_y, abs=1e-12)
+        assert res.fidelity == pytest.approx(overall, abs=1e-12)
+        assert res.decoupled_fraction == pytest.approx(decoupled, abs=1e-12)
+        fractions.append(decoupled)
+    assert 0.0 < fractions[0] < 1.0
+
+
+def test_run_merging_cap_bounds_the_unitary():
+    # K|A| = 16: the 256-entry unitary is the largest array, and the
+    # 512-amplitude protocol state is never built
+    def make(cap):
+        return mg.MergingInstance(cc_state(1), 8, 1, 0.3, cap=cap)
+    with pytest.raises(DimCapError):
+        mg.run_merging(make(255))
+    assert len(mg.run_merging(make(256)).per_outcome) == 16
 
 
 def test_estimator_matches_run_merging_at_desk_scale():
