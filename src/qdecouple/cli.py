@@ -112,7 +112,6 @@ def gen_state(kind: str, k: int, rho_e: str = "maximally-mixed",
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_state(args: argparse.Namespace) -> int:
-    started = time.time()
     state = gen_state(args.kind, args.k, args.rhoE, args.dE, args.dims,
                       args.seed, cap=args.cap)
     payload = linalg.state_to_json(state)
@@ -122,7 +121,6 @@ def _cmd_gen_state(args: argparse.Namespace) -> int:
             fh.write("\n")
     else:
         print(json.dumps(payload))
-    del started
     return 0
 
 
@@ -226,10 +224,9 @@ def _cmd_merge_run(args: argparse.Namespace) -> int:
     if args.K is not None and args.L is not None:
         k_dim, l_dim = args.K, args.L
     else:
-        d_a = 1
-        for lab in a_labels:
-            d_a *= psi.dims.dim_of(lab)
-        target_bits = merging.cost_achievable(psi, a_labels, b_labels, args.epsilon)
+        target_bits = merging.cost_achievable(psi, a_labels, b_labels, args.epsilon,
+                                              realize=False)
+        d_a = math.prod(psi.dims.dim_of(lab) for lab in a_labels)
         k_dim, l_dim = merging.realize_cost(target_bits, d_a)
     seeds = list(range(args.seed, args.seed + args.num_seeds))
     runs = []
@@ -282,11 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "one-shot state merging on finite-dimensional states.")
     parser.add_argument("--version", action="version", version=qdecouple.__version__)
 
+    # each subcommand registers only the flags its handler reads
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="base RNG seed recorded in the report (default 0)")
-    common.add_argument("--stream", default="default",
-                        help="named RNG stream (default 'default')")
     common.add_argument("--cap", type=int, default=None,
                         help="total-dimension cap (default "
                              f"{linalg.DIM_CAP}; env QDECOUPLE_DIM_CAP)")
@@ -297,14 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-trace", type=float, default=None,
                         help=f"trace tolerance (default {linalg.TOL_TRACE})")
     common.add_argument("--out", default=None, help="write the JSON report here")
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker threads; results are worker-count invariant "
-                             "(default 1)")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0,
+                        help="base RNG seed recorded in the report (default 0)")
+    seeded.add_argument("--stream", default="default",
+                        help="named RNG stream (default 'default')")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-state", parents=[common],
                        help="emit a reference state as JSON")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("kind", choices=["independent", "classical", "entangled",
                                     "random-mixed", "random-pure"])
     p.add_argument("--k", type=int, default=1, help="number of qubits (default 1)")
@@ -333,7 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decouple", help="decoupling experiments")
     dsub = p.add_subparsers(dest="subcommand", required=True)
-    pr = dsub.add_parser("run", parents=[common], help="Monte Carlo experiment")
+    pr = dsub.add_parser("run", parents=[seeded, common], help="Monte Carlo experiment")
+    pr.add_argument("--workers", type=int, default=1,
+                    help="worker threads; results are worker-count invariant "
+                         "(default 1)")
     pr.add_argument("--state", required=True)
     pr.add_argument("--channel", required=True,
                     help="builder spec like id+trace:4,1 or a channel JSON file")
@@ -345,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("merge", help="state-merging experiments")
     msub = p.add_subparsers(dest="subcommand", required=True)
-    pm = msub.add_parser("run", parents=[common], help="run the merging protocol")
+    pm = msub.add_parser("run", parents=[seeded, common],
+                         help="run the merging protocol")
     pm.add_argument("--state", required=True, help="pure tripartite state JSON")
     pm.add_argument("--epsilon", type=float, required=True)
     pm.add_argument("--num-seeds", type=int, default=1)
@@ -358,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemmas", help="randomized proof-ingredient suites")
     lsub = p.add_subparsers(dest="subcommand", required=True)
-    pl = lsub.add_parser("check", parents=[common])
+    pl = lsub.add_parser("check", parents=[seeded])
+    pl.add_argument("--out", default=None, help="write the JSON report here")
     pl.add_argument("--trials", type=int, default=200)
     pl.set_defaults(func=_cmd_lemmas_check)
 

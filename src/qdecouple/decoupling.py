@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from qdecouple import haar
 from qdecouple.linalg import (
     Dims,
     StateOperator,
-    apply_matrix,
     hermitian_part,
     partial_trace,
     psd_power,
@@ -31,6 +30,7 @@ from qdecouple.linalg import (
     sqrt_psd,
     swap_operator,
     trace_norm,
+    trace_out_leading,
 )
 
 
@@ -101,53 +101,53 @@ class DecouplingReport:
 MAX_RETAINED_SAMPLES = 10_000
 
 
-def _target_output(state: StateOperator, ch: chan.Channel, on: Sequence[str]
-                   ) -> np.ndarray:
-    """tau_B (x) rho_E in the output label order of ``apply``."""
-    tau_b = partial_trace(ch.choi, [ch.out_label]).matrix
-    rest = [lab for lab in state.labels if lab not in set(on)]
-    if rest:
-        rho_e = partial_trace(state, rest).matrix
-        return np.kron(tau_b, rho_e)
-    return tau_b
+def _kernel(exp: DecouplingExperiment) -> Callable[[np.ndarray], float]:
+    """U -> || T(U rho U^H) - tau_B (x) rho_E ||_1 for the experiment.
+
+    The rotated tensor enters the Choi contraction as einsum returns it;
+    ``apply_matrix`` + ``channel.apply`` copy it into a matrix first.
+    """
+    ch, refs = exp.channel, list(exp.reference_labels)
+    d_in = ch.dim_in
+    perm = exp.state.permute(list(exp.on) + refs)
+    d_r = perm.dims.total // d_in
+    rho = perm.matrix.reshape(d_in, d_r, d_in, d_r)
+    target = partial_trace(ch.choi, [ch.out_label]).matrix
+    if refs:
+        target = np.kron(target, partial_trace(exp.state, refs).matrix)
+    choi_t, dt = ch.choi_tensor, target.shape[0]
+
+    def distance(u: np.ndarray) -> float:
+        rot = np.einsum("ik,krls,jl->irjs", u, rho, u.conj(), optimize=True)
+        out = d_in * np.einsum("abcd,arcs->brds", choi_t, rot, optimize=True)
+        return trace_norm(out.reshape(dt, dt) - target)
+    return distance
 
 
 def sample_distance(state: StateOperator, ch: chan.Channel, u: np.ndarray,
                     on: Sequence[str] = ("A",)) -> float:
     """|| T(U rho U^H) - tau_B (x) rho_E ||_1 for one unitary U."""
-    d = u.shape[0]
+    exp = DecouplingExperiment(state, ch, num_samples=1, on=tuple(on))
+    d = ch.dim_in
     if u.shape != (d, d) or float(np.abs(u @ u.conj().T - np.eye(d)).max()) > 1e-10:
-        raise DecouplingError("U is not unitary within tolerance")
-    rotated = apply_matrix(state, u, list(on))
-    out = chan.apply(ch, rotated, list(on))
-    return trace_norm(out.matrix - _target_output(state, ch, on))
+        raise DecouplingError(f"U is not a {d} x {d} unitary within tolerance")
+    return _kernel(exp)(u)
 
 
-def run(experiment: DecouplingExperiment, workers: int = 1,
-        smooth: bool | None = None) -> DecouplingReport:
+def run(experiment: DecouplingExperiment, workers: int = 1) -> DecouplingReport:
     """Monte Carlo average of the decoupling distance with entropy bounds.
 
     The smooth bound (an extra pair of SDP solves) is computed when the
-    experiment's epsilon is positive or ``smooth`` is set explicitly.
-    Results are bit-reproducible for a fixed seed at any worker count: sample
-    i is a pure function of (seed, i) and aggregation is a fixed-order
-    reduction over the sample index.
+    experiment's epsilon is positive.  Results are bit-reproducible for a
+    fixed seed at any worker count: sample i is a pure function of (seed, i)
+    and aggregation is a fixed-order reduction over the sample index.
     """
     exp = experiment
     state, ch, on = exp.state, exp.channel, list(exp.on)
-    d_in = ch.dim_in
-    perm = state.permute(on + list(exp.reference_labels))
-    target = _target_output(state, ch, on)
-    d_r = perm.dims.total // d_in
-    mat = perm.matrix.reshape(d_in, d_r, d_in, d_r)
-    choi_t = ch.choi_tensor
+    distance = _kernel(exp)
 
     def one(i: int) -> float:
-        u = haar.haar_unitary_indexed(exp.seed, i, d_in)
-        rot = np.einsum("ik,krls,jl->irjs", u, mat, u.conj(), optimize=True)
-        out = d_in * np.einsum("abcd,arcs->brds", choi_t, rot, optimize=True)
-        dt = ch.dim_out * d_r
-        return trace_norm(out.reshape(dt, dt) - target)
+        return distance(haar.haar_unitary_indexed(exp.seed, i, ch.dim_in))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -162,8 +162,7 @@ def run(experiment: DecouplingExperiment, workers: int = 1,
         std_err = 0.0
     b_ns = bound_nonsmooth(state, ch, on)
     b_s = None
-    want_smooth = smooth if smooth is not None else exp.epsilon > 0.0
-    if (want_smooth and ch.trace_class is not chan.TraceClass.GENERAL
+    if (exp.epsilon > 0.0 and ch.trace_class is not chan.TraceClass.GENERAL
             and abs(state.trace - 1.0) <= 1e-9):
         b_s = bound_smooth(state, ch, exp.epsilon, on)
     retained = distances.tolist() if exp.num_samples <= MAX_RETAINED_SAMPLES else None
@@ -329,7 +328,7 @@ def verify_proof_lemmas(seed: haar.RngSeed | int = 0, trials: int = 200,
         db = int(rng.choice(list(dims)))
         g = _rnd_matrix(rng, da * db)
         xi = g @ g.conj().T
-        xi_b = np.einsum("abad->bd", xi.reshape(da, db, da, db))
+        xi_b = trace_out_leading(xi, da)
         ratio = float(np.trace(xi @ xi).real) / float(np.trace(xi_b @ xi_b).real)
         slack = max(1.0 / da - ratio, ratio - da, 0.0)
         worst = max(worst, slack)

@@ -28,6 +28,7 @@ from qdecouple.linalg import (
     purify,
     sqrt_psd,
     support_projector,
+    trace_out_leading,
 )
 
 # A solved entropy program is accepted when the primal/dual sandwich pins the
@@ -137,10 +138,6 @@ def _clip_psd(m: np.ndarray) -> np.ndarray:
     return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 
-def _trace_out_target(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    return np.einsum("abad->bd", rho.reshape(d_a, d_b, d_a, d_b))
-
-
 # ---------------------------------------------------------------------------
 # von Neumann entropy
 # ---------------------------------------------------------------------------
@@ -160,7 +157,7 @@ def von_neumann(state: StateOperator, target: Sequence[str],
     h_joint = _spectral_entropy(rho)
     if not condition:
         return h_joint
-    return h_joint - _spectral_entropy(_trace_out_target(rho, d_a, d_b))
+    return h_joint - _spectral_entropy(trace_out_leading(rho, d_a))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +256,7 @@ def _hmax_fidelity_sdp(rho: np.ndarray, d_a: int, d_b: int
     for h in herm_basis(d):
         big = np.zeros((r + d, r + d), dtype=complex)
         big[r:, r:] = h
-        build.add_constraint({v_blk: big, s_blk: -_trace_out_target(h, d_a, d_b)}, 0.0)
+        build.add_constraint({v_blk: big, s_blk: -trace_out_leading(h, d_a)}, 0.0)
     build.add_constraint({s_blk: np.eye(d_b, dtype=complex)}, 1.0)
     mid, width, sol = _certified_solve(build.build(), "max-entropy fidelity SDP",
                                        flip=True)
@@ -301,7 +298,7 @@ def h_max(state: StateOperator, target: Sequence[str],
 def _h2_at_sigma(rho: np.ndarray, sigma: np.ndarray, d_a: int) -> float:
     d_b = sigma.shape[0]
     proj = support_projector(sigma)
-    rho_b = _trace_out_target(rho, d_a, d_b)
+    rho_b = trace_out_leading(rho, d_a)
     leak = float(np.trace(rho_b @ (np.eye(d_b) - proj)).real)
     if leak > 1e-9 * max(float(np.trace(rho_b).real), 1e-12):
         raise EntropyError("state has support outside the conditioning operator")
@@ -327,7 +324,7 @@ def h2(state: StateOperator, target: Sequence[str], condition: Sequence[str] = (
         if val <= 0:
             raise EntropyError("collision entropy of a zero operator")
         return EntropyResult(-math.log2(val))
-    rho_b = _trace_out_target(rho, d_a, d_b)
+    rho_b = trace_out_leading(rho, d_a)
     sigma = rho_b / float(np.trace(rho_b).real)
     best = _h2_at_sigma(rho, sigma, d_a)
     if optimize_sigma:
@@ -335,8 +332,8 @@ def h2(state: StateOperator, target: Sequence[str], condition: Sequence[str] = (
     return EntropyResult(best, optimizer_sigma=StateOperator(cdims, sigma, validate=False))
 
 
-def _h2_ascent(rho: np.ndarray, sigma0: np.ndarray, d_a: int, start: float,
-               iterations: int = 80) -> tuple[float, np.ndarray]:
+def _h2_ascent(rho: np.ndarray, sigma0: np.ndarray, d_a: int, start: float
+               ) -> tuple[float, np.ndarray]:
     """Projected finite-difference ascent over normalized conditioning operators."""
     d_b = sigma0.shape[0]
     directions = [h for h in herm_basis(d_b) if abs(np.trace(h)) < 1e-12]
@@ -355,7 +352,7 @@ def _h2_ascent(rho: np.ndarray, sigma0: np.ndarray, d_a: int, start: float,
         except EntropyError:
             return -np.inf
 
-    for _ in range(iterations):
+    for _ in range(80):
         grad = np.zeros((d_b, d_b), dtype=complex)
         for h in directions:
             plus = value_at(project(sigma + fd * h))
@@ -388,6 +385,34 @@ def _is_product_diagonal(rho: np.ndarray) -> bool:
         float(np.trace(rho).real), 1e-12)
 
 
+# coefficients of p, Re x and q on a 2x2 fidelity block [[p, x], [x, q]]
+_E11 = np.diag([1.0, 0.0]).astype(complex)
+_E22 = np.diag([0.0, 1.0]).astype(complex)
+_EX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+
+
+def _close_smoothing(build: sdp.ProblemBuilder, fid: dict[int, np.ndarray],
+                     trace_row: dict[int, np.ndarray], missing: float,
+                     eps: float) -> None:
+    """Close a smoothing program: fidelity - t = sqrt(1 - eps^2) and trace = 1.
+
+    ``fid`` and ``trace_row`` hold the candidate's terms; the slack blocks
+    are added last.  A subnormalized input (missing weight above 1e-9) adds
+    a 2x2 block [[missing, x], [x, q]] to both rows, making the fidelity the
+    generalized one; a normalized input gets a trace slack w instead.
+    """
+    fid[build.add_block(1)] = -np.eye(1, dtype=complex)
+    if missing > 1e-9:
+        g_blk = build.add_block(2)
+        build.add_constraint({g_blk: _E11}, missing)
+        fid[g_blk] = _EX
+        trace_row[g_blk] = _E22
+    else:
+        trace_row[build.add_block(1)] = np.eye(1, dtype=complex)
+    build.add_constraint(fid, math.sqrt(1.0 - eps * eps))
+    build.add_constraint(trace_row, 1.0)
+
+
 def _smooth_hmin_diag(p: np.ndarray, d_a: int, d_b: int, eps: float
                       ) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Smoothing program restricted to diagonal states.
@@ -397,13 +422,6 @@ def _smooth_hmin_diag(p: np.ndarray, d_a: int, d_b: int, eps: float
     and leaves the objective unchanged, so a diagonal optimizer exists.
     """
     d = d_a * d_b
-    c = math.sqrt(1.0 - eps * eps)
-    missing = max(0.0, 1.0 - float(p.sum()))
-    subnormalized = missing > 1e-9
-    e11 = np.diag([1.0, 0.0]).astype(complex)
-    e22 = np.diag([0.0, 1.0]).astype(complex)
-    ex = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-
     # cells with zero input weight carry no fidelity and only cost trace
     # budget, so an optimizer supported on the nonzero cells always exists
     top = float(p.max(initial=0.0))
@@ -415,27 +433,15 @@ def _smooth_hmin_diag(p: np.ndarray, d_a: int, d_b: int, eps: float
     f_blks = {i: build.add_block(2) for i in live}      # [[p_i, x_i], [x_i, q_i]]
     s_blks = [build.add_block(1, np.eye(1, dtype=complex)) for _ in range(d_b)]
     u_blks = {i: build.add_block(1) for i in live}      # s_beta - q_i slack
-    t_blk = build.add_block(1)                          # fidelity slack
-    g_blk = build.add_block(2) if subnormalized else None
-    w_blk = None if subnormalized else build.add_block(1)
 
     for i in live:
-        build.add_constraint({f_blks[i]: e11}, float(p.flat[i]))
+        build.add_constraint({f_blks[i]: _E11}, float(p.flat[i]))
     for i in live:
         build.add_constraint({s_blks[i % d_b]: np.eye(1, dtype=complex),
-                              f_blks[i]: -e22,
+                              f_blks[i]: -_E22,
                               u_blks[i]: -np.eye(1, dtype=complex)}, 0.0)
-    fid = {f_blks[i]: ex for i in live}
-    fid[t_blk] = -np.eye(1, dtype=complex)
-    trace_row: dict[int, np.ndarray] = {f_blks[i]: e22 for i in live}
-    if subnormalized:
-        build.add_constraint({g_blk: e11}, missing)
-        fid[g_blk] = ex
-        trace_row[g_blk] = e22
-    else:
-        trace_row[w_blk] = np.eye(1, dtype=complex)
-    build.add_constraint(fid, c)
-    build.add_constraint(trace_row, 1.0)
+    _close_smoothing(build, {f_blks[i]: _EX for i in live},
+                     {f_blks[i]: _E22 for i in live}, max(0.0, 1.0 - float(p.sum())), eps)
 
     mid, width, sol = _certified_solve(build.build(), "diagonal smoothing SDP")
     q = np.zeros(d)
@@ -454,19 +460,12 @@ def _smooth_hmin_dense(rho: np.ndarray, d_a: int, d_b: int, eps: float
     only for subnormalized inputs.
     """
     d = d_a * d_b
-    c = math.sqrt(1.0 - eps * eps)
-    tr_rho = float(np.trace(rho).real)
-    missing = max(0.0, 1.0 - tr_rho)
-    subnormalized = missing > 1e-9
     r, gam, corner_rows = _fidelity_embedding(rho)
 
     build = sdp.ProblemBuilder()
     v_blk = build.add_block(r + d)                      # [[D, Y], [Y^H, rho_hat]]
     s_blk = build.add_block(d)                          # I (x) sigma' - rho_hat
     sig_blk = build.add_block(d_b, np.eye(d_b, dtype=complex))
-    t_blk = build.add_block(1)
-    g_blk = build.add_block(2) if subnormalized else None
-    w_blk = None if subnormalized else build.add_block(1)
 
     for big, rhs in corner_rows:
         build.add_constraint({v_blk: big}, rhs)
@@ -474,19 +473,11 @@ def _smooth_hmin_dense(rho: np.ndarray, d_a: int, d_b: int, eps: float
         big = np.zeros((r + d, r + d), dtype=complex)
         big[r:, r:] = h
         build.add_constraint({v_blk: big, s_blk: h,
-                              sig_blk: -_trace_out_target(h, d_a, d_b)}, 0.0)
-    fid = {v_blk: gam, t_blk: -np.eye(1, dtype=complex)}
+                              sig_blk: -trace_out_leading(h, d_a)}, 0.0)
     big22 = np.zeros((r + d, r + d), dtype=complex)
     big22[r:, r:] = np.eye(d)
-    trace_row: dict[int, np.ndarray] = {v_blk: big22}
-    if subnormalized:
-        build.add_constraint({g_blk: np.diag([1.0, 0.0]).astype(complex)}, missing)
-        fid[g_blk] = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-        trace_row[g_blk] = np.diag([0.0, 1.0]).astype(complex)
-    else:
-        trace_row[w_blk] = np.eye(1, dtype=complex)
-    build.add_constraint(fid, c)
-    build.add_constraint(trace_row, 1.0)
+    _close_smoothing(build, {v_blk: gam}, {v_blk: big22},
+                     max(0.0, 1.0 - float(np.trace(rho).real)), eps)
 
     mid, width, sol = _certified_solve(build.build(), "smoothing SDP")
     rho_hat = hermitian_part(sol.x_blocks[v_blk][r:, r:])

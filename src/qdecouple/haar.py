@@ -49,13 +49,8 @@ def generator(seed: RngSeed | int, index: int = 0) -> np.random.Generator:
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed d x d unitary via Ginibre + QR with phase correction."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
+    """Haar-distributed d x d unitary: the transposed all-rows ``haar_row_block``."""
+    return haar_row_block(d, d, rng).T
 
 
 def haar_unitary_indexed(seed: RngSeed | int, index: int, d: int) -> np.ndarray:
@@ -67,9 +62,10 @@ def haar_row_block(d: int, rows: int, rng: np.random.Generator) -> np.ndarray:
     """First ``rows`` rows of a Haar d x d unitary, as a (rows, d) array.
 
     A Haar point on the Stiefel manifold (Mezzadri, math-ph/0609050): the
-    reduced QR of a d x rows Ginibre matrix with the phase correction of
-    ``haar_unitary`` gives the first columns of a Haar unitary, and the
-    transpose of a Haar unitary is Haar.  Costs O(d rows^2), never d^2.
+    reduced QR of a d x rows Ginibre matrix, with each column's phase fixed
+    by the phase of R's diagonal, gives the first columns of a Haar unitary,
+    and the transpose of a Haar unitary is Haar.  Costs O(d rows^2), never
+    d^2.
     """
     if not 1 <= rows <= d:
         raise ValueError(f"need 1 <= rows <= d, got rows={rows}, d={d}")

@@ -113,7 +113,9 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def is_hermitian(m: np.ndarray, tol: float = TOL_HERM) -> bool:
+def is_hermitian(m: np.ndarray, tol: float | None = None) -> bool:
+    """Hermitian within ``tol`` (default ``TOL_HERM``, read at call time)."""
+    tol = TOL_HERM if tol is None else tol
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
     return bool(np.abs(m - m.conj().T).max(initial=0.0) <= tol * scale)
 
@@ -140,15 +142,15 @@ def herm_basis(d: int) -> np.ndarray:
     return out
 
 
-def sqrt_psd(m: np.ndarray, clip_tol: float = TOL_PSD) -> np.ndarray:
+def sqrt_psd(m: np.ndarray) -> np.ndarray:
     """Principal square root of a PSD matrix via eigenvalue calculus.
 
-    Eigenvalues within ``clip_tol * ||m||`` below zero are clipped to zero;
+    Eigenvalues within ``TOL_PSD * ||m||`` below zero are clipped to zero;
     anything more negative raises.
     """
     w, v = np.linalg.eigh(hermitian_part(m))
     scale = max(float(w[-1]), 0.0) if w.size else 0.0
-    if w.size and float(w[0]) < -clip_tol * max(scale, 1.0):
+    if w.size and float(w[0]) < -TOL_PSD * max(scale, 1.0):
         raise InvariantError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
     # eigenvalues at rounding-noise level are exact zeros; the square root
     # would otherwise amplify them to sqrt(eps)-sized artifacts
@@ -156,25 +158,25 @@ def sqrt_psd(m: np.ndarray, clip_tol: float = TOL_PSD) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def psd_power(m: np.ndarray, power: float, rcond: float = GINV_RCOND) -> np.ndarray:
+def psd_power(m: np.ndarray, power: float) -> np.ndarray:
     """m**power on the support of m (generalized inverse for power < 0).
 
-    Eigenvalues above ``rcond * max_eig`` are raised to ``power``; the rest
-    map to zero, matching a support-restricted inverse.
+    Eigenvalues above ``GINV_RCOND * max_eig`` are raised to ``power``; the
+    rest map to zero, matching a support-restricted inverse.
     """
     w, v = np.linalg.eigh(hermitian_part(m))
     w = np.clip(w, 0.0, None)
     top = float(w[-1]) if w.size else 0.0
-    keep = w > rcond * top if top > 0 else np.zeros_like(w, dtype=bool)
+    keep = w > GINV_RCOND * top if top > 0 else np.zeros_like(w, dtype=bool)
     out = np.zeros_like(w)
     out[keep] = w[keep] ** power
     return (v * out) @ v.conj().T
 
 
-def support_projector(m: np.ndarray, rcond: float = GINV_RCOND) -> np.ndarray:
+def support_projector(m: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(hermitian_part(m))
     top = float(np.max(np.abs(w), initial=0.0))
-    keep = np.abs(w) > rcond * top if top > 0 else np.zeros_like(w, dtype=bool)
+    keep = np.abs(w) > GINV_RCOND * top if top > 0 else np.zeros_like(w, dtype=bool)
     return (v[:, keep]) @ v[:, keep].conj().T
 
 
@@ -211,8 +213,7 @@ class StateOperator:
             check_cap(d, cap)
             if not np.all(np.isfinite(matrix)):
                 raise InvariantError("matrix has non-finite entries")
-            scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
-            if np.abs(matrix - matrix.conj().T).max(initial=0.0) > TOL_HERM * scale:
+            if not is_hermitian(matrix):
                 raise InvariantError("matrix is not Hermitian within tolerance")
             w = np.linalg.eigvalsh(hermitian_part(matrix))
             norm = float(np.max(np.abs(w), initial=0.0))
@@ -340,6 +341,12 @@ def partial_trace(op: StateOperator, keep: Iterable[str]) -> StateOperator:
     res = np.einsum(t, row_sub + col_sub, out_sub)
     d = keep_pairs.total
     return StateOperator(keep_pairs, res.reshape(d, d), validate=False)
+
+
+def trace_out_leading(m: np.ndarray, d_lead: int) -> np.ndarray:
+    """tr_1 of a matrix on C^d_lead (x) C^d_rest, as a d_rest x d_rest array."""
+    d_rest = m.shape[0] // d_lead
+    return np.einsum("abad->bd", m.reshape(d_lead, d_rest, d_lead, d_rest))
 
 
 def pure_marginal(psi: PureState, keep: Iterable[str]) -> StateOperator:

@@ -34,6 +34,7 @@ from qdecouple.linalg import (
     pure_marginal,
     purified_distance,
     trace_norm,
+    trace_out_leading,
 )
 
 LOG2_13 = math.log2(13.0)
@@ -295,7 +296,7 @@ def _outcome_state(rows: np.ndarray, rho_ae: np.ndarray, dim_a: int
     g = (cols.T @ cols.conj()).reshape(l_dim, dim_a, l_dim, dim_a) / k_dim
     rho = rho_ae.reshape(dim_a, d_e, dim_a, d_e)
     sigma = np.einsum("lamb,aebf->lemf", g, rho).reshape(l_dim * d_e, l_dim * d_e)
-    ideal = np.kron(np.eye(l_dim) / l_dim, np.einsum("aeaf->ef", rho))
+    ideal = np.kron(np.eye(l_dim) / l_dim, trace_out_leading(rho_ae, dim_a))
     p_x = float(np.trace(sigma).real)
     if p_x < 1e-15:
         return p_x, None, ideal

@@ -26,6 +26,9 @@ class SdpStatus(enum.Enum):
     MAX_ITER = "MaxIter"
 
 
+FEAS_TOL = 1e-9  # relative residual at which an iterate counts as feasible
+
+
 def default_gap_tol(primal_obj: float) -> float:
     return 1e-7 * (1.0 + abs(primal_obj))
 
@@ -243,7 +246,6 @@ def solve(problem: SdpProblem, *,
           y0: np.ndarray | None = None,
           z0: list[np.ndarray] | None = None,
           max_iterations: int = 200,
-          feas_tol: float = 1e-9,
           gap_tol: float | None = None,
           reg: float = 1e-12,
           step_frac: float = 0.96,
@@ -327,12 +329,12 @@ def solve(problem: SdpProblem, *,
             trace.append(IterateRecord(it - 1, pobj, dobj, gap, pinf, dinf))
 
         tol_gap = default_gap_tol(pobj) if gap_tol is None else gap_tol
-        merit = max(pinf / max(feas_tol, 1e-12), dinf / max(feas_tol, 1e-12),
+        merit = max(pinf / FEAS_TOL, dinf / FEAS_TOL,
                     abs(gap) / max(tol_gap, 1e-300))
         if merit < best_merit:
             best_merit = merit
             best = ([g.copy() for g in x], y.copy(), [g.copy() for g in z])
-        if pinf <= feas_tol and dinf <= feas_tol and abs(gap) <= tol_gap:
+        if pinf <= FEAS_TOL and dinf <= FEAS_TOL and abs(gap) <= tol_gap:
             status = SdpStatus.OPTIMAL
             break
 
@@ -443,7 +445,7 @@ def solve(problem: SdpProblem, *,
         dinf = max(float(np.linalg.norm(groups.c[g] - aty[g] - z[g]))
                    for g in range(len(groups.sizes))) / (1.0 + norm_c)
         tol_gap = default_gap_tol(pobj) if gap_tol is None else gap_tol
-        if pinf <= max(feas_tol, 1e-8) and dinf <= max(feas_tol, 1e-8) and abs(gap) <= tol_gap:
+        if pinf <= 1e-8 and dinf <= 1e-8 and abs(gap) <= tol_gap:
             status = SdpStatus.OPTIMAL
         elif status is not SdpStatus.MAX_ITER:
             status = SdpStatus.MAX_ITER

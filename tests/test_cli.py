@@ -86,6 +86,20 @@ def test_unknown_flag_exits_two():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--state", "s.json", "--kind", "hmin", "--target", "A",
+     "--workers", "2"],
+    ["gen-channel", "id:1", "--seed", "3"],
+    ["gen-state", "classical", "--stream", "other"],
+    ["merge", "run", "--state", "s.json", "--epsilon", "0.3", "--workers", "2"],
+    ["lemmas", "check", "--cap", "8"],
+])
+def test_flags_a_subcommand_does_not_read_exit_two(argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = run_cli(capsys, "entropy", "--state", "/no/such/file.json",
                            "--kind", "hmin", "--target", "A")

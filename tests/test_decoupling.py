@@ -10,6 +10,7 @@ from qdecouple import decoupling as dec
 from qdecouple import haar
 from qdecouple.linalg import (
     StateOperator,
+    apply_matrix,
     maximally_mixed,
     partial_trace,
     random_density,
@@ -71,6 +72,32 @@ def test_run_deterministic_and_worker_invariant():
     assert r1.empirical_mean == r2.empirical_mean == r3.empirical_mean
     assert r1.per_sample_distances == r2.per_sample_distances
     assert r1.std_error == r2.std_error
+
+
+@pytest.mark.parametrize("family,dims,d_out,on", [
+    ("tp", (("A", 2), ("E", 3)), 3, ("A",)),
+    ("cpm", (("A", 3), ("E", 2)), 2, ("A",)),
+    ("tp", (("A1", 2), ("E", 2), ("A2", 2)), 2, ("A1", "A2")),
+])
+def test_kernel_distances_match_library_route(family, dims, d_out, on):
+    # oracle: rotate with apply_matrix, apply the channel with channel.apply,
+    # and subtract tau_B (x) rho_E built from partial traces
+    rng = np.random.default_rng(17)
+    st = random_density(rng, dims)
+    d_in = int(np.prod([d for lab, d in dims if lab in on]))
+    make = chan.random_tp_channel if family == "tp" else chan.random_cpm
+    ch = make(rng, d_in, d_out)
+    exp = dec.DecouplingExperiment(st, ch, 30, seed=haar.RngSeed(8), on=on)
+    refs = [lab for lab, _ in dims if lab not in on]
+    target = np.kron(partial_trace(ch.choi, [ch.out_label]).matrix,
+                     partial_trace(st, refs).matrix)
+    want = []
+    for i in range(exp.num_samples):
+        u = haar.haar_unitary_indexed(exp.seed, i, d_in)
+        out = chan.apply(ch, apply_matrix(st, u, on), on)
+        want.append(trace_norm(out.matrix - target))
+        assert dec.sample_distance(st, ch, u, on) == want[-1]
+    assert dec.run(exp).per_sample_distances == want
 
 
 def test_nonsmooth_bound_on_random_instances():

@@ -76,6 +76,14 @@ def test_row_block_rows_orthonormal():
         haar.haar_row_block(3, 0, haar.generator(0))
 
 
+def test_unitary_is_the_transposed_full_row_block():
+    for d in (1, 2, 3, 16, 64, 256):
+        for seed, index in ((0, 0), (haar.RngSeed(7, "x"), 3)):
+            unitary = haar.haar_unitary_indexed(seed, index, d)
+            block = haar.haar_row_block_indexed(seed, index, d, d)
+            np.testing.assert_array_equal(block.T, unitary)
+
+
 def test_row_block_indexed_independent_of_order():
     seed = haar.RngSeed(42, "blocks")
     forward = [haar.haar_row_block_indexed(seed, i, 12, 3) for i in range(6)]
