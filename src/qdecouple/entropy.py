@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -218,8 +218,15 @@ def _support_factor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, np.diag(w[keep]).astype(complex)
 
 
+def _embed(h: np.ndarray, offset: int, size: int) -> np.ndarray:
+    """A size x size zero matrix with h as its diagonal block at ``offset``."""
+    big = np.zeros((size, size), dtype=complex)
+    big[offset:offset + len(h), offset:offset + len(h)] = h
+    return big
+
+
 def _fidelity_embedding(rho: np.ndarray
-                        ) -> tuple[int, np.ndarray, list[tuple[np.ndarray, float]]]:
+                        ) -> tuple[int, np.ndarray, Iterator[tuple[np.ndarray, float]]]:
     """Support-compressed PSD block embedding of the fidelity with rho.
 
     The embedding block is V = [[D, Y], [Y^H, X]] of size r + d, with the
@@ -227,7 +234,8 @@ def _fidelity_embedding(rho: np.ndarray
     programs keep a strictly feasible interior even for rank-deficient
     states.  Returns r, the matrix Gamma with tr(Gamma V) = Re tr(R Y), and
     the (coefficient, right-hand side) rows that fix the D corner, in the
-    order of ``herm_basis(r)``.
+    order of ``herm_basis(r)``.  The rows are generated one at a time, so
+    only the program builder holds them, as nonzero entries.
     """
     d = rho.shape[0]
     r_iso, d_mat = _support_factor(rho)
@@ -235,11 +243,8 @@ def _fidelity_embedding(rho: np.ndarray
     gam = np.zeros((r + d, r + d), dtype=complex)
     gam[:r, r:] = r_iso.conj().T / 2
     gam[r:, :r] = r_iso / 2
-    corner_rows = []
-    for h in herm_basis(r):
-        big = np.zeros((r + d, r + d), dtype=complex)
-        big[:r, :r] = h
-        corner_rows.append((big, float(np.trace(d_mat @ h).real)))
+    corner_rows = ((_embed(h, 0, r + d), float(np.einsum("ij,ji->", d_mat, h).real))
+                   for h in herm_basis(r))
     return r, gam, corner_rows
 
 
@@ -254,9 +259,8 @@ def _hmax_fidelity_sdp(rho: np.ndarray, d_a: int, d_b: int
     for big, rhs in corner_rows:
         build.add_constraint({v_blk: big}, rhs)
     for h in herm_basis(d):
-        big = np.zeros((r + d, r + d), dtype=complex)
-        big[r:, r:] = h
-        build.add_constraint({v_blk: big, s_blk: -trace_out_leading(h, d_a)}, 0.0)
+        build.add_constraint({v_blk: _embed(h, r, r + d),
+                              s_blk: -trace_out_leading(h, d_a)}, 0.0)
     build.add_constraint({s_blk: np.eye(d_b, dtype=complex)}, 1.0)
     mid, width, sol = _certified_solve(build.build(), "max-entropy fidelity SDP",
                                        flip=True)
@@ -470,13 +474,9 @@ def _smooth_hmin_dense(rho: np.ndarray, d_a: int, d_b: int, eps: float
     for big, rhs in corner_rows:
         build.add_constraint({v_blk: big}, rhs)
     for h in herm_basis(d):
-        big = np.zeros((r + d, r + d), dtype=complex)
-        big[r:, r:] = h
-        build.add_constraint({v_blk: big, s_blk: h,
+        build.add_constraint({v_blk: _embed(h, r, r + d), s_blk: h,
                               sig_blk: -trace_out_leading(h, d_a)}, 0.0)
-    big22 = np.zeros((r + d, r + d), dtype=complex)
-    big22[r:, r:] = np.eye(d)
-    _close_smoothing(build, {v_blk: gam}, {v_blk: big22},
+    _close_smoothing(build, {v_blk: gam}, {v_blk: _embed(np.eye(d), r, r + d)},
                      max(0.0, 1.0 - float(np.trace(rho).real)), eps)
 
     mid, width, sol = _certified_solve(build.build(), "smoothing SDP")

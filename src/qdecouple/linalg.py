@@ -126,19 +126,15 @@ def herm_basis(d: int) -> np.ndarray:
     Order: diagonal units, then (symmetric, antisymmetric) pairs for a < b.
     """
     out = np.zeros((d * d, d, d), dtype=complex)
-    k = 0
-    for a in range(d):
-        out[k, a, a] = 1.0
-        k += 1
+    diag = np.arange(d)
+    out[diag, diag, diag] = 1.0
+    a, b = np.triu_indices(d, 1)  # row-major, the order of the pairs a < b
+    k = d + 2 * np.arange(len(a))
     s = 1.0 / np.sqrt(2.0)
-    for a in range(d):
-        for b in range(a + 1, d):
-            out[k, a, b] = s
-            out[k, b, a] = s
-            k += 1
-            out[k, a, b] = 1j * s
-            out[k, b, a] = -1j * s
-            k += 1
+    out[k, a, b] = s
+    out[k, b, a] = s
+    out[k + 1, a, b] = 1j * s
+    out[k + 1, b, a] = -1j * s
     return out
 
 

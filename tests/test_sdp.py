@@ -1,13 +1,18 @@
 """Solver tests: closed-form programs, interior-constructed instances with
 certified gaps, an independent first-order oracle on small blocks, weak
-duality along the iterate trace, determinism, and infeasibility detection.
+duality along the iterate trace, determinism, infeasibility detection, the
+sparse Schur kernel against the dense sandwich, and the stack-size limit.
 """
+
+import time
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from qdecouple.linalg import herm_basis
+from qdecouple import entropy, sdp
+from qdecouple.decoupling import classical_state
+from qdecouple.linalg import DimCapError, herm_basis, random_density
 from qdecouple.sdp import ProblemBuilder, SdpProblem, SdpStatus, solve
 
 
@@ -171,6 +176,8 @@ def test_problem_validation():
         build.add_constraint({blk: np.eye(2, dtype=complex)}, 1.0)
     with pytest.raises(ValueError):
         build.build()
+    with pytest.raises(ValueError, match="shape"):
+        build.add_constraint({blk: np.eye(1, dtype=complex)}, 1.0)
 
 
 def test_trace_csv_export():
@@ -180,3 +187,97 @@ def test_trace_csv_export():
     lines = csv.strip().splitlines()
     assert lines[0] == "iteration,primal_obj,dual_obj,gap"
     assert len(lines) == len(sol.trace) + 1
+
+
+# ---------------------------------------------------------------------------
+# Schur-complement kernels
+# ---------------------------------------------------------------------------
+
+class _Built(Exception):
+    """Carries the first program an entropy routine hands to the solver."""
+
+
+def built_program(monkeypatch, call) -> SdpProblem:
+    def capture(problem, **kwargs):
+        raise _Built(problem)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sdp, "solve", capture)
+        with pytest.raises(_Built) as info:
+            call()
+    return info.value.args[0]
+
+
+def oracle_programs(monkeypatch) -> dict[str, SdpProblem]:
+    rng = np.random.default_rng(110)
+    rho23 = random_density(rng, (("A", 2), ("B", 3))).matrix
+    rho22 = random_density(rng, (("A", 2), ("B", 2))).matrix
+    rho32 = random_density(rng, (("A", 3), ("B", 2))).matrix
+    p = np.real(np.diag(classical_state(2).matrix)).reshape(4, 4)
+    return {
+        "hmin 2x3": built_program(monkeypatch, lambda: entropy._hmin_sdp(rho23, 2, 3)),
+        "hmax fidelity 2x2": built_program(
+            monkeypatch, lambda: entropy._hmax_fidelity_sdp(rho22, 2, 2)),
+        "dense smoothing 3x2": built_program(
+            monkeypatch, lambda: entropy._smooth_hmin_dense(rho32, 3, 2, 0.05)),
+        "diagonal smoothing classical(2)": built_program(
+            monkeypatch, lambda: entropy._smooth_hmin_diag(p, 4, 4, 0.05)),
+        "random dense": interior_problem(rng, 5, 9),
+    }
+
+
+def test_sparse_schur_matches_dense_sandwich(monkeypatch):
+    rng = np.random.default_rng(111)
+    for name, problem in oracle_programs(monkeypatch).items():
+        m = problem.num_constraints
+        groups = sdp._Groups(problem, np.ones(m), 1.0)
+        for a in groups.a:
+            count, n = a.shape[1], a.shape[2]
+            w = np.stack([rnd_pd(rng, n) for _ in range(count)])
+            cols = np.flatnonzero((a.reshape(m, -1) != 0).any(axis=0))
+            dense = sdp._DenseSchur(a).schur(w)
+            sparse = sdp._SparseSchur(a, cols).schur(w)
+            err = float(np.abs(sparse - dense).max()) / float(np.abs(dense).max())
+            assert err <= 1e-12, (name, n, count, err)
+
+
+def test_schur_kernel_choice_is_recorded(monkeypatch):
+    programs = oracle_programs(monkeypatch)
+    kernels = {name: solve(problem, max_iterations=1).schur_kernels
+               for name, problem in programs.items()}
+    # dense random stacks: every position is nonzero in every constraint
+    assert kernels["random dense"] == {5: "dense"}
+    # multi-block groups: 2x2 fidelity blocks and 1x1 slacks
+    assert kernels["diagonal smoothing classical(2)"] == {1: "dense", 2: "dense"}
+    assert kernels["dense smoothing 3x2"][1] == "dense"
+
+    rho = random_density(np.random.default_rng(0), (("A", 4), ("B", 4))).matrix
+    problem = built_program(monkeypatch,
+                            lambda: entropy._smooth_hmin_dense(rho, 4, 4, 0.05))
+    sol = solve(problem, max_iterations=1)
+    assert problem.block_dims[0] == 32  # V = [[D, Y], [Y^H, rho_hat]], rank 16
+    assert sol.schur_kernels[32] == "sparse"
+    assert set(sol.schur_kernels) == set(problem.block_dims)
+
+
+# ---------------------------------------------------------------------------
+# stack-size limit
+# ---------------------------------------------------------------------------
+
+def test_oversized_program_fails_before_allocating():
+    # dense smoothing at 8x8: m = 8194 rows of 20546 entries, about 2.7 GB
+    # per stack copy; refused after about 0.6 s of row generation (2 cores)
+    rho = random_density(np.random.default_rng(3), (("A", 8), ("B", 8)))
+    start = time.monotonic()
+    with pytest.raises(DimCapError, match=r"need \d+ stack entries, above 67108864"):
+        entropy.h_min_smooth(rho, ("A",), ("B",), 0.05)
+    assert time.monotonic() - start < 2.0
+
+
+def test_dense_smoothing_4x8_is_within_the_limit(monkeypatch):
+    rho = random_density(np.random.default_rng(4), (("A", 4), ("B", 8))).matrix
+    problem = built_program(monkeypatch,
+                            lambda: entropy._smooth_hmin_dense(rho, 4, 8, 0.05))
+    entries = problem.num_constraints * sum(n * n for n in problem.block_dims)
+    assert problem.num_constraints == 32 * 32 + 32 * 32 + 2
+    assert entries == 10_631_300 <= sdp.MAX_STACK_ENTRIES
