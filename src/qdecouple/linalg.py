@@ -109,15 +109,19 @@ def check_cap(total: int, cap: int | None = None) -> None:
 # ---------------------------------------------------------------------------
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m^dagger)/2 — used before every eigendecomposition."""
-    return (m + m.conj().T) / 2
+    """(m + m^dagger)/2 — used before every eigendecomposition.
+
+    A stack ``(..., n, n)`` is taken matrix by matrix."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def is_hermitian(m: np.ndarray, tol: float | None = None) -> bool:
-    """Hermitian within ``tol`` (default ``TOL_HERM``, read at call time)."""
+    """Hermitian within ``tol`` (default ``TOL_HERM``, read at call time).
+
+    On a stack ``(..., n, n)`` the test covers the whole stack at once."""
     tol = TOL_HERM if tol is None else tol
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    return bool(np.abs(m - m.conj().T).max(initial=0.0) <= tol * scale)
+    return bool(np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0) <= tol * scale)
 
 
 def herm_basis(d: int) -> np.ndarray:
@@ -177,10 +181,15 @@ def support_projector(m: np.ndarray) -> np.ndarray:
 
 
 def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values; for Hermitian input, sum of |eigenvalues|."""
+    """Sum of singular values; for Hermitian input, sum of |eigenvalues|.
+
+    A stack ``(..., n, n)`` gives the sum over the stack.  It takes the
+    eigenvalue route only if the whole stack passes the Hermitian test, and
+    the SVD otherwise.
+    """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"trace_norm needs a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"trace_norm needs square matrices, got shape {m.shape}")
     if is_hermitian(m, tol=1e-12):
         return float(np.abs(np.linalg.eigvalsh(hermitian_part(m))).sum())
     return float(np.linalg.svd(m, compute_uv=False).sum())

@@ -125,6 +125,7 @@ def test_decouple_run_and_reproducibility(tmp_path, capsys):
     a.pop("duration_s"), b.pop("duration_s")
     a["config"].pop("workers"), b["config"].pop("workers")
     assert a == b  # byte-identical numeric fields at workers 1 and 4
+    assert a["result"]["kernel"] == "blocks:2"  # classical_state(1)
     csv0 = (tmp_path / "samples0.csv").read_text()
     csv1 = (tmp_path / "samples1.csv").read_text()
     assert csv0 == csv1

@@ -9,6 +9,7 @@ from qdecouple import channel as chan
 from qdecouple import decoupling as dec
 from qdecouple import haar
 from qdecouple.linalg import (
+    Dims,
     StateOperator,
     apply_matrix,
     maximally_mixed,
@@ -98,6 +99,81 @@ def test_kernel_distances_match_library_route(family, dims, d_out, on):
         want.append(trace_norm(out.matrix - target))
         assert dec.sample_distance(st, ch, u, on) == want[-1]
     assert dec.run(exp).per_sample_distances == want
+
+
+def _cq_state(rng, d_a, weights, rank):
+    """sum_e w_e rho_e (x) |e><e| on (A, E), each rho_e a random rank-``rank``
+    density matrix."""
+    d_e = len(weights)
+    m = np.zeros((d_a * d_e, d_a * d_e), dtype=complex)
+    for e, w in enumerate(weights):
+        g = rng.standard_normal((d_a, rank)) + 1j * rng.standard_normal((d_a, rank))
+        block = g @ g.conj().T
+        proj = np.zeros((d_e, d_e))
+        proj[e, e] = 1.0
+        m += np.kron(w * block / np.trace(block).real, proj)
+    return StateOperator(Dims((("A", d_a), ("E", d_e))), m)
+
+
+def _cq_case(name):
+    rng = np.random.default_rng(23)
+    if name == "classical":
+        return dec.classical_state(2), chan.reference_channel("id+trace", 2, 1), 4
+    if name == "rank2-zero-weight":
+        st = _cq_state(rng, 3, [0.5, 0.0, 0.3, 0.2], 2)
+        return st, chan.random_tp_channel(rng, 3, 2), 3
+    if name == "two-labels":
+        # E = (E1, E2) in row-major order, then A moved between them
+        st = _cq_state(rng, 2, [0.3, 0.1, 0.2, 0.15, 0.05, 0.2], 2)
+        st = StateOperator(Dims((("A", 2), ("E1", 2), ("E2", 3))), st.matrix)
+        return st.permute(["E1", "A", "E2"]), chan.random_tp_channel(rng, 2, 3), 6
+    st = _cq_state(rng, 3, [0.6, 0.4], 3)
+    return st, chan.random_cpm(rng, 3, 2, trace=0.7), 2
+
+
+def _library_distances(exp):
+    # oracle: rotate with apply_matrix, apply the channel with channel.apply,
+    # and subtract tau_B (x) rho_E built from partial traces
+    st, ch, on = exp.state, exp.channel, list(exp.on)
+    target = np.kron(partial_trace(ch.choi, [ch.out_label]).matrix,
+                     partial_trace(st, list(exp.reference_labels)).matrix)
+    out = []
+    for i in range(exp.num_samples):
+        u = haar.haar_unitary_indexed(exp.seed, i, ch.dim_in)
+        out.append(trace_norm(chan.apply(ch, apply_matrix(st, u, on), on).matrix - target))
+    return out
+
+
+@pytest.mark.parametrize("name", ["classical", "rank2-zero-weight", "two-labels", "cpm"])
+def test_block_kernel_matches_library_route(name):
+    st, ch, blocks = _cq_case(name)
+    exp = dec.DecouplingExperiment(st, ch, 30, seed=haar.RngSeed(4))
+    rep = dec.run(exp)
+    assert rep.kernel == f"blocks:{blocks}"
+    want = _library_distances(exp)
+    assert max(abs(a - b) for a, b in zip(rep.per_sample_distances, want)) <= 1e-12
+    assert max(want) > 0.05  # the distances are not all trivially zero
+    for i in (0, 17):
+        u = haar.haar_unitary_indexed(exp.seed, i, ch.dim_in)
+        assert dec.sample_distance(st, ch, u) == rep.per_sample_distances[i]
+
+
+def test_near_cq_state_takes_dense_kernel():
+    # one entry off the reference diagonal (and its mirror) set to 1e-3
+    rng = np.random.default_rng(24)
+    cq = _cq_state(rng, 3, [0.5, 0.3, 0.2], 3)
+    m = 0.9 * cq.matrix + 0.1 * np.eye(9) / 9
+    m[0 * 3 + 0, 1 * 3 + 2] = m[1 * 3 + 2, 0 * 3 + 0] = 1e-3
+    st = StateOperator(cq.dims, m)
+    exp = dec.DecouplingExperiment(st, chan.random_tp_channel(rng, 3, 2), 10,
+                                   seed=haar.RngSeed(5))
+    rep = dec.run(exp)
+    assert rep.kernel == "dense"
+    assert max(abs(a - b) for a, b in
+               zip(rep.per_sample_distances, _library_distances(exp))) <= 1e-12
+    assert dec.run(dec.DecouplingExperiment(
+        StateOperator(cq.dims, 0.9 * cq.matrix + 0.1 * np.eye(9) / 9),
+        exp.channel, 1)).kernel == "blocks:3"
 
 
 def test_nonsmooth_bound_on_random_instances():

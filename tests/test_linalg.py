@@ -216,6 +216,33 @@ def test_trace_norm_psd_equals_trace():
 def test_trace_norm_rejects_nonsquare():
     with pytest.raises(ValueError):
         trace_norm(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        trace_norm(np.ones((4, 2, 3)))
+    with pytest.raises(ValueError):
+        trace_norm(np.ones(3))
+
+
+def test_trace_norm_stack_is_sum_of_matrices():
+    rng = np.random.default_rng(8)
+    stack = np.array([rnd_herm(rng, 5) for _ in range(6)]).reshape(2, 3, 5, 5)
+    want = sum(float(np.abs(np.linalg.eigvalsh(m)).sum()) for m in stack.reshape(6, 5, 5))
+    assert trace_norm(stack) == pytest.approx(want, rel=1e-13)
+    assert trace_norm(stack[:1, :1]) == trace_norm(stack[0, 0])
+    assert trace_norm(np.zeros((0, 5, 5))) == 0.0
+
+
+def test_trace_norm_non_hermitian_stack_takes_svd():
+    # one non-Hermitian matrix sends the whole stack to the SVD; on it the
+    # eigenvalue route of the Hermitian part would give a different number
+    rng = np.random.default_rng(9)
+    herm = rnd_herm(rng, 4)
+    skew = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    want = sum(float(np.linalg.svd(m, compute_uv=False).sum()) for m in (herm, skew))
+    got = trace_norm(np.array([herm, skew]))
+    assert got == pytest.approx(want, rel=1e-13)
+    herm_skew = (skew + skew.conj().T) / 2
+    wrong = trace_norm(herm) + float(np.abs(np.linalg.eigvalsh(herm_skew)).sum())
+    assert abs(got - wrong) > 1e-3
 
 
 # ---------------------------------------------------------------------------
