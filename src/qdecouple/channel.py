@@ -75,7 +75,7 @@ class Channel:
     dim_out: int
     choi: StateOperator
     out_label: str = "B"
-    trace_class: TraceClass = field(default=TraceClass.GENERAL)
+    trace_class: TraceClass = field(init=False)
 
     def __post_init__(self) -> None:
         want = ((IN_LABEL, self.dim_in), (self.out_label, self.dim_out))
@@ -224,19 +224,9 @@ def reference_channel(kind: str, m: int, m_prime: int | None = None,
     """
     if m < 0 or (m_prime is not None and not (0 <= m_prime <= m)):
         raise ChannelError(f"invalid qubit counts m={m}, m_prime={m_prime}")
-    d = 2 ** m
-    if kind == "id":
-        return identity_channel(d, out_label, cap=cap)
-    if kind == "meas":
-        ops = [np.zeros((d, d), dtype=complex) for _ in range(d)]
-        for i in range(d):
-            ops[i][i, i] = 1.0
-        return choi_of(ops, out_label=out_label, cap=cap)
-    if kind == "erase":
-        ops = [np.zeros((1, d), dtype=complex) for _ in range(d)]
-        for i in range(d):
-            ops[i][0, i] = 1.0
-        return choi_of(ops, out_label=out_label, cap=cap)
+    # id:m is id+meas:m,m; meas:m is id+meas:m,0; erase:m is id+trace:m,0
+    kind, m_prime = {"id": ("id+meas", m), "meas": ("id+meas", 0),
+                     "erase": ("id+trace", 0)}.get(kind, (kind, m_prime))
     if m_prime is None:
         raise ChannelError(f"builder {kind!r} needs m_prime")
     dk = 2 ** m_prime       # kept coherently

@@ -272,6 +272,13 @@ def _cmd_lemmas_check(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdecouple",
@@ -331,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decouple", help="decoupling experiments")
     dsub = p.add_subparsers(dest="subcommand", required=True)
     pr = dsub.add_parser("run", parents=[seeded, common], help="Monte Carlo experiment")
-    pr.add_argument("--workers", type=int, default=1,
+    pr.add_argument("--workers", type=_positive_int, default=1,
                     help="worker threads; results are worker-count invariant "
                          "(default 1)")
     pr.add_argument("--state", required=True)
@@ -349,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run the merging protocol")
     pm.add_argument("--state", required=True, help="pure tripartite state JSON")
     pm.add_argument("--epsilon", type=float, required=True)
-    pm.add_argument("--num-seeds", type=int, default=1)
+    pm.add_argument("--num-seeds", type=_positive_int, default=1)
     pm.add_argument("--K", type=int, default=None)
     pm.add_argument("--L", type=int, default=None)
     pm.add_argument("--a-labels", default="A")
@@ -361,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     lsub = p.add_subparsers(dest="subcommand", required=True)
     pl = lsub.add_parser("check", parents=[seeded])
     pl.add_argument("--out", default=None, help="write the JSON report here")
-    pl.add_argument("--trials", type=int, default=200)
+    pl.add_argument("--trials", type=_positive_int, default=200)
     pl.set_defaults(func=_cmd_lemmas_check)
 
     return parser

@@ -171,38 +171,52 @@ def _b_herm(m: np.ndarray) -> np.ndarray:
     return (m + np.conj(np.transpose(m, (0, 2, 1)))) / 2
 
 
-def _b_eigh_floored(m: np.ndarray, rel_floor: float) -> tuple[np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh(_b_herm(m))
+def _b_floored(w: np.ndarray, rel_floor: float) -> np.ndarray:
+    """Eigenvalues clamped below at rel_floor times each block's largest."""
     top = np.maximum(w[:, -1], 1e-100)
-    return np.maximum(w, rel_floor * top[:, None]), v
+    return np.maximum(w, rel_floor * top[:, None])
 
 
-def _b_nt_scaling(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Batched W with W Z W = X (the Nesterov-Todd scaling point)."""
-    wx, vx = _b_eigh_floored(x, 1e-16)
-    xh = (vx * np.sqrt(wx)[:, None, :]) @ np.conj(np.transpose(vx, (0, 2, 1)))
-    wm, vm = _b_eigh_floored(xh @ z @ xh, 1e-16)
-    mih = (vm * (wm ** -0.5)[:, None, :]) @ np.conj(np.transpose(vm, (0, 2, 1)))
-    return _b_herm(xh @ mih @ xh)
+def _b_spectral(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """V diag(w) V^H for each block."""
+    return (v * w[:, None, :]) @ np.conj(np.transpose(v, (0, 2, 1)))
 
 
-def _b_inv_psd(z: np.ndarray) -> np.ndarray:
-    w, v = _b_eigh_floored(z, 1e-18)
-    return (v * (1.0 / w)[:, None, :]) @ np.conj(np.transpose(v, (0, 2, 1)))
+def _b_factor(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(W, X^(-1/2), Z^(-1/2), Z^(-1)) from one eigendecomposition of each of X,
+    Z and X^(1/2) Z X^(1/2).
+
+    W Z W = X is the Nesterov-Todd scaling point (Todd-Toh-Tutuncu, SIAM J.
+    Optim. 8, 1998).  Eigenvalues are clamped at a relative machine floor:
+    1e-16 for X, X^(1/2) Z X^(1/2) and Z^(-1/2), 1e-18 for Z^(-1).
+    """
+    wx, vx = np.linalg.eigh(_b_herm(x))
+    wx = _b_floored(wx, 1e-16)
+    xh = _b_spectral(np.sqrt(wx), vx)
+    wm, vm = np.linalg.eigh(_b_herm(xh @ z @ xh))
+    mih = _b_spectral(_b_floored(wm, 1e-16) ** -0.5, vm)
+    wz, vz = np.linalg.eigh(_b_herm(z))
+    return (_b_herm(xh @ mih @ xh), _b_spectral(wx ** -0.5, vx),
+            _b_spectral(_b_floored(wz, 1e-16) ** -0.5, vz),
+            _b_spectral(1.0 / _b_floored(wz, 1e-18), vz))
 
 
-def _b_min_eig(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(_b_herm(m))[:, 0].min())
+def _b_back_off(x: list[np.ndarray], dx: list[np.ndarray], step: float) -> float:
+    """Halve step, at most 40 times, until x + step dx is positive definite."""
+    for _ in range(40):
+        if all(np.linalg.eigvalsh(_b_herm(xg + step * dg))[:, 0].min() > 0.0
+               for xg, dg in zip(x, dx)):
+            break
+        step *= 0.5
+    return step
 
 
-def _b_max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Approximate sup { a : x + a dx >= 0 } over a batch of blocks.
+def _b_max_step(isq: np.ndarray, dx: np.ndarray) -> float:
+    """Approximate sup { a : x + a dx >= 0 } over a batch, given isq = x^(-1/2).
 
     Eigenvalues of x below a relative machine floor are clamped, so callers
     must still verify positive definiteness of the stepped point.
     """
-    w, v = _b_eigh_floored(x, 1e-16)
-    isq = (v * (w ** -0.5)[:, None, :]) @ np.conj(np.transpose(v, (0, 2, 1)))
     s = _b_herm(isq @ dx @ isq)
     scale = np.abs(s).reshape(s.shape[0], -1).max(axis=1)
     scale = np.maximum(scale, 1e-300)
@@ -240,13 +254,22 @@ def _schur_ops(m: int, n: int, count: int, nnz: int, npos: int) -> tuple[int, in
 
 
 class _DenseSchur:
-    """A group's Schur term and Gram matrix from its dense (m, count, n, n) stack."""
+    """A group's constraint map, adjoint, Schur term and Gram matrix from its
+    dense (m, count, n, n) stack."""
 
     kernel = "dense"
 
     def __init__(self, a: np.ndarray):
         self.a = a
         self.a_flat = a.reshape(a.shape[0], -1)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Re tr(A_i X) per constraint for a Hermitian (count, n, n) stack X."""
+        return (self.a_flat @ x.conj().reshape(-1)).real
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """sum_i y_i A_i as a (count, n, n) stack."""
+        return (y @ self.a_flat).reshape(self.a.shape[1:])
 
     def gram(self) -> np.ndarray:
         return (self.a_flat @ self.a_flat.conj().T).real
@@ -258,11 +281,12 @@ class _DenseSchur:
 
 
 class _SparseSchur:
-    """A group's Schur term and Gram matrix from its nonzero positions.
+    """The same operations from a group's nonzero positions alone.
 
     The group's blocks are the diagonal blocks of one block-diagonal matrix;
     U holds the distinct nonzero positions (p_u, q_u) of the constraints in
-    it, and B (m x |U|, CSR) their coefficients, A_i = sum_u B_iu E_{p_u q_u}.
+    it (flat indices ``cols``), and B (m x |U|, CSR) their coefficients,
+    A_i = sum_u B_iu E_{p_u q_u}.
     Then tr(A_i W A_j W) = (B K B^T)_ij with K_uw = W[q_u, p_w] W[q_w, p_u],
     which is zero across blocks.  W is Hermitian, so the second factor is
     conj(W)[p_u, q_w] and both factors are row gathers.  K is symmetric, so
@@ -281,11 +305,19 @@ class _SparseSchur:
         block, rem = np.divmod(cols, n * n)
         self.p = block * n + rem // n
         self.q = block * n + rem % n
-        self.count, self.n = count, n
+        self.cols, self.count, self.n = cols, count, n
         self.b = sparse.csr_matrix(a.reshape(m, -1)[:, cols])
         step = max(1, K_SLICE_ENTRIES // max(len(cols), 1))
         self.slices = [(slice(lo, lo + step), self.b[:, lo:lo + step])
                        for lo in range(0, len(cols), step)]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return (self.b @ x.reshape(-1)[self.cols].conj()).real
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.count * self.n * self.n, dtype=complex)
+        out[self.cols] = self.b.T @ y
+        return out.reshape(self.count, self.n, self.n)
 
     def gram(self) -> np.ndarray:
         return (self.b @ self.b.conj().T).toarray().real
@@ -331,10 +363,7 @@ class _Groups:
         self.sizes = sizes
         self.index: list[list[int]] = []
         self.c: list[np.ndarray] = []
-        self.a: list[np.ndarray] = []
-        self.a_flat: list[np.ndarray] = []
         self.terms: list[_DenseSchur | _SparseSchur] = []
-        m = problem.num_constraints
         for s in sizes:
             idx = [k for k, n in enumerate(problem.block_dims) if n == s]
             self.index.append(idx)
@@ -343,17 +372,14 @@ class _Groups:
             a = np.stack([np.asarray(problem.a_blocks[k], dtype=complex)
                           for k in idx], axis=1)  # (m, count, s, s)
             a /= row_scale[:, None, None, None]
-            self.a.append(a)
-            self.a_flat.append(a.reshape(m, -1))
             self.terms.append(_schur_term(a))
-        self.n_tot = sum(problem.block_dims)
 
     def scatter(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
         return [np.stack([np.asarray(blocks[k], dtype=complex) for k in idx])
                 for idx in self.index]
 
-    def gather(self, grouped: list[np.ndarray], total: int) -> list[np.ndarray]:
-        out: list[np.ndarray] = [None] * total  # type: ignore[list-item]
+    def gather(self, grouped: list[np.ndarray]) -> list[np.ndarray]:
+        out: list[np.ndarray] = [None] * sum(map(len, self.index))  # type: ignore[list-item]
         for idx, stack in zip(self.index, grouped):
             for j, k in enumerate(idx):
                 out[k] = stack[j].copy()
@@ -364,19 +390,16 @@ class _Groups:
                                         (len(idx), s, s)).copy()
                 for s, idx in zip(self.sizes, self.index)]
 
-    def apply_a(self, x: list[np.ndarray]) -> np.ndarray:
-        out = None
-        for af, xg in zip(self.a_flat, x):
-            v = (af @ xg.conj().reshape(-1)).real
+    def apply_a(self, x: list[np.ndarray], start: np.ndarray | None = None) -> np.ndarray:
+        """start + A(X), added group by group in order (start defaults to zero)."""
+        out = start
+        for t, xg in zip(self.terms, x):
+            v = t.apply(xg)
             out = v if out is None else out + v
         return out
 
     def apply_a_adjoint(self, y: np.ndarray) -> list[np.ndarray]:
-        out = []
-        for af, a in zip(self.a_flat, self.a):
-            shape = a.shape[1:]
-            out.append((y @ af).reshape(shape))
-        return out
+        return [t.adjoint(y) for t in self.terms]
 
     def ip(self, x: list[np.ndarray], z: list[np.ndarray]) -> float:
         """sum_k tr(X_k Z_k), real for Hermitian blocks."""
@@ -410,7 +433,6 @@ def solve(problem: SdpProblem, *,
     in infeasible mode and drives the residuals to zero alongside the gap.
     """
     m = problem.num_constraints
-    num_blocks = len(problem.block_dims)
 
     # normalize constraints and objective; solved in scaled units, reported
     # in original units (y and Z are rescaled on exit)
@@ -421,7 +443,7 @@ def solve(problem: SdpProblem, *,
     c_scale = max(max(float(np.linalg.norm(c)) for c in problem.c_blocks), 1e-12)
     groups = _Groups(problem, row_scale, c_scale)
     b = problem.b / row_scale
-    n_tot = groups.n_tot
+    n_tot = sum(problem.block_dims)
     norm_b = float(np.linalg.norm(b))
     norm_c = max(float(np.linalg.norm(c)) for cg in groups.c for c in cg)
 
@@ -452,14 +474,20 @@ def solve(problem: SdpProblem, *,
 
     def objective() -> tuple[float, float]:
         """Primal and dual objective in original (unscaled) units."""
-        p = sum(float(np.einsum("gpq,gqp->", c, xg, optimize=False).real)
-                for c, xg in zip(groups.c, x))
-        return p * c_scale, float(b @ y) * c_scale
+        return groups.ip(groups.c, x) * c_scale, float(b @ y) * c_scale
 
-    for it in range(1, max_iterations + 1):
+    def residuals() -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+        """b - A(X), C - A*(y) - Z and A*(y) at the current iterate."""
         r_p = b - groups.apply_a(x)
         aty = groups.apply_a_adjoint(y)
-        r_d = [groups.c[g] - aty[g] - z[g] for g in range(len(groups.sizes))]
+        return r_p, [cg - ag - zg for cg, ag, zg in zip(groups.c, aty, z)], aty
+
+    def infeasibility(r_p, r_d) -> tuple[float, float]:
+        return (float(np.linalg.norm(r_p)) / (1.0 + norm_b),
+                max(float(np.linalg.norm(rd)) for rd in r_d) / (1.0 + norm_c))
+
+    for it in range(1, max_iterations + 1):
+        r_p, r_d, aty = residuals()
         # residuals at machine-noise level are treated as exact zeros: the
         # W-sandwich below would otherwise amplify them by ||W||^2
         if float(np.linalg.norm(r_p)) <= 1e-13 * (1.0 + norm_b):
@@ -468,8 +496,7 @@ def solve(problem: SdpProblem, *,
                else np.zeros_like(rd) for rd in r_d]
         pobj, dobj = objective()
         gap = pobj - dobj
-        pinf = float(np.linalg.norm(r_p)) / (1.0 + norm_b)
-        dinf = max(float(np.linalg.norm(rd)) for rd in r_d) / (1.0 + norm_c)
+        pinf, dinf = infeasibility(r_p, r_d)
         if record_trace:
             trace.append(IterateRecord(it - 1, pobj, dobj, gap, pinf, dinf))
 
@@ -478,7 +505,7 @@ def solve(problem: SdpProblem, *,
                     abs(gap) / max(tol_gap, 1e-300))
         if merit < best_merit:
             best_merit = merit
-            best = ([g.copy() for g in x], y.copy(), [g.copy() for g in z])
+            best = (x, y, z)
         if pinf <= FEAS_TOL and dinf <= FEAS_TOL and abs(gap) <= tol_gap:
             status = SdpStatus.OPTIMAL
             break
@@ -492,7 +519,7 @@ def solve(problem: SdpProblem, *,
                 status = SdpStatus.INFEASIBLE
                 break
 
-        w_scale = [_b_nt_scaling(x[g], z[g]) for g in range(len(groups.sizes))]
+        w_scale, x_isq, z_isq, z_inv = zip(*map(_b_factor, x, z))
         mat = groups.schur(w_scale)
         mat = (mat + mat.T) / 2 + reg * np.eye(m)
         try:
@@ -503,48 +530,38 @@ def solve(problem: SdpProblem, *,
         mu = groups.ip(x, z) / n_tot
 
         def direction(r_c):
-            rhs = r_p.copy()
-            for g in range(len(groups.sizes)):
-                diff = w_scale[g] @ r_d[g] @ w_scale[g] - r_c[g]
-                rhs += (groups.a_flat[g] @ diff.conj().reshape(-1)).real
+            rhs = groups.apply_a([w @ rd @ w - rc for w, rd, rc in zip(w_scale, r_d, r_c)],
+                                 r_p)
             dy = cho_solve(factor, rhs)
             # one round of iterative refinement on the Schur system
             dy = dy + cho_solve(factor, rhs - mat @ dy)
-            aty_d = groups.apply_a_adjoint(dy)
-            dz = [r_d[g] - aty_d[g] for g in range(len(groups.sizes))]
-            dx = [_b_herm(r_c[g] - w_scale[g] @ dz[g] @ w_scale[g])
-                  for g in range(len(groups.sizes))]
+            dz = [rd - ad for rd, ad in zip(r_d, groups.apply_a_adjoint(dy))]
+            dx = [_b_herm(rc - w @ d @ w) for rc, w, d in zip(r_c, w_scale, dz)]
             dz = [_b_herm(d) for d in dz]
             # project dx back onto A(dx) = r_p, killing residual drift
-            defect = r_p - groups.apply_a(dx)
-            lam = cho_solve(gram_factor, defect)
-            corr = groups.apply_a_adjoint(lam)
-            dx = [_b_herm(dx[g] + corr[g]) for g in range(len(groups.sizes))]
+            lam = cho_solve(gram_factor, r_p - groups.apply_a(dx))
+            dx = [_b_herm(d + c) for d, c in zip(dx, groups.apply_a_adjoint(lam))]
             return dx, dy, dz
 
         def steps(dx_c, dz_c):
-            a_p = min((_b_max_step(x[g], dx_c[g]) for g in range(len(groups.sizes))),
-                      default=np.inf)
-            a_d = min((_b_max_step(z[g], dz_c[g]) for g in range(len(groups.sizes))),
-                      default=np.inf)
+            a_p = min(map(_b_max_step, x_isq, dx_c), default=np.inf)
+            a_d = min(map(_b_max_step, z_isq, dz_c), default=np.inf)
             return min(1.0, step_frac * a_p), min(1.0, step_frac * a_d)
 
         # predictor
-        dx_a, dy_a, dz_a = direction([-x[g] for g in range(len(groups.sizes))])
+        dx_a, dy_a, dz_a = direction([-xg for xg in x])
         ap, ad = steps(dx_a, dz_a)
-        mu_aff = sum(float(np.einsum("gpq,gqp->", x[g] + ap * dx_a[g],
-                                     z[g] + ad * dz_a[g], optimize=False).real)
-                     for g in range(len(groups.sizes))) / n_tot
+        mu_aff = groups.ip([xg + ap * d for xg, d in zip(x, dx_a)],
+                           [zg + ad * d for zg, d in zip(z, dz_a)]) / n_tot
         mu_aff = max(mu_aff, 0.0)
         sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-8))
 
         # corrector with centering; the Mehrotra second-order term is kept
         # only when it does not shrink the step
         nu = sigma * mu
-        z_inv = [_b_inv_psd(z[g]) for g in range(len(groups.sizes))]
-        r_c_plain = [nu * z_inv[g] - x[g] for g in range(len(groups.sizes))]
-        r_c_so = [r_c_plain[g] - _b_herm(dx_a[g] @ dz_a[g] @ z_inv[g])
-                  for g in range(len(groups.sizes))]
+        r_c_plain = [nu * zi - xg for zi, xg in zip(z_inv, x)]
+        r_c_so = [rc - _b_herm(dxa @ dza @ zi)
+                  for rc, dxa, dza, zi in zip(r_c_plain, dx_a, dz_a, z_inv)]
         dx, dy, dz = direction(r_c_so)
         ap, ad = steps(dx, dz)
         dx_p, dy_p, dz_p = direction(r_c_plain)
@@ -553,36 +570,19 @@ def solve(problem: SdpProblem, *,
             dx, dy, dz, ap, ad = dx_p, dy_p, dz_p, ap_p, ad_p
         if ap < 1e-12 and ad < 1e-12:
             break
-        # the step bound is approximate near the boundary: back off until
-        # strictly positive definite
-        for _ in range(40):
-            if all(_b_min_eig(x[g] + ap * dx[g]) > 0.0
-                   for g in range(len(groups.sizes))):
-                break
-            ap *= 0.5
-        for _ in range(40):
-            if all(_b_min_eig(z[g] + ad * dz[g]) > 0.0
-                   for g in range(len(groups.sizes))):
-                break
-            ad *= 0.5
-        for g in range(len(groups.sizes)):
-            x[g] = _b_herm(x[g] + ap * dx[g])
-            z[g] = _b_herm(z[g] + ad * dz[g])
+        ap, ad = _b_back_off(x, dx, ap), _b_back_off(z, dz, ad)
+        x = [_b_herm(xg + ap * d) for xg, d in zip(x, dx)]
+        z = [_b_herm(zg + ad * d) for zg, d in zip(z, dz)]
         y = y + ad * dy
 
     if status is not SdpStatus.INFEASIBLE and best is not None:
         # fall back to the best recorded iterate if later steps degraded it
-        x_f, y_f, z_f = best
-        x, y, z = [g.copy() for g in x_f], y_f.copy(), [g.copy() for g in z_f]
+        x, y, z = best
     pobj, dobj = objective()
     gap = pobj - dobj
     pinf = dinf = 0.0
     if status is not SdpStatus.INFEASIBLE:
-        r_p = b - groups.apply_a(x)
-        aty = groups.apply_a_adjoint(y)
-        pinf = float(np.linalg.norm(r_p)) / (1.0 + norm_b)
-        dinf = max(float(np.linalg.norm(groups.c[g] - aty[g] - z[g]))
-                   for g in range(len(groups.sizes))) / (1.0 + norm_c)
+        pinf, dinf = infeasibility(*residuals()[:2])
         tol_gap = default_gap_tol(pobj) if gap_tol is None else gap_tol
         if pinf <= 1e-8 and dinf <= 1e-8 and abs(gap) <= tol_gap:
             status = SdpStatus.OPTIMAL
@@ -590,8 +590,8 @@ def solve(problem: SdpProblem, *,
             status = SdpStatus.MAX_ITER
     if record_trace:
         trace.append(IterateRecord(it, pobj, dobj, gap, pinf, dinf))
-    x_out = groups.gather(x, num_blocks)
-    z_out = groups.gather([g * c_scale for g in z], num_blocks)
+    x_out = groups.gather(x)
+    z_out = groups.gather([g * c_scale for g in z])
     y_out = y * c_scale / row_scale
     return SdpSolution(x_out, y_out, z_out, pobj, dobj, gap, status, it,
                        pinf, dinf, trace,

@@ -215,6 +215,27 @@ def test_builders_trace_preserving_marginal():
         assert np.abs(marg - np.eye(ch.dim_in) / ch.dim_in).max() <= 1e-10
 
 
+@pytest.mark.parametrize("spec,combined", [
+    (f"{kind}:{m}", f"{combined}:{m},{m if kind == 'id' else 0}")
+    for kind, combined in (("id", "id+meas"), ("meas", "id+meas"), ("erase", "id+trace"))
+    for m in range(4)
+])
+def test_single_kind_specs_are_combined_builders(spec, combined):
+    got, want = chan.parse_spec(spec), chan.parse_spec(combined)
+    assert np.array_equal(got.choi.matrix, want.choi.matrix)
+    assert got.choi.dims == want.choi.dims
+    assert got.trace_class is want.trace_class
+
+
+def test_trace_class_is_not_an_init_parameter():
+    ch = chan.identity_channel(2)
+    with pytest.raises(TypeError):
+        chan.Channel(ch.dim_in, ch.dim_out, ch.choi, ch.out_label,
+                     chan.TraceClass.GENERAL)
+    with pytest.raises(TypeError):
+        chan.Channel(ch.dim_in, ch.dim_out, ch.choi, trace_class=chan.TraceClass.GENERAL)
+
+
 def test_builder_validation():
     with pytest.raises(chan.ChannelError):
         chan.reference_channel("id+trace", 2, 3)

@@ -80,9 +80,15 @@ def test_unknown_command_exits_two():
     assert err.value.code == 2
 
 
-def test_unknown_flag_exits_two():
+@pytest.mark.parametrize("argv", [
+    ["lemmas", "check", "--bogus"],
+    ["merge", "run", "--state", "s.json", "--epsilon", "0.3", "--num-seeds", "0"],
+    ["lemmas", "check", "--trials", "-3"],
+    ["decouple", "run", "--state", "s.json", "--channel", "id:1", "--workers", "0"],
+])
+def test_unknown_flag_exits_two(argv):
     with pytest.raises(SystemExit) as err:
-        main(["lemmas", "check", "--bogus"])
+        main(argv)
     assert err.value.code == 2
 
 

@@ -1,7 +1,9 @@
 """Solver tests: closed-form programs, interior-constructed instances with
 certified gaps, an independent first-order oracle on small blocks, weak
 duality along the iterate trace, determinism, infeasibility detection, the
-sparse Schur kernel against the dense sandwich, and the stack-size limit.
+sparse kernel's constraint map, adjoint, Gram matrix and Schur term against
+the dense stack, the eigendecompositions per iteration, and the stack-size
+limit.
 """
 
 import time
@@ -226,19 +228,53 @@ def oracle_programs(monkeypatch) -> dict[str, SdpProblem]:
     }
 
 
+def group_stacks(problem: SdpProblem) -> list[np.ndarray]:
+    """Each group of equal-size blocks as one (m, count, n, n) constraint stack."""
+    return [np.stack([a for a, n in zip(problem.a_blocks, problem.block_dims) if n == s],
+                     axis=1)
+            for s in sorted(set(problem.block_dims))]
+
+
 def test_sparse_schur_matches_dense_sandwich(monkeypatch):
+    # the dense term is the oracle for the constraint map, its adjoint, the
+    # Gram matrix and the Schur term
     rng = np.random.default_rng(111)
     for name, problem in oracle_programs(monkeypatch).items():
         m = problem.num_constraints
-        groups = sdp._Groups(problem, np.ones(m), 1.0)
-        for a in groups.a:
+        for a in group_stacks(problem):
             count, n = a.shape[1], a.shape[2]
             w = np.stack([rnd_pd(rng, n) for _ in range(count)])
+            x = np.stack([rnd_herm(rng, n) for _ in range(count)])
+            y = rng.standard_normal(m)
             cols = np.flatnonzero((a.reshape(m, -1) != 0).any(axis=0))
-            dense = sdp._DenseSchur(a).schur(w)
-            sparse = sdp._SparseSchur(a, cols).schur(w)
-            err = float(np.abs(sparse - dense).max()) / float(np.abs(dense).max())
-            assert err <= 1e-12, (name, n, count, err)
+            dense, sparse = sdp._DenseSchur(a), sdp._SparseSchur(a, cols)
+            for op, args in (("schur", (w,)), ("apply", (x,)), ("adjoint", (y,)),
+                             ("gram", ())):
+                want = getattr(dense, op)(*args)
+                got = getattr(sparse, op)(*args)
+                assert got.shape == want.shape
+                err = float(np.abs(got - want).max()) / float(np.abs(want).max())
+                assert err <= 1e-12, (name, n, count, op, err)
+
+
+def test_iterates_are_factored_once_per_iteration(monkeypatch):
+    # per group and iteration: one eigendecomposition of X, of Z and of
+    # X^(1/2) Z X^(1/2), from which W, X^(-1/2), Z^(-1/2) and Z^(-1) follow
+    programs = oracle_programs(monkeypatch)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for name, problem in programs.items():
+        calls.clear()
+        sol = solve(problem)
+        assert sol.status is SdpStatus.OPTIMAL, name
+        groups = len(set(problem.block_dims))
+        assert 0 < len(calls) <= 3 * groups * sol.iterations, (name, len(calls))
 
 
 def test_schur_kernel_choice_is_recorded(monkeypatch):
