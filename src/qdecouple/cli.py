@@ -229,13 +229,13 @@ def _cmd_merge_run(args: argparse.Namespace) -> int:
         d_a = math.prod(psi.dims.dim_of(lab) for lab in a_labels)
         k_dim, l_dim = merging.realize_cost(target_bits, d_a)
     seeds = list(range(args.seed, args.seed + args.num_seeds))
-    runs = []
-    for s in seeds:
-        inst = merging.MergingInstance(
-            psi, k_dim, l_dim, args.epsilon, seed=haar.RngSeed(s, args.stream),
-            a_labels=a_labels, b_labels=b_labels, e_labels=e_labels,
-            cap=args.cap if args.cap is not None else 1 << 26)
-        runs.append(merging.run_merging(inst))
+    instances = [merging.MergingInstance(
+        psi, k_dim, l_dim, args.epsilon, seed=haar.RngSeed(s, args.stream),
+        a_labels=a_labels, b_labels=b_labels, e_labels=e_labels,
+        cap=args.cap if args.cap is not None else 1 << 26) for s in seeds]
+    # the bounds depend on the state and epsilon only: one pair of solves
+    bounds = merging.cost_bounds(psi, a_labels, b_labels, args.epsilon)
+    runs = [merging.run_merging(inst, bounds) for inst in instances]
     fidelities = [r.fidelity for r in runs]
     result = {
         "K": k_dim, "L": l_dim,

@@ -30,6 +30,7 @@ from qdecouple.linalg import (
     sqrt_psd,
     swap_operator,
     trace_norm,
+    trace_norms,
     trace_out_leading,
 )
 
@@ -101,19 +102,31 @@ class DecouplingReport:
 
 
 MAX_RETAINED_SAMPLES = 10_000
+# complex entries of the largest per-chunk array (32 KiB), which sets how
+# many samples one kernel call takes from the experiment's shapes.  The
+# allocator keeps the peak of one chunk's temporaries per thread, so on the
+# benchmark's decouple workload a larger budget raised peak RSS and bought
+# no speed.
+CHUNK_ENTRIES = 2 ** 11
+
+Kernel = Callable[[np.ndarray], np.ndarray]
 
 
-def _kernel(exp: DecouplingExperiment) -> tuple[str, Callable[[np.ndarray], float]]:
-    """U -> || T(U rho U^H) - tau_B (x) rho_E ||_1 for the experiment, with
-    the kernel's name: ``"blocks:<n>"`` or ``"dense"``.
+def _kernel(exp: DecouplingExperiment) -> tuple[str, int, Kernel]:
+    """The experiment's kernel: its name (``"blocks:<n>"`` or ``"dense"``),
+    its chunk size S and the map from a stack of unitaries (s, d_in, d_in),
+    s <= S, to the s values || T(U rho U^H) - tau_B (x) rho_E ||_1.
 
-    A state classical on the reference, rho = sum_e rho_e (x) |e><e| (every
-    entry off the reference diagonal exactly zero), makes the difference
-    block diagonal: the norm is sum_e || T(U rho_e U^H) - w_e tau_B ||_1 with
-    w_e = tr rho_e, computed on the stack of the n nonzero blocks (a zero
-    block contributes exactly 0).  Any other state takes the dense kernel,
-    where the rotated tensor enters the Choi contraction as einsum returns
-    it, along contraction paths planned once on the experiment's shapes;
+    Each sample's contraction runs on its own, into the chunk's output
+    stack, and ``trace_norms`` routes each sample's item on its own, so a
+    sample's bits do not depend on the chunk it lands in.  A state classical
+    on the reference, rho = sum_e rho_e (x) |e><e| (every entry off the
+    reference diagonal exactly zero), makes the difference block diagonal:
+    the norm is sum_e || T(U rho_e U^H) - w_e tau_B ||_1 with w_e = tr rho_e,
+    computed on the stack of the n nonzero blocks (a zero block contributes
+    exactly 0).  Any other state takes the dense kernel, where the rotated
+    tensor enters the Choi contraction as einsum returns it, along
+    contraction paths planned once on the experiment's shapes;
     ``apply_matrix`` + ``channel.apply`` copy it into a matrix first.
     """
     ch, refs = exp.channel, list(exp.reference_labels)
@@ -124,9 +137,9 @@ def _kernel(exp: DecouplingExperiment) -> tuple[str, Callable[[np.ndarray], floa
     tau_b = partial_trace(ch.choi, [ch.out_label]).matrix
     choi_t = ch.choi_tensor
 
-    by_ref = rho.transpose(1, 3, 0, 2)
-    if d_r > 1 and not by_ref[~np.eye(d_r, dtype=bool)].any():
-        diag = by_ref[np.arange(d_r), np.arange(d_r)]
+    diag = rho.transpose(1, 3, 0, 2)[np.arange(d_r), np.arange(d_r)]
+    # every nonzero entry of rho lies on the reference diagonal
+    if d_r > 1 and np.count_nonzero(diag) == np.count_nonzero(rho):
         blocks = diag[diag.any(axis=(1, 2))]
         n, d_out = len(blocks), ch.dim_out
         targets = np.trace(blocks, axis1=1, axis2=2)[:, None, None] * tau_b
@@ -134,11 +147,15 @@ def _kernel(exp: DecouplingExperiment) -> tuple[str, Callable[[np.ndarray], floa
         # out_e[b, d] = sum_ac rot_e[a, c] choi[(a, c), (b, d)] is one product
         choi = d_in * choi_t.transpose(0, 2, 1, 3).reshape(d_in * d_in, d_out * d_out)
 
-        def block_distance(u: np.ndarray) -> float:
-            rot = u @ blocks @ u.conj().T
-            out = (rot.reshape(n, d_in * d_in) @ choi).reshape(n, d_out, d_out)
-            return trace_norm(out - targets)
-        return f"blocks:{n}", block_distance
+        def block_distances(us: np.ndarray) -> np.ndarray:
+            out = np.empty((len(us), n, d_out * d_out), dtype=complex)
+            for j, u in enumerate(us):
+                rot = u @ blocks @ u.conj().T
+                out[j] = rot.reshape(n, d_in * d_in) @ choi
+            out = out.reshape(len(us), n, d_out, d_out)
+            out -= targets
+            return trace_norms(out)
+        return f"blocks:{n}", _chunk(n * d_out * d_out, d_in), block_distances
 
     target = tau_b
     if refs:
@@ -148,11 +165,22 @@ def _kernel(exp: DecouplingExperiment) -> tuple[str, Callable[[np.ndarray], floa
     rot_path = np.einsum_path("ik,krls,jl->irjs", u0, rho, u0, optimize=True)[0]
     choi_path = np.einsum_path("abcd,arcs->brds", choi_t, rho, optimize=True)[0]
 
-    def distance(u: np.ndarray) -> float:
-        rot = np.einsum("ik,krls,jl->irjs", u, rho, u.conj(), optimize=rot_path)
-        out = d_in * np.einsum("abcd,arcs->brds", choi_t, rot, optimize=choi_path)
-        return trace_norm(out.reshape(dt, dt) - target)
-    return "dense", distance
+    def distances(us: np.ndarray) -> np.ndarray:
+        out = np.empty((len(us), dt, dt), dtype=complex)
+        for j, u in enumerate(us):
+            rot = np.einsum("ik,krls,jl->irjs", u, rho, u.conj(), optimize=rot_path)
+            out[j] = (d_in * np.einsum("abcd,arcs->brds", choi_t, rot,
+                                       optimize=choi_path)).reshape(dt, dt)
+        out -= target
+        return trace_norms(out)
+    return "dense", _chunk(dt * dt, d_in), distances
+
+
+def _chunk(entries: int, d_in: int) -> int:
+    """Samples per chunk: the most whose per-sample share of the largest
+    chunk array (``entries`` output entries, or the d_in x d_in draw) fits
+    ``CHUNK_ENTRIES``."""
+    return max(1, CHUNK_ENTRIES // max(entries, d_in * d_in))
 
 
 def sample_distance(state: StateOperator, ch: chan.Channel, u: np.ndarray,
@@ -162,33 +190,38 @@ def sample_distance(state: StateOperator, ch: chan.Channel, u: np.ndarray,
     d = ch.dim_in
     if u.shape != (d, d) or float(np.abs(u @ u.conj().T - np.eye(d)).max()) > 1e-10:
         raise DecouplingError(f"U is not a {d} x {d} unitary within tolerance")
-    return _kernel(exp)[1](u)
+    return float(_kernel(exp)[2](u[None])[0])
 
 
 def run(experiment: DecouplingExperiment, workers: int = 1) -> DecouplingReport:
     """Monte Carlo average of the decoupling distance with entropy bounds.
 
-    The smooth bound (an extra pair of SDP solves) is computed when the
-    experiment's epsilon is positive.  Results are bit-reproducible for a
-    fixed seed at any worker count: sample i is a pure function of (seed, i)
-    and aggregation is a fixed-order reduction over the sample index.
+    The samples run in fixed chunks [c S, (c + 1) S) of the index, S set by
+    ``CHUNK_ENTRIES`` from the experiment's shapes; ``workers`` threads take
+    whole chunks.  The smooth bound (an extra pair of SDP solves) is
+    computed when the experiment's epsilon is positive.  Results are
+    bit-reproducible for a fixed seed at any worker count: sample i is a
+    pure function of (seed, i) and aggregation is a fixed-order reduction
+    over the sample index.
     """
     exp = experiment
     state, ch, on = exp.state, exp.channel, list(exp.on)
-    kernel, distance = _kernel(exp)
+    kernel, chunk, distances = _kernel(exp)
 
-    def one(i: int) -> float:
-        return distance(haar.haar_unitary_indexed(exp.seed, i, ch.dim_in))
+    def one_chunk(start: int) -> np.ndarray:
+        stop = min(start + chunk, exp.num_samples)
+        return distances(haar.haar_unitaries_indexed(exp.seed, start, stop, ch.dim_in))
 
+    starts = range(0, exp.num_samples, chunk)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            distances = np.array(list(pool.map(one, range(exp.num_samples))))
+            dist = np.concatenate(list(pool.map(one_chunk, starts)))
     else:
-        distances = np.array([one(i) for i in range(exp.num_samples)])
+        dist = np.concatenate([one_chunk(start) for start in starts])
 
-    mean = float(np.mean(distances))
+    mean = float(np.mean(dist))
     if exp.num_samples > 1:
-        std_err = float(np.std(distances, ddof=1) / math.sqrt(exp.num_samples))
+        std_err = float(np.std(dist, ddof=1) / math.sqrt(exp.num_samples))
     else:
         std_err = 0.0
     b_ns = bound_nonsmooth(state, ch, on)
@@ -196,7 +229,7 @@ def run(experiment: DecouplingExperiment, workers: int = 1) -> DecouplingReport:
     if (exp.epsilon > 0.0 and ch.trace_class is not chan.TraceClass.GENERAL
             and abs(state.trace - 1.0) <= 1e-9):
         b_s = bound_smooth(state, ch, exp.epsilon, on)
-    retained = distances.tolist() if exp.num_samples <= MAX_RETAINED_SAMPLES else None
+    retained = dist.tolist() if exp.num_samples <= MAX_RETAINED_SAMPLES else None
     return DecouplingReport(mean, std_err, b_ns, b_s, exp.epsilon,
                             exp.num_samples, exp.seed, kernel, retained)
 

@@ -22,6 +22,7 @@ from qdecouple.linalg import (
     StateOperator,
     hermitian_part,
     herm_basis,
+    herm_matrices,
     partial_trace,
     psd_power,
     pure_marginal,
@@ -234,7 +235,7 @@ def _fidelity_embedding(rho: np.ndarray
     programs keep a strictly feasible interior even for rank-deficient
     states.  Returns r, the matrix Gamma with tr(Gamma V) = Re tr(R Y), and
     the (coefficient, right-hand side) rows that fix the D corner, in the
-    order of ``herm_basis(r)``.  The rows are generated one at a time, so
+    order of ``herm_matrices(r)``.  The rows are generated one at a time, so
     only the program builder holds them, as nonzero entries.
     """
     d = rho.shape[0]
@@ -244,7 +245,7 @@ def _fidelity_embedding(rho: np.ndarray
     gam[:r, r:] = r_iso.conj().T / 2
     gam[r:, :r] = r_iso / 2
     corner_rows = ((_embed(h, 0, r + d), float(np.einsum("ij,ji->", d_mat, h).real))
-                   for h in herm_basis(r))
+                   for h in herm_matrices(r))
     return r, gam, corner_rows
 
 
@@ -258,7 +259,7 @@ def _hmax_fidelity_sdp(rho: np.ndarray, d_a: int, d_b: int
     s_blk = build.add_block(d_b)
     for big, rhs in corner_rows:
         build.add_constraint({v_blk: big}, rhs)
-    for h in herm_basis(d):
+    for h in herm_matrices(d):
         build.add_constraint({v_blk: _embed(h, r, r + d),
                               s_blk: -trace_out_leading(h, d_a)}, 0.0)
     build.add_constraint({s_blk: np.eye(d_b, dtype=complex)}, 1.0)
@@ -473,7 +474,7 @@ def _smooth_hmin_dense(rho: np.ndarray, d_a: int, d_b: int, eps: float
 
     for big, rhs in corner_rows:
         build.add_constraint({v_blk: big}, rhs)
-    for h in herm_basis(d):
+    for h in herm_matrices(d):
         build.add_constraint({v_blk: _embed(h, r, r + d), s_blk: h,
                               sig_blk: -trace_out_leading(h, d_a)}, 0.0)
     _close_smoothing(build, {v_blk: gam}, {v_blk: _embed(np.eye(d), r, r + d)},

@@ -39,13 +39,24 @@ def _stream_key(stream: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def generator(seed: RngSeed | int, index: int = 0) -> np.random.Generator:
-    """Independent generator for sample ``index`` of the seeded stream."""
+_WORD = 2 ** 64 - 1
+
+
+def _key(seed: RngSeed | int) -> np.ndarray:
     if isinstance(seed, int):
         seed = RngSeed(seed)
-    bitgen = np.random.Philox(key=np.array([seed.seed, _stream_key(seed.stream)],
-                                           dtype=np.uint64))
-    return np.random.Generator(bitgen.jumped(index))
+    return np.array([seed.seed, _stream_key(seed.stream)], dtype=np.uint64)
+
+
+def _counter(index: int) -> np.ndarray:
+    """Philox counter of sample ``index``: the state ``Philox(key).jumped(index)``
+    reaches from counter zero, set directly."""
+    return np.array([0, 0, index & _WORD, (index >> 64) & _WORD], dtype=np.uint64)
+
+
+def generator(seed: RngSeed | int, index: int = 0) -> np.random.Generator:
+    """Independent generator for sample ``index`` of the seeded stream."""
+    return np.random.Generator(np.random.Philox(key=_key(seed), counter=_counter(index)))
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -55,25 +66,61 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_unitary_indexed(seed: RngSeed | int, index: int, d: int) -> np.ndarray:
     """Sample ``index`` of the Haar stream; independent of evaluation order."""
-    return haar_unitary(d, generator(seed, index))
+    return haar_unitaries_indexed(seed, index, index + 1, d)[0]
+
+
+def haar_unitaries_indexed(seed: RngSeed | int, start: int, stop: int,
+                           d: int) -> np.ndarray:
+    """Samples ``start, ..., stop - 1`` of the Haar stream as an (n, d, d) stack.
+
+    Sample i is the unitary ``haar_unitary(d, generator(seed, i))``, bit for
+    bit: one Philox draws every sample's Gaussians, its counter set to each
+    sample's ``_counter(i)`` in turn, and the stack takes one batched QR.
+    """
+    if not 0 <= start < stop:
+        raise ValueError(f"need 0 <= start < stop, got start={start}, stop={stop}")
+    bitgen = np.random.Philox(key=_key(seed))
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    normals = np.empty((stop - start, 2, d, d))
+    for j, i in enumerate(range(start, stop)):
+        state["state"]["counter"] = _counter(i)
+        bitgen.state = state  # also empties the output buffer
+        rng.standard_normal(out=normals[j])
+    g = _ginibre(normals)
+    del normals
+    return _stiefel(g)
+
+
+def _ginibre(normals: np.ndarray) -> np.ndarray:
+    """(re + 1j im) / sqrt(2) for ``normals`` (..., 2, d, rows) holding the
+    real and imaginary parts, without stack-sized temporaries."""
+    g = np.empty(normals.shape[:-3] + normals.shape[-2:], dtype=complex)
+    g.real, g.imag = normals[..., 0, :, :], normals[..., 1, :, :]
+    g /= np.sqrt(2.0)
+    return g
+
+
+def _stiefel(g: np.ndarray) -> np.ndarray:
+    """Q of the reduced QR of each Ginibre matrix in ``g`` (..., d, rows), each
+    column's phase fixed by the phase of R's diagonal (Mezzadri,
+    math-ph/0609050): the first ``rows`` columns of a Haar d x d unitary."""
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (diag / np.abs(diag))[..., None, :]
+    return q
 
 
 def haar_row_block(d: int, rows: int, rng: np.random.Generator) -> np.ndarray:
     """First ``rows`` rows of a Haar d x d unitary, as a (rows, d) array.
 
-    A Haar point on the Stiefel manifold (Mezzadri, math-ph/0609050): the
-    reduced QR of a d x rows Ginibre matrix, with each column's phase fixed
-    by the phase of R's diagonal, gives the first columns of a Haar unitary,
-    and the transpose of a Haar unitary is Haar.  Costs O(d rows^2), never
-    d^2.
+    A Haar point on the Stiefel manifold (``_stiefel`` of a d x rows Ginibre
+    matrix) gives the first columns of a Haar unitary, and the transpose of
+    a Haar unitary is Haar.  Costs O(d rows^2), never d^2.
     """
     if not 1 <= rows <= d:
         raise ValueError(f"need 1 <= rows <= d, got rows={rows}, d={d}")
-    g = (rng.standard_normal((d, rows))
-         + 1j * rng.standard_normal((d, rows))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    diag = np.diag(r)
-    return (q * (diag / np.abs(diag))).T
+    return _stiefel(_ginibre(rng.standard_normal((2, d, rows)))).T
 
 
 def haar_row_block_indexed(seed: RngSeed | int, index: int, d: int,

@@ -9,8 +9,9 @@ workers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -120,26 +121,49 @@ def is_hermitian(m: np.ndarray, tol: float | None = None) -> bool:
 
     On a stack ``(..., n, n)`` the test covers the whole stack at once."""
     tol = TOL_HERM if tol is None else tol
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    return bool(np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0) <= tol * scale)
+    return bool(_hermitian_items(np.asarray(m)[None], tol)[0])
+
+
+def _hermitian_items(m: np.ndarray, tol: float) -> np.ndarray:
+    """Per item of ``m`` (k, ..., n, n): max |m - m^dagger| <= tol max(1, max |m|)."""
+    item = tuple(range(1, m.ndim))
+    scale = np.abs(m).max(axis=item, initial=1.0)
+    skew = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=item, initial=0.0)
+    return skew <= tol * scale
+
+
+def _by_item(x: np.ndarray) -> np.ndarray:
+    """``x`` as a (k, entries per item) array; k may be 0."""
+    return x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
 
 def herm_basis(d: int) -> np.ndarray:
-    """Orthonormal Hermitian basis of d x d matrices, shape (d*d, d, d).
+    """Orthonormal Hermitian basis of d x d matrices, shape (d*d, d, d): the
+    matrices of ``herm_matrices(d)`` stacked."""
+    return np.array(list(herm_matrices(d)), dtype=complex).reshape(d * d, d, d)
 
-    Order: diagonal units, then (symmetric, antisymmetric) pairs for a < b.
+
+def herm_matrices(d: int) -> Iterator[np.ndarray]:
+    """The orthonormal Hermitian basis of d x d matrices, one fresh matrix at
+    a time, so that only the consumer decides what to keep.
+
+    Order: diagonal units, then (symmetric, antisymmetric) pairs for a < b,
+    the pairs in row-major order.
     """
-    out = np.zeros((d * d, d, d), dtype=complex)
-    diag = np.arange(d)
-    out[diag, diag, diag] = 1.0
-    a, b = np.triu_indices(d, 1)  # row-major, the order of the pairs a < b
-    k = d + 2 * np.arange(len(a))
     s = 1.0 / np.sqrt(2.0)
-    out[k, a, b] = s
-    out[k, b, a] = s
-    out[k + 1, a, b] = 1j * s
-    out[k + 1, b, a] = -1j * s
-    return out
+    for a in range(d):
+        h = np.zeros((d, d), dtype=complex)
+        h[a, a] = 1.0
+        yield h
+    for a in range(d):
+        for b in range(a + 1, d):
+            h = np.zeros((d, d), dtype=complex)
+            h[a, b] = h[b, a] = s
+            yield h
+            h = np.zeros((d, d), dtype=complex)
+            h[a, b] = 1j * s
+            h[b, a] = -1j * s
+            yield h
 
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:
@@ -183,16 +207,38 @@ def support_projector(m: np.ndarray) -> np.ndarray:
 def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values; for Hermitian input, sum of |eigenvalues|.
 
-    A stack ``(..., n, n)`` gives the sum over the stack.  It takes the
-    eigenvalue route only if the whole stack passes the Hermitian test, and
-    the SVD otherwise.
+    A stack ``(..., n, n)`` gives the sum over the stack: it is one item of
+    ``trace_norms``.
     """
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"trace_norm needs square matrices, got shape {m.shape}")
-    if is_hermitian(m, tol=1e-12):
-        return float(np.abs(np.linalg.eigvalsh(hermitian_part(m))).sum())
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+    return float(trace_norms(m[None])[0])
+
+
+def trace_norms(m: np.ndarray) -> np.ndarray:
+    """``trace_norm`` of each item of a stack ``(k, ..., n, n)``, as a length-k array.
+
+    Each item takes the eigenvalue route if it passes the Hermitian test on
+    its own and the SVD otherwise; both routes run once, stacked, over their
+    items.  An item's route and value do not depend on the rest of the stack.
+    """
+    m = np.asarray(m)
+    if m.ndim < 3 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"trace_norms needs a stack of square matrices, "
+                         f"got shape {m.shape}")
+    herm = _hermitian_items(m, 1e-12)
+    if herm.all():
+        return _eigenvalue_norms(m)
+    out = np.empty(m.shape[0])
+    if herm.any():
+        out[herm] = _eigenvalue_norms(m[herm])
+    out[~herm] = _by_item(np.linalg.svd(m[~herm], compute_uv=False)).sum(axis=1)
+    return out
+
+
+def _eigenvalue_norms(m: np.ndarray) -> np.ndarray:
+    return _by_item(np.abs(np.linalg.eigvalsh(hermitian_part(m)))).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

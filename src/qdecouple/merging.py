@@ -219,7 +219,8 @@ def _complete_isometry(cols: np.ndarray, extra: int) -> np.ndarray:
     return np.stack(out, axis=1)
 
 
-def run_merging(instance: MergingInstance) -> MergingResult:
+def run_merging(instance: MergingInstance,
+                bounds: tuple[float, float | None] | None = None) -> MergingResult:
     """Run the merging protocol for one Haar draw, outcome by outcome.
 
     The draw is the unitary ``haar_unitary_indexed(seed, 0, K|A|)`` on the
@@ -228,6 +229,8 @@ def run_merging(instance: MergingInstance) -> MergingResult:
     from its receiver-independent A1 E marginal (``outcome_fidelity``), so
     the largest array is that (K|A|)^2 unitary, never the K^2|A||B||E|
     protocol state; its entry count is held to the instance's cap.
+    ``bounds`` is ``cost_bounds`` of the instance's state and epsilon, which
+    do not depend on the seed; it is computed here when not given.
     """
     inst = instance
     psi = inst.psi
@@ -261,13 +264,9 @@ def run_merging(instance: MergingInstance) -> MergingResult:
     if abs(p_sum - 1.0) > 1e-9:
         raise MergingError(f"outcome probabilities sum to {p_sum}")
 
-    bound_ach = cost_achievable(psi, inst.a_labels, inst.b_labels,
-                                inst.epsilon_target)
-    try:
-        bound_con = cost_converse(psi, inst.a_labels, inst.b_labels,
-                                  inst.epsilon_target)
-    except MergingError:
-        bound_con = None
+    if bounds is None:
+        bounds = cost_bounds(psi, inst.a_labels, inst.b_labels, inst.epsilon_target)
+    bound_ach, bound_con = bounds
     cost = math.log2(k_dim) - math.log2(l_dim)
     return MergingResult(overall, per_outcome, cost, bound_ach, bound_con,
                          decoupled / max(n_out, 1), inst.seed)
@@ -394,6 +393,18 @@ def cost_achievable(state: StateOperator | PureState, target: Sequence[str],
         d_a *= op.dims.dim_of(lab)
     k_dim, l_dim = realize_cost(raw, d_a)
     return math.log2(k_dim) - math.log2(l_dim)
+
+
+def cost_bounds(state: StateOperator | PureState, target: Sequence[str],
+                condition: Sequence[str], epsilon: float) -> tuple[float, float | None]:
+    """(``cost_achievable``, ``cost_converse``), the converse None where it
+    does not apply."""
+    bound_ach = cost_achievable(state, target, condition, epsilon)
+    try:
+        bound_con = cost_converse(state, target, condition, epsilon)
+    except MergingError:
+        bound_con = None
+    return bound_ach, bound_con
 
 
 def cost_converse(state: StateOperator | PureState, target: Sequence[str],

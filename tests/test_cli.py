@@ -195,6 +195,37 @@ def test_merge_run_cli(tmp_path, capsys):
     assert len(rep["result"]["per_outcome"][0]) == 16
 
 
+def test_merge_run_solves_the_bounds_once(tmp_path, capsys, monkeypatch):
+    # cost_achievable and cost_converse depend on the state and epsilon only:
+    # one h_max_smooth each for all seeds
+    import math
+    from qdecouple import merging
+    from qdecouple.linalg import PureState, dims_of, state_to_json
+
+    amps = np.zeros((2, 2, 2), dtype=complex)
+    for i in range(2):
+        amps[i, i, i] = 1 / math.sqrt(2)
+    psi = PureState(dims_of(("A", 2), ("B", 2), ("E", 2)), amps.reshape(-1))
+    st_path = tmp_path / "psi.json"
+    st_path.write_text(json.dumps(state_to_json(psi.to_operator(validate=True))))
+    out_path = tmp_path / "merge.json"
+    calls = []
+    solve = ent.h_max_smooth
+    monkeypatch.setattr(ent, "h_max_smooth",
+                        lambda *a, **k: calls.append(a) or solve(*a, **k))
+    code, _, _ = run_cli(capsys, "merge", "run", "--state", str(st_path),
+                         "--epsilon", "0.05", "--K", "8", "--L", "1",
+                         "--num-seeds", "3", "--seed", "3",
+                         "--out", str(out_path))
+    assert code == 0
+    assert len(calls) == 2
+    rep = json.loads(out_path.read_text())["result"]
+    assert len(rep["fidelities"]) == 3
+    bound_ach, bound_con = merging.cost_bounds(psi, ("A",), ("B",), 0.05)
+    assert rep["bound_achievable"] == pytest.approx(bound_ach, abs=1e-6)
+    assert rep["bound_converse"] == pytest.approx(bound_con, abs=1e-6)
+
+
 def test_dimension_cap_environment_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QDECOUPLE_DIM_CAP", "8")
     code, _, err = run_cli(capsys, "gen-state", "classical", "--k", "2",

@@ -75,6 +75,29 @@ def test_run_deterministic_and_worker_invariant():
     assert r1.std_error == r2.std_error
 
 
+@pytest.mark.parametrize("case", ["c5-blocks", "dense"])
+def test_chunked_run_matches_per_sample_distances(case, monkeypatch):
+    # sample i's distance does not depend on its chunk or on the workers:
+    # 1, S - 1 and S + 1 samples at S samples per chunk
+    if case == "c5-blocks":
+        st, ch = dec.classical_state(4), chan.reference_channel("id+trace", 4, 3)
+    else:
+        monkeypatch.setattr(dec, "CHUNK_ENTRIES", 200)
+        rng = np.random.default_rng(31)
+        st = random_density(rng, (("A", 3), ("E", 2)))
+        ch = chan.random_cpm(rng, 3, 2, trace=0.8)
+    seed = haar.RngSeed(12, "chunks")
+    kernel, chunk, _ = dec._kernel(dec.DecouplingExperiment(st, ch, 1))
+    assert chunk == (2 if case == "c5-blocks" else 12)
+    assert kernel == ("blocks:16" if case == "c5-blocks" else "dense")
+    for n in (1, chunk - 1, chunk + 1):
+        want = [dec.sample_distance(st, ch, haar.haar_unitary_indexed(seed, i, ch.dim_in))
+                for i in range(n)]
+        for workers in (1, 3):
+            rep = dec.run(dec.DecouplingExperiment(st, ch, n, seed=seed), workers)
+            assert rep.per_sample_distances == want
+
+
 @pytest.mark.parametrize("family,dims,d_out,on", [
     ("tp", (("A", 2), ("E", 3)), 3, ("A",)),
     ("cpm", (("A", 3), ("E", 2)), 2, ("A",)),

@@ -1,6 +1,8 @@
 """Haar sampling, exact twirling, and Weyl operator tests, including the
 Monte Carlo cross-checks of the exact two-copy average."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,31 @@ def test_indexed_sampling_deterministic():
     assert np.abs(a - c).max() > 1e-3
     d = haar.haar_unitary_indexed(haar.RngSeed(42, "other"), 5, 3)
     assert np.abs(a - d).max() > 1e-3
+
+
+def test_batched_draws_match_jumped_generators():
+    # oracle: sample i is haar_unitary on a Generator over Philox(key).jumped(i),
+    # the key being (seed, first 8 bytes of sha256(stream), little endian)
+    cases = ((haar.RngSeed(2026), 0, 5), (haar.RngSeed(9, "other"), 3, 7),
+             (haar.RngSeed(1), 2 ** 32 - 1, 2 ** 32 + 2))
+    for seed, start, stop in cases:
+        stream = int.from_bytes(hashlib.sha256(seed.stream.encode()).digest()[:8],
+                                "little")
+        key = np.array([seed.seed, stream], dtype=np.uint64)
+        for d in (1, 2, 3, 16):
+            stack = haar.haar_unitaries_indexed(seed, start, stop, d)
+            assert stack.shape == (stop - start, d, d)
+            for j, i in enumerate(range(start, stop)):
+                rng = np.random.Generator(np.random.Philox(key=key).jumped(i))
+                np.testing.assert_array_equal(stack[j], haar.haar_unitary(d, rng))
+                np.testing.assert_array_equal(stack[j],
+                                              haar.haar_unitary_indexed(seed, i, d))
+                np.testing.assert_array_equal(
+                    haar.generator(seed, i).standard_normal(8),
+                    np.random.Generator(np.random.Philox(key=key).jumped(i))
+                    .standard_normal(8))
+    with pytest.raises(ValueError):
+        haar.haar_unitaries_indexed(0, 3, 3, 2)
 
 
 def test_row_block_rows_orthonormal():

@@ -19,6 +19,8 @@ from qdecouple.linalg import (
     extension_map,
     fidelity,
     generalized_fidelity,
+    herm_basis,
+    herm_matrices,
     is_hermitian,
     maximally_entangled,
     maximally_mixed,
@@ -35,6 +37,7 @@ from qdecouple.linalg import (
     tensor,
     trace_distance,
     trace_norm,
+    trace_norms,
 )
 
 
@@ -245,6 +248,33 @@ def test_trace_norm_non_hermitian_stack_takes_svd():
     assert abs(got - wrong) > 1e-3
 
 
+def test_trace_norms_route_each_item_on_its_own():
+    # items of 3 matrices each; item 1 holds one non-Hermitian matrix, so it
+    # alone takes the SVD, and every value equals trace_norm of that item
+    rng = np.random.default_rng(10)
+    items = np.array([[rnd_herm(rng, 4) for _ in range(3)] for _ in range(4)])
+    items[1, 2] = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    got = trace_norms(items)
+    assert got.shape == (4,)
+    for k, item in enumerate(items):
+        assert got[k] == trace_norm(item)
+        assert trace_norms(items[k:k + 1])[0] == got[k]
+        if k == 1:
+            want = sum(float(np.linalg.svd(m, compute_uv=False).sum()) for m in item)
+        else:
+            want = sum(float(np.abs(np.linalg.eigvalsh(m)).sum()) for m in item)
+        assert got[k] == pytest.approx(want, rel=1e-13)
+    flat = items.reshape(12, 4, 4)
+    got_flat = trace_norms(flat)
+    for k, m in enumerate(flat):
+        assert got_flat[k] == trace_norm(m)
+    assert trace_norms(np.zeros((0, 3, 3))).shape == (0,)
+    with pytest.raises(ValueError):
+        trace_norms(np.eye(3))
+    with pytest.raises(ValueError):
+        trace_norms(np.ones((2, 3, 4)))
+
+
 # ---------------------------------------------------------------------------
 # fidelity and purified distance
 # ---------------------------------------------------------------------------
@@ -369,6 +399,27 @@ def test_purify_rejects_subnormalized():
 # ---------------------------------------------------------------------------
 # swap operator
 # ---------------------------------------------------------------------------
+
+def test_herm_matrices_order_and_orthonormality():
+    # oracle: the basis written out by index, diagonal units first, then the
+    # (symmetric, antisymmetric) pair of each a < b in row-major order
+    for d in (1, 2, 3, 4):
+        want = []
+        for a in range(d):
+            want.append(np.outer(np.eye(d)[a], np.eye(d)[a]).astype(complex))
+        for a in range(d):
+            for b in range(a + 1, d):
+                e_ab = np.outer(np.eye(d)[a], np.eye(d)[b])
+                want.append((e_ab + e_ab.T) / np.sqrt(2))
+                want.append(1j * (e_ab - e_ab.T) / np.sqrt(2))
+        got = list(herm_matrices(d))
+        assert len(got) == d * d
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, atol=1e-15)
+        np.testing.assert_array_equal(herm_basis(d), np.array(got))
+        gram = np.einsum("iab,jba->ij", np.array(got), np.array(got)).real
+        np.testing.assert_allclose(gram, np.eye(d * d), atol=1e-14)
+
 
 def test_swap_trivial_dimension():
     np.testing.assert_allclose(swap_operator(1), [[1.0]])
