@@ -137,8 +137,10 @@ def _cmd_gen_channel(args: argparse.Namespace) -> int:
 
 
 def _load_state(path: str, cap: int | None) -> linalg.StateOperator:
+    # the parsed lists are dropped before validation, which copies the matrix
     with open(path, "r", encoding="utf-8") as fh:
-        return linalg.state_from_json(json.load(fh), cap=cap)
+        dims, matrix = linalg.parse_state_json(json.load(fh))
+    return linalg.StateOperator(dims, matrix, validate=True, cap=cap)
 
 
 def _load_channel(spec: str, cap: int | None) -> chan.Channel:
@@ -210,9 +212,7 @@ def _cmd_decouple_run(args: argparse.Namespace) -> int:
 
 def _cmd_merge_run(args: argparse.Namespace) -> int:
     started = time.time()
-    with open(args.state, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    state = linalg.state_from_json(payload, cap=args.cap)
+    state = _load_state(args.state, args.cap)
     w, v = np.linalg.eigh(linalg.hermitian_part(state.matrix))
     if w[-1] < 1.0 - 1e-7 or float(np.sum(w > 1e-9)) > 1:
         print("error: merge run needs a pure input state", file=sys.stderr)

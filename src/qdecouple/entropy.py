@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from qdecouple.linalg import (
     StateOperator,
     hermitian_part,
     herm_basis,
-    herm_matrices,
+    herm_combination,
+    herm_coords,
     partial_trace,
     psd_power,
     pure_marginal,
@@ -169,25 +170,24 @@ def _hmin_sdp(rho: np.ndarray, d_a: int, d_b: int) -> tuple[float, np.ndarray, f
     """Conditional min-entropy via max tr(rho Y) s.t. tr_A Y = I_B, Y >= 0.
 
     Returns (value_bits, sigma_prime, width_bits); sigma_prime is the dual
-    witness with I (x) sigma' >= rho and tr sigma' = 2^(-value).
+    witness with I (x) sigma' >= rho and tr sigma' = 2^(-value).  The
+    constraints tr((I (x) g) Y) = tr g run over ``herm_matrices(d_b)``.
     """
-    basis_b = herm_basis(d_b)
     build = sdp.ProblemBuilder()
     blk = build.add_block(d_a * d_b, -rho)
-    eye_a = np.eye(d_a)
-    for g in basis_b:
-        build.add_constraint({blk: np.kron(eye_a, g)}, float(np.trace(g).real))
+    eye_b = np.eye(d_b, dtype=complex)
+    build.add_family(d_b, {blk: sdp.kron_eye(d_a)}, herm_coords(eye_b))
     problem = build.build()
     # both sides strictly feasible: Y = I/d_a,  sigma' = (||rho|| + 1) I
     x0 = [np.eye(d_a * d_b, dtype=complex) / d_a]
     lam = float(np.abs(np.linalg.eigvalsh(hermitian_part(rho))).max(initial=0.0)) + 1.0
-    sigma0 = lam * np.eye(d_b, dtype=complex)
-    y0 = -np.array([float(np.trace(g @ sigma0).real) for g in basis_b])
-    z0 = [-rho + np.kron(eye_a, sigma0)]
+    sigma0 = lam * eye_b
+    y0 = -herm_coords(sigma0)
+    z0 = [-rho + np.kron(np.eye(d_a), sigma0)]
     # minimization of tr(-rho Y): optimum of tr(sigma') lies in [-p, -d]
     mid, width, sol = _certified_solve(problem, "min-entropy SDP", flip=True,
                                        x0=x0, y0=y0, z0=z0)
-    sigma_prime = hermitian_part(-np.einsum("i,ipq->pq", sol.y, basis_b))
+    sigma_prime = hermitian_part(-herm_combination(sol.y))
     return -math.log2(mid), sigma_prime, width
 
 
@@ -219,24 +219,15 @@ def _support_factor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, np.diag(w[keep]).astype(complex)
 
 
-def _embed(h: np.ndarray, offset: int, size: int) -> np.ndarray:
-    """A size x size zero matrix with h as its diagonal block at ``offset``."""
-    big = np.zeros((size, size), dtype=complex)
-    big[offset:offset + len(h), offset:offset + len(h)] = h
-    return big
-
-
-def _fidelity_embedding(rho: np.ndarray
-                        ) -> tuple[int, np.ndarray, Iterator[tuple[np.ndarray, float]]]:
+def _fidelity_embedding(rho: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """Support-compressed PSD block embedding of the fidelity with rho.
 
     The embedding block is V = [[D, Y], [Y^H, X]] of size r + d, with the
     fixed corner D = R^H rho R compressed onto supp(rho) (rank r) so the
     programs keep a strictly feasible interior even for rank-deficient
     states.  Returns r, the matrix Gamma with tr(Gamma V) = Re tr(R Y), and
-    the (coefficient, right-hand side) rows that fix the D corner, in the
-    order of ``herm_matrices(r)``.  The rows are generated one at a time, so
-    only the program builder holds them, as nonzero entries.
+    the right-hand sides of the family that fixes the D corner (the
+    coordinates of D in ``herm_matrices(r)``, embedded at offset 0).
     """
     d = rho.shape[0]
     r_iso, d_mat = _support_factor(rho)
@@ -244,24 +235,21 @@ def _fidelity_embedding(rho: np.ndarray
     gam = np.zeros((r + d, r + d), dtype=complex)
     gam[:r, r:] = r_iso.conj().T / 2
     gam[r:, :r] = r_iso / 2
-    corner_rows = ((_embed(h, 0, r + d), float(np.einsum("ij,ji->", d_mat, h).real))
-                   for h in herm_matrices(r))
-    return r, gam, corner_rows
+    return r, gam, herm_coords(d_mat)
 
 
 def _hmax_fidelity_sdp(rho: np.ndarray, d_a: int, d_b: int
                        ) -> tuple[float, np.ndarray, float]:
     """max_sigma F(rho, I (x) sigma) via the PSD block embedding of fidelity."""
     d = d_a * d_b
-    r, gam, corner_rows = _fidelity_embedding(rho)
+    r, gam, corner = _fidelity_embedding(rho)
     build = sdp.ProblemBuilder()
     v_blk = build.add_block(r + d, -gam)
     s_blk = build.add_block(d_b)
-    for big, rhs in corner_rows:
-        build.add_constraint({v_blk: big}, rhs)
-    for h in herm_matrices(d):
-        build.add_constraint({v_blk: _embed(h, r, r + d),
-                              s_blk: -trace_out_leading(h, d_a)}, 0.0)
+    build.add_family(r, {v_blk: sdp.embed(0)}, corner)
+    # X = I (x) sigma, one constraint per h of herm_matrices(d)
+    build.add_family(d, {v_blk: sdp.embed(r), s_blk: sdp.neg_trace_out(d_a)},
+                     np.zeros(d * d))
     build.add_constraint({s_blk: np.eye(d_b, dtype=complex)}, 1.0)
     mid, width, sol = _certified_solve(build.build(), "max-entropy fidelity SDP",
                                        flip=True)
@@ -465,19 +453,20 @@ def _smooth_hmin_dense(rho: np.ndarray, d_a: int, d_b: int, eps: float
     only for subnormalized inputs.
     """
     d = d_a * d_b
-    r, gam, corner_rows = _fidelity_embedding(rho)
+    r, gam, corner = _fidelity_embedding(rho)
 
     build = sdp.ProblemBuilder()
     v_blk = build.add_block(r + d)                      # [[D, Y], [Y^H, rho_hat]]
     s_blk = build.add_block(d)                          # I (x) sigma' - rho_hat
     sig_blk = build.add_block(d_b, np.eye(d_b, dtype=complex))
 
-    for big, rhs in corner_rows:
-        build.add_constraint({v_blk: big}, rhs)
-    for h in herm_matrices(d):
-        build.add_constraint({v_blk: _embed(h, r, r + d), s_blk: h,
-                              sig_blk: -trace_out_leading(h, d_a)}, 0.0)
-    _close_smoothing(build, {v_blk: gam}, {v_blk: _embed(np.eye(d), r, r + d)},
+    build.add_family(r, {v_blk: sdp.embed(0)}, corner)
+    # rho_hat + (I (x) sigma' - rho_hat) = I (x) sigma', per h of herm_matrices(d)
+    build.add_family(d, {v_blk: sdp.embed(r), s_blk: sdp.embed(0),
+                         sig_blk: sdp.neg_trace_out(d_a)}, np.zeros(d * d))
+    trace = np.zeros((r + d, r + d), dtype=complex)
+    trace[r:, r:] = np.eye(d)
+    _close_smoothing(build, {v_blk: gam}, {v_blk: trace},
                      max(0.0, 1.0 - float(np.trace(rho).real)), eps)
 
     mid, width, sol = _certified_solve(build.build(), "smoothing SDP")

@@ -8,6 +8,7 @@ workers.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -164,6 +165,55 @@ def herm_matrices(d: int) -> Iterator[np.ndarray]:
             h[a, b] = 1j * s
             h[b, a] = -1j * s
             yield h
+
+
+@functools.lru_cache(maxsize=None)
+def herm_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each a < b, in the pair order of ``herm_matrices(d)``."""
+    return np.triu_indices(d, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _herm_slots(d: int) -> tuple[np.ndarray, ...]:
+    """Index tables between ``herm_matrices(d)`` coordinates and the real view
+    of a d x d complex matrix (real and imaginary parts interleaved, 2 d^2
+    slots): coordinate i is c1_i v[s1_i] + c2_i v[s2_i], and slot t of
+    sum_i u_i h_i is k_t u[j_t]."""
+    a, b = herm_pairs(d)
+    r = 1.0 / np.sqrt(2.0)
+    diag, up, lo = 2 * np.arange(d) * (d + 1), 2 * (a * d + b), 2 * (b * d + a)
+    s1, s2 = np.empty(d * d, dtype=np.intp), np.empty(d * d, dtype=np.intp)
+    c1, c2 = np.empty(d * d), np.empty(d * d)
+    s1[:d], s2[:d], c1[:d], c2[:d] = diag, diag, 1.0, 0.0
+    s1[d::2], s2[d::2], c1[d::2], c2[d::2] = up, lo, r, r
+    s1[d + 1::2], s2[d + 1::2], c1[d + 1::2], c2[d + 1::2] = up + 1, lo + 1, r, -r
+    j, k = np.zeros(2 * d * d, dtype=np.intp), np.zeros(2 * d * d)
+    j[diag], k[diag] = np.arange(d), 1.0
+    sym = d + 2 * np.arange(len(a))
+    j[up], j[lo], k[up], k[lo] = sym, sym, r, r
+    j[up + 1], j[lo + 1], k[up + 1], k[lo + 1] = sym + 1, sym + 1, r, -r
+    return s1, s2, c1, c2, j, k
+
+
+def herm_coords(m: np.ndarray) -> np.ndarray:
+    """Re tr(h_i m) for the matrices h_i of ``herm_matrices(d)``, over the last
+    two axes: (..., d, d) -> (..., d*d), real.  For Hermitian m these are its
+    coordinates in that orthonormal basis."""
+    d = m.shape[-1]
+    s1, s2, c1, c2, _, _ = _herm_slots(d)
+    v = np.ascontiguousarray(m, dtype=complex).view(float)
+    v = v.reshape(v.shape[:-2] + (2 * d * d,))
+    return v[..., s1] * c1 + v[..., s2] * c2
+
+
+def herm_combination(u: np.ndarray) -> np.ndarray:
+    """sum_i u_i h_i over the matrices of ``herm_matrices(d)``, over the last
+    axis: (..., d*d) real -> (..., d, d) Hermitian; inverse of ``herm_coords``."""
+    d = math.isqrt(u.shape[-1])
+    *_, j, k = _herm_slots(d)
+    out = np.empty(u.shape[:-1] + (2 * d * d,))
+    np.multiply(np.asarray(u, dtype=float)[..., j], k, out=out)
+    return out.view(complex).reshape(u.shape[:-1] + (d, d))
 
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:
@@ -650,11 +700,22 @@ def state_to_json(op: StateOperator) -> dict:
     }
 
 
+def parse_state_json(obj: dict) -> tuple[Dims, np.ndarray]:
+    """The dimensions and the complex matrix of a parsed state JSON object,
+    not yet validated.  The matrix is built in one array, so a caller that
+    drops ``obj`` holds only it during validation."""
+    pairs = tuple((str(e["label"]), int(e["dim"])) for e in obj["dims"])
+    re = np.asarray(obj["matrix"]["re"], dtype=float)
+    matrix = np.empty(re.shape, dtype=complex)
+    matrix.real = re
+    del re
+    matrix.imag = obj["matrix"]["im"]
+    return Dims(pairs), matrix
+
+
 def state_from_json(obj: dict | str, cap: int | None = None) -> StateOperator:
     """Parse the state JSON format, rejecting invariant violations."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    pairs = tuple((str(e["label"]), int(e["dim"])) for e in obj["dims"])
-    re = np.asarray(obj["matrix"]["re"], dtype=float)
-    im = np.asarray(obj["matrix"]["im"], dtype=float)
-    return StateOperator(Dims(pairs), re + 1j * im, validate=True, cap=cap)
+    dims, matrix = parse_state_json(obj)
+    return StateOperator(dims, matrix, validate=True, cap=cap)

@@ -10,18 +10,21 @@ use Nesterov-Todd scaling with a Mehrotra-style adaptive centering parameter;
 the Schur complement is regularized to survive problems whose optimum sits on
 the boundary of strict feasibility.  Each group of equal-size blocks adds its
 part of the Schur complement with a dense or a sparse kernel, whichever needs
-fewer operations for its constraints (see ``_schur_term``).
+fewer operations for its constraints (see ``_schur_term``), or, where the
+group carries constraint families (``ProblemBuilder.add_family``), with the
+family term, which works from the scaling matrix W alone (``_FamilyTerm``).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from qdecouple.linalg import DimCapError
+from qdecouple.linalg import DimCapError, herm_basis, herm_coords, herm_combination, herm_pairs
 
 
 class SdpStatus(enum.Enum):
@@ -41,29 +44,139 @@ def default_gap_tol(primal_obj: float) -> float:
 
 
 @dataclass(frozen=True)
+class FamilyMap:
+    """One block's part of a constraint family: a linear map h -> T(h).
+
+    ``embed``: h as the diagonal sub-block at ``offset``; ``kron``: I_lead (x) h;
+    ``trace_out``: -tr_A h for h on A (x) B with d_A = ``lead``, as the whole
+    block.  Build them with ``embed``, ``kron_eye`` and ``neg_trace_out``.
+    """
+
+    kind: str
+    offset: int = 0
+    lead: int = 1
+
+    def image_size(self, d: int) -> int:
+        """Size of the block T(h) fills for h of size d."""
+        if self.kind == "embed":
+            return self.offset + d
+        if self.kind == "kron":
+            return self.lead * d
+        return d // self.lead
+
+    def base(self, d: int) -> tuple[int, tuple[int, ...]]:
+        """(s, offsets): T(h) is sum_o g(h) placed at offset o of size s, where
+        g(h) = h, or -tr_A h in ``herm_matrices(s)`` coordinates (``rows``)."""
+        if self.kind == "embed":
+            return d, (self.offset,)
+        if self.kind == "kron":
+            return d, tuple(range(0, self.lead * d, d))
+        return d // self.lead, (0,)
+
+    def rows(self, d: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """For ``trace_out``: -tr_A h_i = coef_i g_src_i over ``herm_matrices``
+        of the two sizes (coef is -1 or 0).  None for the other kinds (g = h)."""
+        if self.kind != "trace_out":
+            return None
+        return _trace_out_rows(self.lead, d // self.lead)
+
+    def norms(self, d: int) -> np.ndarray:
+        """||T(h_i)||_F^2 for each h_i of ``herm_matrices(d)``."""
+        rows = self.rows(d)
+        if rows is None:
+            return np.full(d * d, float(len(self.base(d)[1])))
+        return rows[1] ** 2
+
+    def materialize(self, d: int, n: int) -> np.ndarray:
+        """T(h_i) for every h_i of ``herm_matrices(d)`` as a (d*d, n, n) stack."""
+        basis = herm_basis(d)
+        if self.kind == "trace_out":
+            db = d // self.lead
+            # 0 - x, not -x: zero entries stay +0.0, as in a built stack
+            return 0.0 - np.einsum("iabac->ibc", basis.reshape(d * d, self.lead, db, self.lead, db))
+        out = np.zeros((d * d, n, n), dtype=complex)
+        for o in self.base(d)[1]:
+            out[:, o:o + d, o:o + d] = basis
+        return out
+
+
+def embed(offset: int = 0) -> FamilyMap:
+    return FamilyMap("embed", offset=offset)
+
+
+def kron_eye(lead: int) -> FamilyMap:
+    return FamilyMap("kron", lead=lead)
+
+
+def neg_trace_out(lead: int) -> FamilyMap:
+    return FamilyMap("trace_out", lead=lead)
+
+
+@functools.lru_cache(maxsize=None)
+def _trace_out_rows(lead: int, db: int) -> tuple[np.ndarray, np.ndarray]:
+    """-tr_A h_i = coef_i g_src_i for h_i of ``herm_matrices(lead * db)`` and
+    g_j of ``herm_matrices(db)``: diagonal units go to diagonal units, a pair
+    within one A index to the same pair of B indices, any other pair to 0."""
+    d = lead * db
+    src = np.zeros(d * d, dtype=np.intp)
+    coef = np.zeros(d * d)
+    src[:d] = np.arange(d) % db
+    coef[:d] = -1.0
+    x, y = herm_pairs(d)
+    (ax, bx), (ay, by) = np.divmod(x, db), np.divmod(y, db)
+    same = np.flatnonzero(ax == ay)
+    b1, b2 = bx[same], by[same]
+    pair = b1 * db - b1 * (b1 + 1) // 2 + (b2 - b1 - 1)
+    for k in (0, 1):
+        src[d + 2 * same + k] = db + 2 * pair + k
+        coef[d + 2 * same + k] = -1.0
+    return src, coef
+
+
+@dataclass(frozen=True)
+class Family:
+    """d^2 consecutive constraints from row ``start``: row start + i is
+    sum_k T_k(h_i) over the (block k, map T_k) pairs of ``maps``, h_i the i-th
+    matrix of ``herm_matrices(d)``."""
+
+    start: int
+    d: int
+    maps: tuple[tuple[int, FamilyMap], ...]
+
+    @property
+    def rows(self) -> slice:
+        return slice(self.start, self.start + self.d * self.d)
+
+
+@dataclass(frozen=True)
 class SdpProblem:
     """Standard-form problem data.
 
-    a_blocks[k] has shape (m, n_k, n_k): constraint i uses matrix a_blocks[k][i]
-    on block k.  All constraint and objective matrices must be Hermitian.
+    The constraints are the rows of ``families`` plus the explicit rows, which
+    fill the remaining row indices in order (``explicit_index``):
+    explicit_blocks[k] has shape (E, n_k, n_k), and explicit row e uses matrix
+    explicit_blocks[k][e] on block k.  All constraint and objective matrices
+    must be Hermitian; family rows are by construction.
     """
 
     block_dims: tuple[int, ...]
     c_blocks: tuple[np.ndarray, ...]
-    a_blocks: tuple[np.ndarray, ...]
+    explicit_blocks: tuple[np.ndarray, ...]
     b: np.ndarray
+    families: tuple[Family, ...] = ()
 
     def __post_init__(self) -> None:
         m = len(self.b)
         n_tot = sum(self.block_dims)
         if m > n_tot * n_tot:
             raise ValueError(f"{m} constraints exceed total dimension squared {n_tot**2}")
+        num_e = len(self.explicit_index)
         for k, n in enumerate(self.block_dims):
             if self.c_blocks[k].shape != (n, n):
                 raise ValueError(f"objective block {k} has wrong shape")
-            if self.a_blocks[k].shape != (m, n, n):
+            if self.explicit_blocks[k].shape != (num_e, n, n):
                 raise ValueError(f"constraint stack {k} has wrong shape")
-            for name, mat in (("C", self.c_blocks[k][None]), ("A", self.a_blocks[k])):
+            for name, mat in (("C", self.c_blocks[k][None]), ("A", self.explicit_blocks[k])):
                 err = np.abs(mat - np.conj(np.transpose(mat, (0, 2, 1)))).max(initial=0.0)
                 if err > 1e-9:
                     raise ValueError(f"{name} block {k} is not Hermitian (err {err:.2e})")
@@ -71,6 +184,49 @@ class SdpProblem:
     @property
     def num_constraints(self) -> int:
         return len(self.b)
+
+    @property
+    def explicit_index(self) -> np.ndarray:
+        explicit = np.ones(len(self.b), dtype=bool)
+        for fam in self.families:
+            explicit[fam.rows] = False
+        return np.flatnonzero(explicit)
+
+    def block_stack(self, k: int) -> np.ndarray:
+        """Every constraint's matrix on block k, a dense (m, n_k, n_k) stack."""
+        if not self.families:
+            return self.explicit_blocks[k]
+        n = self.block_dims[k]
+        out = np.zeros((len(self.b), n, n), dtype=complex)
+        out[self.explicit_index] = self.explicit_blocks[k]
+        for fam in self.families:
+            for blk, fmap in fam.maps:
+                if blk == k:
+                    out[fam.rows] += fmap.materialize(fam.d, n)
+        return out
+
+    @property
+    def a_blocks(self) -> tuple[np.ndarray, ...]:
+        """The dense (m, n_k, n_k) constraint stacks, materialized."""
+        return tuple(self.block_stack(k) for k in range(len(self.block_dims)))
+
+    def row_norms(self, closed_form: bool = True) -> np.ndarray:
+        """||A_i||_F^2 summed over blocks: family rows in closed form, or, with
+        ``closed_form`` False and in a program of explicit rows only, summed
+        over the dense stacks block by block."""
+        m = len(self.b)
+        row_norm = np.zeros(m)
+        if not (closed_form and self.families):
+            for a in self.a_blocks:
+                row_norm += np.einsum("ipq,ipq->i", a, a.conj(), optimize=False).real
+            return row_norm
+        for a in self.explicit_blocks:
+            row_norm[self.explicit_index] += np.einsum("ipq,ipq->i", a, a.conj(),
+                                                       optimize=False).real
+        for fam in self.families:
+            for _, fmap in fam.maps:
+                row_norm[fam.rows] += fmap.norms(fam.d)
+        return row_norm
 
 
 @dataclass
@@ -109,16 +265,20 @@ class SdpSolution:
 class ProblemBuilder:
     """Incremental constructor for SdpProblem instances.
 
-    Constraint coefficients are kept as their nonzero entries, and a program
+    Explicit constraint coefficients are kept as their nonzero entries, and a
+    family of constraints (``add_family``) as its maps alone.  A program
     whose dense stacks would exceed MAX_STACK_ENTRIES raises DimCapError
-    before any stack is allocated: in ``add_constraint`` once its rows reach
-    the limit, or in ``build``.
+    before any stack is allocated: in ``add_constraint`` or ``add_family``
+    once its rows reach the limit, or in ``build``.
     """
 
     def __init__(self) -> None:
         self._dims: list[int] = []
         self._c: list[np.ndarray] = []
         self._rows: list[tuple[dict[int, tuple[np.ndarray, np.ndarray]], float]] = []
+        self._families: list[Family] = []
+        self._rhs: list[np.ndarray] = []  # per explicit row or family, in row order
+        self._m = 0
         self._row_entries = 0  # sum_k n_k^2, the stack entries of one row
 
     def add_block(self, n: int, c: np.ndarray | None = None) -> int:
@@ -136,7 +296,7 @@ class ProblemBuilder:
 
     def add_constraint(self, coeffs: dict[int, np.ndarray], rhs: float) -> None:
         # refuse an oversized program as soon as its rows reach the limit
-        self._check_size(len(self._rows) + 1)
+        self._check_size(self._m + 1)
         row = {}
         for k, v in coeffs.items():
             v = np.asarray(v, dtype=complex)
@@ -146,17 +306,37 @@ class ProblemBuilder:
             flat = (v != 0).reshape(-1).nonzero()[0]
             row[k] = (flat, v.reshape(-1)[flat])
         self._rows.append((row, float(rhs)))
+        self._rhs.append(np.array([float(rhs)]))
+        self._m += 1
+
+    def add_family(self, d: int, maps: dict[int, FamilyMap], rhs) -> None:
+        """d^2 constraints sum_k T_k(h_i) = rhs_i, one per h_i of
+        ``herm_matrices(d)`` in that order, for the maps T_k of ``maps``."""
+        self._check_size(self._m + d * d)
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape != (d * d,):
+            raise ValueError(f"family of size {d} needs {d * d} right-hand sides")
+        for k, fmap in maps.items():
+            size = fmap.image_size(d)
+            if (size > self._dims[k] or (fmap.kind == "trace_out" and
+                                         (d % fmap.lead or size != self._dims[k]))):
+                raise ValueError(f"{fmap.kind} map of a size-{d} family does not fit "
+                                 f"block {k} of size {self._dims[k]}")
+        self._families.append(Family(self._m, d, tuple(maps.items())))
+        self._rhs.append(rhs)
+        self._m += d * d
 
     def build(self) -> SdpProblem:
-        m = len(self._rows)
-        self._check_size(m)
-        stacks = [np.zeros((m, n * n), dtype=complex) for n in self._dims]
+        self._check_size(self._m)
+        num_e = len(self._rows)
+        stacks = [np.zeros((num_e, n * n), dtype=complex) for n in self._dims]
         for i, (row, _) in enumerate(self._rows):
             for k, (flat, vals) in row.items():
                 stacks[k][i, flat] = vals
-        a_blocks = tuple(s.reshape(m, n, n) for s, n in zip(stacks, self._dims))
-        b = np.array([rhs for _, rhs in self._rows])
-        return SdpProblem(tuple(self._dims), tuple(self._c), a_blocks, b)
+        explicit = tuple(s.reshape(num_e, n, n) for s, n in zip(stacks, self._dims))
+        b = np.concatenate(self._rhs) if self._rhs else np.zeros(0)
+        return SdpProblem(tuple(self._dims), tuple(self._c), explicit, b,
+                          tuple(self._families))
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +433,14 @@ def _schur_ops(m: int, n: int, count: int, nnz: int, npos: int) -> tuple[int, in
     return count * (2 * m * n ** 3 + m * m * n * n), npos * npos + nnz * (npos + m)
 
 
+def _added(res: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """res added into out in place, or res itself when there is no out yet."""
+    if out is None:
+        return res
+    out += res
+    return out
+
+
 class _DenseSchur:
     """A group's constraint map, adjoint, Schur term and Gram matrix from its
     dense (m, count, n, n) stack."""
@@ -274,10 +462,10 @@ class _DenseSchur:
     def gram(self) -> np.ndarray:
         return (self.a_flat @ self.a_flat.conj().T).real
 
-    def schur(self, w: np.ndarray) -> np.ndarray:
+    def schur(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         wb = w[None, :, :, :]
         t = np.matmul(np.matmul(wb, self.a), wb)
-        return (self.a_flat @ t.reshape(t.shape[0], -1).conj().T).real
+        return _added((self.a_flat @ t.reshape(t.shape[0], -1).conj().T).real, out)
 
 
 class _SparseSchur:
@@ -322,7 +510,7 @@ class _SparseSchur:
     def gram(self) -> np.ndarray:
         return (self.b @ self.b.conj().T).toarray().real
 
-    def schur(self, w: np.ndarray) -> np.ndarray:
+    def schur(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         c, n = self.count, self.n
         if c == 1:
             wd = w[0]
@@ -330,12 +518,12 @@ class _SparseSchur:
             wd = np.zeros((c * n, c * n), dtype=complex)
             wd.reshape(c, n, c, n)[np.arange(c), :, np.arange(c), :] = w
         wq, wp = wd[self.q], wd.conj()[self.p]
-        out = np.zeros((self.b.shape[0],) * 2)
+        res = np.zeros((self.b.shape[0],) * 2)
         for cols, b_cols in self.slices:
             k = np.take(wq, self.p[cols], axis=1)
             k *= np.take(wp, self.q[cols], axis=1)
-            out += (b_cols @ (self.b @ k).T).real
-        return out
+            res += (b_cols @ (self.b @ k).T).real
+        return _added(res, out)
 
 
 def _schur_term(a: np.ndarray) -> _DenseSchur | _SparseSchur:
@@ -351,26 +539,258 @@ def _schur_term(a: np.ndarray) -> _DenseSchur | _SparseSchur:
     return _DenseSchur(a)
 
 
-class _Groups:
-    """Equal-size block stacks plus scatter/gather to the flat block list.
+# The family term serves a group's constraint families from W alone.  Its
+# gathers and elementwise products take about FAMILY_SCHUR_GAIN times as long
+# per multiply-add as the dense sandwich's BLAS calls; its Python-level calls
+# cost about FAMILY_SCHUR_FIXED dense multiply-adds an iteration, plus
+# FAMILY_SCHUR_CALLS for each family map and each pair of maps on a block
+# (measured on one core), so small programs keep the dense sandwich.
+FAMILY_SCHUR_GAIN = 8
+FAMILY_SCHUR_FIXED = 1 << 16
+FAMILY_SCHUR_CALLS = 1 << 18
 
-    Constraint rows are divided by ``row_scale`` and the objective by
-    ``c_scale``; division by positive scalars keeps every block Hermitian.
+
+@dataclass
+class _Piece:
+    """One family's map on one block of a group: row i of the family is
+    w_i g_src_i (g = h, src = None, or the trace-out table) placed as the s x s
+    diagonal sub-block at every offset of block c; w is coef / row scale."""
+
+    c: int
+    rows: slice | np.ndarray
+    s: int
+    offsets: tuple[int, ...]
+    src: np.ndarray | None
+    w: np.ndarray
+
+    def restrict(self, g: np.ndarray) -> np.ndarray:
+        """The adjoint map: sum over offsets of the s x s diagonal sub-blocks."""
+        s, (o, *rest) = self.s, self.offsets
+        out = g[..., o:o + s, o:o + s]
+        for o in rest:
+            out = out + g[..., o:o + s, o:o + s]
+        return out
+
+    def values(self, coords: np.ndarray) -> np.ndarray:
+        """Row values from ``herm_matrices(s)`` coordinates on the last axis."""
+        return (coords if self.src is None else coords[..., self.src]) * self.w
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_pairs(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every a <= b: the diagonal pairs first, then the pair order of
+    ``herm_matrices(s)``."""
+    diag = np.arange(s)
+    a, b = herm_pairs(s)
+    return np.concatenate([diag, a]), np.concatenate([diag, b])
+
+
+def _pair_block(w: np.ndarray, f: _Piece, g: _Piece) -> np.ndarray:
+    """Re tr(g_i X g_j X^H) summed over the sub-blocks X = W[o_f, o_g] of
+    every offset pair, for g_i of ``herm_matrices(f.s)`` and g_j of
+    ``herm_matrices(g.s)``: an (f.s^2, g.s^2) real matrix.
+
+    With P_ab[c, e] = sum_X conj(X[a, c]) X[b, e] (row products for one
+    sub-block, else a Gram matrix), X^H g_i X is P_aa for a diagonal unit,
+    r (P_ab + P_ab^H) for a symmetric and i r (P_ab - P_ab^H) for an
+    antisymmetric g_i, so each entry is a real or imaginary part of
+    tr(g_j P_ab), r = 2^(-1/2).  Only P_ab[c, c], P_ab[c, e] and P_ab[e, c]
+    for a <= b and c < e are formed.
+    """
+    sf, sg = f.s, g.s
+    aa, bb = _upper_pairs(sf)
+    c, e = herm_pairs(sg)
+    blocks = [w[of:of + sf, og:og + sg] for of in f.offsets for og in g.offsets]
+    if len(blocks) == 1:
+        xa, xb = blocks[0][aa], blocks[0][bb]
+        xa_c, xb_c = xa.conj(), xb.conj()
+        # P_ab[c, c], P_ab[c, e] and conj(P_ab[e, c])
+        gd, gu, gl_c = xa_c * xb, xa_c[:, c] * xb[:, e], xa[:, e] * xb_c[:, c]
+    else:
+        x = np.stack(blocks).reshape(len(blocks), sf * sg)
+        p = (x.conj().T @ x).reshape(sf, sg, sf, sg)[aa, :, bb, :]
+        gd, gu, gl_c = np.diagonal(p, axis1=1, axis2=2), p[:, c, e], p[:, e, c].conj()
+    r, q = 1.0 / np.sqrt(2.0), np.sqrt(2.0)
+    out = np.empty((sf * sf, sg * sg))
+    # rows: the diagonal units, then (symmetric, antisymmetric) per pair a < b;
+    # columns likewise.  The real view of the complex numbers
+    # tr(g_sym P) = r (P[c, e] + P[e, c]) and i times them, taken per column
+    # pair c < e, fills the (symmetric, antisymmetric) columns of each row.
+    pairs = out[:, sg:].view(complex)
+    np.add(gu[:sf], gl_c[:sf], out=pairs[:sf])
+    pairs[:sf] *= r
+    np.add(gu[sf:], gl_c[sf:], out=pairs[sf::2])
+    np.subtract(gu[sf:], gl_c[sf:], out=pairs[sf + 1::2])
+    pairs[sf + 1::2] *= 1j
+    out[:sf, :sg] = gd.real[:sf]
+    np.multiply(gd.real[sf:], q, out=out[sf::2, :sg])
+    np.multiply(gd.imag[sf:], -q, out=out[sf + 1::2, :sg])
+    return out
+
+
+class _FamilyTerm:
+    """A group's constraint map, adjoint, Schur term and Gram matrix from its
+    constraint families and W alone, with no constraint matrix stored.
+
+    Between two families on one block the Schur block is
+    M_ij = Re tr(g_i X g_j X^H) over sub-blocks X of W (``_pair_block``), the
+    trace-out rows gathered from it with their signs.  The few explicit rows
+    on the group keep a dense (E, count, n, n) stack: their cross terms with
+    a family are its coordinates of the restricted W A_e W.
     """
 
-    def __init__(self, problem: SdpProblem, row_scale: np.ndarray, c_scale: float):
+    kernel = "family"
+
+    def __init__(self, m: int, count: int, n: int, pieces: list[_Piece],
+                 rows: np.ndarray, a: np.ndarray):
+        self.m, self.count, self.n = m, count, n
+        self.pieces = pieces
+        self.rows, self.a = rows, a  # explicit rows touching the group, scaled
+        self.a_flat = a.reshape(len(rows), count * n * n)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.m)
+        for p in self.pieces:
+            out[p.rows] += p.values(herm_coords(p.restrict(x[p.c])))
+        if len(self.rows):
+            out[self.rows] += (self.a_flat @ x.conj().reshape(-1)).real
+        return out
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.count, self.n, self.n), dtype=complex)
+        for p in self.pieces:
+            u = y[p.rows] * p.w
+            if p.src is not None:
+                u = np.bincount(p.src, u, minlength=p.s * p.s)
+            h = herm_combination(u)
+            for o in p.offsets:
+                out[p.c, o:o + p.s, o:o + p.s] += h
+        if len(self.rows):
+            out += (y[self.rows] @ self.a_flat).reshape(out.shape)
+        return out
+
+    def gram(self) -> np.ndarray:
+        return self.schur(np.broadcast_to(np.eye(self.n, dtype=complex),
+                                          (self.count, self.n, self.n)))
+
+    def schur(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.zeros((self.m, self.m))
+        for i, f in enumerate(self.pieces):
+            for g in self.pieces[i:]:
+                if g.c != f.c:
+                    continue
+                blk = _pair_block(w[f.c], f, g)
+                if f.src is not None:
+                    blk = blk[f.src]
+                if g.src is not None:
+                    blk = blk[:, g.src]
+                blk *= f.w[:, None]
+                blk *= g.w
+                out[_block(f.rows, g.rows)] += blk
+                if g is not f:
+                    out[_block(g.rows, f.rows)] += blk.T
+        if len(self.rows):
+            wb = w[None]
+            t = np.matmul(np.matmul(wb, self.a), wb)
+            out[np.ix_(self.rows, self.rows)] += (
+                self.a_flat @ t.reshape(len(self.rows), -1).conj().T).real
+            for p in self.pieces:
+                v = p.values(herm_coords(p.restrict(t[:, p.c])))
+                out[_block(self.rows, p.rows)] += v
+                out[_block(p.rows, self.rows)] += v.T
+        return out
+
+
+def _block(rows: slice | np.ndarray, cols: slice | np.ndarray) -> tuple:
+    """Index of the (rows, cols) block of a matrix, rows and cols each a
+    slice or an index array."""
+    if isinstance(rows, slice) and isinstance(cols, slice):
+        return rows, cols
+    return np.ix_(*(np.arange(r.start, r.stop) if isinstance(r, slice) else r
+                    for r in (rows, cols)))
+
+
+def _family_cost(term: _FamilyTerm) -> int:
+    """Cost per iteration of a family term in dense multiply-adds: per pair
+    of maps on one block the products P ((P + 1) (s_f s_g)^2 for P offset
+    pairs) and the weighted rows, the explicit rows' sandwich and cross terms,
+    each weighted by FAMILY_SCHUR_GAIN, plus the call costs."""
+    pieces, num_e, count, n = term.pieces, len(term.rows), term.count, term.n
+    ops = num_e * count * (2 * n ** 3 + num_e * n * n) + num_e * sum(p.s ** 2 for p in pieces)
+    calls = len(pieces)
+    for i, f in enumerate(pieces):
+        for g in pieces[i:]:
+            if g.c == f.c:
+                pairs = len(f.offsets) * len(g.offsets)
+                ops += (pairs + 1) * (f.s * g.s) ** 2 + len(f.w) * len(g.w)
+                calls += 1
+    return FAMILY_SCHUR_GAIN * ops + FAMILY_SCHUR_FIXED + FAMILY_SCHUR_CALLS * calls
+
+
+def _family_term(problem: SdpProblem, idx: list[int], row_scale: np.ndarray) -> _FamilyTerm:
+    """The family term of the group of blocks ``idx``: its families' maps on
+    those blocks and the explicit rows that touch them, rows divided by
+    ``row_scale``."""
+    count, n = len(idx), problem.block_dims[idx[0]]
+    pieces = []
+    for fam in problem.families:
+        for k, fmap in fam.maps:
+            if k not in idx:
+                continue
+            s, offsets = fmap.base(fam.d)
+            rows, src, coef = fam.rows, None, 1.0
+            if fmap.rows(fam.d) is not None:
+                # trace-out rows: only those with coef != 0 touch the block
+                src, coef = fmap.rows(fam.d)
+                keep = np.flatnonzero(coef)
+                rows, src, coef = fam.start + keep, src[keep], coef[keep]
+            pieces.append(_Piece(idx.index(k), rows, s, offsets, src, coef / row_scale[rows]))
+    a = np.stack([problem.explicit_blocks[k] for k in idx], axis=1)
+    touch = np.flatnonzero(a.reshape(len(a), count * n * n).any(axis=1))
+    rows = problem.explicit_index[touch]
+    return _FamilyTerm(problem.num_constraints, count, n, pieces, rows,
+                       a[touch] / row_scale[rows, None, None, None])
+
+
+def _takes_family(problem: SdpProblem, idx: list[int]) -> bool:
+    """Whether the group of blocks ``idx`` takes the family term: in a program
+    with constraint families, where it costs less than the dense sandwich
+    over all rows.  The choice depends on shapes alone."""
+    if not problem.families:
+        return False
+    m, count, n = problem.num_constraints, len(idx), problem.block_dims[idx[0]]
+    term = _family_term(problem, idx, np.ones(m))
+    return _schur_ops(m, n, count, 0, 0)[0] >= _family_cost(term)
+
+
+class _Groups:
+    """Equal-size block groups plus scatter/gather to the flat block list.
+
+    Constraint rows are divided by ``row_scale``, their norms, and the
+    objective by ``c_scale``; division by positive scalars keeps every block
+    Hermitian.  Each group takes the family term (``_takes_family``) or the
+    cheaper of the dense and sparse kernels on its dense stack.  A program
+    in which no group takes the family term is solved exactly as its dense
+    stacks would be, row norms included.
+    """
+
+    def __init__(self, problem: SdpProblem, c_scale: float):
         sizes = sorted(set(problem.block_dims))
         self.sizes = sizes
-        self.index: list[list[int]] = []
-        self.c: list[np.ndarray] = []
-        self.terms: list[_DenseSchur | _SparseSchur] = []
-        for s in sizes:
-            idx = [k for k, n in enumerate(problem.block_dims) if n == s]
-            self.index.append(idx)
-            self.c.append(np.stack([np.asarray(problem.c_blocks[k], dtype=complex)
-                                    / c_scale for k in idx]))
-            a = np.stack([np.asarray(problem.a_blocks[k], dtype=complex)
-                          for k in idx], axis=1)  # (m, count, s, s)
+        self.index = [[k for k, n in enumerate(problem.block_dims) if n == s] for s in sizes]
+        self.c = [np.stack([np.asarray(problem.c_blocks[k], dtype=complex) / c_scale
+                            for k in idx]) for idx in self.index]
+        family = [_takes_family(problem, idx) for idx in self.index]
+        row_norm = problem.row_norms(closed_form=any(family))
+        self.row_scale = row_scale = np.maximum(np.sqrt(row_norm), 1e-12)
+        self.terms: list[_DenseSchur | _SparseSchur | _FamilyTerm] = []
+        for idx, fam in zip(self.index, family):
+            if fam:
+                self.terms.append(_family_term(problem, idx, row_scale))
+                continue
+            a = np.stack([np.asarray(problem.block_stack(k), dtype=complex) for k in idx],
+                         axis=1)  # (m, count, s, s)
             a /= row_scale[:, None, None, None]
             self.terms.append(_schur_term(a))
 
@@ -414,7 +834,10 @@ class _Groups:
 
     def schur(self, w: list[np.ndarray]) -> np.ndarray:
         """M_ij = sum_k Re tr(A_ik W_k A_jk W_k), each group by its own kernel."""
-        return sum(t.schur(wg) for t, wg in zip(self.terms, w))
+        out = None
+        for t, wg in zip(self.terms, w):
+            out = t.schur(wg, out)
+        return out
 
 
 def solve(problem: SdpProblem, *,
@@ -436,12 +859,9 @@ def solve(problem: SdpProblem, *,
 
     # normalize constraints and objective; solved in scaled units, reported
     # in original units (y and Z are rescaled on exit)
-    row_norm = np.zeros(m)
-    for a in problem.a_blocks:
-        row_norm += np.einsum("ipq,ipq->i", a, a.conj(), optimize=False).real
-    row_scale = np.maximum(np.sqrt(row_norm), 1e-12)
     c_scale = max(max(float(np.linalg.norm(c)) for c in problem.c_blocks), 1e-12)
-    groups = _Groups(problem, row_scale, c_scale)
+    groups = _Groups(problem, c_scale)
+    row_scale = groups.row_scale
     b = problem.b / row_scale
     n_tot = sum(problem.block_dims)
     norm_b = float(np.linalg.norm(b))
@@ -521,7 +941,9 @@ def solve(problem: SdpProblem, *,
 
         w_scale, x_isq, z_isq, z_inv = zip(*map(_b_factor, x, z))
         mat = groups.schur(w_scale)
-        mat = (mat + mat.T) / 2 + reg * np.eye(m)
+        mat = mat + mat.T  # a fresh C-ordered array: mat @ dy below depends on it
+        mat *= 0.5
+        mat.flat[::m + 1] += reg
         try:
             factor = cho_factor(mat)
         except np.linalg.LinAlgError:
@@ -532,14 +954,14 @@ def solve(problem: SdpProblem, *,
         def direction(r_c):
             rhs = groups.apply_a([w @ rd @ w - rc for w, rd, rc in zip(w_scale, r_d, r_c)],
                                  r_p)
-            dy = cho_solve(factor, rhs)
+            dy = cho_solve(factor, rhs, check_finite=False)
             # one round of iterative refinement on the Schur system
-            dy = dy + cho_solve(factor, rhs - mat @ dy)
+            dy = dy + cho_solve(factor, rhs - mat @ dy, check_finite=False)
             dz = [rd - ad for rd, ad in zip(r_d, groups.apply_a_adjoint(dy))]
             dx = [_b_herm(rc - w @ d @ w) for rc, w, d in zip(r_c, w_scale, dz)]
             dz = [_b_herm(d) for d in dz]
             # project dx back onto A(dx) = r_p, killing residual drift
-            lam = cho_solve(gram_factor, r_p - groups.apply_a(dx))
+            lam = cho_solve(gram_factor, r_p - groups.apply_a(dx), check_finite=False)
             dx = [_b_herm(d + c) for d, c in zip(dx, groups.apply_a_adjoint(lam))]
             return dx, dy, dz
 

@@ -4,6 +4,8 @@ Derived expectations are computed by independent oracles (index arithmetic,
 explicit double sums, eigenvalue sums) rather than by the code under test.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from qdecouple.linalg import (
     fidelity,
     generalized_fidelity,
     herm_basis,
+    herm_combination,
+    herm_coords,
     herm_matrices,
     is_hermitian,
     maximally_entangled,
@@ -421,6 +425,23 @@ def test_herm_matrices_order_and_orthonormality():
         np.testing.assert_allclose(gram, np.eye(d * d), atol=1e-14)
 
 
+def test_herm_coords_and_combination_against_the_basis():
+    # oracle: Re tr(h_i m) and sum_i u_i h_i written out over herm_basis
+    rng = np.random.default_rng(23)
+    for d in (1, 2, 3, 5):
+        basis = herm_basis(d)
+        m = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+        want = np.einsum("iab,kba->ki", basis, m).real
+        np.testing.assert_allclose(herm_coords(m), want, atol=1e-14)
+        # a non-contiguous view: m^T has coordinates Re tr(h_i m^T)
+        np.testing.assert_allclose(herm_coords(m.transpose(0, 2, 1)),
+                                   np.einsum("iab,kab->ki", basis, m).real, atol=1e-14)
+        u = rng.standard_normal((3, d * d))
+        np.testing.assert_allclose(herm_combination(u), np.einsum("ki,iab->kab", u, basis),
+                                   atol=1e-14)
+        np.testing.assert_allclose(herm_coords(herm_combination(u)), u, atol=1e-14)
+
+
 def test_swap_trivial_dimension():
     np.testing.assert_allclose(swap_operator(1), [[1.0]])
 
@@ -514,3 +535,25 @@ def test_state_json_rejects_invalid():
     bad["matrix"]["re"][0][0] = 5.0
     with pytest.raises(InvariantError):
         state_from_json(bad)
+
+
+def test_state_json_matrix_matches_the_two_array_construction(tmp_path):
+    # the loader fills one complex array in place of re + 1j * im; the CLI
+    # loader drops the parsed lists before validating
+    from qdecouple import cli
+
+    st = random_density(np.random.default_rng(22), (("A", 4), ("E", 8)))
+    obj = state_to_json(st)
+    old = (np.asarray(obj["matrix"]["re"], dtype=float)
+           + 1j * np.asarray(obj["matrix"]["im"], dtype=float))
+    assert np.array_equal(state_from_json(obj).matrix, old)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj))
+    loaded = cli._load_state(str(path), None)
+    assert loaded.dims.pairs == st.dims.pairs
+    assert np.array_equal(loaded.matrix, old)
+    bad = state_to_json(maximally_mixed((("A", 2),)))
+    bad["matrix"]["im"][0][1] = 0.5
+    path.write_text(json.dumps(bad))
+    with pytest.raises(InvariantError):
+        cli._load_state(str(path), None)

@@ -1,12 +1,17 @@
 """Solver tests: closed-form programs, interior-constructed instances with
 certified gaps, an independent first-order oracle on small blocks, weak
 duality along the iterate trace, determinism, infeasibility detection, the
-sparse kernel's constraint map, adjoint, Gram matrix and Schur term against
-the dense stack, the eigendecompositions per iteration, and the stack-size
-limit.
+sparse and family kernels' constraint map, adjoint, Gram matrix and Schur
+term against the dense stack, the eigendecompositions per iteration, and the
+stack-size limit.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +221,10 @@ def oracle_programs(monkeypatch) -> dict[str, SdpProblem]:
     rho22 = random_density(rng, (("A", 2), ("B", 2))).matrix
     rho32 = random_density(rng, (("A", 3), ("B", 2))).matrix
     p = np.real(np.diag(classical_state(2).matrix)).reshape(4, 4)
+    # subnormalized: the programs gain the 2 x 2 generalized-fidelity block
+    rho33 = 0.9 * random_density(rng, (("A", 3), ("B", 3)), rank=4).matrix
+    rho22s = 0.8 * random_density(rng, (("A", 2), ("B", 2))).matrix
+    rho26 = random_density(rng, (("A", 2), ("B", 6))).matrix
     return {
         "hmin 2x3": built_program(monkeypatch, lambda: entropy._hmin_sdp(rho23, 2, 3)),
         "hmax fidelity 2x2": built_program(
@@ -225,6 +234,13 @@ def oracle_programs(monkeypatch) -> dict[str, SdpProblem]:
         "diagonal smoothing classical(2)": built_program(
             monkeypatch, lambda: entropy._smooth_hmin_diag(p, 4, 4, 0.05)),
         "random dense": interior_problem(rng, 5, 9),
+        # rank 4 < 9: the corner family (4 x 4) differs from the lower-right one
+        "dense smoothing 3x3 rank 4": built_program(
+            monkeypatch, lambda: entropy._smooth_hmin_dense(rho33, 3, 3, 0.05)),
+        # sigma' and the generalized-fidelity block form one group of two
+        "dense smoothing 2x2 subnormalized": built_program(
+            monkeypatch, lambda: entropy._smooth_hmin_dense(rho22s, 2, 2, 0.05)),
+        "hmin 2x6": built_program(monkeypatch, lambda: entropy._hmin_sdp(rho26, 2, 6)),
     }
 
 
@@ -255,6 +271,56 @@ def test_sparse_schur_matches_dense_sandwich(monkeypatch):
                 assert got.shape == want.shape
                 err = float(np.abs(got - want).max()) / float(np.abs(want).max())
                 assert err <= 1e-12, (name, n, count, op, err)
+
+
+def test_family_term_matches_dense_sandwich(monkeypatch):
+    # the dense term on the materialized stacks is the oracle for the family
+    # term's constraint map, adjoint, Gram matrix and Schur term; the family
+    # programs cover embedded sub-blocks, I (x) g, partial traces, the
+    # explicit rows (fidelity, trace, E11) next to them and a two-block group
+    rng = np.random.default_rng(112)
+    programs = oracle_programs(monkeypatch)
+    assert {name for name, problem in programs.items() if problem.families} == {
+        "hmin 2x3", "hmax fidelity 2x2", "dense smoothing 3x2",
+        "dense smoothing 3x3 rank 4", "dense smoothing 2x2 subnormalized", "hmin 2x6"}
+    kinds = set()
+    for name, problem in programs.items():
+        m = problem.num_constraints
+        row_scale = rng.uniform(0.5, 2.0, m)
+        kinds |= {fmap.kind for fam in problem.families for _, fmap in fam.maps}
+        for s in sorted(set(problem.block_dims)):
+            idx = [k for k, n in enumerate(problem.block_dims) if n == s]
+            a = np.stack([problem.block_stack(k) for k in idx], axis=1)
+            dense = sdp._DenseSchur(a / row_scale[:, None, None, None])
+            family = sdp._family_term(problem, idx, row_scale)
+            w = np.stack([rnd_pd(rng, s) for _ in idx])
+            x = np.stack([rnd_herm(rng, s) for _ in idx])
+            y = rng.standard_normal(m)
+            for op, args in (("schur", (w,)), ("apply", (x,)), ("adjoint", (y,)),
+                             ("gram", ())):
+                want = getattr(dense, op)(*args)
+                got = getattr(family, op)(*args)
+                assert got.shape == want.shape
+                err = float(np.abs(got - want).max()) / float(np.abs(want).max())
+                assert err <= 1e-12, (name, s, op, err)
+    assert kinds == {"embed", "kron", "trace_out"}
+
+
+def test_family_rows_materialize_as_their_maps(monkeypatch):
+    # each family row is sum_k T_k(h) for h of herm_basis(d), written out
+    rho = random_density(np.random.default_rng(113), (("A", 3), ("B", 2))).matrix
+    problem = built_program(monkeypatch, lambda: entropy._smooth_hmin_dense(rho, 3, 2, 0.05))
+    v, s_blk, sig = problem.a_blocks[:3]
+    r = problem.block_dims[0] - 6
+    corner, lower = problem.families
+    basis = herm_basis(6)
+    np.testing.assert_array_equal(v[corner.rows, :r, :r], herm_basis(r))
+    np.testing.assert_array_equal(v[lower.rows, r:, r:], basis)
+    np.testing.assert_array_equal(s_blk[lower.rows], basis)
+    want = np.array([-np.einsum("abac->bc", h.reshape(3, 2, 3, 2)) for h in basis])
+    np.testing.assert_allclose(sig[lower.rows], want, atol=1e-15)
+    norms = sum(np.einsum("ipq,ipq->i", a, a.conj()).real for a in problem.a_blocks)
+    np.testing.assert_allclose(problem.row_norms(), norms, rtol=1e-15)
 
 
 def test_iterates_are_factored_once_per_iteration(monkeypatch):
@@ -292,8 +358,37 @@ def test_schur_kernel_choice_is_recorded(monkeypatch):
                             lambda: entropy._smooth_hmin_dense(rho, 4, 4, 0.05))
     sol = solve(problem, max_iterations=1)
     assert problem.block_dims[0] == 32  # V = [[D, Y], [Y^H, rho_hat]], rank 16
-    assert sol.schur_kernels[32] == "sparse"
+    assert sol.schur_kernels[32] == "family"
     assert set(sol.schur_kernels) == set(problem.block_dims)
+
+
+def test_dense_only_solves_do_not_import_scipy_sparse():
+    # scipy.sparse costs every start-up about 1.7 MB and up to 25 ms; only a
+    # group on the sparse kernel may import it.  A fresh interpreter imports
+    # the package and the CLI and solves a diagonal smoothing program, whose
+    # groups all take the dense kernel.
+    code = textwrap.dedent("""
+        import sys
+        import qdecouple.cli
+        from qdecouple import decoupling, entropy, sdp
+        kernels = []
+        solve = sdp.solve
+        def recording(problem, **kwargs):
+            sol = solve(problem, **kwargs)
+            kernels.append(sol.schur_kernels)
+            return sol
+        sdp.solve = recording
+        entropy.h_min_smooth(decoupling.classical_state(2), ("A",), ("E",), 0.05)
+        assert kernels and all(set(k.values()) == {"dense"} for k in kernels), kernels
+        print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
+        """)
+    src = str(Path(sdp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
