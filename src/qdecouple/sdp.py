@@ -66,14 +66,14 @@ class FamilyMap:
 
     def base(self, d: int) -> tuple[int, tuple[int, ...]]:
         """(s, offsets): T(h) is sum_o g(h) placed at offset o of size s, where
-        g(h) = h, or -tr_A h in ``herm_matrices(s)`` coordinates (``rows``)."""
+        g(h) = h, or -tr_A h in ``herm_matrices(s)`` coordinates (``base_rows``)."""
         if self.kind == "embed":
             return d, (self.offset,)
         if self.kind == "kron":
             return d, tuple(range(0, self.lead * d, d))
         return d // self.lead, (0,)
 
-    def rows(self, d: int) -> tuple[np.ndarray, np.ndarray] | None:
+    def base_rows(self, d: int) -> tuple[np.ndarray, np.ndarray] | None:
         """For ``trace_out``: -tr_A h_i = coef_i g_src_i over ``herm_matrices``
         of the two sizes (coef is -1 or 0).  None for the other kinds (g = h)."""
         if self.kind != "trace_out":
@@ -82,7 +82,7 @@ class FamilyMap:
 
     def norms(self, d: int) -> np.ndarray:
         """||T(h_i)||_F^2 for each h_i of ``herm_matrices(d)``."""
-        rows = self.rows(d)
+        rows = self.base_rows(d)
         if rows is None:
             return np.full(d * d, float(len(self.base(d)[1])))
         return rows[1] ** 2
@@ -740,9 +740,9 @@ def _family_term(problem: SdpProblem, idx: list[int], row_scale: np.ndarray) -> 
                 continue
             s, offsets = fmap.base(fam.d)
             rows, src, coef = fam.rows, None, 1.0
-            if fmap.rows(fam.d) is not None:
+            if fmap.base_rows(fam.d) is not None:
                 # trace-out rows: only those with coef != 0 touch the block
-                src, coef = fmap.rows(fam.d)
+                src, coef = fmap.base_rows(fam.d)
                 keep = np.flatnonzero(coef)
                 rows, src, coef = fam.start + keep, src[keep], coef[keep]
             pieces.append(_Piece(idx.index(k), rows, s, offsets, src, coef / row_scale[rows]))
