@@ -167,10 +167,17 @@ def herm_matrices(d: int) -> Iterator[np.ndarray]:
             yield h
 
 
+def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays made read-only: cached tables are shared by every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @functools.lru_cache(maxsize=None)
 def herm_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column of each a < b, in the pair order of ``herm_matrices(d)``."""
-    return np.triu_indices(d, 1)
+    return read_only(*np.triu_indices(d, 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -192,7 +199,7 @@ def _herm_slots(d: int) -> tuple[np.ndarray, ...]:
     sym = d + 2 * np.arange(len(a))
     j[up], j[lo], k[up], k[lo] = sym, sym, r, r
     j[up + 1], j[lo + 1], k[up + 1], k[lo + 1] = sym + 1, sym + 1, r, -r
-    return s1, s2, c1, c2, j, k
+    return read_only(s1, s2, c1, c2, j, k)
 
 
 def herm_coords(m: np.ndarray) -> np.ndarray:

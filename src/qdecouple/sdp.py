@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from qdecouple.linalg import DimCapError, herm_basis, herm_coords, herm_combination, herm_pairs
+from qdecouple.linalg import (DimCapError, herm_basis, herm_combination, herm_coords,
+                              herm_pairs, read_only)
 
 
 class SdpStatus(enum.Enum):
@@ -130,7 +131,7 @@ def _trace_out_rows(lead: int, db: int) -> tuple[np.ndarray, np.ndarray]:
     for k in (0, 1):
         src[d + 2 * same + k] = db + 2 * pair + k
         coef[d + 2 * same + k] = -1.0
-    return src, coef
+    return read_only(src, coef)
 
 
 @dataclass(frozen=True)
@@ -582,7 +583,7 @@ def _upper_pairs(s: int) -> tuple[np.ndarray, np.ndarray]:
     ``herm_matrices(s)``."""
     diag = np.arange(s)
     a, b = herm_pairs(s)
-    return np.concatenate([diag, a]), np.concatenate([diag, b])
+    return read_only(np.concatenate([diag, a]), np.concatenate([diag, b]))
 
 
 def _pair_block(w: np.ndarray, f: _Piece, g: _Piece) -> np.ndarray:
