@@ -276,7 +276,7 @@ class ProblemBuilder:
     def __init__(self) -> None:
         self._dims: list[int] = []
         self._c: list[np.ndarray] = []
-        self._rows: list[tuple[dict[int, tuple[np.ndarray, np.ndarray]], float]] = []
+        self._rows: list[dict[int, tuple[np.ndarray, np.ndarray]]] = []  # explicit rows
         self._families: list[Family] = []
         self._rhs: list[np.ndarray] = []  # per explicit row or family, in row order
         self._m = 0
@@ -306,7 +306,7 @@ class ProblemBuilder:
                                  f"of size {self._dims[k]}")
             flat = (v != 0).reshape(-1).nonzero()[0]
             row[k] = (flat, v.reshape(-1)[flat])
-        self._rows.append((row, float(rhs)))
+        self._rows.append(row)
         self._rhs.append(np.array([float(rhs)]))
         self._m += 1
 
@@ -331,7 +331,7 @@ class ProblemBuilder:
         self._check_size(self._m)
         num_e = len(self._rows)
         stacks = [np.zeros((num_e, n * n), dtype=complex) for n in self._dims]
-        for i, (row, _) in enumerate(self._rows):
+        for i, row in enumerate(self._rows):
             for k, (flat, vals) in row.items():
                 stacks[k][i, flat] = vals
         explicit = tuple(s.reshape(num_e, n, n) for s, n in zip(stacks, self._dims))
