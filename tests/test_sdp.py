@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from qdecouple import entropy, sdp
+from qdecouple import _sdp_family, entropy, sdp
 from qdecouple.decoupling import classical_state
 from qdecouple.linalg import DimCapError, herm_basis, random_density
 from qdecouple.sdp import ProblemBuilder, SdpProblem, SdpStatus, solve
@@ -292,7 +292,7 @@ def test_family_term_matches_dense_sandwich(monkeypatch):
             idx = [k for k, n in enumerate(problem.block_dims) if n == s]
             a = np.stack([problem.block_stack(k) for k in idx], axis=1)
             dense = sdp._DenseSchur(a / row_scale[:, None, None, None])
-            family = sdp._family_term(problem, idx, row_scale)
+            family = _sdp_family.family_term(problem, idx, row_scale)
             w = np.stack([rnd_pd(rng, s) for _ in idx])
             x = np.stack([rnd_herm(rng, s) for _ in idx])
             y = rng.standard_normal(m)
@@ -364,8 +364,9 @@ def test_schur_kernel_choice_is_recorded(monkeypatch):
 
 def test_dense_only_solves_do_not_import_scipy_sparse():
     # scipy.sparse costs every start-up about 1.7 MB and up to 25 ms; only a
-    # group on the sparse kernel may import it.  A fresh interpreter imports
-    # the package and the CLI and solves a diagonal smoothing program, whose
+    # group on the sparse kernel may import it, and only a program with
+    # constraint families the family term.  A fresh interpreter imports the
+    # package and the CLI and solves a diagonal smoothing program, whose
     # groups all take the dense kernel.
     code = textwrap.dedent("""
         import sys
@@ -380,7 +381,8 @@ def test_dense_only_solves_do_not_import_scipy_sparse():
         sdp.solve = recording
         entropy.h_min_smooth(decoupling.classical_state(2), ("A",), ("E",), 0.05)
         assert kernels and all(set(k.values()) == {"dense"} for k in kernels), kernels
-        print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
+        print(sorted(m for m in sys.modules
+                     if m.startswith("scipy.sparse") or m == "qdecouple._sdp_family"))
         """)
     src = str(Path(sdp.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
