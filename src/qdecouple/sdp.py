@@ -56,13 +56,13 @@ class FamilyMap:
     offset: int = 0
     lead: int = 1
 
-    def image_size(self, d: int) -> int:
-        """Size of the block T(h) fills for h of size d."""
+    def fits(self, d: int, n: int) -> bool:
+        """Whether T(h) for h of size d fits a block of size n."""
         if self.kind == "embed":
-            return self.offset + d
+            return self.offset + d <= n
         if self.kind == "kron":
-            return self.lead * d
-        return d // self.lead
+            return self.lead * d <= n
+        return d % self.lead == 0 and d // self.lead == n
 
     def base(self, d: int) -> tuple[int, tuple[int, ...]]:
         """(s, offsets): T(h) is sum_o g(h) placed at offset o of size s, where
@@ -171,6 +171,14 @@ class SdpProblem:
         if m > n_tot * n_tot:
             raise ValueError(f"{m} constraints exceed total dimension squared {n_tot**2}")
         num_e = len(self.explicit_index)
+        if num_e != m - sum(fam.d * fam.d for fam in self.families) or any(
+                fam.start < 0 or fam.rows.stop > m for fam in self.families):
+            raise ValueError("constraint families overlap or leave the row range")
+        for fam in self.families:
+            for k, fmap in fam.maps:
+                if not (0 <= k < len(self.block_dims) and fmap.fits(fam.d, self.block_dims[k])):
+                    raise ValueError(f"{fmap.kind} map of a size-{fam.d} family does not "
+                                     f"fit block {k}")
         for k, n in enumerate(self.block_dims):
             if self.c_blocks[k].shape != (n, n):
                 raise ValueError(f"objective block {k} has wrong shape")
@@ -317,9 +325,7 @@ class ProblemBuilder:
         if rhs.shape != (d * d,):
             raise ValueError(f"family of size {d} needs {d * d} right-hand sides")
         for k, fmap in maps.items():
-            size = fmap.image_size(d)
-            if (size > self._dims[k] or (fmap.kind == "trace_out" and
-                                         (d % fmap.lead or size != self._dims[k]))):
+            if not fmap.fits(d, self._dims[k]):
                 raise ValueError(f"{fmap.kind} map of a size-{d} family does not fit "
                                  f"block {k} of size {self._dims[k]}")
         self._families.append(Family(self._m, d, tuple(maps.items())))

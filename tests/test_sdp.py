@@ -185,6 +185,16 @@ def test_problem_validation():
         build.build()
     with pytest.raises(ValueError, match="shape"):
         build.add_constraint({blk: np.eye(1, dtype=complex)}, 1.0)
+    with pytest.raises(ValueError, match="does not fit"):
+        build.add_family(2, {blk: sdp.embed(1)}, np.zeros(4))
+    with pytest.raises(ValueError, match="does not fit"):
+        build.add_family(4, {blk: sdp.neg_trace_out(3)}, np.zeros(16))
+    fam = sdp.Family(0, 2, ((0, sdp.kron_eye(1)),))
+    eye = (np.eye(2, dtype=complex),)
+    with pytest.raises(ValueError, match="overlap"):
+        SdpProblem((2,), eye, (np.zeros((0, 2, 2)),), np.zeros(4), (fam, fam))
+    with pytest.raises(ValueError, match="row range"):
+        SdpProblem((2,), eye, (np.zeros((0, 2, 2)),), np.zeros(3), (fam,))
 
 
 def test_trace_csv_export():
