@@ -125,11 +125,16 @@ def is_hermitian(m: np.ndarray, tol: float | None = None) -> bool:
     return bool(_hermitian_items(np.asarray(m)[None], tol)[0])
 
 
-def _hermitian_items(m: np.ndarray, tol: float) -> np.ndarray:
-    """Per item of ``m`` (k, ..., n, n): max |m - m^dagger| <= tol max(1, max |m|)."""
+def _hermitian_items(m: np.ndarray, tol: float, adjoint: np.ndarray | None = None
+                     ) -> np.ndarray:
+    """Per item of ``m`` (k, ..., n, n): max |m - m^dagger| <= tol max(1, max |m|).
+
+    ``adjoint`` is m^dagger when the caller has formed it already."""
+    if adjoint is None:
+        adjoint = m.conj().swapaxes(-1, -2)
     item = tuple(range(1, m.ndim))
     scale = np.abs(m).max(axis=item, initial=1.0)
-    skew = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=item, initial=0.0)
+    skew = np.abs(m - adjoint).max(axis=item, initial=0.0)
     return skew <= tol * scale
 
 
@@ -227,16 +232,19 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
     """Principal square root of a PSD matrix via eigenvalue calculus.
 
     Eigenvalues within ``TOL_PSD * ||m||`` below zero are clipped to zero;
-    anything more negative raises.
+    anything more negative raises.  A stack ``(..., n, n)`` is taken matrix
+    by matrix, each with its own norm, in one stacked ``eigh``.
     """
     w, v = np.linalg.eigh(hermitian_part(m))
-    scale = max(float(w[-1]), 0.0) if w.size else 0.0
-    if w.size and float(w[0]) < -TOL_PSD * max(scale, 1.0):
-        raise InvariantError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
+    scale = np.max(w, axis=-1, initial=0.0)[..., None]
+    low = np.min(w, axis=-1, initial=0.0)
+    bad = low < -TOL_PSD * np.maximum(scale[..., 0], 1.0)
+    if bad.any():
+        raise InvariantError(f"matrix is not PSD: min eigenvalue {low[bad].min():.3e}")
     # eigenvalues at rounding-noise level are exact zeros; the square root
     # would otherwise amplify them to sqrt(eps)-sized artifacts
-    w = np.where(w < 1e-15 * max(scale, 1e-300), 0.0, w)
-    return (v * np.sqrt(w)) @ v.conj().T
+    w = np.where(w < 1e-15 * np.maximum(scale, 1e-300), 0.0, w)
+    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def psd_power(m: np.ndarray, power: float) -> np.ndarray:
@@ -284,18 +292,20 @@ def trace_norms(m: np.ndarray) -> np.ndarray:
     if m.ndim < 3 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"trace_norms needs a stack of square matrices, "
                          f"got shape {m.shape}")
-    herm = _hermitian_items(m, 1e-12)
+    adjoint = m.conj().swapaxes(-1, -2)
+    herm = _hermitian_items(m, 1e-12, adjoint)
     if herm.all():
-        return _eigenvalue_norms(m)
+        return _eigenvalue_norms(m, adjoint)
     out = np.empty(m.shape[0])
     if herm.any():
-        out[herm] = _eigenvalue_norms(m[herm])
+        out[herm] = _eigenvalue_norms(m[herm], adjoint[herm])
     out[~herm] = _by_item(np.linalg.svd(m[~herm], compute_uv=False)).sum(axis=1)
     return out
 
 
-def _eigenvalue_norms(m: np.ndarray) -> np.ndarray:
-    return _by_item(np.abs(np.linalg.eigvalsh(hermitian_part(m)))).sum(axis=1)
+def _eigenvalue_norms(m: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
+    """Sum of |eigenvalues| of each item's Hermitian part (m + adjoint) / 2."""
+    return _by_item(np.abs(np.linalg.eigvalsh((m + adjoint) / 2))).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -550,12 +560,22 @@ def _as_matrix(x: StateOperator | np.ndarray) -> np.ndarray:
 
 
 def fidelity(rho: StateOperator | np.ndarray, sigma: StateOperator | np.ndarray) -> float:
-    """F(rho, sigma) = || sqrt(rho) sqrt(sigma) ||_1."""
+    """F(rho, sigma) = || sqrt(rho) sqrt(sigma) ||_1.
+
+    It is the one-item case of ``fidelities``."""
     r, s = _as_matrix(rho), _as_matrix(sigma)
     if r.shape != s.shape:
         raise ValueError(f"dimension mismatch {r.shape} vs {s.shape}")
-    sv = np.linalg.svd(sqrt_psd(r) @ sqrt_psd(s), compute_uv=False)
-    return float(sv.sum())
+    return float(fidelities(r[None], s[None])[0])
+
+
+def fidelities(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """``fidelity`` of each item pair of two stacks ``(k, n, n)``, as a length-k
+    array.  Either stack may hold a single item, which then pairs with every
+    item of the other: its square root is taken once.  The values do not
+    depend on the rest of the stack."""
+    sv = np.linalg.svd(sqrt_psd(rho) @ sqrt_psd(sigma), compute_uv=False)
+    return sv.sum(axis=-1)
 
 
 def generalized_fidelity(rho: StateOperator | np.ndarray,

@@ -30,14 +30,16 @@ from qdecouple.linalg import (
     PureState,
     StateOperator,
     check_cap,
-    fidelity,
+    fidelities,
     pure_marginal,
     purified_distance,
-    trace_norm,
+    trace_norms,
     trace_out_leading,
 )
 
 LOG2_13 = math.log2(13.0)
+# outcomes below this probability have no normalized state and fidelity 0
+_P_DEAD = 1e-15
 
 
 class MergingError(ValueError):
@@ -221,41 +223,39 @@ def _complete_isometry(cols: np.ndarray, extra: int) -> np.ndarray:
 
 def run_merging(instance: MergingInstance,
                 bounds: tuple[float, float | None] | None = None) -> MergingResult:
-    """Run the merging protocol for one Haar draw, outcome by outcome.
+    """Run the merging protocol for one Haar draw, all outcomes at once.
 
     The draw is the unitary ``haar_unitary_indexed(seed, 0, K|A|)`` on the
     sender registers (A0, A); outcome x is its rows x L .. (x + 1) L.  Each
     outcome's probability, Uhlmann-decoder fidelity and decoupling test come
-    from its receiver-independent A1 E marginal (``outcome_fidelity``), so
-    the largest array is that (K|A|)^2 unitary, never the K^2|A||B||E|
-    protocol state; its entry count is held to the instance's cap.
-    ``bounds`` is ``cost_bounds`` of the instance's state and epsilon, which
-    do not depend on the seed; it is computed here when not given.
+    from its receiver-independent A1 E marginal (``outcome_fidelity``), and
+    ``_outcome_kernel`` forms them for the whole stack of outcomes, so the
+    largest arrays are that (K|A|)^2 unitary and the Gram step's regrouped
+    copies of it, never the K^2|A||B||E| protocol state; the unitary's entry
+    count is held to the instance's cap.  ``bounds`` is ``cost_bounds`` of the instance's
+    state and epsilon, which do not depend on the seed; it is computed here
+    when not given.
     """
     inst = instance
     psi = inst.psi
     k_dim, l_dim = inst.k_rank, inst.l_rank
-    d_a = inst.dim_a
     n_out = inst.num_outcomes
-    reg = k_dim * d_a
+    reg = k_dim * inst.dim_a
     check_cap(reg * reg, inst.cap)
     rho_ae = _sender_env_marginal(inst)
     u = haar.haar_unitary_indexed(inst.seed, 0, reg)
+    p, f, states, ideal = _outcome_kernel(u.reshape(n_out, l_dim, reg), rho_ae, inst.dim_a)
+    decoupled = int(np.count_nonzero(trace_norms(states - ideal)
+                                     <= 4.0 * inst.epsilon_target))
 
     per_outcome: list[tuple[int, float, float]] = []
-    decoupled = 0
     p_sum = 0.0
     overall = 0.0
-    for x in range(n_out):
-        p_x, state, ideal = _outcome_state(u[x * l_dim:(x + 1) * l_dim], rho_ae, d_a)
-        if state is None:
-            per_outcome.append((x, p_x, 0.0))
+    for x, (p_x, f_x) in enumerate(zip(p.tolist(), f.tolist())):
+        per_outcome.append((x, p_x, f_x))
+        if p_x < _P_DEAD:
             continue
         p_sum += p_x
-        if trace_norm(state - ideal) <= 4.0 * inst.epsilon_target:
-            decoupled += 1
-        f_x = fidelity(state, ideal)
-        per_outcome.append((x, p_x, f_x))
         # classical outcome registers dephase, so the full-state fidelity is
         # the block fidelity sum_x sqrt(p_x / N) f_x against the uniform
         # outcome distribution of the reference protocol state
@@ -278,28 +278,36 @@ def _sender_env_marginal(inst: MergingInstance) -> np.ndarray:
     return pure_marginal(inst.psi, sender_env).permute(sender_env).matrix
 
 
-def _outcome_state(rows: np.ndarray, rho_ae: np.ndarray, dim_a: int
-                   ) -> tuple[float, np.ndarray | None, np.ndarray]:
-    """(p_x, sigma_x / p_x, I/L (x) rho_E) for the outcome with block ``rows``.
+def _outcome_kernel(blocks: np.ndarray, rho_ae: np.ndarray, dim_a: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(p, f, states, ideal) of a stack of outcomes (``outcome_fidelity``).
 
-    sigma_x is the outcome's unnormalized A1 E marginal (see
-    ``outcome_fidelity``); the normalized state is None when p_x < 1e-15.
+    ``blocks`` (count, L, K|A|) holds each outcome's rows U_x.  p and f are
+    the outcomes' probabilities and decoder fidelities; ``states`` stacks
+    the normalized A1 E marginals sigma_x / p_x of the outcomes with
+    p_x >= ``_P_DEAD``, in order (the others have f = 0), and ``ideal`` is
+    I/L (x) rho_E.  Every step is one stacked call, and an outcome's values
+    do not depend on the rest of the stack.
     """
-    l_dim, reg = rows.shape
+    count, l_dim, reg = blocks.shape
     if reg % dim_a != 0:
         raise MergingError(f"register dimension {reg} is not a multiple of |A| = {dim_a}")
     k_dim = reg // dim_a
     d_e = rho_ae.shape[0] // dim_a
-    # G as an (L|A|, L|A|) Gram matrix of the K-long columns of U_x
-    cols = rows.reshape(l_dim, k_dim, dim_a).transpose(1, 0, 2).reshape(k_dim, -1)
-    g = (cols.T @ cols.conj()).reshape(l_dim, dim_a, l_dim, dim_a) / k_dim
+    # each G_x as an (L|A|, L|A|) Gram matrix of the K-long columns of U_x
+    cols = (blocks.reshape(count, l_dim, k_dim, dim_a).transpose(0, 2, 1, 3)
+            .reshape(count, k_dim, l_dim * dim_a))
+    g = (cols.swapaxes(1, 2) @ cols.conj()).reshape(count, l_dim, dim_a, l_dim, dim_a)
+    g /= k_dim
     rho = rho_ae.reshape(dim_a, d_e, dim_a, d_e)
-    sigma = np.einsum("lamb,aebf->lemf", g, rho).reshape(l_dim * d_e, l_dim * d_e)
+    sigma = np.einsum("xlamb,aebf->xlemf", g, rho).reshape(count, l_dim * d_e, l_dim * d_e)
     ideal = np.kron(np.eye(l_dim) / l_dim, trace_out_leading(rho_ae, dim_a))
-    p_x = float(np.trace(sigma).real)
-    if p_x < 1e-15:
-        return p_x, None, ideal
-    return p_x, sigma / p_x, ideal
+    p = np.trace(sigma, axis1=1, axis2=2).real
+    live = p >= _P_DEAD
+    states = sigma[live] / p[live, None, None]
+    f = np.zeros(count)
+    f[live] = fidelities(states, ideal[None])
+    return p, f, states, ideal
 
 
 def outcome_fidelity(rows: np.ndarray, rho_ae: np.ndarray,
@@ -317,9 +325,10 @@ def outcome_fidelity(rows: np.ndarray, rho_ae: np.ndarray,
     so p_x = tr sigma_x and, by Uhlmann's theorem, the decoder fidelity is
     f_x = F(sigma_x / p_x, I/L (x) rho_E): the values the explicit protocol
     gets from its K^2|A||B||E| state and a per-outcome Uhlmann isometry.
+    It is ``_outcome_kernel`` on a stack of one.
     """
-    p_x, state, ideal = _outcome_state(rows, rho_ae, dim_a)
-    return p_x, (0.0 if state is None else fidelity(state, ideal))
+    p, f, _, _ = _outcome_kernel(rows[None], rho_ae, dim_a)
+    return float(p[0]), float(f[0])
 
 
 def estimate_merging_fidelity(instance: MergingInstance,

@@ -22,7 +22,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, get_lapack_funcs
 
 from qdecouple.linalg import DimCapError, herm_basis, herm_pairs, read_only
 
@@ -369,27 +369,58 @@ def _b_spectral(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _b_factor(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(W, X^(-1/2), Z^(-1/2), Z^(-1)) from one eigendecomposition of each of X,
-    Z and X^(1/2) Z X^(1/2).
+    """(W, X^(-1/2), Z^(-1/2), Z^(-1)) from one stacked eigendecomposition of
+    X and Z and one of X^(1/2) Z X^(1/2).
 
     W Z W = X is the Nesterov-Todd scaling point (Todd-Toh-Tutuncu, SIAM J.
     Optim. 8, 1998).  Eigenvalues are clamped at a relative machine floor:
     1e-16 for X, X^(1/2) Z X^(1/2) and Z^(-1/2), 1e-18 for Z^(-1).
     """
-    wx, vx = np.linalg.eigh(_b_herm(x))
+    count = len(x)
+    w, v = np.linalg.eigh(_b_herm(np.concatenate((x, z))))
+    wx, vx, wz, vz = w[:count], v[:count], w[count:], v[count:]
     wx = _b_floored(wx, 1e-16)
     xh = _b_spectral(np.sqrt(wx), vx)
     wm, vm = np.linalg.eigh(_b_herm(xh @ z @ xh))
     mih = _b_spectral(_b_floored(wm, 1e-16) ** -0.5, vm)
-    wz, vz = np.linalg.eigh(_b_herm(z))
     return (_b_herm(xh @ mih @ xh), _b_spectral(wx ** -0.5, vx),
             _b_spectral(_b_floored(wz, 1e-16) ** -0.5, vz),
             _b_spectral(1.0 / _b_floored(wz, 1e-18), vz))
 
 
-def _b_back_off(x: list[np.ndarray], dx: list[np.ndarray], step: float) -> float:
-    """Halve step, at most 40 times, until x + step dx is positive definite."""
-    for _ in range(40):
+def _b_lowest(w: np.ndarray, counts: list[int]) -> list[float]:
+    """The smallest of the per-item values w over each consecutive run of
+    ``counts`` items."""
+    return [float(part.min()) for part in np.split(w, np.cumsum(counts)[:-1])]
+
+
+def _b_step_lows(isq: list[np.ndarray], d: list[np.ndarray]) -> list[float]:
+    """Lowest eigenvalue of isq_j d_j isq_j over the items of each side j of
+    one group size, from one stacked ``eigvalsh``.
+
+    With isq = x^(-1/2), sup { a : x + a d >= 0 } is -1 / lowest, or
+    infinite when lowest is not negative.  Each item is scaled to unit
+    largest entry before its eigenvalues are taken.  Eigenvalues of x below
+    a relative machine floor are clamped in isq, so callers must still
+    verify positive definiteness of the stepped point.
+    """
+    s = _b_herm(np.concatenate([i @ dj @ i for i, dj in zip(isq, d)]))
+    scale = np.abs(s).reshape(s.shape[0], -1).max(axis=1)
+    scale = np.maximum(scale, 1e-300)
+    lam = np.linalg.eigvalsh(s / scale[:, None, None])[:, 0] * scale
+    return _b_lowest(lam, [len(dj) for dj in d])
+
+
+def _b_max_steps(lows: list[list[float]]) -> list[float]:
+    """Per side, the step bound -1 / lowest over every group (``_b_step_lows``
+    of each group), infinite where no group's lowest is below -1e-14."""
+    return [np.inf if lam >= -1e-14 else -1.0 / lam for lam in map(min, zip(*lows))]
+
+
+def _b_back_off(x: list[np.ndarray], dx: list[np.ndarray], step: float,
+                tries: int) -> float:
+    """Halve step, at most ``tries`` times, until x + step dx is positive definite."""
+    for _ in range(tries):
         if all(np.linalg.eigvalsh(_b_herm(xg + step * dg))[:, 0].min() > 0.0
                for xg, dg in zip(x, dx)):
             break
@@ -397,19 +428,20 @@ def _b_back_off(x: list[np.ndarray], dx: list[np.ndarray], step: float) -> float
     return step
 
 
-def _b_max_step(isq: np.ndarray, dx: np.ndarray) -> float:
-    """Approximate sup { a : x + a dx >= 0 } over a batch, given isq = x^(-1/2).
-
-    Eigenvalues of x below a relative machine floor are clamped, so callers
-    must still verify positive definiteness of the stepped point.
-    """
-    s = _b_herm(isq @ dx @ isq)
-    scale = np.abs(s).reshape(s.shape[0], -1).max(axis=1)
-    scale = np.maximum(scale, 1e-300)
-    lam = (np.linalg.eigvalsh(s / scale[:, None, None])[:, 0] * scale).min()
-    if lam >= -1e-14:
-        return np.inf
-    return -1.0 / float(lam)
+def _b_back_off_pair(x: list[np.ndarray], dx: list[np.ndarray], ap: float,
+                     z: list[np.ndarray], dz: list[np.ndarray], ad: float
+                     ) -> tuple[float, float]:
+    """(ap, ad) halved, at most 40 times each, until x + ap dx and z + ad dz
+    are positive definite.  The first check of both is one stacked
+    ``eigvalsh`` per group; ``_b_back_off`` goes on from half a step that
+    fails it."""
+    x_ok = z_ok = True
+    for xg, dxg, zg, dzg in zip(x, dx, z, dz):
+        w = np.linalg.eigvalsh(_b_herm(np.concatenate((xg + ap * dxg, zg + ad * dzg))))
+        x_low, z_low = _b_lowest(w[:, 0], [len(xg), len(zg)])
+        x_ok, z_ok = x_ok and x_low > 0.0, z_ok and z_low > 0.0
+    return (ap if x_ok else _b_back_off(x, dx, 0.5 * ap, 39),
+            ad if z_ok else _b_back_off(z, dz, 0.5 * ad, 39))
 
 
 # Schur-complement kernels.  M_ij = sum_k Re tr(A_ik W_k A_jk W_k) is the
@@ -673,6 +705,15 @@ def solve(problem: SdpProblem, *,
     gram = groups.gram()
     gram = (gram + gram.T) / 2 + 1e-12 * max(1.0, float(np.trace(gram)) / max(m, 1)) * np.eye(m)
     gram_factor = cho_factor(gram)
+    # LAPACK's potrs, as scipy.linalg.cho_solve calls it, without that
+    # wrapper's checks on every one of the three solves per direction
+    potrs, = get_lapack_funcs(("potrs",), (gram,))
+
+    def cho_solve(factor: tuple[np.ndarray, bool], rhs: np.ndarray) -> np.ndarray:
+        out, info = potrs(factor[0], rhs, lower=factor[1])
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of potrs")
+        return out
 
     trace: list[IterateRecord] = []
     status = SdpStatus.MAX_ITER
@@ -742,25 +783,28 @@ def solve(problem: SdpProblem, *,
         def direction(r_c):
             rhs = groups.apply_a([w @ rd @ w - rc for w, rd, rc in zip(w_scale, r_d, r_c)],
                                  r_p)
-            dy = cho_solve(factor, rhs, check_finite=False)
+            dy = cho_solve(factor, rhs)
             # one round of iterative refinement on the Schur system
-            dy = dy + cho_solve(factor, rhs - mat @ dy, check_finite=False)
+            dy = dy + cho_solve(factor, rhs - mat @ dy)
             dz = [rd - ad for rd, ad in zip(r_d, groups.apply_a_adjoint(dy))]
             dx = [_b_herm(rc - w @ d @ w) for rc, w, d in zip(r_c, w_scale, dz)]
             dz = [_b_herm(d) for d in dz]
             # project dx back onto A(dx) = r_p, killing residual drift
-            lam = cho_solve(gram_factor, r_p - groups.apply_a(dx), check_finite=False)
+            lam = cho_solve(gram_factor, r_p - groups.apply_a(dx))
             dx = [_b_herm(d + c) for d, c in zip(dx, groups.apply_a_adjoint(lam))]
             return dx, dy, dz
 
-        def steps(dx_c, dz_c):
-            a_p = min(map(_b_max_step, x_isq, dx_c), default=np.inf)
-            a_d = min(map(_b_max_step, z_isq, dz_c), default=np.inf)
-            return min(1.0, step_frac * a_p), min(1.0, step_frac * a_d)
+        def steps(*cands):
+            """(primal, dual) step of each candidate (dx, dz), from one stacked
+            eigvalsh per group for all of them."""
+            lows = [_b_step_lows([xi, zi] * len(cands),
+                                 [d[g] for dx_c, dz_c in cands for d in (dx_c, dz_c)])
+                    for g, (xi, zi) in enumerate(zip(x_isq, z_isq))]
+            return [min(1.0, step_frac * a) for a in _b_max_steps(lows)]
 
         # predictor
         dx_a, dy_a, dz_a = direction([-xg for xg in x])
-        ap, ad = steps(dx_a, dz_a)
+        ap, ad = steps((dx_a, dz_a))
         mu_aff = groups.ip([xg + ap * d for xg, d in zip(x, dx_a)],
                            [zg + ad * d for zg, d in zip(z, dz_a)]) / n_tot
         mu_aff = max(mu_aff, 0.0)
@@ -773,14 +817,13 @@ def solve(problem: SdpProblem, *,
         r_c_so = [rc - _b_herm(dxa @ dza @ zi)
                   for rc, dxa, dza, zi in zip(r_c_plain, dx_a, dz_a, z_inv)]
         dx, dy, dz = direction(r_c_so)
-        ap, ad = steps(dx, dz)
         dx_p, dy_p, dz_p = direction(r_c_plain)
-        ap_p, ad_p = steps(dx_p, dz_p)
+        ap, ad, ap_p, ad_p = steps((dx, dz), (dx_p, dz_p))
         if ap_p + ad_p > ap + ad:
             dx, dy, dz, ap, ad = dx_p, dy_p, dz_p, ap_p, ad_p
         if ap < 1e-12 and ad < 1e-12:
             break
-        ap, ad = _b_back_off(x, dx, ap), _b_back_off(z, dz, ad)
+        ap, ad = _b_back_off_pair(x, dx, ap, z, dz, ad)
         x = [_b_herm(xg + ap * d) for xg, d in zip(x, dx)]
         z = [_b_herm(zg + ad * d) for zg, d in zip(z, dz)]
         y = y + ad * dy

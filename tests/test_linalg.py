@@ -19,6 +19,7 @@ from qdecouple.linalg import (
     basis_ket,
     dims_of,
     extension_map,
+    fidelities,
     fidelity,
     generalized_fidelity,
     herm_basis,
@@ -191,6 +192,23 @@ def test_tolerance_defaults_are_read_at_call_time(monkeypatch):
         sqrt_psd(slightly_negative)
     monkeypatch.setattr(linalg, "TOL_PSD", 1e-3)
     np.testing.assert_array_equal(sqrt_psd(slightly_negative), np.diag([1.0, 0.0]))
+
+
+def test_sqrt_psd_and_fidelity_take_stacks_item_by_item():
+    rng = np.random.default_rng(21)
+    stack = np.stack([random_density(rng, (("A", 3),)).matrix for _ in range(4)])
+    stack[2] *= 1e6
+    sigma = random_density(rng, (("A", 3),)).matrix
+    for item, root, f in zip(stack, sqrt_psd(stack), fidelities(stack, sigma[None])):
+        np.testing.assert_array_equal(root, sqrt_psd(item))
+        assert f == fidelity(item, sigma)
+    # each item is held to its own norm: -1e-6 is rounding noise next to 1e6
+    # but not next to 1, wherever the item sits in the stack
+    tolerated, negative = np.diag([1e6, -1e-6]), np.diag([1.0, -1e-6])
+    np.testing.assert_array_equal(sqrt_psd(np.stack([tolerated, np.eye(2)]))[0],
+                                  np.diag([1e3, 0.0]))
+    with pytest.raises(InvariantError, match=r"min eigenvalue -1\.000e-06"):
+        sqrt_psd(np.stack([tolerated, negative, np.eye(2)]))
 
 
 # ---------------------------------------------------------------------------

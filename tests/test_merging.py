@@ -24,6 +24,7 @@ from qdecouple.linalg import (
     random_pure,
     tensor_pure,
     trace_norm,
+    trace_out_leading,
 )
 
 
@@ -413,3 +414,76 @@ def test_estimator_validation():
     est = mg.estimate_merging_fidelity(inst, draws=4)
     again = mg.estimate_merging_fidelity(inst, draws=4)
     assert est.samples == again.samples
+
+
+# ---------------------------------------------------------------------------
+# the per-outcome route, the oracle for the stacked outcome kernel
+# ---------------------------------------------------------------------------
+
+def cq_state():
+    """sum_{a,e} sqrt(p_ae) |a>|(a,e)>|e> on A:2, B:4, E:2."""
+    p = (0.5, 0.25, 0.125, 0.125)
+    amps = np.zeros((2, 4, 2), dtype=complex)
+    for a in range(2):
+        for e in range(2):
+            amps[a, 2 * a + e, e] = math.sqrt(p[2 * a + e])
+    return PureState(dims_of(("A", 2), ("B", 4), ("E", 2)), amps.reshape(-1))
+
+
+def outcome_by_outcome(rows, rho_ae, d_a):
+    """(p_x, f_x, sigma_x / p_x or None, I/L (x) rho_E) for one outcome, by
+    the per-outcome einsum, ``linalg.fidelity`` and no stacking."""
+    l_dim, reg = rows.shape
+    k_dim, d_e = reg // d_a, rho_ae.shape[0] // d_a
+    cols = rows.reshape(l_dim, k_dim, d_a).transpose(1, 0, 2).reshape(k_dim, -1)
+    g = (cols.T @ cols.conj()).reshape(l_dim, d_a, l_dim, d_a) / k_dim
+    rho = rho_ae.reshape(d_a, d_e, d_a, d_e)
+    sigma = np.einsum("lamb,aebf->lemf", g, rho).reshape(l_dim * d_e, l_dim * d_e)
+    ideal = np.kron(np.eye(l_dim) / l_dim, trace_out_leading(rho_ae, d_a))
+    p_x = float(np.trace(sigma).real)
+    if p_x < 1e-15:
+        return p_x, 0.0, None, ideal
+    return p_x, fidelity(sigma / p_x, ideal), sigma / p_x, ideal
+
+
+def sender_env(inst):
+    labels = [*inst.a_labels, *inst.e_labels]
+    return pure_marginal(inst.psi, labels).permute(labels).matrix
+
+
+def test_outcome_kernel_matches_the_per_outcome_route():
+    # the stacked kernel reproduces the per-outcome route bit for bit: the
+    # C9 companion (K = 64, 256 outcomes), C11, the L = 2 cq instance of the
+    # benchmark and L = 8 on a random state, whose 24 x 24 marginals sum
+    # their traces pairwise
+    psi_r = random_pure(np.random.default_rng(12), (("A", 4), ("B", 2), ("E", 3)))
+    for psi, k_dim, l_dim, eps in ((cc_state(2), 64, 1, 0.3), (cc_state(1), 8, 1, 0.3),
+                                   (cq_state(), 8, 2, 0.06), (psi_r, 8, 8, 0.3)):
+        inst = mg.MergingInstance(psi, k_dim, l_dim, eps, seed=haar.RngSeed(3),
+                                  cap=1 << 16)
+        res = mg.run_merging(inst, bounds=(0.0, None))
+        rho_ae, n_out = sender_env(inst), inst.num_outcomes
+        u = haar.haar_unitary_indexed(inst.seed, 0, k_dim * inst.dim_a)
+        per_outcome, overall, decoupled = [], 0.0, 0
+        for x in range(n_out):
+            p_x, f_x, state, ideal = outcome_by_outcome(
+                u[x * l_dim:(x + 1) * l_dim], rho_ae, inst.dim_a)
+            per_outcome.append((x, p_x, f_x))
+            if state is not None:
+                decoupled += trace_norm(state - ideal) <= 4.0 * eps
+                overall += math.sqrt(p_x / n_out) * f_x
+        assert res.per_outcome == per_outcome
+        assert res.fidelity == overall
+        assert res.decoupled_fraction == decoupled / n_out
+
+
+def test_estimator_matches_the_per_outcome_route():
+    inst = mg.MergingInstance(cq_state(), 8, 2, 0.06, seed=haar.RngSeed(8))
+    est = mg.estimate_merging_fidelity(inst, draws=6)
+    rho_ae, reg = sender_env(inst), inst.k_rank * inst.dim_a
+    want = []
+    for i in range(6):
+        rows = haar.haar_row_block_indexed(inst.seed, i, reg, inst.l_rank)
+        p_0, f_0, _, _ = outcome_by_outcome(rows, rho_ae, inst.dim_a)
+        want.append(math.sqrt(inst.num_outcomes * p_0) * f_0)
+    assert est.samples == want

@@ -2,8 +2,8 @@
 certified gaps, an independent first-order oracle on small blocks, weak
 duality along the iterate trace, determinism, infeasibility detection, the
 sparse and family kernels' constraint map, adjoint, Gram matrix and Schur
-term against the dense stack, the eigendecompositions per iteration, and the
-stack-size limit.
+term against the dense stack, the eigendecompositions and the step search
+per iteration, and the stack-size limit.
 """
 
 import os
@@ -334,8 +334,9 @@ def test_family_rows_materialize_as_their_maps(monkeypatch):
 
 
 def test_iterates_are_factored_once_per_iteration(monkeypatch):
-    # per group and iteration: one eigendecomposition of X, of Z and of
-    # X^(1/2) Z X^(1/2), from which W, X^(-1/2), Z^(-1/2) and Z^(-1) follow
+    # per group and iteration: one stacked eigendecomposition of X and Z and
+    # one of X^(1/2) Z X^(1/2), from which W, X^(-1/2), Z^(-1/2) and Z^(-1)
+    # follow
     programs = oracle_programs(monkeypatch)
     calls = []
     eigh = np.linalg.eigh
@@ -350,7 +351,65 @@ def test_iterates_are_factored_once_per_iteration(monkeypatch):
         sol = solve(problem)
         assert sol.status is SdpStatus.OPTIMAL, name
         groups = len(set(problem.block_dims))
-        assert 0 < len(calls) <= 3 * groups * sol.iterations, (name, len(calls))
+        assert 0 < len(calls) <= 2 * groups * sol.iterations, (name, len(calls))
+
+
+def test_step_search_is_two_stacked_eigvalsh_per_group(monkeypatch):
+    # per group and factored iteration: one eigvalsh bounds the predictor's
+    # x and z steps, one both correctors', and one makes the back-off's
+    # first check of x and z
+    programs = oracle_programs(monkeypatch)
+    calls = []
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls.append((fn.__name__, sys._getframe(1).f_code.co_name))
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    for name, problem in programs.items():
+        calls.clear()
+        sol = solve(problem)
+        assert sol.status is SdpStatus.OPTIMAL, name
+        groups = len(set(problem.block_dims))
+        factored, rem = divmod(calls.count(("eigh", "_b_factor")), 2 * groups)
+        assert rem == 0 and sol.iterations - 1 <= factored <= sol.iterations, name
+        assert calls.count(("eigvalsh", "_b_step_lows")) == 2 * groups * factored, name
+        assert calls.count(("eigvalsh", "_b_back_off_pair")) == groups * factored, name
+
+
+def max_step_per_side(isq, dx):
+    """The step bound of one side and group as it was taken before the sides
+    and candidates were stacked: the oracle for ``_b_step_lows``."""
+    s = sdp._b_herm(isq @ dx @ isq)
+    scale = np.abs(s).reshape(s.shape[0], -1).max(axis=1)
+    scale = np.maximum(scale, 1e-300)
+    lam = (np.linalg.eigvalsh(s / scale[:, None, None])[:, 0] * scale).min()
+    if lam >= -1e-14:
+        return np.inf
+    return -1.0 / float(lam)
+
+
+def test_stacked_step_bound_matches_per_side_bound():
+    # two candidates (dx, dz) on groups of sizes 1, 3 and 4; a PSD direction
+    # has no bound
+    rng = np.random.default_rng(113)
+    for trial in range(20):
+        isq, cands = [], ([], [])
+        for n, count in ((1, 2), (3, 1), (4, 3)):
+            isq.append([np.stack([rnd_pd(rng, n) for _ in range(count)]) for _ in "xz"])
+            for cand in cands:
+                cand.append([np.stack([rnd_pd(rng, n) if trial % 5 == 0 else
+                                       rnd_herm(rng, n) for _ in range(count)])
+                             for _ in "xz"])
+        lows = [sdp._b_step_lows(sides * 2, cands[0][g] + cands[1][g])
+                for g, sides in enumerate(isq)]
+        want = [min(max_step_per_side(sides[j], cand[g][j]) for g, sides in enumerate(isq))
+                for cand in cands for j in (0, 1)]
+        assert sdp._b_max_steps(lows) == want
+        assert (trial % 5 == 0) == (want == [np.inf] * 4)
 
 
 def test_schur_kernel_choice_is_recorded(monkeypatch):
