@@ -117,41 +117,38 @@ def _kernel(exp: DecouplingExperiment) -> tuple[str, int, Kernel]:
     its chunk size S and the map from a stack of unitaries (s, d_in, d_in),
     s <= S, to the s values || T(U rho U^H) - tau_B (x) rho_E ||_1.
 
-    Each sample's contraction runs on its own, into the chunk's output
-    stack, and ``trace_norms`` routes each sample's item on its own, so a
-    sample's bits do not depend on the chunk it lands in.  A state classical
-    on the reference, rho = sum_e rho_e (x) |e><e| (every entry off the
-    reference diagonal exactly zero), makes the difference block diagonal:
-    the norm is sum_e || T(U rho_e U^H) - w_e tau_B ||_1 with w_e = tr rho_e,
-    computed on the stack of the n nonzero blocks (a zero block contributes
-    exactly 0).  Any other state takes the dense kernel, where the rotated
-    tensor enters the Choi contraction as einsum returns it, along
-    contraction paths planned once on the experiment's shapes;
-    ``apply_matrix`` + ``channel.apply`` copy it into a matrix first.
+    A sample gets the same BLAS calls in any chunk (the dense kernel stacks
+    them over the chunk, one call per item), and ``trace_norms`` routes each
+    sample's item on its own, so a sample's bits do not depend on its chunk.
+    A state classical on the reference, rho = sum_e rho_e (x) |e><e| (every
+    entry off the reference diagonal exactly zero), makes the difference
+    block diagonal: the norm is sum_e || T(U rho_e U^H) - w_e tau_B ||_1 with
+    w_e = tr rho_e, computed on the stack of the n nonzero blocks (a zero
+    block contributes exactly 0).  Any other state takes the dense kernel:
+    the matmuls of numpy's ``einsum`` split of ``apply_matrix`` +
+    ``channel.apply``.
     """
     ch, refs = exp.channel, list(exp.reference_labels)
     d_in = ch.dim_in
     perm = exp.state.permute(list(exp.on) + refs)
     d_r = perm.dims.total // d_in
     rho = perm.matrix.reshape(d_in, d_r, d_in, d_r)
-    tau_b = partial_trace(ch.choi, [ch.out_label]).matrix
-    choi_t = ch.choi_tensor
+    tau_b, d_out = partial_trace(ch.choi, [ch.out_label]).matrix, ch.dim_out
+    # choi[(a, c), (b, d)] = choi_tensor[a, b, c, d], so T(rot) = d_in rot @ choi, flattened
+    choi = ch.choi_tensor.transpose(0, 2, 1, 3).reshape(d_in * d_in, d_out * d_out)
 
     diag = rho.transpose(1, 3, 0, 2)[np.arange(d_r), np.arange(d_r)]
     # every nonzero entry of rho lies on the reference diagonal
     if d_r > 1 and np.count_nonzero(diag) == np.count_nonzero(rho):
         blocks = diag[diag.any(axis=(1, 2))]
-        n, d_out = len(blocks), ch.dim_out
+        n, choi_blocks = len(blocks), d_in * choi
         targets = np.trace(blocks, axis1=1, axis2=2)[:, None, None] * tau_b
-        # choi[(a, c), (b, d)] = d_in * choi_t[a, b, c, d], so that
-        # out_e[b, d] = sum_ac rot_e[a, c] choi[(a, c), (b, d)] is one product
-        choi = d_in * choi_t.transpose(0, 2, 1, 3).reshape(d_in * d_in, d_out * d_out)
 
         def block_distances(us: np.ndarray) -> np.ndarray:
             out = np.empty((len(us), n, d_out * d_out), dtype=complex)
             for j, u in enumerate(us):
                 rot = u @ blocks @ u.conj().T
-                out[j] = rot.reshape(n, d_in * d_in) @ choi
+                out[j] = rot.reshape(n, d_in * d_in) @ choi_blocks
             out = out.reshape(len(us), n, d_out, d_out)
             out -= targets
             return trace_norms(out)
@@ -160,26 +157,29 @@ def _kernel(exp: DecouplingExperiment) -> tuple[str, int, Kernel]:
     target = tau_b
     if refs:
         target = np.kron(target, partial_trace(exp.state, refs).matrix)
-    dt = target.shape[0]
-    u0 = np.eye(d_in, dtype=complex)
-    rot_path = np.einsum_path("ik,krls,jl->irjs", u0, rho, u0, optimize=True)[0]
-    choi_path = np.einsum_path("abcd,arcs->brds", choi_t, rho, optimize=True)[0]
+    # einsum's split: (r l s, k) @ U^T, then (rows, l) @ conj(U)^T with rows
+    # (r, s, i) if d_r < d_in else (i, r, s), then (r s, a c) @ choi
+    rho_t, ref_first = rho.transpose(1, 2, 3, 0).reshape(-1, d_in), d_r < d_in
 
     def distances(us: np.ndarray) -> np.ndarray:
-        out = np.empty((len(us), dt, dt), dtype=complex)
-        for j, u in enumerate(us):
-            rot = np.einsum("ik,krls,jl->irjs", u, rho, u.conj(), optimize=rot_path)
-            out[j] = (d_in * np.einsum("abcd,arcs->brds", choi_t, rot,
-                                       optimize=choi_path)).reshape(dt, dt)
+        n = len(us)
+        rot = (rho_t @ us.transpose(0, 2, 1)).reshape(n, d_r, d_in, d_r, d_in)
+        rot = rot.transpose((0, 1, 3, 4, 2) if ref_first else (0, 4, 1, 3, 2))
+        rot = rot.reshape(n, -1, d_in) @ us.conj().transpose(0, 2, 1)
+        if not ref_first:
+            rot = rot.reshape(n, d_in, d_r * d_r, d_in).transpose(0, 2, 1, 3)
+        out = (rot.reshape(n, d_r * d_r, -1) @ choi).reshape(n, d_r, d_r, d_out, d_out)
+        out = (d_in * out.transpose(0, 3, 1, 4, 2)).reshape(n, *target.shape)
         out -= target
         return trace_norms(out)
-    return "dense", _chunk(dt * dt, d_in), distances
+    return "dense", _chunk(target.size, d_in), distances
 
 
 def _chunk(entries: int, d_in: int) -> int:
     """Samples per chunk: the most whose per-sample share of the largest
     chunk array (``entries`` output entries, or the d_in x d_in draw) fits
-    ``CHUNK_ENTRIES``."""
+    ``CHUNK_ENTRIES``.  The dense kernel's rotated stack is not counted:
+    it is (d_in / d_out)^2 times its output, 4x on 8x2->4."""
     return max(1, CHUNK_ENTRIES // max(entries, d_in * d_in))
 
 

@@ -390,8 +390,8 @@ def _b_factor(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _b_lowest(w: np.ndarray, counts: list[int]) -> list[float]:
     """The smallest of the per-item values w over each consecutive run of
-    ``counts`` items."""
-    return [float(part.min()) for part in np.split(w, np.cumsum(counts)[:-1])]
+    ``counts`` items (every count at least 1)."""
+    return np.minimum.reduceat(w, np.cumsum([0, *counts[:-1]])).tolist()
 
 
 def _b_step_lows(isq: list[np.ndarray], d: list[np.ndarray]) -> list[float]:

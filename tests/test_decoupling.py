@@ -75,20 +75,23 @@ def test_run_deterministic_and_worker_invariant():
     assert r1.std_error == r2.std_error
 
 
-@pytest.mark.parametrize("case", ["c5-blocks", "dense"])
+@pytest.mark.parametrize("case", ["c5-blocks", "dense", "dense-large-reference"])
 def test_chunked_run_matches_per_sample_distances(case, monkeypatch):
     # sample i's distance does not depend on its chunk or on the workers:
     # 1, S - 1 and S + 1 samples at S samples per chunk
     if case == "c5-blocks":
         st, ch = dec.classical_state(4), chan.reference_channel("id+trace", 4, 3)
     else:
+        # the dense kernel orders its middle product's rows by whether the
+        # reference is smaller than the input ("dense") or not
         monkeypatch.setattr(dec, "CHUNK_ENTRIES", 200)
         rng = np.random.default_rng(31)
-        st = random_density(rng, (("A", 3), ("E", 2)))
-        ch = chan.random_cpm(rng, 3, 2, trace=0.8)
+        d_a, d_e = (3, 2) if case == "dense" else (2, 3)
+        st = random_density(rng, (("A", d_a), ("E", d_e)))
+        ch = chan.random_cpm(rng, d_a, 2, trace=0.8)
     seed = haar.RngSeed(12, "chunks")
     kernel, chunk, _ = dec._kernel(dec.DecouplingExperiment(st, ch, 1))
-    assert chunk == (2 if case == "c5-blocks" else 12)
+    assert chunk == {"c5-blocks": 2, "dense": 12, "dense-large-reference": 5}[case]
     assert kernel == ("blocks:16" if case == "c5-blocks" else "dense")
     for n in (1, chunk - 1, chunk + 1):
         want = [dec.sample_distance(st, ch, haar.haar_unitary_indexed(seed, i, ch.dim_in))
@@ -102,10 +105,19 @@ def test_chunked_run_matches_per_sample_distances(case, monkeypatch):
     ("tp", (("A", 2), ("E", 3)), 3, ("A",)),
     ("cpm", (("A", 3), ("E", 2)), 2, ("A",)),
     ("tp", (("A1", 2), ("E", 2), ("A2", 2)), 2, ("A1", "A2")),
+    # the benchmark's C3 slice: a kernel running one batched einsum per chunk
+    # fails this oracle in the last bit on 2x4->2 and 3x3->4
+    ("tp", (("A", 2), ("E", 4)), 2, ("A",)),
+    ("cpm", (("A", 3), ("E", 3)), 4, ("A",)),
+    ("tp", (("A", 4), ("E", 4)), 4, ("A",)),
+    ("cpm", (("A", 8), ("E", 2)), 4, ("A",)),
+    # a state on the input alone (no reference system)
+    ("tp", (("A", 3),), 2, ("A",)),
 ])
 def test_kernel_distances_match_library_route(family, dims, d_out, on):
     # oracle: rotate with apply_matrix, apply the channel with channel.apply,
-    # and subtract tau_B (x) rho_E built from partial traces
+    # and subtract tau_B (x) rho_E built from partial traces (tau_B alone
+    # when there is no reference)
     rng = np.random.default_rng(17)
     st = random_density(rng, dims)
     d_in = int(np.prod([d for lab, d in dims if lab in on]))
@@ -113,8 +125,9 @@ def test_kernel_distances_match_library_route(family, dims, d_out, on):
     ch = make(rng, d_in, d_out)
     exp = dec.DecouplingExperiment(st, ch, 30, seed=haar.RngSeed(8), on=on)
     refs = [lab for lab, _ in dims if lab not in on]
-    target = np.kron(partial_trace(ch.choi, [ch.out_label]).matrix,
-                     partial_trace(st, refs).matrix)
+    target = partial_trace(ch.choi, [ch.out_label]).matrix
+    if refs:
+        target = np.kron(target, partial_trace(st, refs).matrix)
     want = []
     for i in range(exp.num_samples):
         u = haar.haar_unitary_indexed(exp.seed, i, d_in)
