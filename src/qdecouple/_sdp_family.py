@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qdecouple.linalg import herm_combination, herm_coords, herm_pairs, read_only
-from qdecouple.sdp import SdpProblem, _schur_ops
+from qdecouple.sdp import SdpProblem
 
 
 # The family term serves a group's constraint families from W alone.  Its
@@ -236,9 +236,10 @@ def family_term(problem: SdpProblem, idx: list[int], row_scale: np.ndarray) -> F
 def takes_family(problem: SdpProblem, idx: list[int]) -> bool:
     """Whether the group of blocks ``idx`` takes the family term: in a program
     with constraint families, where it costs less than the dense sandwich
-    over all rows.  The choice depends on shapes alone."""
+    over all rows (W A_i W for every row and block, then the m x m
+    contraction).  The choice depends on shapes alone."""
     if not problem.families:
         return False
     m, count, n = problem.num_constraints, len(idx), problem.block_dims[idx[0]]
     term = family_term(problem, idx, np.ones(m))
-    return _schur_ops(m, n, count, 0, 0)[0] >= family_cost(term)
+    return count * (2 * m * n ** 3 + m * m * n * n) >= family_cost(term)

@@ -9,10 +9,10 @@ The dual is max b.y subject to Z_k = C_k - sum_i y_i A_ik >= 0.  Directions
 use Nesterov-Todd scaling with a Mehrotra-style adaptive centering parameter;
 the Schur complement is regularized to survive problems whose optimum sits on
 the boundary of strict feasibility.  Each group of equal-size blocks adds its
-part of the Schur complement with a dense or a sparse kernel, whichever needs
-fewer operations for its constraints (see ``_schur_term``), or, where the
-group carries constraint families (``ProblemBuilder.add_family``), with the
-family term, which works from the scaling matrix W alone (``_sdp_family``).
+part of the Schur complement with the dense sandwich W A_i W (``_DenseSchur``)
+or, where the group carries constraint families (``ProblemBuilder.add_family``)
+and that needs fewer operations, with the family term, which works from the
+scaling matrix W alone (``_sdp_family``).
 """
 
 from __future__ import annotations
@@ -260,7 +260,7 @@ class SdpSolution:
     primal_infeas: float = 0.0
     dual_infeas: float = 0.0
     trace: list[IterateRecord] = field(default_factory=list)
-    # Schur-complement kernel ("dense" or "sparse") per block size
+    # Schur-complement kernel ("dense" or "family") per block size
     schur_kernels: dict[int, str] = field(default_factory=dict)
 
     def trace_csv(self) -> str:
@@ -444,44 +444,14 @@ def _b_back_off_pair(x: list[np.ndarray], dx: list[np.ndarray], ap: float,
             ad if z_ok else _b_back_off(z, dz, 0.5 * ad, 39))
 
 
-# Schur-complement kernels.  M_ij = sum_k Re tr(A_ik W_k A_jk W_k) is the
-# largest cost of an iteration.  The dense sandwich forms W A_i W for every
-# constraint; the sparse kernel (Fujisawa-Kojima-Nakata, Math. Prog. 79,
-# 1997) works on the distinct nonzero positions U of a group's constraints.
-# Measured on one core, the CSR products and gathers of the sparse kernel run
-# at about 0.2 G complex multiply-adds per second and the BLAS calls of the
-# dense sandwich at about 4.5 G, so a group takes the sparse kernel only where
-# it needs SPARSE_SCHUR_GAIN times fewer multiply-adds, plus the sparse
-# kernel's fixed cost per iteration (its calls and its share of the CSR
-# set-up, about 50 us) in dense multiply-adds.
-SPARSE_SCHUR_GAIN = 20
-SPARSE_SCHUR_FIXED = 1 << 18
-# The sparse kernel forms K a column slice of about this many entries (4 MB)
-# at a time: measured faster than one |U| x |U| array, whose fresh pages
-# cost more than the arithmetic, and it bounds the kernel's memory.
-K_SLICE_ENTRIES = 1 << 18
-
-
-def _schur_ops(m: int, n: int, count: int, nnz: int, npos: int) -> tuple[int, int]:
-    """Complex multiply-adds per iteration of the (dense, sparse) Schur kernels.
-
-    Dense: W A_i W for every constraint and block, then the m x m contraction.
-    Sparse: K over the npos nonzero positions, then B K and (B K) B^T.
-    """
-    return count * (2 * m * n ** 3 + m * m * n * n), npos * npos + nnz * (npos + m)
-
-
-def _added(res: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """res added into out in place, or res itself when there is no out yet."""
-    if out is None:
-        return res
-    out += res
-    return out
-
-
 class _DenseSchur:
     """A group's constraint map, adjoint, Schur term and Gram matrix from its
-    dense (m, count, n, n) stack."""
+    dense (m, count, n, n) stack.
+
+    The Schur term M_ij = sum_k Re tr(A_ik W_k A_jk W_k), the largest cost of
+    an iteration, is the sandwich W A_i W of every constraint contracted with
+    the stack.
+    """
 
     kernel = "dense"
 
@@ -503,78 +473,11 @@ class _DenseSchur:
     def schur(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         wb = w[None, :, :, :]
         t = np.matmul(np.matmul(wb, self.a), wb)
-        return _added((self.a_flat @ t.reshape(t.shape[0], -1).conj().T).real, out)
-
-
-class _SparseSchur:
-    """The same operations from a group's nonzero positions alone.
-
-    The group's blocks are the diagonal blocks of one block-diagonal matrix;
-    U holds the distinct nonzero positions (p_u, q_u) of the constraints in
-    it (flat indices ``cols``), and B (m x |U|, CSR) their coefficients,
-    A_i = sum_u B_iu E_{p_u q_u}.
-    Then tr(A_i W A_j W) = (B K B^T)_ij with K_uw = W[q_u, p_w] W[q_w, p_u],
-    which is zero across blocks.  W is Hermitian, so the second factor is
-    conj(W)[p_u, q_w] and both factors are row gathers.  K is symmetric, so
-    B K B^T is the sum over column slices c of B_c (B K_c)^T.
-    """
-
-    kernel = "sparse"
-
-    def __init__(self, a: np.ndarray, cols: np.ndarray):
-        # imported here, not at module level: scipy.sparse adds about 1.7 MB
-        # and up to about 25 ms to every start-up, and only large programs
-        # take this kernel
-        from scipy import sparse
-
-        m, count, n = a.shape[:3]
-        block, rem = np.divmod(cols, n * n)
-        self.p = block * n + rem // n
-        self.q = block * n + rem % n
-        self.cols, self.count, self.n = cols, count, n
-        self.b = sparse.csr_matrix(a.reshape(m, -1)[:, cols])
-        step = max(1, K_SLICE_ENTRIES // max(len(cols), 1))
-        self.slices = [(slice(lo, lo + step), self.b[:, lo:lo + step])
-                       for lo in range(0, len(cols), step)]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return (self.b @ x.reshape(-1)[self.cols].conj()).real
-
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.count * self.n * self.n, dtype=complex)
-        out[self.cols] = self.b.T @ y
-        return out.reshape(self.count, self.n, self.n)
-
-    def gram(self) -> np.ndarray:
-        return (self.b @ self.b.conj().T).toarray().real
-
-    def schur(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        c, n = self.count, self.n
-        if c == 1:
-            wd = w[0]
-        else:
-            wd = np.zeros((c * n, c * n), dtype=complex)
-            wd.reshape(c, n, c, n)[np.arange(c), :, np.arange(c), :] = w
-        wq, wp = wd[self.q], wd.conj()[self.p]
-        res = np.zeros((self.b.shape[0],) * 2)
-        for cols, b_cols in self.slices:
-            k = np.take(wq, self.p[cols], axis=1)
-            k *= np.take(wp, self.q[cols], axis=1)
-            res += (b_cols @ (self.b @ k).T).real
-        return _added(res, out)
-
-
-def _schur_term(a: np.ndarray) -> _DenseSchur | _SparseSchur:
-    """The cheaper Schur kernel for a group's (m, count, n, n) stack, by operation count."""
-    m, count, n = a.shape[:3]
-    a_flat = a.reshape(m, -1)
-    nonzero = a_flat != 0
-    cols = np.flatnonzero(nonzero.any(axis=0))
-    dense_ops, sparse_ops = _schur_ops(m, n, count, int(np.count_nonzero(nonzero)),
-                                       len(cols))
-    if dense_ops >= SPARSE_SCHUR_GAIN * sparse_ops + SPARSE_SCHUR_FIXED:
-        return _SparseSchur(a, cols)
-    return _DenseSchur(a)
+        res = (self.a_flat @ t.reshape(t.shape[0], -1).conj().T).real
+        if out is None:
+            return res
+        out += res
+        return out
 
 
 class _Groups:
@@ -582,10 +485,10 @@ class _Groups:
 
     Constraint rows are divided by ``row_scale``, their norms, and the
     objective by ``c_scale``; division by positive scalars keeps every block
-    Hermitian.  Each group takes the family term
-    (``_sdp_family.takes_family``) or the cheaper of the dense and sparse
-    kernels on its dense stack.  A program in which no group takes the family
-    term is solved exactly as its dense stacks would be, row norms included.
+    Hermitian.  Each group takes the family term where
+    ``_sdp_family.takes_family`` picks it, and the dense sandwich on its dense
+    stack otherwise.  A program in which no group takes the family term is
+    solved exactly as its dense stacks would be, row norms included.
     """
 
     def __init__(self, problem: SdpProblem, c_scale: float):
@@ -604,7 +507,7 @@ class _Groups:
             family = [_sdp_family.takes_family(problem, idx) for idx in self.index]
         row_norm = problem.row_norms(closed_form=any(family))
         self.row_scale = row_scale = np.maximum(np.sqrt(row_norm), 1e-12)
-        self.terms: list[_DenseSchur | _SparseSchur | _sdp_family.FamilyTerm] = []
+        self.terms: list[_DenseSchur | _sdp_family.FamilyTerm] = []
         for idx, fam in zip(self.index, family):
             if fam:
                 self.terms.append(_sdp_family.family_term(problem, idx, row_scale))
@@ -612,7 +515,7 @@ class _Groups:
             a = np.stack([np.asarray(problem.block_stack(k), dtype=complex) for k in idx],
                          axis=1)  # (m, count, s, s)
             a /= row_scale[:, None, None, None]
-            self.terms.append(_schur_term(a))
+            self.terms.append(_DenseSchur(a))
 
     def scatter(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
         return [np.stack([np.asarray(blocks[k], dtype=complex) for k in idx])

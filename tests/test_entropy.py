@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qdecouple import entropy as ent
+from qdecouple import sdp
 from qdecouple.decoupling import classical_state, entangled_state, independent_state
 from qdecouple.linalg import (
     StateOperator,
@@ -254,6 +255,28 @@ def test_smooth_hmin_diag_matches_dense():
         via_diag = ent.h_min_smooth(st, ("A",), ("B",), 0.1).value
         via_dense, _, _, _ = ent._smooth_hmin_dense(st.matrix, 2, 2, 0.1)
         assert via_diag == pytest.approx(via_dense, abs=1e-6)
+
+
+def test_smooth_hmin_certifies_through_the_second_retry(monkeypatch):
+    # near-pure diagonal state: the first solve and the first retry end
+    # uncertified at their iteration limits; only the second retry's smaller
+    # regularization and shorter steps certify the value
+    calls = []
+    solve = sdp.solve
+
+    def recording(problem, **kwargs):
+        sol = solve(problem, **kwargs)
+        calls.append((kwargs, sol.status))
+        return sol
+
+    monkeypatch.setattr(sdp, "solve", recording)
+    st = diag_state([1e-11, 1e-6, 1 - 1e-6 - 1e-11, 0.0], (("A", 2), ("B", 2)))
+    res = ent.h_min_smooth(st, ("A",), ("B",), 0.5)
+    assert res.certificate_gap <= ent.CERT_LIMIT_BITS
+    assert len(calls) == 3
+    assert [status for _, status in calls[:2]] == [sdp.SdpStatus.MAX_ITER] * 2
+    assert "reg" in calls[2][0] and "step_frac" in calls[2][0]
+    assert calls[2][1] is sdp.SdpStatus.OPTIMAL
 
 
 def test_smooth_hmax_epsilon_zero_matches():

@@ -1,9 +1,9 @@
 """Solver tests: closed-form programs, interior-constructed instances with
 certified gaps, an independent first-order oracle on small blocks, weak
 duality along the iterate trace, determinism, infeasibility detection, the
-sparse and family kernels' constraint map, adjoint, Gram matrix and Schur
-term against the dense stack, the eigendecompositions and the step search
-per iteration, and the stack-size limit.
+family term's constraint map, adjoint, Gram matrix and Schur term against
+the dense sandwich, the eigendecompositions and the step search per
+iteration, and the stack-size limit.
 """
 
 import os
@@ -254,35 +254,6 @@ def oracle_programs(monkeypatch) -> dict[str, SdpProblem]:
     }
 
 
-def group_stacks(problem: SdpProblem) -> list[np.ndarray]:
-    """Each group of equal-size blocks as one (m, count, n, n) constraint stack."""
-    return [np.stack([a for a, n in zip(problem.a_blocks, problem.block_dims) if n == s],
-                     axis=1)
-            for s in sorted(set(problem.block_dims))]
-
-
-def test_sparse_schur_matches_dense_sandwich(monkeypatch):
-    # the dense term is the oracle for the constraint map, its adjoint, the
-    # Gram matrix and the Schur term
-    rng = np.random.default_rng(111)
-    for name, problem in oracle_programs(monkeypatch).items():
-        m = problem.num_constraints
-        for a in group_stacks(problem):
-            count, n = a.shape[1], a.shape[2]
-            w = np.stack([rnd_pd(rng, n) for _ in range(count)])
-            x = np.stack([rnd_herm(rng, n) for _ in range(count)])
-            y = rng.standard_normal(m)
-            cols = np.flatnonzero((a.reshape(m, -1) != 0).any(axis=0))
-            dense, sparse = sdp._DenseSchur(a), sdp._SparseSchur(a, cols)
-            for op, args in (("schur", (w,)), ("apply", (x,)), ("adjoint", (y,)),
-                             ("gram", ())):
-                want = getattr(dense, op)(*args)
-                got = getattr(sparse, op)(*args)
-                assert got.shape == want.shape
-                err = float(np.abs(got - want).max()) / float(np.abs(want).max())
-                assert err <= 1e-12, (name, n, count, op, err)
-
-
 def test_family_term_matches_dense_sandwich(monkeypatch):
     # the dense term on the materialized stacks is the oracle for the family
     # term's constraint map, adjoint, Gram matrix and Schur term; the family
@@ -416,7 +387,7 @@ def test_schur_kernel_choice_is_recorded(monkeypatch):
     programs = oracle_programs(monkeypatch)
     kernels = {name: solve(problem, max_iterations=1).schur_kernels
                for name, problem in programs.items()}
-    # dense random stacks: every position is nonzero in every constraint
+    # programs without constraint families take the dense sandwich
     assert kernels["random dense"] == {5: "dense"}
     # multi-block groups: 2x2 fidelity blocks and 1x1 slacks
     assert kernels["diagonal smoothing classical(2)"] == {1: "dense", 2: "dense"}
@@ -432,9 +403,9 @@ def test_schur_kernel_choice_is_recorded(monkeypatch):
 
 
 def test_dense_only_solves_do_not_import_scipy_sparse():
-    # scipy.sparse costs every start-up about 1.7 MB and up to 25 ms; only a
-    # group on the sparse kernel may import it, and only a program with
-    # constraint families the family term.  A fresh interpreter imports the
+    # scipy.sparse costs every start-up about 1.7 MB and up to 25 ms, and no
+    # module of the package imports it; only a program with constraint
+    # families imports the family term.  A fresh interpreter imports the
     # package and the CLI and solves a diagonal smoothing program, whose
     # groups all take the dense kernel.
     code = textwrap.dedent("""
