@@ -111,28 +111,26 @@ def gen_state(kind: str, k: int, rho_e: str = "maximally-mixed",
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
+def _emit_compact(payload: dict, out: str | None) -> None:
+    """Write a generated state or channel as one line of JSON."""
+    text = json.dumps(payload)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
 def _cmd_gen_state(args: argparse.Namespace) -> int:
     state = gen_state(args.kind, args.k, args.rhoE, args.dE, args.dims,
                       args.seed, cap=args.cap)
-    payload = linalg.state_to_json(state)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
-    else:
-        print(json.dumps(payload))
+    _emit_compact(linalg.state_to_json(state), args.out)
     return 0
 
 
 def _cmd_gen_channel(args: argparse.Namespace) -> int:
     ch = chan.parse_spec(args.spec, cap=args.cap)
-    payload = chan.channel_to_json(ch)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
-    else:
-        print(json.dumps(payload))
+    _emit_compact(chan.channel_to_json(ch), args.out)
     return 0
 
 
@@ -160,12 +158,10 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     if kind == "vn":
         value, gap = entropy.von_neumann(state, target, condition), 0.0
     elif kind == "hmin":
-        res = (entropy.h_min(state, target, condition) if args.epsilon == 0.0
-               else entropy.h_min_smooth(state, target, condition, args.epsilon))
+        res = entropy.h_min_smooth(state, target, condition, args.epsilon)
         value, gap = res.value, res.certificate_gap
     elif kind == "hmax":
-        res = (entropy.h_max(state, target, condition) if args.epsilon == 0.0
-               else entropy.h_max_smooth(state, target, condition, args.epsilon))
+        res = entropy.h_max_smooth(state, target, condition, args.epsilon)
         value, gap = res.value, res.certificate_gap
     elif kind == "h2":
         res = entropy.h2(state, target, condition, optimize_sigma=args.optimize_sigma)
@@ -212,6 +208,10 @@ def _cmd_decouple_run(args: argparse.Namespace) -> int:
 
 def _cmd_merge_run(args: argparse.Namespace) -> int:
     started = time.time()
+    if (args.K is None) != (args.L is None):
+        print("error: --K and --L go together; give both or neither",
+              file=sys.stderr)
+        return 2
     state = _load_state(args.state, args.cap)
     w, v = np.linalg.eigh(linalg.hermitian_part(state.matrix))
     if w[-1] < 1.0 - 1e-7 or float(np.sum(w > 1e-9)) > 1:
@@ -221,7 +221,7 @@ def _cmd_merge_run(args: argparse.Namespace) -> int:
     a_labels = _labels(args.a_labels) or ("A",)
     b_labels = _labels(args.b_labels) or ("B",)
     e_labels = _labels(args.e_labels) or ("E",)
-    if args.K is not None and args.L is not None:
+    if args.K is not None:
         k_dim, l_dim = args.K, args.L
     else:
         target_bits = merging.cost_achievable(psi, a_labels, b_labels, args.epsilon,

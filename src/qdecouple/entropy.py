@@ -91,29 +91,34 @@ def _sandwich(sol: sdp.SdpSolution, flip: bool) -> tuple[float, float]:
     return (-hi, -lo) if flip else (lo, hi)
 
 
+def _cert_gap_tol(primal_obj: float) -> float:
+    """The solver's default gap tolerance, tightened where it would leave the
+    sandwich wider than a fraction 0.4 of CERT_LIMIT_BITS."""
+    return min(sdp.default_gap_tol(primal_obj),
+               0.4 * CERT_LIMIT_BITS * math.log(2.0) * abs(primal_obj))
+
+
 def _certified_solve(problem: sdp.SdpProblem, what: str, flip: bool = False,
                      **solve_kwargs) -> tuple[float, float, sdp.SdpSolution]:
     """Solve and certify the optimum to within CERT_LIMIT_BITS.
 
     ``flip`` negates the sandwich for programs whose meaningful objective is
-    the negative of the minimization objective.  If the default tolerance
-    leaves the bit-width too wide (small objectives), the program is re-solved
-    with a gap tolerance matched to the target width.
+    the negative of the minimization objective.  One solve stops at the gap
+    ``_cert_gap_tol`` allows, within 400 iterations.  Only if its sandwich is
+    still wider than CERT_LIMIT_BITS does a fallback solve run from scratch
+    with a smaller Schur regularization and shorter steps (``reg`` 1e-14,
+    ``step_frac`` 0.93, 600 iterations), which near-pure states need; the
+    narrower of the two sandwiches is kept.
     """
-    sol = sdp.solve(problem, **solve_kwargs)
+    sol = sdp.solve(problem, gap_tol=_cert_gap_tol, max_iterations=400, **solve_kwargs)
     lo, hi = _sandwich(sol, flip)
-    if sol.status is not sdp.SdpStatus.INFEASIBLE and hi > 0:
-        retries = ({"max_iterations": 400},
-                   {"max_iterations": 600, "reg": 1e-14, "step_frac": 0.93})
-        for extra in retries:
-            width = math.log2(hi / max(lo, 1e-300))
-            if width <= CERT_LIMIT_BITS:
-                break
-            tight = 0.4 * CERT_LIMIT_BITS * math.log(2.0) * max((lo + hi) / 2, 1e-12)
-            cand = sdp.solve(problem, gap_tol=tight, **{**solve_kwargs, **extra})
-            c_lo, c_hi = _sandwich(cand, flip)
-            if c_hi > 0 and c_hi - c_lo < hi - lo:
-                sol, lo, hi = cand, c_lo, c_hi
+    if (sol.status is not sdp.SdpStatus.INFEASIBLE and hi > 0
+            and math.log2(hi / max(lo, 1e-300)) > CERT_LIMIT_BITS):
+        cand = sdp.solve(problem, gap_tol=_cert_gap_tol, max_iterations=600,
+                         reg=1e-14, step_frac=0.93, **solve_kwargs)
+        c_lo, c_hi = _sandwich(cand, flip)
+        if c_hi > 0 and c_hi - c_lo < hi - lo:
+            sol, lo, hi = cand, c_lo, c_hi
     if sol.status is sdp.SdpStatus.INFEASIBLE or hi <= 0:
         raise EntropyError(f"{what}: solver reported {sol.status.value}")
     lo = max(lo, 1e-300)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_factor, get_lapack_funcs
@@ -167,6 +168,9 @@ class SdpProblem:
 
     def __post_init__(self) -> None:
         m = len(self.b)
+        if m == 0:
+            raise ValueError("program has no constraints; add at least one "
+                             "constraint or family before solving")
         n_tot = sum(self.block_dims)
         if m > n_tot * n_tot:
             raise ValueError(f"{m} constraints exceed total dimension squared {n_tot**2}")
@@ -568,7 +572,7 @@ def solve(problem: SdpProblem, *,
           y0: np.ndarray | None = None,
           z0: list[np.ndarray] | None = None,
           max_iterations: int = 200,
-          gap_tol: float | None = None,
+          gap_tol: Callable[[float], float] = default_gap_tol,
           reg: float = 1e-12,
           step_frac: float = 0.96,
           record_trace: bool = False) -> SdpSolution:
@@ -577,6 +581,12 @@ def solve(problem: SdpProblem, *,
     Strictly feasible (x0, y0, z0) starts preserve feasibility exactly, so
     weak duality then holds on every iterate.  Without starts the solver runs
     in infeasible mode and drives the residuals to zero alongside the gap.
+
+    ``gap_tol`` is the stopping rule: it maps an iterate's primal objective
+    (in original units) to the largest duality gap at which a feasible
+    iterate counts as Optimal.  The default, ``default_gap_tol``, allows
+    1e-7 * (1 + |primal|).  The same rule scales the gap in the merit that
+    picks the iterate returned when the iteration limit is reached.
     """
     m = problem.num_constraints
 
@@ -652,7 +662,7 @@ def solve(problem: SdpProblem, *,
         if record_trace:
             trace.append(IterateRecord(it - 1, pobj, dobj, gap, pinf, dinf))
 
-        tol_gap = default_gap_tol(pobj) if gap_tol is None else gap_tol
+        tol_gap = gap_tol(pobj)
         merit = max(pinf / FEAS_TOL, dinf / FEAS_TOL,
                     abs(gap) / max(tol_gap, 1e-300))
         if merit < best_merit:
@@ -739,7 +749,7 @@ def solve(problem: SdpProblem, *,
     pinf = dinf = 0.0
     if status is not SdpStatus.INFEASIBLE:
         pinf, dinf = infeasibility(*residuals()[:2])
-        tol_gap = default_gap_tol(pobj) if gap_tol is None else gap_tol
+        tol_gap = gap_tol(pobj)
         if pinf <= 1e-8 and dinf <= 1e-8 and abs(gap) <= tol_gap:
             status = SdpStatus.OPTIMAL
         elif status is not SdpStatus.MAX_ITER:

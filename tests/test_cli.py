@@ -226,6 +226,27 @@ def test_merge_run_solves_the_bounds_once(tmp_path, capsys, monkeypatch):
     assert rep["bound_converse"] == pytest.approx(bound_con, abs=1e-6)
 
 
+@pytest.mark.parametrize("flag", [("--K", "8"), ("--L", "1")], ids=["K-only", "L-only"])
+def test_merge_run_lone_k_or_l_exits_two(tmp_path, capsys, monkeypatch, flag):
+    import math
+    from qdecouple import merging
+    from qdecouple.linalg import PureState, dims_of, state_to_json
+
+    psi = PureState(dims_of(("A", 2), ("B", 2), ("E", 2)),
+                    np.full(8, 1 / math.sqrt(8), dtype=complex))
+    st_path = tmp_path / "psi.json"
+    st_path.write_text(json.dumps(state_to_json(psi.to_operator(validate=True))))
+
+    def no_bound(*args, **kwargs):
+        raise AssertionError("cost bound computed")
+    monkeypatch.setattr(merging, "cost_achievable", no_bound)
+    out_path = tmp_path / "merge.json"
+    code, _, err = run_cli(capsys, "merge", "run", "--state", str(st_path),
+                           "--epsilon", "0.5", *flag, "--out", str(out_path))
+    assert code == 2 and "--K and --L" in err
+    assert not out_path.exists()
+
+
 def test_dimension_cap_environment_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QDECOUPLE_DIM_CAP", "8")
     code, _, err = run_cli(capsys, "gen-state", "classical", "--k", "2",

@@ -12,6 +12,7 @@ from qdecouple import entropy as ent
 from qdecouple import sdp
 from qdecouple.decoupling import classical_state, entangled_state, independent_state
 from qdecouple.linalg import (
+    PureState,
     StateOperator,
     dims_of,
     maximally_mixed,
@@ -257,26 +258,32 @@ def test_smooth_hmin_diag_matches_dense():
         assert via_diag == pytest.approx(via_dense, abs=1e-6)
 
 
-def test_smooth_hmin_certifies_through_the_second_retry(monkeypatch):
-    # near-pure diagonal state: the first solve and the first retry end
-    # uncertified at their iteration limits; only the second retry's smaller
-    # regularization and shorter steps certify the value
-    calls = []
-    solve = sdp.solve
-
-    def recording(problem, **kwargs):
-        sol = solve(problem, **kwargs)
-        calls.append((kwargs, sol.status))
-        return sol
-
-    monkeypatch.setattr(sdp, "solve", recording)
+def test_smooth_hmin_certifies_through_the_fallback_solve(solve_calls):
+    # near-pure diagonal state: the first solve ends uncertified at its
+    # 400-iteration limit; only the fallback's smaller regularization and
+    # shorter steps certify the value
     st = diag_state([1e-11, 1e-6, 1 - 1e-6 - 1e-11, 0.0], (("A", 2), ("B", 2)))
     res = ent.h_min_smooth(st, ("A",), ("B",), 0.5)
     assert res.certificate_gap <= ent.CERT_LIMIT_BITS
-    assert len(calls) == 3
-    assert [status for _, status in calls[:2]] == [sdp.SdpStatus.MAX_ITER] * 2
-    assert "reg" in calls[2][0] and "step_frac" in calls[2][0]
-    assert calls[2][1] is sdp.SdpStatus.OPTIMAL
+    assert [(kw["max_iterations"], sol.status) for kw, sol in solve_calls] == [
+        (400, sdp.SdpStatus.MAX_ITER), (600, sdp.SdpStatus.OPTIMAL)]
+    assert "reg" not in solve_calls[0][0] and "step_frac" not in solve_calls[0][0]
+    assert "reg" in solve_calls[1][0] and "step_frac" in solve_calls[1][0]
+
+
+def test_cq_converse_certifies_in_one_solve(solve_calls):
+    # the converse smoothing of the merging benchmark's cq instance: a solve
+    # stopped at the solver's default gap would leave the sandwich too wide
+    p = (0.5, 0.25, 0.125, 0.125)
+    amps = np.zeros((2, 4, 2), dtype=complex)
+    for a in range(2):
+        for e in range(2):
+            amps[a, 2 * a + e, e] = math.sqrt(p[2 * a + e])
+    psi = PureState(dims_of(("A", 2), ("B", 4), ("E", 2)), amps.reshape(-1))
+    res = ent.h_max_smooth(psi.to_operator(), ("A",), ("B",), 4 * math.sqrt(0.06))
+    assert res.certificate_gap <= ent.CERT_LIMIT_BITS
+    assert len(solve_calls) == 1
+    assert solve_calls[0][1].status is sdp.SdpStatus.OPTIMAL
 
 
 def test_smooth_hmax_epsilon_zero_matches():

@@ -259,6 +259,15 @@ def test_cost_sandwich():
         assert con <= ach + 1e-9
 
 
+def test_achievable_cost_past_200_iterations_certifies_in_one_solve(solve_calls):
+    # test_cost_sandwich's seed 3: dense smoothing at eps^2/13 runs past 200
+    # iterations, within the single solve's budget of 400
+    psi = random_pure(np.random.default_rng(3), (("A", 2), ("B", 2), ("E", 2)))
+    assert np.isfinite(mg.cost_achievable(psi, ("A",), ("B",), 0.05, realize=False))
+    assert len(solve_calls) == 1
+    assert solve_calls[0][1].iterations > 200
+
+
 def test_merging_cost_trend_toward_conditional_entropy():
     beta = cc_state(1)
     h_vn = ent.von_neumann(beta.to_operator(), ("A",), ("B",))

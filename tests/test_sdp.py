@@ -174,9 +174,9 @@ def test_max_iter_escape_hatch():
 
 
 def test_problem_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not Hermitian"):
         SdpProblem((2,), (np.array([[0.0, 1.0], [0.0, 0.0]]),),
-                   (np.zeros((0, 2, 2)),), np.zeros(0))
+                   (np.eye(2)[None],), np.ones(1))
     build = ProblemBuilder()
     blk = build.add_block(2)
     for _ in range(5):
@@ -195,6 +195,13 @@ def test_problem_validation():
         SdpProblem((2,), eye, (np.zeros((0, 2, 2)),), np.zeros(4), (fam, fam))
     with pytest.raises(ValueError, match="row range"):
         SdpProblem((2,), eye, (np.zeros((0, 2, 2)),), np.zeros(3), (fam,))
+
+
+def test_program_without_constraints_is_rejected():
+    build = ProblemBuilder()
+    build.add_block(2, np.eye(2))
+    with pytest.raises(ValueError, match="no constraints"):
+        build.build()
 
 
 def test_trace_csv_export():
