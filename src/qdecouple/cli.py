@@ -279,6 +279,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    # a NaN tolerance would switch its check off, a negative one fail it
+    # on every input
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdecouple",
@@ -291,11 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cap", type=int, default=None,
                         help="total-dimension cap (default "
                              f"{linalg.DIM_CAP}; env QDECOUPLE_DIM_CAP)")
-    common.add_argument("--tol-herm", type=float, default=None,
+    common.add_argument("--tol-herm", type=_tolerance, default=None,
                         help=f"Hermiticity tolerance (default {linalg.TOL_HERM})")
-    common.add_argument("--tol-psd", type=float, default=None,
+    common.add_argument("--tol-psd", type=_tolerance, default=None,
                         help=f"positivity tolerance (default {linalg.TOL_PSD})")
-    common.add_argument("--tol-trace", type=float, default=None,
+    common.add_argument("--tol-trace", type=_tolerance, default=None,
                         help=f"trace tolerance (default {linalg.TOL_TRACE})")
     common.add_argument("--out", default=None, help="write the JSON report here")
     seeded = argparse.ArgumentParser(add_help=False)

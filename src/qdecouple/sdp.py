@@ -12,7 +12,11 @@ the boundary of strict feasibility.  Each group of equal-size blocks adds its
 part of the Schur complement with the dense sandwich W A_i W (``_DenseSchur``)
 or, where the group carries constraint families (``ProblemBuilder.add_family``)
 and that needs fewer operations, with the family term, which works from the
-scaling matrix W alone (``_sdp_family``).
+scaling matrix W alone (``_sdp_family``).  A group of n >= 2 factors its
+iterates and bounds its steps with stacked LAPACK calls; a group of 1x1
+blocks makes none, and works elementwise on real parts with the same
+floating-point operations as LAPACK's n = 1 case, so its iterates are the
+LAPACK route's bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 from qdecouple.linalg import DimCapError, herm_basis, herm_pairs, read_only
 
@@ -358,7 +362,16 @@ class ProblemBuilder:
 # ---------------------------------------------------------------------------
 
 def _b_herm(m: np.ndarray) -> np.ndarray:
-    return (m + np.conj(np.transpose(m, (0, 2, 1)))) / 2
+    return (m + m.conj().transpose(0, 2, 1)) / 2
+
+
+def _one_by_one(stack: np.ndarray) -> bool:
+    """Whether a (count, n, n) stack holds 1x1 blocks, which the step and
+    factor routines below serve elementwise as LAPACK's n = 1 case: the
+    eigenvalue of a Hermitian 1x1 block is its real part, its eigenvector 1.
+    Each elementwise route makes the same floating-point operations as the
+    LAPACK route, so both give the same bits."""
+    return stack.shape[-1] == 1
 
 
 def _b_floored(w: np.ndarray, rel_floor: float) -> np.ndarray:
@@ -369,7 +382,7 @@ def _b_floored(w: np.ndarray, rel_floor: float) -> np.ndarray:
 
 def _b_spectral(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """V diag(w) V^H for each block."""
-    return (v * w[:, None, :]) @ np.conj(np.transpose(v, (0, 2, 1)))
+    return (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
 def _b_factor(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -380,6 +393,16 @@ def _b_factor(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
     Optim. 8, 1998).  Eigenvalues are clamped at a relative machine floor:
     1e-16 for X, X^(1/2) Z X^(1/2) and Z^(-1/2), 1e-18 for Z^(-1).
     """
+    if _one_by_one(x):
+        # every factor is real: a product of 1x1 blocks is the product of
+        # their real parts, as the complex products below compute it
+        wx = _b_floored(x.real[:, 0], 1e-16)
+        wz = z.real[:, 0]
+        xh = np.sqrt(wx)
+        mih = _b_floored(xh * wz * xh, 1e-16) ** -0.5
+        return tuple(f.astype(complex).reshape(-1, 1, 1) for f in (
+            xh * mih * xh, wx ** -0.5, _b_floored(wz, 1e-16) ** -0.5,
+            1.0 / _b_floored(wz, 1e-18)))
     count = len(x)
     w, v = np.linalg.eigh(_b_herm(np.concatenate((x, z))))
     wx, vx, wz, vz = w[:count], v[:count], w[count:], v[count:]
@@ -392,15 +415,18 @@ def _b_factor(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
             _b_spectral(1.0 / _b_floored(wz, 1e-18), vz))
 
 
-def _b_lowest(w: np.ndarray, counts: list[int]) -> list[float]:
-    """The smallest of the per-item values w over each consecutive run of
-    ``counts`` items (every count at least 1)."""
-    return np.minimum.reduceat(w, np.cumsum([0, *counts[:-1]])).tolist()
+def _b_lowest_eig(s: np.ndarray) -> np.ndarray:
+    """The lowest eigenvalue of each Hermitian part of a (count, n, n) stack."""
+    if _one_by_one(s):
+        return s.real[:, 0, 0]
+    return np.linalg.eigvalsh(_b_herm(s))[:, 0]
 
 
-def _b_step_lows(isq: list[np.ndarray], d: list[np.ndarray]) -> list[float]:
-    """Lowest eigenvalue of isq_j d_j isq_j over the items of each side j of
-    one group size, from one stacked ``eigvalsh``.
+def _b_step_lows(isq: tuple[np.ndarray, np.ndarray], d: list[np.ndarray]) -> list[float]:
+    """Lowest eigenvalue of isq_j d isq_j over the items of one group size, for
+    each direction d of [dx_1, dz_1, dx_2, dz_2, ...], where the x-side
+    directions take isq_0 = x^(-1/2) and the z-side ones isq_1 = z^(-1/2),
+    from one stacked ``eigvalsh`` (none for 1x1 blocks).
 
     With isq = x^(-1/2), sup { a : x + a d >= 0 } is -1 / lowest, or
     infinite when lowest is not negative.  Each item is scaled to unit
@@ -408,11 +434,22 @@ def _b_step_lows(isq: list[np.ndarray], d: list[np.ndarray]) -> list[float]:
     a relative machine floor are clamped in isq, so callers must still
     verify positive definiteness of the stepped point.
     """
-    s = _b_herm(np.concatenate([i @ dj @ i for i, dj in zip(isq, d)]))
-    scale = np.abs(s).reshape(s.shape[0], -1).max(axis=1)
-    scale = np.maximum(scale, 1e-300)
-    lam = np.linalg.eigvalsh(s / scale[:, None, None])[:, 0] * scale
-    return _b_lowest(lam, [len(dj) for dj in d])
+    count, n = isq[0].shape[:2]
+    shape = (len(d) // 2, 2, count, n, n)  # (direction pair, side, item)
+    if _one_by_one(isq[0]):
+        # numpy divides a complex entry by a real one by multiplying with
+        # the reciprocal, so lam is not v, but v * (1 / scale) * scale
+        i = np.concatenate(isq).real.reshape(shape[1:])
+        v = i * np.concatenate(d).real.reshape(shape) * i
+        scale = np.maximum(np.abs(v), 1e-300)
+        lam = v * (1.0 / scale) * scale
+    else:
+        i = np.concatenate(isq).reshape(shape[1:])
+        s = _b_herm((i @ np.concatenate(d).reshape(shape) @ i).reshape(-1, n, n))
+        scale = np.abs(s).reshape(len(s), -1).max(axis=1)
+        scale = np.maximum(scale, 1e-300)
+        lam = np.linalg.eigvalsh(s / scale[:, None, None])[:, 0] * scale
+    return lam.reshape(-1, count).min(axis=1).tolist()
 
 
 def _b_max_steps(lows: list[list[float]]) -> list[float]:
@@ -425,8 +462,7 @@ def _b_back_off(x: list[np.ndarray], dx: list[np.ndarray], step: float,
                 tries: int) -> float:
     """Halve step, at most ``tries`` times, until x + step dx is positive definite."""
     for _ in range(tries):
-        if all(np.linalg.eigvalsh(_b_herm(xg + step * dg))[:, 0].min() > 0.0
-               for xg, dg in zip(x, dx)):
+        if all(_b_lowest_eig(xg + step * dg).min() > 0.0 for xg, dg in zip(x, dx)):
             break
         step *= 0.5
     return step
@@ -437,12 +473,12 @@ def _b_back_off_pair(x: list[np.ndarray], dx: list[np.ndarray], ap: float,
                      ) -> tuple[float, float]:
     """(ap, ad) halved, at most 40 times each, until x + ap dx and z + ad dz
     are positive definite.  The first check of both is one stacked
-    ``eigvalsh`` per group; ``_b_back_off`` goes on from half a step that
-    fails it."""
+    ``eigvalsh`` per group (none for 1x1 blocks); ``_b_back_off`` goes on
+    from half a step that fails it."""
     x_ok = z_ok = True
     for xg, dxg, zg, dzg in zip(x, dx, z, dz):
-        w = np.linalg.eigvalsh(_b_herm(np.concatenate((xg + ap * dxg, zg + ad * dzg))))
-        x_low, z_low = _b_lowest(w[:, 0], [len(xg), len(zg)])
+        w = _b_lowest_eig(np.concatenate((xg + ap * dxg, zg + ad * dzg)))
+        x_low, z_low = w.reshape(2, -1).min(axis=1).tolist()
         x_ok, z_ok = x_ok and x_low > 0.0, z_ok and z_low > 0.0
     return (ap if x_ok else _b_back_off(x, dx, 0.5 * ap, 39),
             ad if z_ok else _b_back_off(z, dz, 0.5 * ad, 39))
@@ -559,11 +595,12 @@ class _Groups:
         """Re <A_i, A_j>, the Gram matrix of the constraint map."""
         return sum(t.gram() for t in self.terms)
 
-    def schur(self, w: list[np.ndarray]) -> np.ndarray:
-        """M_ij = sum_k Re tr(A_ik W_k A_jk W_k), each group by its own kernel."""
-        out = None
+    def schur(self, w: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+        """M_ij = sum_k Re tr(A_ik W_k A_jk W_k), each group by its own kernel,
+        summed into the m x m ``out``."""
+        out.fill(0.0)
         for t, wg in zip(self.terms, w):
-            out = t.schur(wg, out)
+            t.schur(wg, out)
         return out
 
 
@@ -617,16 +654,33 @@ def solve(problem: SdpProblem, *,
     # exactly onto A(dx) = r_p so the primal residual cannot drift
     gram = groups.gram()
     gram = (gram + gram.T) / 2 + 1e-12 * max(1.0, float(np.trace(gram)) / max(m, 1)) * np.eye(m)
-    gram_factor = cho_factor(gram)
-    # LAPACK's potrs, as scipy.linalg.cho_solve calls it, without that
-    # wrapper's checks on every one of the three solves per direction
-    potrs, = get_lapack_funcs(("potrs",), (gram,))
+    # LAPACK's potrf and potrs, as scipy.linalg.cho_factor and cho_solve call
+    # them (upper factor), without those wrappers' checks and copies on every
+    # factorization and on every one of the three solves per direction
+    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (gram,))
 
-    def cho_solve(factor: tuple[np.ndarray, bool], rhs: np.ndarray) -> np.ndarray:
-        out, info = potrs(factor[0], rhs, lower=factor[1])
+    def cho_factor(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The Cholesky factor of a, formed in the Fortran-ordered m x m out."""
+        out[...] = a
+        factor, info = potrf(out, overwrite_a=True, clean=False)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"{info}-th leading minor of the array is not positive definite")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of potrf")
+        return factor
+
+    def cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        out, info = potrs(factor, rhs)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of potrs")
         return out
+
+    gram_factor = cho_factor(gram, np.empty((m, m), order="F"))
+    # the Schur matrix, its symmetrized copy and its factor, reused every
+    # iteration: fresh m x m arrays would fault their pages in on first touch
+    schur_sum, mat = np.empty((m, m)), np.empty((m, m))
+    schur_factor = np.empty((m, m), order="F")
 
     trace: list[IterateRecord] = []
     status = SdpStatus.MAX_ITER
@@ -682,20 +736,22 @@ def solve(problem: SdpProblem, *,
                 break
 
         w_scale, x_isq, z_isq, z_inv = zip(*map(_b_factor, x, z))
-        mat = groups.schur(w_scale)
-        mat = mat + mat.T  # a fresh C-ordered array: mat @ dy below depends on it
+        groups.schur(w_scale, schur_sum)
+        # mat is C-ordered: the summation order of mat @ dy below depends on it
+        np.add(schur_sum, schur_sum.T, out=mat)
         mat *= 0.5
         mat.flat[::m + 1] += reg
         try:
-            factor = cho_factor(mat)
+            factor = cho_factor(mat, schur_factor)
         except np.linalg.LinAlgError:
-            factor = cho_factor(mat + 1e-8 * np.trace(mat) / m * np.eye(m))
+            factor = cho_factor(mat + 1e-8 * np.trace(mat) / m * np.eye(m), schur_factor)
 
         mu = groups.ip(x, z) / n_tot
 
+        wrw = [w @ rd @ w for w, rd in zip(w_scale, r_d)]
+
         def direction(r_c):
-            rhs = groups.apply_a([w @ rd @ w - rc for w, rd, rc in zip(w_scale, r_d, r_c)],
-                                 r_p)
+            rhs = groups.apply_a([a - rc for a, rc in zip(wrw, r_c)], r_p)
             dy = cho_solve(factor, rhs)
             # one round of iterative refinement on the Schur system
             dy = dy + cho_solve(factor, rhs - mat @ dy)
@@ -710,9 +766,8 @@ def solve(problem: SdpProblem, *,
         def steps(*cands):
             """(primal, dual) step of each candidate (dx, dz), from one stacked
             eigvalsh per group for all of them."""
-            lows = [_b_step_lows([xi, zi] * len(cands),
-                                 [d[g] for dx_c, dz_c in cands for d in (dx_c, dz_c)])
-                    for g, (xi, zi) in enumerate(zip(x_isq, z_isq))]
+            lows = [_b_step_lows(isq, [d[g] for dx_c, dz_c in cands for d in (dx_c, dz_c)])
+                    for g, isq in enumerate(zip(x_isq, z_isq))]
             return [min(1.0, step_frac * a) for a in _b_max_steps(lows)]
 
         # predictor

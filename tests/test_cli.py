@@ -106,6 +106,20 @@ def test_flags_a_subcommand_does_not_read_exit_two(argv):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--tol-herm", "nan"), ("--tol-psd", "nan"), ("--tol-psd", "-1"),
+    ("--tol-trace", "inf"), ("--tol-trace", "-0.5"),
+])
+def test_non_finite_or_negative_tolerance_exits_two(capsys, flag, value):
+    # a NaN tolerance switched its check off, a negative one failed every
+    # state; both are usage errors before the state is read
+    with pytest.raises(SystemExit) as err:
+        main(["entropy", "--state", "s.json", "--kind", "hmin", "--target", "A",
+              flag, value])
+    assert err.value.code == 2
+    assert f"argument {flag}: must be finite and non-negative" in capsys.readouterr().err
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = run_cli(capsys, "entropy", "--state", "/no/such/file.json",
                            "--kind", "hmin", "--target", "A")
