@@ -279,6 +279,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     value = float(text)
     # a NaN tolerance would switch its check off, a negative one fail it
@@ -320,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("kind", choices=["independent", "classical", "entangled",
                                     "random-mixed", "random-pure"])
-    p.add_argument("--k", type=int, default=1, help="number of qubits (default 1)")
+    p.add_argument("--k", type=_non_negative_int, default=1,
+                   help="number of qubits (default 1)")
     p.add_argument("--rhoE", default="maximally-mixed",
                    choices=["maximally-mixed", "pure0", "random"],
                    help="reference preparation for kind=independent")
@@ -353,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--state", required=True)
     pr.add_argument("--channel", required=True,
                     help="builder spec like id+trace:4,1 or a channel JSON file")
-    pr.add_argument("--samples", type=int, default=1000)
+    pr.add_argument("--samples", type=_positive_int, default=1000)
     pr.add_argument("--epsilon", type=float, default=0.0)
     pr.add_argument("--on", default="A", help="input labels (default A)")
     pr.add_argument("--csv", default=None, help="write per-sample distances here")
@@ -366,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--state", required=True, help="pure tripartite state JSON")
     pm.add_argument("--epsilon", type=float, required=True)
     pm.add_argument("--num-seeds", type=_positive_int, default=1)
-    pm.add_argument("--K", type=int, default=None)
-    pm.add_argument("--L", type=int, default=None)
+    pm.add_argument("--K", type=_positive_int, default=None)
+    pm.add_argument("--L", type=_positive_int, default=None)
     pm.add_argument("--a-labels", default="A")
     pm.add_argument("--b-labels", default="B")
     pm.add_argument("--e-labels", default="E")

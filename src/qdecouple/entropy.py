@@ -1,9 +1,9 @@
 """Exact and smooth conditional entropies of finite-dimensional states.
 
 Min-entropy and its smoothed variant are computed by the embedded SDP solver;
-max-entropies come both from a direct fidelity SDP and from min-entropy of a
-purification, cross-checked against each other.  Collision entropy has a
-closed form at a fixed conditioning operator plus an optional local ascent.
+a conditional max-entropy is minus the min-entropy of a purification
+(duality), one certified SDP per query.  Collision entropy has a closed form
+at a fixed conditioning operator plus an optional local ascent.
 
 All logarithms are base 2; values are reported in bits.
 """
@@ -36,7 +36,6 @@ from qdecouple.linalg import (
 # A solved entropy program is accepted when the primal/dual sandwich pins the
 # value to this many bits, regardless of the raw solver status.
 CERT_LIMIT_BITS = 1e-6
-CROSS_CHECK_TOL = 1e-4
 DIAG_TOL = 1e-13
 
 
@@ -215,61 +214,16 @@ def h_min(state: StateOperator, target: Sequence[str],
 # max-entropy
 # ---------------------------------------------------------------------------
 
-def _support_factor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Isometry R onto supp(rho) and the full-rank compression D = R^H rho R."""
-    w, v = np.linalg.eigh(hermitian_part(rho))
-    top = max(float(w[-1]), 0.0)
-    keep = w > 1e-12 * max(top, 1e-30)
-    r = v[:, keep]
-    return r, np.diag(w[keep]).astype(complex)
-
-
-def _fidelity_embedding(rho: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """Support-compressed PSD block embedding of the fidelity with rho.
-
-    The embedding block is V = [[D, Y], [Y^H, X]] of size r + d, with the
-    fixed corner D = R^H rho R compressed onto supp(rho) (rank r) so the
-    programs keep a strictly feasible interior even for rank-deficient
-    states.  Returns r, the matrix Gamma with tr(Gamma V) = Re tr(R Y), and
-    the right-hand sides of the family that fixes the D corner (the
-    coordinates of D in ``herm_matrices(r)``, embedded at offset 0).
-    """
-    d = rho.shape[0]
-    r_iso, d_mat = _support_factor(rho)
-    r = r_iso.shape[1]
-    gam = np.zeros((r + d, r + d), dtype=complex)
-    gam[:r, r:] = r_iso.conj().T / 2
-    gam[r:, :r] = r_iso / 2
-    return r, gam, herm_coords(d_mat)
-
-
-def _hmax_fidelity_sdp(rho: np.ndarray, d_a: int, d_b: int
-                       ) -> tuple[float, np.ndarray, float]:
-    """max_sigma F(rho, I (x) sigma) via the PSD block embedding of fidelity."""
-    d = d_a * d_b
-    r, gam, corner = _fidelity_embedding(rho)
-    build = sdp.ProblemBuilder()
-    v_blk = build.add_block(r + d, -gam)
-    s_blk = build.add_block(d_b)
-    build.add_family(r, {v_blk: sdp.embed(0)}, corner)
-    # X = I (x) sigma, one constraint per h of herm_matrices(d)
-    build.add_family(d, {v_blk: sdp.embed(r), s_blk: sdp.neg_trace_out(d_a)},
-                     np.zeros(d * d))
-    build.add_constraint({s_blk: np.eye(d_b, dtype=complex)}, 1.0)
-    mid, width, sol = _certified_solve(build.build(), "max-entropy fidelity SDP",
-                                       flip=True)
-    sigma = hermitian_part(sol.x_blocks[s_blk])
-    return 2 * math.log2(mid), sigma, 2 * width
-
-
 def h_max(state: StateOperator, target: Sequence[str],
           condition: Sequence[str] = ()) -> EntropyResult:
-    """Conditional max-entropy, computed two ways and cross-checked.
+    """Conditional max-entropy by min-entropy duality on a purification.
 
-    The returned value comes from min-entropy duality on a purification; the
-    fidelity-SDP route supplies the conditioning witness and the cross-check.
+    H_max(A|B) = -H_min(A|C) for a purification of rho_AB on a fresh C, one
+    certified SDP; ``certificate_gap`` is that SDP's width.  No conditioning
+    witness is returned (``optimizer_sigma`` is None).  The trivially
+    conditioned case is the closed form 2 log tr sqrt(rho).
     """
-    rho, d_a, d_b, tdims, cdims = _prepare(state, target, condition)
+    rho, _, _, tdims, cdims = _prepare(state, target, condition)
     if not condition:
         val = 2 * math.log2(float(np.trace(sqrt_psd(rho)).real))
         return EntropyResult(val)
@@ -278,15 +232,7 @@ def h_max(state: StateOperator, target: Sequence[str],
     psi = purify(joint, c_label, require_normalized=False, cap=joint.dims.total ** 2)
     reduced_ac = pure_marginal(psi, list(tdims.labels) + [c_label])
     dual = h_min(reduced_ac, tdims.labels, (c_label,))
-    value = -dual.value
-    direct, sigma, width_direct = _hmax_fidelity_sdp(rho, d_a, d_b)
-    if abs(direct - value) > CROSS_CHECK_TOL:
-        raise EntropyError(
-            f"max-entropy cross-check disagreement: duality {value}, direct {direct}")
-    tr = float(np.trace(sigma).real)
-    witness = StateOperator(cdims, _clip_psd(sigma / tr), validate=False)
-    return EntropyResult(value, optimizer_sigma=witness,
-                         certificate_gap=max(dual.certificate_gap, width_direct))
+    return EntropyResult(-dual.value, certificate_gap=dual.certificate_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +395,34 @@ def _smooth_hmin_diag(p: np.ndarray, d_a: int, d_b: int, eps: float
     return -math.log2(mid), q.reshape(d_a, d_b), s, width
 
 
+def _support_factor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Isometry R onto supp(rho) and the full-rank compression D = R^H rho R."""
+    w, v = np.linalg.eigh(hermitian_part(rho))
+    top = max(float(w[-1]), 0.0)
+    keep = w > 1e-12 * max(top, 1e-30)
+    r = v[:, keep]
+    return r, np.diag(w[keep]).astype(complex)
+
+
+def _fidelity_embedding(rho: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Support-compressed PSD block embedding of the fidelity with rho.
+
+    The embedding block is V = [[D, Y], [Y^H, X]] of size r + d, with the
+    fixed corner D = R^H rho R compressed onto supp(rho) (rank r) so the
+    programs keep a strictly feasible interior even for rank-deficient
+    states.  Returns r, the matrix Gamma with tr(Gamma V) = Re tr(R Y), and
+    the right-hand sides of the family that fixes the D corner (the
+    coordinates of D in ``herm_matrices(r)``, embedded at offset 0).
+    """
+    d = rho.shape[0]
+    r_iso, d_mat = _support_factor(rho)
+    r = r_iso.shape[1]
+    gam = np.zeros((r + d, r + d), dtype=complex)
+    gam[:r, r:] = r_iso.conj().T / 2
+    gam[r:, :r] = r_iso / 2
+    return r, gam, herm_coords(d_mat)
+
+
 def _smooth_hmin_dense(rho: np.ndarray, d_a: int, d_b: int, eps: float
                        ) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Joint smoothing SDP over (smoothed state, conditioning operator).
@@ -515,8 +489,8 @@ def h_max_smooth(state: StateOperator, target: Sequence[str],
 
     If the input is pure and carries labels beyond target+condition, those
     labels serve as the purifier; otherwise the reduced state is purified on
-    a fresh label.  Cross-checked against the direct route at epsilon = 0 by
-    delegation.
+    a fresh label.  At epsilon = 0 it is ``h_max``.  Like ``h_max`` it
+    returns no conditioning witness.
     """
     EntropyRequest(state, tuple(target), tuple(condition), epsilon)
     if epsilon == 0.0:

@@ -24,12 +24,13 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from qdecouple.linalg import DimCapError, herm_basis, herm_pairs, read_only
+from qdecouple.linalg import (DimCapError, herm_basis, herm_pairs, hermitian_part,
+                              read_only)
 
 
 class SdpStatus(enum.Enum):
@@ -310,9 +311,17 @@ class ProblemBuilder:
             raise DimCapError(f"{m} constraints on blocks of sizes {tuple(self._dims)} "
                               f"need {entries} stack entries, above {MAX_STACK_ENTRIES}")
 
+    def _check_blocks(self, ks: Iterable[int]) -> None:
+        # a negative index would otherwise wrap onto a block from the end
+        for k in ks:
+            if k not in range(len(self._dims)):
+                raise ValueError(f"block index {k!r} outside the {len(self._dims)} "
+                                 f"blocks added")
+
     def add_constraint(self, coeffs: dict[int, np.ndarray], rhs: float) -> None:
         # refuse an oversized program as soon as its rows reach the limit
         self._check_size(self._m + 1)
+        self._check_blocks(coeffs)
         row = {}
         for k, v in coeffs.items():
             v = np.asarray(v, dtype=complex)
@@ -332,6 +341,7 @@ class ProblemBuilder:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (d * d,):
             raise ValueError(f"family of size {d} needs {d * d} right-hand sides")
+        self._check_blocks(maps)
         for k, fmap in maps.items():
             if not fmap.fits(d, self._dims[k]):
                 raise ValueError(f"{fmap.kind} map of a size-{d} family does not fit "
@@ -360,10 +370,6 @@ class ProblemBuilder:
 # per-iteration operation is a handful of batched LAPACK/BLAS calls; Python
 # never loops over individual blocks.
 # ---------------------------------------------------------------------------
-
-def _b_herm(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().transpose(0, 2, 1)) / 2
-
 
 def _one_by_one(stack: np.ndarray) -> bool:
     """Whether a (count, n, n) stack holds 1x1 blocks, which the step and
@@ -404,13 +410,13 @@ def _b_factor(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
             xh * mih * xh, wx ** -0.5, _b_floored(wz, 1e-16) ** -0.5,
             1.0 / _b_floored(wz, 1e-18)))
     count = len(x)
-    w, v = np.linalg.eigh(_b_herm(np.concatenate((x, z))))
+    w, v = np.linalg.eigh(hermitian_part(np.concatenate((x, z))))
     wx, vx, wz, vz = w[:count], v[:count], w[count:], v[count:]
     wx = _b_floored(wx, 1e-16)
     xh = _b_spectral(np.sqrt(wx), vx)
-    wm, vm = np.linalg.eigh(_b_herm(xh @ z @ xh))
+    wm, vm = np.linalg.eigh(hermitian_part(xh @ z @ xh))
     mih = _b_spectral(_b_floored(wm, 1e-16) ** -0.5, vm)
-    return (_b_herm(xh @ mih @ xh), _b_spectral(wx ** -0.5, vx),
+    return (hermitian_part(xh @ mih @ xh), _b_spectral(wx ** -0.5, vx),
             _b_spectral(_b_floored(wz, 1e-16) ** -0.5, vz),
             _b_spectral(1.0 / _b_floored(wz, 1e-18), vz))
 
@@ -419,7 +425,7 @@ def _b_lowest_eig(s: np.ndarray) -> np.ndarray:
     """The lowest eigenvalue of each Hermitian part of a (count, n, n) stack."""
     if _one_by_one(s):
         return s.real[:, 0, 0]
-    return np.linalg.eigvalsh(_b_herm(s))[:, 0]
+    return np.linalg.eigvalsh(hermitian_part(s))[:, 0]
 
 
 def _b_step_lows(isq: tuple[np.ndarray, np.ndarray], d: list[np.ndarray]) -> list[float]:
@@ -445,7 +451,7 @@ def _b_step_lows(isq: tuple[np.ndarray, np.ndarray], d: list[np.ndarray]) -> lis
         lam = v * (1.0 / scale) * scale
     else:
         i = np.concatenate(isq).reshape(shape[1:])
-        s = _b_herm((i @ np.concatenate(d).reshape(shape) @ i).reshape(-1, n, n))
+        s = hermitian_part((i @ np.concatenate(d).reshape(shape) @ i).reshape(-1, n, n))
         scale = np.abs(s).reshape(len(s), -1).max(axis=1)
         scale = np.maximum(scale, 1e-300)
         lam = np.linalg.eigvalsh(s / scale[:, None, None])[:, 0] * scale
@@ -638,7 +644,7 @@ def solve(problem: SdpProblem, *,
     norm_c = max(float(np.linalg.norm(c)) for cg in groups.c for c in cg)
 
     if x0 is not None:
-        x = [_b_herm(g) for g in groups.scatter(list(x0))]
+        x = [hermitian_part(g) for g in groups.scatter(list(x0))]
     else:
         x = groups.identity(max(1.0, norm_b))
     if y0 is None:
@@ -646,7 +652,7 @@ def solve(problem: SdpProblem, *,
     else:
         y = np.asarray(y0, dtype=float) * row_scale / c_scale
     if z0 is not None:
-        z = [_b_herm(g) / c_scale for g in groups.scatter(list(z0))]
+        z = [hermitian_part(g) / c_scale for g in groups.scatter(list(z0))]
     else:
         z = groups.identity(max(1.0, norm_c))
 
@@ -729,7 +735,7 @@ def solve(problem: SdpProblem, *,
         # dual improving ray => primal infeasible
         ny = float(np.linalg.norm(y))
         if ny > 1e6 and float(b @ y) > 1e-6 * ny:
-            lam_max = max(float(np.linalg.eigvalsh(_b_herm(s))[:, -1].max())
+            lam_max = max(float(np.linalg.eigvalsh(hermitian_part(s))[:, -1].max())
                           for s in aty)
             if lam_max <= 1e-8 * ny:
                 status = SdpStatus.INFEASIBLE
@@ -756,11 +762,11 @@ def solve(problem: SdpProblem, *,
             # one round of iterative refinement on the Schur system
             dy = dy + cho_solve(factor, rhs - mat @ dy)
             dz = [rd - ad for rd, ad in zip(r_d, groups.apply_a_adjoint(dy))]
-            dx = [_b_herm(rc - w @ d @ w) for rc, w, d in zip(r_c, w_scale, dz)]
-            dz = [_b_herm(d) for d in dz]
+            dx = [hermitian_part(rc - w @ d @ w) for rc, w, d in zip(r_c, w_scale, dz)]
+            dz = [hermitian_part(d) for d in dz]
             # project dx back onto A(dx) = r_p, killing residual drift
             lam = cho_solve(gram_factor, r_p - groups.apply_a(dx))
-            dx = [_b_herm(d + c) for d, c in zip(dx, groups.apply_a_adjoint(lam))]
+            dx = [hermitian_part(d + c) for d, c in zip(dx, groups.apply_a_adjoint(lam))]
             return dx, dy, dz
 
         def steps(*cands):
@@ -782,7 +788,7 @@ def solve(problem: SdpProblem, *,
         # only when it does not shrink the step
         nu = sigma * mu
         r_c_plain = [nu * zi - xg for zi, xg in zip(z_inv, x)]
-        r_c_so = [rc - _b_herm(dxa @ dza @ zi)
+        r_c_so = [rc - hermitian_part(dxa @ dza @ zi)
                   for rc, dxa, dza, zi in zip(r_c_plain, dx_a, dz_a, z_inv)]
         dx, dy, dz = direction(r_c_so)
         dx_p, dy_p, dz_p = direction(r_c_plain)
@@ -792,8 +798,8 @@ def solve(problem: SdpProblem, *,
         if ap < 1e-12 and ad < 1e-12:
             break
         ap, ad = _b_back_off_pair(x, dx, ap, z, dz, ad)
-        x = [_b_herm(xg + ap * d) for xg, d in zip(x, dx)]
-        z = [_b_herm(zg + ad * d) for zg, d in zip(z, dz)]
+        x = [hermitian_part(xg + ap * d) for xg, d in zip(x, dx)]
+        z = [hermitian_part(zg + ad * d) for zg, d in zip(z, dz)]
         y = y + ad * dy
 
     if status is not SdpStatus.INFEASIBLE and best is not None:

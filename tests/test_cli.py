@@ -64,6 +64,18 @@ def test_entropy_subcommand_classical_row(tmp_path, capsys):
     assert "duration_s" in report and "version" in report
 
 
+def test_entropy_subcommand_hmax_of_entangled_state(tmp_path, capsys):
+    path = tmp_path / "ent.json"
+    run_cli(capsys, "gen-state", "entangled", "--k", "1", "--out", str(path))
+    code, out, _ = run_cli(capsys, "entropy", "--state", str(path), "--kind", "hmax",
+                           "--target", "A", "--condition", "E")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["kind"] == "hmax"
+    assert result["value"] == pytest.approx(-1.0, abs=1e-6)
+    assert result["certificate_gap"] <= 1e-6
+
+
 def test_lemmas_check_exit_zero(tmp_path, capsys):
     out_path = tmp_path / "lem.json"
     code, _, _ = run_cli(capsys, "lemmas", "check", "--trials", "100",
@@ -85,6 +97,14 @@ def test_unknown_command_exits_two():
     ["merge", "run", "--state", "s.json", "--epsilon", "0.3", "--num-seeds", "0"],
     ["lemmas", "check", "--trials", "-3"],
     ["decouple", "run", "--state", "s.json", "--channel", "id:1", "--workers", "0"],
+    # a qubit count below 0, and a dimension or sample count below 1, are
+    # usage errors rather than tracebacks or invariant failures
+    ["gen-state", "classical", "--k", "-1"],
+    ["gen-state", "independent", "--k", "-1"],
+    ["gen-state", "entangled", "--k", "-1"],
+    ["merge", "run", "--state", "s.json", "--epsilon", "0.3", "--K", "0", "--L", "1"],
+    ["merge", "run", "--state", "s.json", "--epsilon", "0.3", "--K", "8", "--L", "0"],
+    ["decouple", "run", "--state", "s.json", "--channel", "id:1", "--samples", "0"],
 ])
 def test_unknown_flag_exits_two(argv):
     with pytest.raises(SystemExit) as err:

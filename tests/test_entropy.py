@@ -15,6 +15,7 @@ from qdecouple.linalg import (
     PureState,
     StateOperator,
     dims_of,
+    hermitian_part,
     maximally_mixed,
     partial_trace,
     pure_marginal,
@@ -136,13 +137,66 @@ def test_hmax_conditional_of_maximally_entangled():
         -1.0, abs=1e-6)
 
 
-def test_hmax_two_routes_agree_on_random_states():
+def hmax_fidelity_sdp(rho, d_a, d_b):
+    """H_max(A|B) as log max_sigma F(rho, I (x) sigma), through the PSD block
+    embedding of the fidelity (Watrous, arXiv:1207.5726): the oracle for the
+    duality route of ``h_max``.  Returns (value_bits, sigma, width_bits)."""
+    d = d_a * d_b
+    r, gam, corner = ent._fidelity_embedding(rho)
+    build = sdp.ProblemBuilder()
+    v_blk = build.add_block(r + d, -gam)
+    s_blk = build.add_block(d_b)
+    build.add_family(r, {v_blk: sdp.embed(0)}, corner)
+    # X = I (x) sigma, one constraint per h of herm_matrices(d)
+    build.add_family(d, {v_blk: sdp.embed(r), s_blk: sdp.neg_trace_out(d_a)},
+                     np.zeros(d * d))
+    build.add_constraint({s_blk: np.eye(d_b, dtype=complex)}, 1.0)
+    mid, width, sol = ent._certified_solve(build.build(), "max-entropy fidelity SDP",
+                                           flip=True)
+    sigma = hermitian_part(sol.x_blocks[s_blk])
+    return 2 * math.log2(mid), sigma, 2 * width
+
+
+def fidelity_oracle_cases():
+    """(state, d_A, d_B) on labels A, B: the shapes the fidelity route used to
+    cross-check at run time."""
     rng = np.random.default_rng(32)
     for _ in range(10):
-        st = random_density(rng, (("A", 2), ("B", 3)), rank=int(rng.integers(1, 7)))
+        yield random_density(rng, (("A", 2), ("B", 3)), rank=int(rng.integers(1, 7))), 2, 3
+    for d in (2, 3, 4):
+        yield random_density(rng, (("A", d), ("B", d))), d, d
+    # rank-deficient: the fidelity corner is compressed onto the support
+    yield random_density(rng, (("A", 3), ("B", 3)), rank=2), 3, 3
+    yield random_pure(rng, (("A", 2), ("B", 2))).to_operator(), 2, 2
+    # subnormalized: h_max purifies it without renormalizing
+    sub = random_density(rng, (("A", 2), ("B", 3)))
+    yield StateOperator(sub.dims, 0.7 * sub.matrix), 2, 3
+    # C8's pure triples, reduced to their (A, C) marginals
+    rng = np.random.default_rng(800)
+    for trial in range(30):
+        d_a, d_b = ((2, 2), (2, 3), (3, 2))[trial % 3]
+        psi = random_pure(rng, (("A", d_a), ("B", d_b), ("C", 2)))
+        ac = pure_marginal(psi, ["A", "C"]).matrix
+        yield StateOperator(dims_of(("A", d_a), ("B", 2)), ac), d_a, 2
+
+
+def test_hmax_two_routes_agree_on_random_states():
+    # h_max returns the duality route alone; the fidelity SDP is its oracle
+    worst = 0.0
+    for st, d_a, d_b in fidelity_oracle_cases():
         res = ent.h_max(st, ("A",), ("B",))
-        direct, _, _ = ent._hmax_fidelity_sdp(st.matrix, 2, 3)
-        assert abs(direct - res.value) <= 1e-5
+        direct, _, width = hmax_fidelity_sdp(st.matrix, d_a, d_b)
+        assert width <= 2 * ent.CERT_LIMIT_BITS
+        worst = max(worst, abs(direct - res.value))
+    assert worst <= 1e-5
+
+
+def test_conditional_hmax_is_one_solve(solve_calls):
+    st = random_density(np.random.default_rng(46), (("A", 2), ("B", 3)))
+    res = ent.h_max(st, ("A",), ("B",))
+    assert len(solve_calls) == 1
+    assert res.certificate_gap <= ent.CERT_LIMIT_BITS
+    assert res.optimizer_sigma is None
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,10 @@ from scipy.optimize import minimize
 
 from qdecouple import _sdp_family, entropy, sdp
 from qdecouple.decoupling import classical_state
-from qdecouple.linalg import DimCapError, PureState, dims_of, herm_basis, random_density
+from qdecouple.linalg import (DimCapError, PureState, dims_of, herm_basis,
+                              hermitian_part, random_density)
 from qdecouple.sdp import ProblemBuilder, SdpProblem, SdpStatus, solve
+from test_entropy import hmax_fidelity_sdp
 
 
 def rnd_herm(rng, d):
@@ -206,6 +208,22 @@ def test_program_without_constraints_is_rejected():
         build.build()
 
 
+@pytest.mark.parametrize("k", [-1, -2, 2, 5])
+def test_block_index_outside_the_program_is_rejected(k):
+    # a negative index must not wrap onto a block from the end, and a family's
+    # index is checked when it is added, not later in SdpProblem
+    build = ProblemBuilder()
+    build.add_block(2)
+    build.add_block(2)
+    with pytest.raises(ValueError, match="block index"):
+        build.add_constraint({k: np.eye(2, dtype=complex)}, 1.0)
+    with pytest.raises(ValueError, match="block index"):
+        build.add_family(2, {k: sdp.embed(0)}, np.zeros(4))
+    # nothing was recorded: the program still has no constraints
+    with pytest.raises(ValueError, match="no constraints"):
+        build.build()
+
+
 def test_trace_csv_export():
     rng = np.random.default_rng(105)
     sol = solve(interior_problem(rng, 3, 3), record_trace=True)
@@ -247,7 +265,7 @@ def oracle_programs(monkeypatch) -> dict[str, SdpProblem]:
     return {
         "hmin 2x3": built_program(monkeypatch, lambda: entropy._hmin_sdp(rho23, 2, 3)),
         "hmax fidelity 2x2": built_program(
-            monkeypatch, lambda: entropy._hmax_fidelity_sdp(rho22, 2, 2)),
+            monkeypatch, lambda: hmax_fidelity_sdp(rho22, 2, 2)),
         "dense smoothing 3x2": built_program(
             monkeypatch, lambda: entropy._smooth_hmin_dense(rho32, 3, 2, 0.05)),
         "diagonal smoothing classical(2)": built_program(
@@ -382,7 +400,7 @@ def test_step_search_is_two_stacked_eigvalsh_per_group(monkeypatch):
 def max_step_per_side(isq, dx):
     """The step bound of one side and group as it was taken before the sides
     and candidates were stacked: the oracle for ``_b_step_lows``."""
-    s = sdp._b_herm(isq @ dx @ isq)
+    s = hermitian_part(isq @ dx @ isq)
     scale = np.abs(s).reshape(s.shape[0], -1).max(axis=1)
     scale = np.maximum(scale, 1e-300)
     lam = (np.linalg.eigvalsh(s / scale[:, None, None])[:, 0] * scale).min()
