@@ -47,8 +47,8 @@ def _labels(arg: str | None) -> tuple[str, ...]:
     return tuple(part.strip() for part in arg.split(",") if part.strip())
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _emit(text: str, out: str | None) -> None:
+    """Write serialized JSON and a newline to ``out``, or to stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -57,15 +57,16 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _report(command: str, config: dict, result: dict, seed: haar.RngSeed | None,
-            started: float) -> dict:
-    return {
+            started: float) -> str:
+    """A subcommand's report as indented JSON with sorted keys."""
+    return json.dumps({
         "command": command,
         "config": config,
         "version": qdecouple.__version__,
         "seed": seed.to_json() if seed is not None else None,
         "duration_s": time.time() - started,
         "result": result,
-    }
+    }, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +74,11 @@ def _report(command: str, config: dict, result: dict, seed: haar.RngSeed | None,
 # ---------------------------------------------------------------------------
 
 def gen_state(kind: str, k: int, rho_e: str = "maximally-mixed",
-              d_e: int | None = None, dims: str | None = None,
+              d_e: int | None = None,
+              dims: Sequence[tuple[str, int]] | None = None,
               seed: int = 0, cap: int | None = None) -> linalg.StateOperator:
-    """Reference bipartite states on labels (A, E)."""
+    """Reference bipartite states on labels (A, E); ``dims`` gives the
+    (label, dim) pairs of the random kinds."""
     if kind == "independent":
         d = 2 ** k
         de = d_e if d_e is not None else d
@@ -96,14 +99,10 @@ def gen_state(kind: str, k: int, rho_e: str = "maximally-mixed",
     if kind in ("random-mixed", "random-pure"):
         if not dims:
             raise ValueError("random states need --dims, e.g. A:2,E:3")
-        pairs = []
-        for part in dims.split(","):
-            lab, _, dim = part.partition(":")
-            pairs.append((lab.strip(), int(dim)))
         rng = haar.generator(seed)
         if kind == "random-mixed":
-            return linalg.random_density(rng, pairs, cap=cap)
-        return linalg.random_pure(rng, pairs, cap=cap).to_operator()
+            return linalg.random_density(rng, dims, cap=cap)
+        return linalg.random_pure(rng, dims, cap=cap).to_operator()
     raise ValueError(f"unknown state kind {kind!r}")
 
 
@@ -111,26 +110,16 @@ def gen_state(kind: str, k: int, rho_e: str = "maximally-mixed",
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _emit_compact(payload: dict, out: str | None) -> None:
-    """Write a generated state or channel as one line of JSON."""
-    text = json.dumps(payload)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
 def _cmd_gen_state(args: argparse.Namespace) -> int:
     state = gen_state(args.kind, args.k, args.rhoE, args.dE, args.dims,
                       args.seed, cap=args.cap)
-    _emit_compact(linalg.state_to_json(state), args.out)
+    _emit(json.dumps(linalg.state_to_json(state)), args.out)
     return 0
 
 
 def _cmd_gen_channel(args: argparse.Namespace) -> int:
     ch = chan.parse_spec(args.spec, cap=args.cap)
-    _emit_compact(chan.channel_to_json(ch), args.out)
+    _emit(json.dumps(chan.channel_to_json(ch)), args.out)
     return 0
 
 
@@ -164,7 +153,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
         res = entropy.h_max_smooth(state, target, condition, args.epsilon)
         value, gap = res.value, res.certificate_gap
     elif kind == "h2":
-        res = entropy.h2(state, target, condition, optimize_sigma=args.optimize_sigma)
+        res = entropy.h2(state, target, condition)
         value, gap = res.value, res.certificate_gap
         note = "lower bound on the conditioning supremum"
     else:
@@ -286,6 +275,22 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _dims(text: str) -> tuple[tuple[str, int], ...]:
+    """A label:dim list such as A:2,E:3, each dim at least 1."""
+    pairs = []
+    for part in text.split(","):
+        lab, _, dim = part.partition(":")
+        pairs.append((lab.strip(), _positive_int(dim)))
+    return tuple(pairs)
+
+
+def _epsilon(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {text}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     value = float(text)
     # a NaN tolerance would switch its check off, a negative one fail it
@@ -332,8 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rhoE", default="maximally-mixed",
                    choices=["maximally-mixed", "pure0", "random"],
                    help="reference preparation for kind=independent")
-    p.add_argument("--dE", type=int, default=None, help="reference dimension")
-    p.add_argument("--dims", default=None, help="label:dim list for random kinds")
+    p.add_argument("--dE", type=_positive_int, default=None, help="reference dimension")
+    p.add_argument("--dims", type=_dims, default=None,
+                   help="label:dim list for random kinds, e.g. A:2,E:3")
     p.set_defaults(func=_cmd_gen_state)
 
     p = sub.add_parser("gen-channel", parents=[common],
@@ -346,10 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=["vn", "hmin", "hmax", "h2"])
     p.add_argument("--target", required=True, help="comma-separated labels")
     p.add_argument("--condition", default="", help="comma-separated labels")
-    p.add_argument("--epsilon", type=float, default=0.0,
-                   help="smoothing parameter (default 0)")
-    p.add_argument("--optimize-sigma", action="store_true",
-                   help="run the conditioning ascent for kind=h2")
+    p.add_argument("--epsilon", type=_epsilon, default=0.0,
+                   help="smoothing parameter in [0, 1) (default 0)")
     p.set_defaults(func=_cmd_entropy)
 
     p = sub.add_parser("decouple", help="decoupling experiments")
@@ -362,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--channel", required=True,
                     help="builder spec like id+trace:4,1 or a channel JSON file")
     pr.add_argument("--samples", type=_positive_int, default=1000)
-    pr.add_argument("--epsilon", type=float, default=0.0)
+    pr.add_argument("--epsilon", type=_epsilon, default=0.0)
     pr.add_argument("--on", default="A", help="input labels (default A)")
     pr.add_argument("--csv", default=None, help="write per-sample distances here")
     pr.set_defaults(func=_cmd_decouple_run)

@@ -1,9 +1,10 @@
 """Exact and smooth conditional entropies of finite-dimensional states.
 
 Min-entropy and its smoothed variant are computed by the embedded SDP solver;
-a conditional max-entropy is minus the min-entropy of a purification
-(duality), one certified SDP per query.  Collision entropy has a closed form
-at a fixed conditioning operator plus an optional local ascent.
+a conditional max-entropy, smooth or not, is minus the min-entropy of a
+purification (duality), one certified SDP per query.  Collision entropy has a
+closed form at the reduced conditioning state, a lower bound on its
+supremum over conditioning operators.
 
 All logarithms are base 2; values are reported in bits.
 """
@@ -21,7 +22,6 @@ from qdecouple.linalg import (
     Dims,
     StateOperator,
     hermitian_part,
-    herm_basis,
     herm_combination,
     herm_coords,
     partial_trace,
@@ -130,15 +130,6 @@ def _certified_solve(problem: sdp.SdpProblem, what: str, flip: bool = False,
     return (lo + hi) / 2, width, sol
 
 
-def _fresh_label(used: Sequence[str], base: str) -> str:
-    if base not in used:
-        return base
-    i = 2
-    while f"{base}{i}" in used:
-        i += 1
-    return f"{base}{i}"
-
-
 def _clip_psd(m: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(hermitian_part(m))
     return (v * np.clip(w, 0.0, None)) @ v.conj().T
@@ -218,21 +209,45 @@ def h_max(state: StateOperator, target: Sequence[str],
           condition: Sequence[str] = ()) -> EntropyResult:
     """Conditional max-entropy by min-entropy duality on a purification.
 
-    H_max(A|B) = -H_min(A|C) for a purification of rho_AB on a fresh C, one
-    certified SDP; ``certificate_gap`` is that SDP's width.  No conditioning
-    witness is returned (``optimizer_sigma`` is None).  The trivially
-    conditioned case is the closed form 2 log tr sqrt(rho).
+    H_max(A|B) = -H_min(A|C) for a purification on C (see ``_purified``),
+    one certified SDP; ``certificate_gap`` is that SDP's width.  No
+    conditioning witness is returned (``optimizer_sigma`` is None).  The
+    trivially conditioned case is the closed form 2 log tr sqrt(rho).
     """
-    rho, _, _, tdims, cdims = _prepare(state, target, condition)
     if not condition:
-        val = 2 * math.log2(float(np.trace(sqrt_psd(rho)).real))
-        return EntropyResult(val)
-    joint = StateOperator(Dims(tdims.pairs + cdims.pairs), rho, validate=False)
-    c_label = _fresh_label(joint.labels, "_pur")
-    psi = purify(joint, c_label, require_normalized=False, cap=joint.dims.total ** 2)
-    reduced_ac = pure_marginal(psi, list(tdims.labels) + [c_label])
-    dual = h_min(reduced_ac, tdims.labels, (c_label,))
+        rho = _prepare(state, target, condition)[0]
+        return EntropyResult(2 * math.log2(float(np.trace(sqrt_psd(rho)).real)))
+    EntropyRequest(state, tuple(target), tuple(condition))
+    carrier, purifier = _purified(state, target, condition)
+    dual = h_min(carrier, target, purifier)
     return EntropyResult(-dual.value, certificate_gap=dual.certificate_gap)
+
+
+def _purified(state: StateOperator, target: Sequence[str], condition: Sequence[str]
+              ) -> tuple[StateOperator, tuple[str, ...]]:
+    """A state carrying target and a purifier of the (target, condition) state.
+
+    A pure input with labels beyond target+condition serves as is, those
+    labels being the purifier; otherwise the reduced state, normalized or
+    not, is purified on a fresh label and its (target, purifier) marginal
+    returned.
+    """
+    rel = set(target) | set(condition)
+    spectators = tuple(lab for lab in state.labels if lab not in rel)
+    if spectators and _is_rank_one(state.matrix):
+        return state, spectators
+    joint = state if not spectators else partial_trace(state, rel)
+    joint = joint.permute(list(target) + list(condition))
+    c_label = "_pur"
+    while c_label in joint.labels:
+        c_label += "_"
+    psi = purify(joint, c_label, require_normalized=False, cap=joint.dims.total ** 2)
+    return pure_marginal(psi, list(target) + [c_label]), (c_label,)
+
+
+def _is_rank_one(m: np.ndarray) -> bool:
+    w = np.linalg.eigvalsh(hermitian_part(m))
+    return bool(w[:-1].max(initial=0.0) <= 1e-10 * max(float(w[-1]), 1e-30))
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +269,14 @@ def _h2_at_sigma(rho: np.ndarray, sigma: np.ndarray, d_a: int) -> float:
     return -math.log2(val)
 
 
-def h2(state: StateOperator, target: Sequence[str], condition: Sequence[str] = (),
-       optimize_sigma: bool = False) -> EntropyResult:
-    """Collision entropy at sigma = reduced condition state, optionally improved.
+def h2(state: StateOperator, target: Sequence[str],
+       condition: Sequence[str] = ()) -> EntropyResult:
+    """Collision entropy at sigma = the normalized reduced condition state.
 
-    Without the ascent the value is a lower bound on the conditioning
-    supremum, which is all the decoupling bound needs; the ascent never
-    returns less than the starting value.
+    The value is a lower bound on the supremum over conditioning operators,
+    which is all the decoupling bound needs.
     """
-    rho, d_a, d_b, _, cdims = _prepare(state, target, condition)
+    rho, d_a, _, _, cdims = _prepare(state, target, condition)
     if not condition:
         val = float(np.trace(rho @ rho).real)
         if val <= 0:
@@ -270,53 +284,8 @@ def h2(state: StateOperator, target: Sequence[str], condition: Sequence[str] = (
         return EntropyResult(-math.log2(val))
     rho_b = trace_out_leading(rho, d_a)
     sigma = rho_b / float(np.trace(rho_b).real)
-    best = _h2_at_sigma(rho, sigma, d_a)
-    if optimize_sigma:
-        best, sigma = _h2_ascent(rho, sigma, d_a, best)
-    return EntropyResult(best, optimizer_sigma=StateOperator(cdims, sigma, validate=False))
-
-
-def _h2_ascent(rho: np.ndarray, sigma0: np.ndarray, d_a: int, start: float
-               ) -> tuple[float, np.ndarray]:
-    """Projected finite-difference ascent over normalized conditioning operators."""
-    d_b = sigma0.shape[0]
-    directions = [h for h in herm_basis(d_b) if abs(np.trace(h)) < 1e-12]
-    sigma = sigma0.copy()
-    best = start
-    step = 0.1
-    fd = 1e-6
-
-    def project(m: np.ndarray) -> np.ndarray:
-        m = _clip_psd(m) + 1e-12 * np.eye(d_b)
-        return m / float(np.trace(m).real)
-
-    def value_at(m: np.ndarray) -> float:
-        try:
-            return _h2_at_sigma(rho, m, d_a)
-        except EntropyError:
-            return -np.inf
-
-    for _ in range(80):
-        grad = np.zeros((d_b, d_b), dtype=complex)
-        for h in directions:
-            plus = value_at(project(sigma + fd * h))
-            minus = value_at(project(sigma - fd * h))
-            grad += (plus - minus) / (2 * fd) * h
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < 1e-9:
-            break
-        improved = False
-        trial = step
-        for _ in range(12):
-            cand = project(sigma + trial * grad / gnorm)
-            cand_val = value_at(cand)
-            if cand_val > best + 1e-12:
-                sigma, best, step, improved = cand, cand_val, trial * 1.5, True
-                break
-            trial /= 2
-        if not improved:
-            break
-    return max(best, start), sigma
+    return EntropyResult(_h2_at_sigma(rho, sigma, d_a),
+                         optimizer_sigma=StateOperator(cdims, sigma, validate=False))
 
 
 # ---------------------------------------------------------------------------
@@ -485,34 +454,17 @@ def h_min_smooth(state: StateOperator, target: Sequence[str],
 
 def h_max_smooth(state: StateOperator, target: Sequence[str],
                  condition: Sequence[str] = (), epsilon: float = 0.0) -> EntropyResult:
-    """Smooth conditional max-entropy via duality on a purifying system.
+    """Smooth conditional max-entropy by duality on a purification.
 
-    If the input is pure and carries labels beyond target+condition, those
-    labels serve as the purifier; otherwise the reduced state is purified on
-    a fresh label.  At epsilon = 0 it is ``h_max``.  Like ``h_max`` it
-    returns no conditioning witness.
+    Minus the smooth min-entropy of target given the purifier of
+    ``_purified``; the input must be normalized.  At epsilon = 0 it is
+    ``h_max``.  Like ``h_max`` it returns no conditioning witness.
     """
     EntropyRequest(state, tuple(target), tuple(condition), epsilon)
     if epsilon == 0.0:
         return h_max(state, target, condition)
     if abs(state.trace - 1.0) > 1e-9:
         raise EntropyError("smooth max-entropy needs a normalized state")
-    rel = set(target) | set(condition)
-    spectators = [lab for lab in state.labels if lab not in rel]
-    if spectators and _is_rank_one(state.matrix):
-        carrier = state
-        c_labels = tuple(spectators)
-    else:
-        joint = state if not spectators else partial_trace(state, sorted(rel))
-        joint = joint.permute(list(target) + list(condition))
-        c_label = _fresh_label(joint.labels, "_pur")
-        psi = purify(joint, c_label, cap=joint.dims.total ** 2)
-        carrier = pure_marginal(psi, list(target) + [c_label])
-        c_labels = (c_label,)
-    dual = h_min_smooth(carrier, target, c_labels, epsilon)
+    carrier, purifier = _purified(state, target, condition)
+    dual = h_min_smooth(carrier, target, purifier, epsilon)
     return EntropyResult(-dual.value, certificate_gap=dual.certificate_gap)
-
-
-def _is_rank_one(m: np.ndarray) -> bool:
-    w = np.linalg.eigvalsh(hermitian_part(m))
-    return bool(w[:-1].max(initial=0.0) <= 1e-10 * max(float(w[-1]), 1e-30))

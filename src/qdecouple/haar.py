@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qdecouple.linalg import check_cap, swap_operator
+from qdecouple.linalg import check_cap, is_hermitian, swap_operator
 
 
 @dataclass(frozen=True)
@@ -145,15 +145,18 @@ class TwirlCoefficients:
 def twirl_exact(m: np.ndarray) -> tuple[TwirlCoefficients, np.ndarray]:
     """Average of U^(x)2 M U^(x)2-dagger over Haar U, as alpha*I + beta*F.
 
-    The coefficients solve tr M = alpha d^2 + beta d and
-    tr(M F) = alpha d + beta d^2; at d = 1 (where I = F) the convention is
-    alpha = tr M, beta = 0.
+    M must be Hermitian, so that alpha and beta are real; a non-Hermitian M
+    raises ``ValueError``.  The coefficients solve tr M = alpha d^2 + beta d
+    and tr(M F) = alpha d + beta d^2; at d = 1 (where I = F) the convention
+    is alpha = tr M, beta = 0.
     """
     m = np.asarray(m, dtype=complex)
     d2 = m.shape[0]
     d = int(round(np.sqrt(d2)))
     if m.shape != (d2, d2) or d * d != d2:
         raise ValueError(f"matrix of shape {m.shape} is not a two-copy operator")
+    if not is_hermitian(m):
+        raise ValueError("twirl_exact needs a Hermitian matrix")
     tr_m = complex(np.trace(m))
     if d == 1:
         coeffs = TwirlCoefficients(tr_m.real, 0.0, 0.0)

@@ -76,6 +76,20 @@ def test_entropy_subcommand_hmax_of_entangled_state(tmp_path, capsys):
     assert result["certificate_gap"] <= 1e-6
 
 
+def test_entropy_subcommand_h2_is_the_library_lower_bound(tmp_path, capsys):
+    path = tmp_path / "mixed.json"
+    run_cli(capsys, "gen-state", "random-mixed", "--dims", "A:2,E:3", "--seed", "5",
+            "--out", str(path))
+    state = state_from_json(json.loads(path.read_text()))
+    assert state.dims.pairs == (("A", 2), ("E", 3))
+    code, out, _ = run_cli(capsys, "entropy", "--state", str(path), "--kind", "h2",
+                           "--target", "A", "--condition", "E")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["note"] == "lower bound on the conditioning supremum"
+    assert result["value"] == ent.h2(state, ("A",), ("E",)).value
+
+
 def test_lemmas_check_exit_zero(tmp_path, capsys):
     out_path = tmp_path / "lem.json"
     code, _, _ = run_cli(capsys, "lemmas", "check", "--trials", "100",
@@ -105,6 +119,19 @@ def test_unknown_command_exits_two():
     ["merge", "run", "--state", "s.json", "--epsilon", "0.3", "--K", "0", "--L", "1"],
     ["merge", "run", "--state", "s.json", "--epsilon", "0.3", "--K", "8", "--L", "0"],
     ["decouple", "run", "--state", "s.json", "--channel", "id:1", "--samples", "0"],
+    # so are a dimension below 1, a malformed label:dim list and an epsilon
+    # outside [0, 1), where they exited 1 as invariant failures
+    ["gen-state", "independent", "--dE", "0"],
+    ["gen-state", "independent", "--dE", "-1"],
+    ["gen-state", "random-mixed", "--dims", "A:0,E:2"],
+    ["gen-state", "random-mixed", "--dims", "A2,E:2"],
+    ["entropy", "--state", "s.json", "--kind", "hmin", "--target", "A",
+     "--epsilon", "1.5"],
+    ["entropy", "--state", "s.json", "--kind", "hmin", "--target", "A",
+     "--epsilon", "-0.1"],
+    ["decouple", "run", "--state", "s.json", "--channel", "id:1", "--epsilon", "1.5"],
+    ["entropy", "--state", "s.json", "--kind", "h2", "--target", "A",
+     "--optimize-sigma"],
 ])
 def test_unknown_flag_exits_two(argv):
     with pytest.raises(SystemExit) as err:

@@ -199,6 +199,20 @@ def test_conditional_hmax_is_one_solve(solve_calls):
     assert res.optimizer_sigma is None
 
 
+def test_hmax_of_pure_input_uses_its_spectator_as_purifier(solve_calls, monkeypatch):
+    psi = random_pure(np.random.default_rng(47), (("A", 2), ("B", 2), ("C", 2)))
+    purify, purified = ent.purify, []
+    monkeypatch.setattr(ent, "purify", lambda *a, **k: purified.append(a) or purify(*a, **k))
+    res = ent.h_max(psi.to_operator(), ("A",), ("B",))
+    assert not purified
+    assert len(solve_calls) == 1
+    assert res.certificate_gap <= ent.CERT_LIMIT_BITS
+    marginal = ent.h_max(pure_marginal(psi, ["A", "B"]), ("A",), ("B",))
+    assert res.value == pytest.approx(marginal.value, abs=1e-5)
+    dual = ent.h_min(pure_marginal(psi, ["A", "C"]), ("A",), ("C",))
+    assert res.value == pytest.approx(-dual.value, abs=1e-5)
+
+
 # ---------------------------------------------------------------------------
 # collision entropy
 # ---------------------------------------------------------------------------
@@ -215,31 +229,6 @@ def test_h2_at_least_hmin():
         h2_val = ent.h2(st, ("A",), ("B",)).value
         hmin_val = ent.h_min(st, ("A",), ("B",)).value
         assert h2_val >= hmin_val - 1e-6
-
-
-def test_h2_ascent_against_bloch_grid_oracle():
-    rng = np.random.default_rng(34)
-    pauli = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
-             np.array([[1, 0], [0, -1]])]
-
-    def grid_best(rho):
-        best = -np.inf
-        for r in np.linspace(0.0, 0.97, 18):
-            for theta in np.linspace(0, np.pi, 16):
-                for phi in np.linspace(0, 2 * np.pi, 24, endpoint=False):
-                    vec = r * np.array([np.sin(theta) * np.cos(phi),
-                                        np.sin(theta) * np.sin(phi),
-                                        np.cos(theta)])
-                    sigma = 0.5 * (np.eye(2) + sum(v * p for v, p in zip(vec, pauli)))
-                    best = max(best, ent._h2_at_sigma(rho, sigma.astype(complex), 2))
-        return best
-
-    for _ in range(3):
-        st = random_density(rng, (("A", 2), ("B", 2)))
-        got = ent.h2(st, ("A",), ("B",), optimize_sigma=True).value
-        ref = grid_best(st.matrix)
-        assert got >= ref - 1e-3
-        assert got <= ref + 1e-2  # grid resolution slack on the oracle side
 
 
 def test_h2_support_mismatch_raises():

@@ -156,6 +156,14 @@ def test_twirl_exact_d1_convention():
     np.testing.assert_allclose(mat, [[2.5]])
 
 
+def test_twirl_exact_rejects_non_hermitian():
+    # real coefficients cannot represent i I, the twirl of i I
+    with pytest.raises(ValueError, match="Hermitian"):
+        haar.twirl_exact(1j * np.eye(4))
+    with pytest.raises(ValueError, match="Hermitian"):
+        haar.twirl_exact(np.triu(np.ones((4, 4))))
+
+
 def test_twirl_trace_equations_residual():
     rng = haar.generator(3)
     for d in (2, 3, 4):
