@@ -26,19 +26,12 @@ from qdecouple import linalg
 
 
 def _apply_global_options(args: argparse.Namespace) -> None:
-    """Resolve the dimension cap (flag, then environment, then default) and
-    any tolerance overrides into the module constants; ``main`` restores the
-    constants when the command returns."""
+    """Resolve the dimension cap: the flag, then the environment, then the
+    default."""
     if getattr(args, "cap", None) is None:
         env = os.environ.get("QDECOUPLE_DIM_CAP")
         if env:
             args.cap = int(env)
-    if getattr(args, "tol_herm", None) is not None:
-        linalg.TOL_HERM = args.tol_herm
-    if getattr(args, "tol_psd", None) is not None:
-        linalg.TOL_PSD = args.tol_psd
-    if getattr(args, "tol_trace", None) is not None:
-        linalg.TOL_TRACE = args.tol_trace
 
 
 def _labels(arg: str | None) -> tuple[str, ...]:
@@ -139,10 +132,14 @@ def _load_channel(spec: str, cap: int | None) -> chan.Channel:
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
     started = time.time()
+    kind = args.kind
+    if kind in ("vn", "h2") and args.epsilon > 0:
+        print(f"error: --epsilon smooths hmin and hmax only; --kind {kind} "
+              "takes none", file=sys.stderr)
+        return 2
     state = _load_state(args.state, args.cap)
     target = _labels(args.target)
     condition = _labels(args.condition)
-    kind = args.kind
     note = None
     if kind == "vn":
         value, gap = entropy.von_neumann(state, target, condition), 0.0
@@ -200,6 +197,9 @@ def _cmd_merge_run(args: argparse.Namespace) -> int:
     if (args.K is None) != (args.L is None):
         print("error: --K and --L go together; give both or neither",
               file=sys.stderr)
+        return 2
+    if args.seed + args.num_seeds > 2 ** 64:
+        print("error: --seed + --num-seeds - 1 must be below 2^64", file=sys.stderr)
         return 2
     state = _load_state(args.state, args.cap)
     w, v = np.linalg.eigh(linalg.hermitian_part(state.matrix))
@@ -275,6 +275,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2^64), got {value}")
+    return value
+
+
 def _dims(text: str) -> tuple[tuple[str, int], ...]:
     """A label:dim list such as A:2,E:3, each dim at least 1."""
     pairs = []
@@ -291,12 +298,10 @@ def _epsilon(text: str) -> float:
     return value
 
 
-def _tolerance(text: str) -> float:
+def _merging_epsilon(text: str) -> float:
     value = float(text)
-    # a NaN tolerance would switch its check off, a negative one fail it
-    # on every input
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
     return value
 
 
@@ -312,15 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cap", type=int, default=None,
                         help="total-dimension cap (default "
                              f"{linalg.DIM_CAP}; env QDECOUPLE_DIM_CAP)")
-    common.add_argument("--tol-herm", type=_tolerance, default=None,
-                        help=f"Hermiticity tolerance (default {linalg.TOL_HERM})")
-    common.add_argument("--tol-psd", type=_tolerance, default=None,
-                        help=f"positivity tolerance (default {linalg.TOL_PSD})")
-    common.add_argument("--tol-trace", type=_tolerance, default=None,
-                        help=f"trace tolerance (default {linalg.TOL_TRACE})")
     common.add_argument("--out", default=None, help="write the JSON report here")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0,
+    seeded.add_argument("--seed", type=_seed, default=0,
                         help="base RNG seed recorded in the report (default 0)")
     seeded.add_argument("--stream", default="default",
                         help="named RNG stream (default 'default')")
@@ -329,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-state", parents=[common],
                        help="emit a reference state as JSON")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     p.add_argument("kind", choices=["independent", "classical", "entangled",
                                     "random-mixed", "random-pure"])
     p.add_argument("--k", type=_non_negative_int, default=1,
@@ -353,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="comma-separated labels")
     p.add_argument("--condition", default="", help="comma-separated labels")
     p.add_argument("--epsilon", type=_epsilon, default=0.0,
-                   help="smoothing parameter in [0, 1) (default 0)")
+                   help="smoothing parameter in [0, 1) for hmin and hmax "
+                        "(default 0)")
     p.set_defaults(func=_cmd_entropy)
 
     p = sub.add_parser("decouple", help="decoupling experiments")
@@ -376,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm = msub.add_parser("run", parents=[seeded, common],
                          help="run the merging protocol")
     pm.add_argument("--state", required=True, help="pure tripartite state JSON")
-    pm.add_argument("--epsilon", type=float, required=True)
+    pm.add_argument("--epsilon", type=_merging_epsilon, required=True,
+                    help="error parameter in (0, 1)")
     pm.add_argument("--num-seeds", type=_positive_int, default=1)
     pm.add_argument("--K", type=_positive_int, default=None)
     pm.add_argument("--L", type=_positive_int, default=None)
@@ -398,15 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    saved = (linalg.TOL_HERM, linalg.TOL_PSD, linalg.TOL_TRACE)
     try:
         _apply_global_options(args)
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        linalg.TOL_HERM, linalg.TOL_PSD, linalg.TOL_TRACE = saved
 
 
 if __name__ == "__main__":

@@ -117,11 +117,10 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
-def is_hermitian(m: np.ndarray, tol: float | None = None) -> bool:
-    """Hermitian within ``tol`` (default ``TOL_HERM``, read at call time).
+def is_hermitian(m: np.ndarray, tol: float = TOL_HERM) -> bool:
+    """Hermitian within ``tol``.
 
     On a stack ``(..., n, n)`` the test covers the whole stack at once."""
-    tol = TOL_HERM if tol is None else tol
     return bool(_hermitian_items(np.asarray(m)[None], tol)[0])
 
 

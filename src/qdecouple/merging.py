@@ -1,4 +1,4 @@
-"""One-shot state merging: measurement isometry, Uhlmann decoder, fidelity
+"""One-shot state merging: per-outcome decoupling test, decoder fidelity
 and entanglement-cost accounting.
 
 The protocol transfers the sender's share of a tripartite pure state to the
@@ -12,8 +12,9 @@ outcome's sender-reference marginal, so neither entry point builds the
 protocol state: ``run_merging`` evaluates every outcome of one full Haar
 unitary, and ``estimate_merging_fidelity`` estimates the mean fidelity from
 one Haar row block per draw, at costs where even that unitary would not
-fit.  ``measurement_isometry`` and ``uhlmann_isometry`` are the explicit
-protocol's pieces, kept for checking this shortcut against it.
+fit.  The explicit protocol, with its measurement isometry and Uhlmann
+decoder, is built in ``tests/test_merging.py`` as the oracle for this
+shortcut.
 """
 
 from __future__ import annotations
@@ -26,13 +27,11 @@ import numpy as np
 
 from qdecouple import entropy, haar
 from qdecouple.linalg import (
-    LabelError,
     PureState,
     StateOperator,
     check_cap,
     fidelities,
     pure_marginal,
-    purified_distance,
     trace_norms,
     trace_out_leading,
 )
@@ -119,106 +118,6 @@ class MergingEstimate:
     std_err: float
     samples: list[float]
     cost_bits: float
-
-
-def measurement_isometry(dim_aa0: int, l_rank: int, u: np.ndarray) -> np.ndarray:
-    """W = sum_x P_x (x) |x>|x> after the unitary u on the combined register.
-
-    P_x maps the x-th L-dimensional block to the output register, so W has
-    shape (L * N * N, dim_aa0) with N = dim_aa0 / L outcome blocks.
-    """
-    if dim_aa0 % l_rank != 0:
-        raise MergingError(f"L = {l_rank} must divide the register dimension {dim_aa0}")
-    if u.shape != (dim_aa0, dim_aa0):
-        raise MergingError(f"unitary shape {u.shape} != ({dim_aa0}, {dim_aa0})")
-    n = dim_aa0 // l_rank
-    w = np.zeros((l_rank * n * n, dim_aa0), dtype=complex)
-    for x in range(n):
-        for j in range(l_rank):
-            row = (j * n + x) * n + x  # index order (A1, X_A, X_B)
-            w[row, :] = u[x * l_rank + j, :]
-    return w
-
-
-def uhlmann_isometry(sigma_pure: PureState, target_pure: PureState,
-                     bob_labels: Sequence[str], delta: float = 1e-6
-                     ) -> tuple[np.ndarray, tuple[tuple[str, int], ...]]:
-    """Partial isometry on the receiver side carrying sigma toward target.
-
-    Both states are cut as (rest : receiver); the returned operator acts on
-    the receiver factor of sigma and outputs the receiver factor of target,
-    achieving fidelity equal to the fidelity of the rest-side marginals.
-    The marginals must agree within purified distance ``delta``.
-    """
-    bob_set = set(bob_labels)
-    rest = [lab for lab in sigma_pure.labels if lab not in bob_set]
-    target_bob = [lab for lab in target_pure.labels if lab not in set(rest)]
-    for lab in rest:
-        if lab not in target_pure.labels:
-            raise LabelError(f"shared label {lab!r} missing from target")
-        if sigma_pure.dims.dim_of(lab) != target_pure.dims.dim_of(lab):
-            raise LabelError(f"dimension mismatch on shared label {lab!r}")
-
-    sig_rest = pure_marginal(sigma_pure, rest).permute(rest)
-    tgt_rest = pure_marginal(target_pure, rest).permute(rest)
-    dist = purified_distance(sig_rest, tgt_rest)
-    if dist > delta:
-        raise MergingError(
-            f"marginals on {rest} differ by purified distance {dist:.3e} > {delta:.3e}")
-
-    sig_mat = _cut_matrix(sigma_pure, rest, list(bob_labels))
-    tgt_mat = _cut_matrix(target_pure, rest, target_bob)
-    d_out = tgt_mat.shape[1]
-    # domain = support of sigma's receiver marginal (right singular vectors)
-    _, s_sig, vh_sig = np.linalg.svd(sig_mat, full_matrices=False)
-    k_sig = int(np.sum(s_sig > 1e-12 * max(float(s_sig[0]) if s_sig.size else 0.0,
-                                           1e-30)))
-    dom = vh_sig.conj().T[:, :k_sig]
-    if d_out < k_sig:
-        raise MergingError("target receiver space too small for an isometry")
-    # optimal receiver map: conjugated polar factor of G = T^H S restricted to
-    # the domain, completed orthonormally on directions G annihilates
-    g = (tgt_mat.conj().T @ sig_mat) @ dom
-    u_g, s_g, vh_g = np.linalg.svd(g, full_matrices=False)
-    rank = int(np.sum(s_g > 1e-13 * max(float(s_g[0]) if s_g.size else 0.0, 1e-30)))
-    images = np.zeros((d_out, k_sig), dtype=complex)
-    images[:, :rank] = u_g[:, :rank]
-    if k_sig > rank:
-        images[:, rank:] = _complete_isometry(u_g[:, :rank], k_sig - rank)
-    vbar = images @ (dom @ vh_g.conj().T).conj().T
-    v = vbar.conj()
-    out_pairs = tuple((lab, target_pure.dims.dim_of(lab)) for lab in target_bob)
-    return v, out_pairs
-
-
-def _cut_matrix(psi: PureState, rest: Sequence[str], bob: Sequence[str]) -> np.ndarray:
-    perm = psi.permute(list(rest) + list(bob))
-    d_rest = 1
-    for lab in rest:
-        d_rest *= psi.dims.dim_of(lab)
-    return perm.amplitudes.reshape(d_rest, -1)
-
-
-def _complete_isometry(cols: np.ndarray, extra: int) -> np.ndarray:
-    """Deterministic orthonormal completion of a set of orthonormal columns."""
-    d = cols.shape[0]
-    basis = [cols[:, i] for i in range(cols.shape[1])]
-    out = []
-    for j in range(d):
-        if len(out) == extra:
-            break
-        v = np.zeros(d, dtype=complex)
-        v[j] = 1.0
-        for b in basis:
-            v = v - b * np.vdot(b, v)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-7:
-            v = v / norm
-            basis.append(v)
-            out.append(v)
-    if len(out) < extra:
-        raise MergingError("could not complete isometry")
-    return np.stack(out, axis=1)
 
 
 def run_merging(instance: MergingInstance,

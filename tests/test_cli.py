@@ -8,7 +8,6 @@ import pytest
 
 from qdecouple import decoupling
 from qdecouple import entropy as ent
-from qdecouple import linalg
 from qdecouple.cli import main
 from qdecouple.linalg import state_from_json
 
@@ -90,6 +89,23 @@ def test_entropy_subcommand_h2_is_the_library_lower_bound(tmp_path, capsys):
     assert result["value"] == ent.h2(state, ("A",), ("E",)).value
 
 
+@pytest.mark.parametrize("kind", ["vn", "h2"])
+def test_entropy_epsilon_on_an_unsmoothed_kind_exits_two(tmp_path, capsys, kind):
+    # the report said "epsilon": 0.3 next to an unsmoothed value
+    path = tmp_path / "ent.json"
+    run_cli(capsys, "gen-state", "entangled", "--k", "1", "--out", str(path))
+    out_path = tmp_path / "report.json"
+    code, _, err = run_cli(capsys, "entropy", "--state", str(path), "--kind", kind,
+                           "--target", "A", "--condition", "E", "--epsilon", "0.3",
+                           "--out", str(out_path))
+    assert code == 2 and "hmin and hmax only" in err
+    assert not out_path.exists()
+    code, _, _ = run_cli(capsys, "entropy", "--state", str(path), "--kind", kind,
+                         "--target", "A", "--condition", "E", "--epsilon", "0",
+                         "--out", str(out_path))
+    assert code == 0
+
+
 def test_lemmas_check_exit_zero(tmp_path, capsys):
     out_path = tmp_path / "lem.json"
     code, _, _ = run_cli(capsys, "lemmas", "check", "--trials", "100",
@@ -132,6 +148,31 @@ def test_unknown_command_exits_two():
     ["decouple", "run", "--state", "s.json", "--channel", "id:1", "--epsilon", "1.5"],
     ["entropy", "--state", "s.json", "--kind", "h2", "--target", "A",
      "--optimize-sigma"],
+    # the tolerances are constants, so no value of a --tol-* flag is accepted
+    ["entropy", "--state", "s.json", "--kind", "hmin", "--target", "A",
+     "--tol-herm", "nan"],
+    ["entropy", "--state", "s.json", "--kind", "hmin", "--target", "A",
+     "--tol-psd", "nan"],
+    ["entropy", "--state", "s.json", "--kind", "hmin", "--target", "A",
+     "--tol-psd", "-1"],
+    ["entropy", "--state", "s.json", "--kind", "hmin", "--target", "A",
+     "--tol-trace", "inf"],
+    ["entropy", "--state", "s.json", "--kind", "hmin", "--target", "A",
+     "--tol-trace", "-0.5"],
+    ["entropy", "--state", "s.json", "--kind", "hmin", "--target", "A",
+     "--tol-psd", "0.5"],
+    # merge run's epsilon lies in (0, 1): 1.5 ran with an error parameter
+    # above 1, and 0 and -1 exited 1
+    ["merge", "run", "--state", "s.json", "--epsilon", "1.5"],
+    ["merge", "run", "--state", "s.json", "--epsilon", "0"],
+    ["merge", "run", "--state", "s.json", "--epsilon", "-1"],
+    # a seed outside [0, 2^64) exited 1 from haar.RngSeed
+    ["decouple", "run", "--state", "s.json", "--channel", "id:1", "--seed", "-1"],
+    ["lemmas", "check", "--seed", "-1"],
+    ["gen-state", "random-mixed", "--dims", "A:2,E:2", "--seed", "-1"],
+    ["merge", "run", "--state", "s.json", "--epsilon", "0.3", "--seed", "-1"],
+    ["merge", "run", "--state", "s.json", "--epsilon", "0.3",
+     "--seed", str(2 ** 64)],
 ])
 def test_unknown_flag_exits_two(argv):
     with pytest.raises(SystemExit) as err:
@@ -151,20 +192,6 @@ def test_flags_a_subcommand_does_not_read_exit_two(argv):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
-
-
-@pytest.mark.parametrize("flag, value", [
-    ("--tol-herm", "nan"), ("--tol-psd", "nan"), ("--tol-psd", "-1"),
-    ("--tol-trace", "inf"), ("--tol-trace", "-0.5"),
-])
-def test_non_finite_or_negative_tolerance_exits_two(capsys, flag, value):
-    # a NaN tolerance switched its check off, a negative one failed every
-    # state; both are usage errors before the state is read
-    with pytest.raises(SystemExit) as err:
-        main(["entropy", "--state", "s.json", "--kind", "hmin", "--target", "A",
-              flag, value])
-    assert err.value.code == 2
-    assert f"argument {flag}: must be finite and non-negative" in capsys.readouterr().err
 
 
 def test_missing_file_exits_one(capsys):
@@ -308,6 +335,29 @@ def test_merge_run_lone_k_or_l_exits_two(tmp_path, capsys, monkeypatch, flag):
     assert not out_path.exists()
 
 
+def test_merge_run_seed_range_covers_every_seed(tmp_path, capsys):
+    import math
+    from qdecouple.linalg import PureState, dims_of, state_to_json
+
+    psi = PureState(dims_of(("A", 2), ("B", 2), ("E", 2)),
+                    np.full(8, 1 / math.sqrt(8), dtype=complex))
+    st_path = tmp_path / "psi.json"
+    st_path.write_text(json.dumps(state_to_json(psi.to_operator(validate=True))))
+    out_path = tmp_path / "merge.json"
+    last = str(2 ** 64 - 1)
+    # the run's last seed would be 2^64, past haar.RngSeed's range
+    code, _, err = run_cli(capsys, "merge", "run", "--state", str(st_path),
+                           "--epsilon", "0.3", "--K", "2", "--L", "1",
+                           "--seed", last, "--num-seeds", "2", "--out", str(out_path))
+    assert code == 2 and "--num-seeds" in err
+    assert not out_path.exists()
+    code, _, _ = run_cli(capsys, "merge", "run", "--state", str(st_path),
+                         "--epsilon", "0.3", "--K", "2", "--L", "1",
+                         "--seed", last, "--out", str(out_path))
+    assert code == 0
+    assert json.loads(out_path.read_text())["result"]["seeds"] == [2 ** 64 - 1]
+
+
 def test_dimension_cap_environment_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QDECOUPLE_DIM_CAP", "8")
     code, _, err = run_cli(capsys, "gen-state", "classical", "--k", "2",
@@ -317,20 +367,6 @@ def test_dimension_cap_environment_variable(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "gen-state", "classical", "--k", "2",
                          "--cap", "64", "--out", str(tmp_path / "x.json"))
     assert code == 0
-
-
-def test_tolerance_flags_do_not_outlive_the_call(tmp_path, capsys):
-    saved = (linalg.TOL_HERM, linalg.TOL_PSD, linalg.TOL_TRACE)
-    code, _, _ = run_cli(capsys, "gen-state", "classical", "--k", "1",
-                         "--tol-herm", "0.25", "--tol-psd", "0.5",
-                         "--tol-trace", "0.75", "--out", str(tmp_path / "s.json"))
-    assert code == 0
-    assert (linalg.TOL_HERM, linalg.TOL_PSD, linalg.TOL_TRACE) == saved
-    # also when the command fails
-    code, _, _ = run_cli(capsys, "entropy", "--state", str(tmp_path / "none.json"),
-                         "--kind", "hmin", "--target", "A", "--tol-psd", "0.5")
-    assert code == 1
-    assert (linalg.TOL_HERM, linalg.TOL_PSD, linalg.TOL_TRACE) == saved
 
 
 def test_decouple_csv_over_retention_limit_fails_before_sampling(

@@ -9,7 +9,6 @@ import json
 import numpy as np
 import pytest
 
-from qdecouple import linalg
 from qdecouple.linalg import (
     DimCapError,
     Dims,
@@ -26,7 +25,6 @@ from qdecouple.linalg import (
     herm_combination,
     herm_coords,
     herm_matrices,
-    is_hermitian,
     maximally_entangled,
     maximally_mixed,
     partial_trace,
@@ -178,20 +176,6 @@ def test_pure_marginal_matches_operator_partial_trace():
     m1 = pure_marginal(psi, ["A", "C"])
     m2 = partial_trace(psi.to_operator(), ["A", "C"])
     np.testing.assert_allclose(m1.matrix, m2.matrix, atol=1e-12)
-
-
-def test_tolerance_defaults_are_read_at_call_time(monkeypatch):
-    # --tol-herm and --tol-psd set these constants after import
-    skew = np.array([[0.0, 0.1], [0.0, 0.0]])
-    assert not is_hermitian(skew)
-    monkeypatch.setattr(linalg, "TOL_HERM", 0.5)
-    assert is_hermitian(skew)
-    assert not is_hermitian(skew, tol=1e-12)
-    slightly_negative = np.diag([1.0, -1e-6])
-    with pytest.raises(InvariantError):
-        sqrt_psd(slightly_negative)
-    monkeypatch.setattr(linalg, "TOL_PSD", 1e-3)
-    np.testing.assert_array_equal(sqrt_psd(slightly_negative), np.diag([1.0, 0.0]))
 
 
 def test_sqrt_psd_and_fidelity_take_stacks_item_by_item():

@@ -1,7 +1,9 @@
-"""Merging protocol tests: measurement isometry contracts, Uhlmann decoder
-equalities, end-to-end runs, and the entanglement-cost bounds."""
+"""Merging protocol tests: end-to-end runs, the entanglement-cost bounds,
+and the explicit LOCC protocol (measurement isometry and Uhlmann decoder,
+with their contracts) as the oracle for ``run_merging``."""
 
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from qdecouple import merging as mg
 from qdecouple.linalg import (
     DimCapError,
     Dims,
+    LabelError,
     PureState,
     apply_matrix_pure,
     dims_of,
@@ -19,6 +22,7 @@ from qdecouple.linalg import (
     inner,
     maximally_entangled,
     pure_marginal,
+    purified_distance,
     purify,
     random_density,
     random_pure,
@@ -35,99 +39,6 @@ def cc_state(k):
     for i in range(d):
         amps[i, i, i] = 1.0 / math.sqrt(d)
     return PureState(dims_of(("A", d), ("B", d), ("E", d)), amps.reshape(-1))
-
-
-# ---------------------------------------------------------------------------
-# measurement isometry
-# ---------------------------------------------------------------------------
-
-def test_measurement_isometry_contracts():
-    rng = haar.generator(0)
-    u = haar.haar_unitary(4, rng)
-    w = mg.measurement_isometry(4, 2, u)
-    assert w.shape == (2 * 2 * 2, 4)
-    np.testing.assert_allclose(w.conj().T @ w, np.eye(4), atol=1e-12)
-    # two blocks of rank two
-    t = w.reshape(2, 2, 2, 4)
-    for x in range(2):
-        block = t[:, x, x, :]
-        assert np.linalg.matrix_rank(block) == 2
-
-
-def test_measurement_isometry_single_outcome():
-    u = haar.haar_unitary(4, haar.generator(1))
-    w = mg.measurement_isometry(4, 4, u)
-    np.testing.assert_allclose(w.reshape(4, 1, 1, 4)[:, 0, 0, :], u, atol=1e-14)
-
-
-def test_measurement_isometry_rank_one_blocks():
-    u = haar.haar_unitary(4, haar.generator(2))
-    w = mg.measurement_isometry(4, 1, u)
-    assert w.shape == (16, 4)
-    np.testing.assert_allclose(w.conj().T @ w, np.eye(4), atol=1e-12)
-
-
-def test_measurement_isometry_divisibility():
-    u = haar.haar_unitary(4, haar.generator(3))
-    with pytest.raises(mg.MergingError):
-        mg.measurement_isometry(4, 3, u)
-
-
-# ---------------------------------------------------------------------------
-# Uhlmann decoder
-# ---------------------------------------------------------------------------
-
-def test_uhlmann_identity_case():
-    psi = random_pure(np.random.default_rng(4), (("R", 2), ("Q", 3)))
-    v, out = mg.uhlmann_isometry(psi, psi, ("Q",))
-    eta = apply_matrix_pure(psi, v, ("Q",), out)
-    assert abs(inner(psi, eta)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_uhlmann_recovers_local_unitary():
-    phi = maximally_entangled("R", "Q", 2)
-    u = haar.haar_unitary(2, haar.generator(5))
-    rotated = apply_matrix_pure(phi, u, ("Q",))
-    v, out = mg.uhlmann_isometry(phi, rotated, ("Q",))
-    eta = apply_matrix_pure(phi, v, ("Q",), out)
-    assert abs(inner(rotated, eta)) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_uhlmann_between_random_purifications():
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        rho = random_density(rng, (("R", 3),), rank=int(rng.integers(1, 4)))
-        psi1 = purify(rho, "Q")
-        psi2 = purify(rho, "Q2")
-        u = haar.haar_unitary(psi2.dims.dim_of("Q2"), haar.generator(int(rng.integers(100))))
-        psi2 = apply_matrix_pure(psi2, u, ("Q2",))
-        v, out = mg.uhlmann_isometry(psi1, psi2, ("Q",))
-        eta = apply_matrix_pure(psi1, v, ("Q",), out)
-        assert abs(inner(psi2, eta)) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_uhlmann_equality_for_unequal_marginals():
-    # SVD-matching oracle: output fidelity equals the marginal fidelity even
-    # far from the equal-marginal regime
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        s1 = random_pure(rng, (("R", 3), ("Q", 4)))
-        s2 = random_pure(rng, (("R", 3), ("Q2", 5)))
-        v, out = mg.uhlmann_isometry(s1, s2, ("Q",), delta=2.0)
-        eta = apply_matrix_pure(s1, v, ("Q",), out)
-        got = abs(inner(s2, eta))
-        want = fidelity(pure_marginal(s1, ["R"]), pure_marginal(s2, ["R"]))
-        assert got == pytest.approx(want, abs=1e-10)
-        # the decoder is an isometry on the support it acts on
-        np.testing.assert_allclose(v @ v.conj().T @ v, v, atol=1e-10)
-
-
-def test_uhlmann_enforces_marginal_delta():
-    rng = np.random.default_rng(8)
-    s1 = random_pure(rng, (("R", 2), ("Q", 2)))
-    s2 = random_pure(rng, (("R", 2), ("Q2", 2)))
-    with pytest.raises(mg.MergingError):
-        mg.uhlmann_isometry(s1, s2, ("Q",), delta=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +195,200 @@ def test_merging_cost_trend_toward_conditional_entropy():
 
 
 # ---------------------------------------------------------------------------
+# the explicit protocol's measurement isometry
+# ---------------------------------------------------------------------------
+
+def measurement_isometry(dim_aa0: int, l_rank: int, u: np.ndarray) -> np.ndarray:
+    """W = sum_x P_x (x) |x>|x> after the unitary u on the combined register.
+
+    P_x maps the x-th L-dimensional block to the output register, so W has
+    shape (L * N * N, dim_aa0) with N = dim_aa0 / L outcome blocks.
+    """
+    if dim_aa0 % l_rank != 0:
+        raise mg.MergingError(
+            f"L = {l_rank} must divide the register dimension {dim_aa0}")
+    if u.shape != (dim_aa0, dim_aa0):
+        raise mg.MergingError(f"unitary shape {u.shape} != ({dim_aa0}, {dim_aa0})")
+    n = dim_aa0 // l_rank
+    w = np.zeros((l_rank * n * n, dim_aa0), dtype=complex)
+    for x in range(n):
+        for j in range(l_rank):
+            row = (j * n + x) * n + x  # index order (A1, X_A, X_B)
+            w[row, :] = u[x * l_rank + j, :]
+    return w
+
+
+def test_measurement_isometry_contracts():
+    rng = haar.generator(0)
+    u = haar.haar_unitary(4, rng)
+    w = measurement_isometry(4, 2, u)
+    assert w.shape == (2 * 2 * 2, 4)
+    np.testing.assert_allclose(w.conj().T @ w, np.eye(4), atol=1e-12)
+    # two blocks of rank two
+    t = w.reshape(2, 2, 2, 4)
+    for x in range(2):
+        block = t[:, x, x, :]
+        assert np.linalg.matrix_rank(block) == 2
+
+
+def test_measurement_isometry_single_outcome():
+    u = haar.haar_unitary(4, haar.generator(1))
+    w = measurement_isometry(4, 4, u)
+    np.testing.assert_allclose(w.reshape(4, 1, 1, 4)[:, 0, 0, :], u, atol=1e-14)
+
+
+def test_measurement_isometry_rank_one_blocks():
+    u = haar.haar_unitary(4, haar.generator(2))
+    w = measurement_isometry(4, 1, u)
+    assert w.shape == (16, 4)
+    np.testing.assert_allclose(w.conj().T @ w, np.eye(4), atol=1e-12)
+
+
+def test_measurement_isometry_divisibility():
+    u = haar.haar_unitary(4, haar.generator(3))
+    with pytest.raises(mg.MergingError):
+        measurement_isometry(4, 3, u)
+
+
+# ---------------------------------------------------------------------------
+# the explicit protocol's Uhlmann decoder
+# ---------------------------------------------------------------------------
+
+def uhlmann_isometry(sigma_pure: PureState, target_pure: PureState,
+                     bob_labels: Sequence[str], delta: float = 1e-6
+                     ) -> tuple[np.ndarray, tuple[tuple[str, int], ...]]:
+    """Partial isometry on the receiver side carrying sigma toward target.
+
+    Both states are cut as (rest : receiver); the returned operator acts on
+    the receiver factor of sigma and outputs the receiver factor of target,
+    achieving fidelity equal to the fidelity of the rest-side marginals.
+    The marginals must agree within purified distance ``delta``.
+    """
+    bob_set = set(bob_labels)
+    rest = [lab for lab in sigma_pure.labels if lab not in bob_set]
+    target_bob = [lab for lab in target_pure.labels if lab not in set(rest)]
+    for lab in rest:
+        if lab not in target_pure.labels:
+            raise LabelError(f"shared label {lab!r} missing from target")
+        if sigma_pure.dims.dim_of(lab) != target_pure.dims.dim_of(lab):
+            raise LabelError(f"dimension mismatch on shared label {lab!r}")
+
+    sig_rest = pure_marginal(sigma_pure, rest).permute(rest)
+    tgt_rest = pure_marginal(target_pure, rest).permute(rest)
+    dist = purified_distance(sig_rest, tgt_rest)
+    if dist > delta:
+        raise mg.MergingError(
+            f"marginals on {rest} differ by purified distance {dist:.3e} > {delta:.3e}")
+
+    sig_mat = _cut_matrix(sigma_pure, rest, list(bob_labels))
+    tgt_mat = _cut_matrix(target_pure, rest, target_bob)
+    d_out = tgt_mat.shape[1]
+    # domain = support of sigma's receiver marginal (right singular vectors)
+    _, s_sig, vh_sig = np.linalg.svd(sig_mat, full_matrices=False)
+    k_sig = int(np.sum(s_sig > 1e-12 * max(float(s_sig[0]) if s_sig.size else 0.0,
+                                           1e-30)))
+    dom = vh_sig.conj().T[:, :k_sig]
+    if d_out < k_sig:
+        raise mg.MergingError("target receiver space too small for an isometry")
+    # optimal receiver map: conjugated polar factor of G = T^H S restricted to
+    # the domain, completed orthonormally on directions G annihilates
+    g = (tgt_mat.conj().T @ sig_mat) @ dom
+    u_g, s_g, vh_g = np.linalg.svd(g, full_matrices=False)
+    rank = int(np.sum(s_g > 1e-13 * max(float(s_g[0]) if s_g.size else 0.0, 1e-30)))
+    images = np.zeros((d_out, k_sig), dtype=complex)
+    images[:, :rank] = u_g[:, :rank]
+    if k_sig > rank:
+        images[:, rank:] = _complete_isometry(u_g[:, :rank], k_sig - rank)
+    vbar = images @ (dom @ vh_g.conj().T).conj().T
+    v = vbar.conj()
+    out_pairs = tuple((lab, target_pure.dims.dim_of(lab)) for lab in target_bob)
+    return v, out_pairs
+
+
+def _cut_matrix(psi: PureState, rest: Sequence[str], bob: Sequence[str]) -> np.ndarray:
+    perm = psi.permute(list(rest) + list(bob))
+    d_rest = 1
+    for lab in rest:
+        d_rest *= psi.dims.dim_of(lab)
+    return perm.amplitudes.reshape(d_rest, -1)
+
+
+def _complete_isometry(cols: np.ndarray, extra: int) -> np.ndarray:
+    """Deterministic orthonormal completion of a set of orthonormal columns."""
+    d = cols.shape[0]
+    basis = [cols[:, i] for i in range(cols.shape[1])]
+    out = []
+    for j in range(d):
+        if len(out) == extra:
+            break
+        v = np.zeros(d, dtype=complex)
+        v[j] = 1.0
+        for b in basis:
+            v = v - b * np.vdot(b, v)
+        norm = float(np.linalg.norm(v))
+        if norm > 1e-7:
+            v = v / norm
+            basis.append(v)
+            out.append(v)
+    if len(out) < extra:
+        raise mg.MergingError("could not complete isometry")
+    return np.stack(out, axis=1)
+
+
+def test_uhlmann_identity_case():
+    psi = random_pure(np.random.default_rng(4), (("R", 2), ("Q", 3)))
+    v, out = uhlmann_isometry(psi, psi, ("Q",))
+    eta = apply_matrix_pure(psi, v, ("Q",), out)
+    assert abs(inner(psi, eta)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_uhlmann_recovers_local_unitary():
+    phi = maximally_entangled("R", "Q", 2)
+    u = haar.haar_unitary(2, haar.generator(5))
+    rotated = apply_matrix_pure(phi, u, ("Q",))
+    v, out = uhlmann_isometry(phi, rotated, ("Q",))
+    eta = apply_matrix_pure(phi, v, ("Q",), out)
+    assert abs(inner(rotated, eta)) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_uhlmann_between_random_purifications():
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        rho = random_density(rng, (("R", 3),), rank=int(rng.integers(1, 4)))
+        psi1 = purify(rho, "Q")
+        psi2 = purify(rho, "Q2")
+        u = haar.haar_unitary(psi2.dims.dim_of("Q2"), haar.generator(int(rng.integers(100))))
+        psi2 = apply_matrix_pure(psi2, u, ("Q2",))
+        v, out = uhlmann_isometry(psi1, psi2, ("Q",))
+        eta = apply_matrix_pure(psi1, v, ("Q",), out)
+        assert abs(inner(psi2, eta)) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_uhlmann_equality_for_unequal_marginals():
+    # SVD-matching oracle: output fidelity equals the marginal fidelity even
+    # far from the equal-marginal regime
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        s1 = random_pure(rng, (("R", 3), ("Q", 4)))
+        s2 = random_pure(rng, (("R", 3), ("Q2", 5)))
+        v, out = uhlmann_isometry(s1, s2, ("Q",), delta=2.0)
+        eta = apply_matrix_pure(s1, v, ("Q",), out)
+        got = abs(inner(s2, eta))
+        want = fidelity(pure_marginal(s1, ["R"]), pure_marginal(s2, ["R"]))
+        assert got == pytest.approx(want, abs=1e-10)
+        # the decoder is an isometry on the support it acts on
+        np.testing.assert_allclose(v @ v.conj().T @ v, v, atol=1e-10)
+
+
+def test_uhlmann_enforces_marginal_delta():
+    rng = np.random.default_rng(8)
+    s1 = random_pure(rng, (("R", 2), ("Q", 2)))
+    s2 = random_pure(rng, (("R", 2), ("Q2", 2)))
+    with pytest.raises(mg.MergingError):
+        uhlmann_isometry(s1, s2, ("Q",), delta=1e-9)
+
+
+# ---------------------------------------------------------------------------
 # explicit LOCC protocol, the oracle for run_merging
 # ---------------------------------------------------------------------------
 
@@ -328,9 +433,9 @@ def explicit_protocol(inst):
                             (block / math.sqrt(p_x)).reshape(-1), validate=False)
         marg = pure_marginal(sigma_x, ["A1", *inst.e_labels]).matrix
         decoupled += trace_norm(marg - ideal) <= 4.0 * inst.epsilon_target
-        v, out_pairs = mg.uhlmann_isometry(sigma_x, target,
-                                           bob_labels=["B0", *inst.b_labels],
-                                           delta=1.0)
+        v, out_pairs = uhlmann_isometry(sigma_x, target,
+                                        bob_labels=["B0", *inst.b_labels],
+                                        delta=1.0)
         eta_x = apply_matrix_pure(sigma_x, v, on=["B0", *inst.b_labels],
                                   out=out_pairs, cap=1 << 20)
         f_x = abs(inner(target, eta_x))
@@ -345,7 +450,7 @@ def test_protocol_matches_explicit_isometry():
     inst = mg.MergingInstance(cc_state(1), 2, 2, 0.3, seed=haar.RngSeed(9))
     u, theta, amps, _ = rotated_protocol_state(inst)
     k_dim, l_dim, n_out = inst.k_rank, inst.l_rank, inst.num_outcomes
-    w = mg.measurement_isometry(k_dim * 2, l_dim, u)
+    w = measurement_isometry(k_dim * 2, l_dim, u)
     theta_perm = theta.permute(["A0", "A"] + [l for l in theta.labels
                                               if l not in ("A0", "A")])
     full = (w @ theta_perm.amplitudes.reshape(k_dim * 2, -1)).reshape(
