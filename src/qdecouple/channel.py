@@ -135,8 +135,7 @@ def kraus_of(ch: Channel) -> KrausSet:
     return KrausSet(tuple(ops))
 
 
-def apply(ch: Channel, state: StateOperator, on: Sequence[str],
-          cap: int | None = None) -> StateOperator:
+def apply(ch: Channel, state: StateOperator, on: Sequence[str]) -> StateOperator:
     """Apply the channel to the ``on`` subsystems via Choi contraction.
 
     The ``on`` labels are replaced by the channel's output label, which must
@@ -157,18 +156,18 @@ def apply(ch: Channel, state: StateOperator, on: Sequence[str],
     out = ch.dim_in * np.einsum("abcd,arcs->brds", ch.choi_tensor, t, optimize=True)
     rest_pairs = tuple((lab, state.dims.dim_of(lab)) for lab in rest)
     new_dims = Dims(((ch.out_label, ch.dim_out),) + rest_pairs)
-    check_cap(new_dims.total, cap)
+    check_cap(new_dims.total)
     d = new_dims.total
     return StateOperator(new_dims, out.reshape(d, d), validate=False)
 
 
-def apply_via_kraus(ch: Channel, state: StateOperator, on: Sequence[str],
-                    cap: int | None = None) -> StateOperator:
+def apply_via_kraus(ch: Channel, state: StateOperator,
+                    on: Sequence[str]) -> StateOperator:
     """Kraus-route application; used to cross-check the Choi contraction."""
     out_pairs = ((ch.out_label, ch.dim_out),)
     total = None
     for k in kraus_of(ch).operators:
-        term = apply_matrix(state, k, on, out=out_pairs, cap=cap)
+        term = apply_matrix(state, k, on, out=out_pairs)
         total = term.matrix if total is None else total + term.matrix
         dims = term.dims
     return StateOperator(dims, total, validate=False)
@@ -189,9 +188,8 @@ def stinespring(ch: Channel) -> np.ndarray:
     return v
 
 
-def complementary(ch: Channel, out_label: str = "Env",
-                  cap: int | None = None) -> Channel:
-    """Environment side of the Stinespring dilation."""
+def complementary(ch: Channel) -> Channel:
+    """Environment side of the Stinespring dilation, on output label Env."""
     if ch.trace_class is not TraceClass.TRACE_PRESERVING:
         raise ChannelError("complementary channel requires a trace-preserving channel")
     ops = kraus_of(ch).operators
@@ -203,19 +201,19 @@ def complementary(ch: Channel, out_label: str = "Env",
         for i, k in enumerate(ops):
             l_b[i, :] = k[b, :]
         kraus_comp.append(l_b)
-    return choi_of(kraus_comp, out_label=out_label, cap=cap)
+    return choi_of(kraus_comp, out_label="Env")
 
 
 # ---------------------------------------------------------------------------
 # channel builders
 # ---------------------------------------------------------------------------
 
-def identity_channel(d: int, out_label: str = "B", cap: int | None = None) -> Channel:
-    return choi_of([np.eye(d, dtype=complex)], out_label=out_label, cap=cap)
+def identity_channel(d: int) -> Channel:
+    return choi_of([np.eye(d, dtype=complex)])
 
 
 def reference_channel(kind: str, m: int, m_prime: int | None = None,
-                      out_label: str = "B", cap: int | None = None) -> Channel:
+                      cap: int | None = None) -> Channel:
     """Reference channels on m qubits: identity, measurement, erasure, and the
     identity-plus-measurement / identity-plus-partial-trace combinations.
 
@@ -237,20 +235,19 @@ def reference_channel(kind: str, m: int, m_prime: int | None = None,
             proj = np.zeros((dm, dm), dtype=complex)
             proj[i, i] = 1.0
             ops.append(np.kron(np.eye(dk, dtype=complex), proj))
-        return choi_of(ops, out_label=out_label, cap=cap)
+        return choi_of(ops, cap=cap)
     if kind == "id+trace":
         ops = []
         for i in range(dm):
             bra = np.zeros((1, dm), dtype=complex)
             bra[0, i] = 1.0
             ops.append(np.kron(np.eye(dk, dtype=complex), bra))
-        return choi_of(ops, out_label=out_label, cap=cap)
+        return choi_of(ops, cap=cap)
     raise ChannelError(f"unknown channel kind {kind!r}")
 
 
 def random_tp_channel(rng: np.random.Generator, dim_in: int, dim_out: int,
-                      env: int | None = None, out_label: str = "B",
-                      cap: int | None = None) -> Channel:
+                      env: int | None = None) -> Channel:
     """TPCPM from a Haar-random Stinespring isometry."""
     env = env if env is not None else dim_in
     total = dim_out * env
@@ -265,18 +262,17 @@ def random_tp_channel(rng: np.random.Generator, dim_in: int, dim_out: int,
         for b in range(dim_out):
             k[b, :] = v[b * env + i, :]
         kraus.append(k)
-    return choi_of(kraus, out_label=out_label, cap=cap)
+    return choi_of(kraus)
 
 
 def random_cpm(rng: np.random.Generator, dim_in: int, dim_out: int,
-               trace: float = 1.0, out_label: str = "B",
-               cap: int | None = None) -> Channel:
+               trace: float = 1.0) -> Channel:
     """CPM with a Ginibre-random Choi matrix of the given trace (<= 1)."""
     d = dim_in * dim_out
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     j = g @ g.conj().T
     j *= trace / float(np.trace(j).real)
-    return channel_from_choi(j, dim_in, dim_out, out_label, cap=cap)
+    return channel_from_choi(j, dim_in, dim_out)
 
 
 # ---------------------------------------------------------------------------

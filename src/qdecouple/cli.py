@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from typing import Sequence
@@ -23,15 +22,6 @@ import qdecouple
 from qdecouple import channel as chan
 from qdecouple import decoupling, entropy, haar, merging
 from qdecouple import linalg
-
-
-def _apply_global_options(args: argparse.Namespace) -> None:
-    """Resolve the dimension cap: the flag, then the environment, then the
-    default."""
-    if getattr(args, "cap", None) is None:
-        env = os.environ.get("QDECOUPLE_DIM_CAP")
-        if env:
-            args.cap = int(env)
 
 
 def _labels(arg: str | None) -> tuple[str, ...]:
@@ -66,25 +56,12 @@ def _report(command: str, config: dict, result: dict, seed: haar.RngSeed | None,
 # state and channel generators
 # ---------------------------------------------------------------------------
 
-def gen_state(kind: str, k: int, rho_e: str = "maximally-mixed",
-              d_e: int | None = None,
-              dims: Sequence[tuple[str, int]] | None = None,
+def gen_state(kind: str, k: int, dims: Sequence[tuple[str, int]] | None = None,
               seed: int = 0, cap: int | None = None) -> linalg.StateOperator:
     """Reference bipartite states on labels (A, E); ``dims`` gives the
     (label, dim) pairs of the random kinds."""
     if kind == "independent":
-        d = 2 ** k
-        de = d_e if d_e is not None else d
-        if rho_e == "maximally-mixed":
-            env = np.eye(de) / de
-        elif rho_e == "pure0":
-            env = np.zeros((de, de), dtype=complex)
-            env[0, 0] = 1.0
-        elif rho_e == "random":
-            env = linalg.random_density(haar.generator(seed), (("E", de),)).matrix
-        else:
-            raise ValueError(f"unknown reference preparation {rho_e!r}")
-        return decoupling.independent_state(k, env, cap=cap)
+        return decoupling.independent_state(k, cap=cap)
     if kind == "classical":
         return decoupling.classical_state(k, cap=cap)
     if kind == "entangled":
@@ -104,8 +81,7 @@ def gen_state(kind: str, k: int, rho_e: str = "maximally-mixed",
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_state(args: argparse.Namespace) -> int:
-    state = gen_state(args.kind, args.k, args.rhoE, args.dE, args.dims,
-                      args.seed, cap=args.cap)
+    state = gen_state(args.kind, args.k, args.dims, args.seed, cap=args.cap)
     _emit(json.dumps(linalg.state_to_json(state)), args.out)
     return 0
 
@@ -173,10 +149,9 @@ def _cmd_decouple_run(args: argparse.Namespace) -> int:
         return 2
     state = _load_state(args.state, args.cap)
     ch = _load_channel(args.channel, args.cap)
-    seed = haar.RngSeed(args.seed, args.stream)
+    seed = haar.RngSeed(args.seed)
     exp = decoupling.DecouplingExperiment(
-        state, ch, num_samples=args.samples, epsilon=args.epsilon, seed=seed,
-        on=_labels(args.on) or ("A",))
+        state, ch, num_samples=args.samples, epsilon=args.epsilon, seed=seed)
     report = decoupling.run(exp, workers=args.workers)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -207,23 +182,18 @@ def _cmd_merge_run(args: argparse.Namespace) -> int:
         print("error: merge run needs a pure input state", file=sys.stderr)
         return 1
     psi = linalg.PureState(state.dims, v[:, -1] * math.sqrt(w[-1]), cap=args.cap)
-    a_labels = _labels(args.a_labels) or ("A",)
-    b_labels = _labels(args.b_labels) or ("B",)
-    e_labels = _labels(args.e_labels) or ("E",)
     if args.K is not None:
         k_dim, l_dim = args.K, args.L
     else:
-        target_bits = merging.cost_achievable(psi, a_labels, b_labels, args.epsilon,
+        target_bits = merging.cost_achievable(psi, ("A",), ("B",), args.epsilon,
                                               realize=False)
-        d_a = math.prod(psi.dims.dim_of(lab) for lab in a_labels)
-        k_dim, l_dim = merging.realize_cost(target_bits, d_a)
+        k_dim, l_dim = merging.realize_cost(target_bits, psi.dims.dim_of("A"))
     seeds = list(range(args.seed, args.seed + args.num_seeds))
-    instances = [merging.MergingInstance(
-        psi, k_dim, l_dim, args.epsilon, seed=haar.RngSeed(s, args.stream),
-        a_labels=a_labels, b_labels=b_labels, e_labels=e_labels,
-        cap=args.cap if args.cap is not None else 1 << 26) for s in seeds]
+    instances = [merging.MergingInstance(psi, k_dim, l_dim, args.epsilon,
+                                         seed=haar.RngSeed(s), cap=args.cap)
+                 for s in seeds]
     # the bounds depend on the state and epsilon only: one pair of solves
-    bounds = merging.cost_bounds(psi, a_labels, b_labels, args.epsilon)
+    bounds = merging.cost_bounds(psi, ("A",), ("B",), args.epsilon)
     runs = [merging.run_merging(inst, bounds) for inst in instances]
     fidelities = [r.fidelity for r in runs]
     result = {
@@ -239,14 +209,14 @@ def _cmd_merge_run(args: argparse.Namespace) -> int:
     }
     config = {"state": args.state, "epsilon": args.epsilon, "K": k_dim,
               "L": l_dim, "seeds": seeds}
-    _emit(_report("merge run", config, result,
-                  haar.RngSeed(args.seed, args.stream), started), args.out)
+    _emit(_report("merge run", config, result, haar.RngSeed(args.seed), started),
+          args.out)
     return 0
 
 
 def _cmd_lemmas_check(args: argparse.Namespace) -> int:
     started = time.time()
-    seed = haar.RngSeed(args.seed, args.stream)
+    seed = haar.RngSeed(args.seed)
     reports = decoupling.verify_proof_lemmas(seed, trials=args.trials)
     result = decoupling.lemma_report_json(reports)
     config = {"trials": args.trials}
@@ -314,15 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     # each subcommand registers only the flags its handler reads
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", type=int, default=None,
-                        help="total-dimension cap (default "
-                             f"{linalg.DIM_CAP}; env QDECOUPLE_DIM_CAP)")
+    common.add_argument("--cap", type=_positive_int, default=None,
+                        help=f"total-dimension cap (default {linalg.DIM_CAP}); "
+                             "merge run also holds the entries of its largest "
+                             "array to it (default 2^26)")
     common.add_argument("--out", default=None, help="write the JSON report here")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=_seed, default=0,
                         help="base RNG seed recorded in the report (default 0)")
-    seeded.add_argument("--stream", default="default",
-                        help="named RNG stream (default 'default')")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -333,10 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "random-mixed", "random-pure"])
     p.add_argument("--k", type=_non_negative_int, default=1,
                    help="number of qubits (default 1)")
-    p.add_argument("--rhoE", default="maximally-mixed",
-                   choices=["maximally-mixed", "pure0", "random"],
-                   help="reference preparation for kind=independent")
-    p.add_argument("--dE", type=_positive_int, default=None, help="reference dimension")
     p.add_argument("--dims", type=_dims, default=None,
                    help="label:dim list for random kinds, e.g. A:2,E:3")
     p.set_defaults(func=_cmd_gen_state)
@@ -367,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="builder spec like id+trace:4,1 or a channel JSON file")
     pr.add_argument("--samples", type=_positive_int, default=1000)
     pr.add_argument("--epsilon", type=_epsilon, default=0.0)
-    pr.add_argument("--on", default="A", help="input labels (default A)")
     pr.add_argument("--csv", default=None, help="write per-sample distances here")
     pr.set_defaults(func=_cmd_decouple_run)
 
@@ -381,9 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--num-seeds", type=_positive_int, default=1)
     pm.add_argument("--K", type=_positive_int, default=None)
     pm.add_argument("--L", type=_positive_int, default=None)
-    pm.add_argument("--a-labels", default="A")
-    pm.add_argument("--b-labels", default="B")
-    pm.add_argument("--e-labels", default="E")
     pm.set_defaults(func=_cmd_merge_run)
 
     p = sub.add_parser("lemmas", help="randomized proof-ingredient suites")
@@ -400,7 +361,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_global_options(args)
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -289,9 +289,9 @@ class ConverseReport:
 
 
 def converse_check(state: StateOperator, ch: chan.Channel, eps: float,
-                   eps1: float, eps2: float, eps3: float,
-                   on: Sequence[str] = ("A",)) -> ConverseReport:
-    """Check the converse inequality at the given smoothing parameters.
+                   eps1: float, eps2: float, eps3: float) -> ConverseReport:
+    """Check the converse inequality for a channel on A at the given
+    smoothing parameters.
 
     Requires || T(rho_AE) - T(rho_A) (x) rho_E ||_1 <= eps (verified
     numerically) and a trace-one Choi matrix.  The conditional max-entropy of
@@ -304,8 +304,8 @@ def converse_check(state: StateOperator, ch: chan.Channel, eps: float,
         raise DecouplingError("converse needs a normalized state")
     if eps1 <= 0 or eps2 < 0 or eps3 < 0:
         raise DecouplingError("smoothing parameters must satisfy eps1 > 0, eps2, eps3 >= 0")
-    on = list(on)
-    refs = [lab for lab in state.labels if lab not in set(on)]
+    on = ["A"]
+    refs = [lab for lab in state.labels if lab != "A"]
     out_full = chan.apply(ch, state, on)
     rho_a = partial_trace(state, on).permute(on)
     out_a = chan.apply(ch, rho_a, on)
@@ -337,10 +337,10 @@ def converse_check(state: StateOperator, ch: chan.Channel, eps: float,
                           h_joint, h_out, h_cond, (eps, eps1, eps2, eps3))
 
 
-def default_converse_epsilons(eps: float, floor: float = 1e-3
-                              ) -> tuple[float, float, float]:
-    """Default smoothing split (sqrt(eps), 0, 2 sqrt(eps)) with a small floor."""
-    root = max(math.sqrt(max(eps, 0.0)), floor)
+def default_converse_epsilons(eps: float) -> tuple[float, float, float]:
+    """Default smoothing split (sqrt(eps), 0, 2 sqrt(eps)), sqrt(eps) floored
+    at 1e-3."""
+    root = max(math.sqrt(max(eps, 0.0)), 1e-3)
     return root, 0.0, 2 * root
 
 
@@ -364,18 +364,20 @@ def _rnd_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
-def verify_proof_lemmas(seed: haar.RngSeed | int = 0, trials: int = 200,
-                        dims: Sequence[int] = (2, 3, 4)) -> dict[str, LemmaReport]:
+def verify_proof_lemmas(seed: haar.RngSeed | int = 0,
+                        trials: int = 200) -> dict[str, LemmaReport]:
     """Randomized checks of the swap trick, the two-copy purity ratio, and
-    the weighted trace-norm bound.  Failures are reported, never raised.
+    the weighted trace-norm bound on dimensions 2, 3 and 4.  Failures are
+    reported, never raised.
     """
     rng = haar.generator(seed if isinstance(seed, haar.RngSeed) else haar.RngSeed(seed))
     reports: dict[str, LemmaReport] = {}
+    dims = [2, 3, 4]
 
     fails = 0
     worst = 0.0
     for _ in range(trials):
-        d = int(rng.choice(list(dims)))
+        d = int(rng.choice(dims))
         m, n = _rnd_matrix(rng, d), _rnd_matrix(rng, d)
         lhs = complex(np.trace(np.kron(m, n) @ swap_operator(d)))
         rhs = complex(np.trace(m @ n))
@@ -388,8 +390,8 @@ def verify_proof_lemmas(seed: haar.RngSeed | int = 0, trials: int = 200,
     fails = 0
     worst = 0.0
     for _ in range(trials):
-        da = int(rng.choice(list(dims)))
-        db = int(rng.choice(list(dims)))
+        da = int(rng.choice(dims))
+        db = int(rng.choice(dims))
         g = _rnd_matrix(rng, da * db)
         xi = g @ g.conj().T
         xi_b = trace_out_leading(xi, da)
@@ -403,7 +405,7 @@ def verify_proof_lemmas(seed: haar.RngSeed | int = 0, trials: int = 200,
     fails = 0
     worst = 0.0
     for t in range(trials):
-        d = int(rng.choice(list(dims)))
+        d = int(rng.choice(dims))
         m = hermitian_part(_rnd_matrix(rng, d))
         g = _rnd_matrix(rng, d)
         sigma = g @ g.conj().T
@@ -441,15 +443,12 @@ def lemma_report_json(reports: dict[str, LemmaReport]) -> dict:
 # reference states
 # ---------------------------------------------------------------------------
 
-def independent_state(k: int, rho_e: np.ndarray | None = None,
-                      cap: int | None = None) -> StateOperator:
-    """k uniformly random bits, uncorrelated with the reference."""
+def independent_state(k: int, cap: int | None = None) -> StateOperator:
+    """k uniformly random bits, uncorrelated with a maximally mixed
+    reference of the same dimension."""
     d = 2 ** k
-    if rho_e is None:
-        rho_e = np.eye(d) / d
-    d_e = rho_e.shape[0]
-    pairs = (("A", d), ("E", d_e))
-    return StateOperator(Dims(pairs), np.kron(np.eye(d) / d, rho_e), cap=cap)
+    mixed = np.eye(d) / d
+    return StateOperator(Dims((("A", d), ("E", d))), np.kron(mixed, mixed), cap=cap)
 
 
 def classical_state(k: int, cap: int | None = None) -> StateOperator:

@@ -43,26 +43,19 @@ class EntropyError(RuntimeError):
     """Entropy computation failed or could not be certified."""
 
 
-@dataclass(frozen=True)
-class EntropyRequest:
-    """Arguments of a conditional-entropy query."""
-
-    state: StateOperator
-    target: tuple[str, ...]
-    condition: tuple[str, ...] = ()
-    epsilon: float = 0.0
-
-    def __post_init__(self) -> None:
-        t, c = set(self.target), set(self.condition)
-        if not t:
-            raise ValueError("target label set is empty")
-        if t & c:
-            raise ValueError(f"target and condition overlap: {sorted(t & c)}")
-        unknown = (t | c) - set(self.state.labels)
-        if unknown:
-            raise ValueError(f"labels {sorted(unknown)} not in state {self.state.labels}")
-        if not (0.0 <= self.epsilon < 1.0):
-            raise ValueError(f"epsilon {self.epsilon} outside [0, 1)")
+def _check_query(state: StateOperator, target: Sequence[str],
+                 condition: Sequence[str], epsilon: float) -> None:
+    """Raise ValueError unless the query's labels and epsilon are valid."""
+    t, c = set(target), set(condition)
+    if not t:
+        raise ValueError("target label set is empty")
+    if t & c:
+        raise ValueError(f"target and condition overlap: {sorted(t & c)}")
+    unknown = (t | c) - set(state.labels)
+    if unknown:
+        raise ValueError(f"labels {sorted(unknown)} not in state {state.labels}")
+    if not (0.0 <= epsilon < 1.0):
+        raise ValueError(f"epsilon {epsilon} outside [0, 1)")
 
 
 @dataclass
@@ -76,7 +69,7 @@ class EntropyResult:
 def _prepare(state: StateOperator, target: Sequence[str], condition: Sequence[str]
              ) -> tuple[np.ndarray, int, int, Dims, Dims]:
     """Trace out spectator labels and order the matrix as (target, condition)."""
-    EntropyRequest(state, tuple(target), tuple(condition))
+    _check_query(state, target, condition, 0.0)
     rel = list(target) + list(condition)
     reduced = state if set(rel) == set(state.labels) else partial_trace(state, rel)
     reduced = reduced.permute(rel)
@@ -217,7 +210,7 @@ def h_max(state: StateOperator, target: Sequence[str],
     if not condition:
         rho = _prepare(state, target, condition)[0]
         return EntropyResult(2 * math.log2(float(np.trace(sqrt_psd(rho)).real)))
-    EntropyRequest(state, tuple(target), tuple(condition))
+    _check_query(state, target, condition, 0.0)
     carrier, purifier = _purified(state, target, condition)
     dual = h_min(carrier, target, purifier)
     return EntropyResult(-dual.value, certificate_gap=dual.certificate_gap)
@@ -431,7 +424,7 @@ def h_min_smooth(state: StateOperator, target: Sequence[str],
     states diagonal in the product basis use an exact reduced program that
     is well conditioned at any epsilon and any dimension within the cap.
     """
-    EntropyRequest(state, tuple(target), tuple(condition), epsilon)
+    _check_query(state, target, condition, epsilon)
     if epsilon == 0.0:
         return h_min(state, target, condition)
     rho, d_a, d_b, tdims, cdims = _prepare(state, target, condition)
@@ -460,7 +453,7 @@ def h_max_smooth(state: StateOperator, target: Sequence[str],
     ``_purified``; the input must be normalized.  At epsilon = 0 it is
     ``h_max``.  Like ``h_max`` it returns no conditioning witness.
     """
-    EntropyRequest(state, tuple(target), tuple(condition), epsilon)
+    _check_query(state, target, condition, epsilon)
     if epsilon == 0.0:
         return h_max(state, target, condition)
     if abs(state.trace - 1.0) > 1e-9:

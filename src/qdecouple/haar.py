@@ -171,7 +171,7 @@ def twirl_exact(m: np.ndarray) -> tuple[TwirlCoefficients, np.ndarray]:
     return coeffs, coeffs.matrix(d)
 
 
-def weyl_operators(d: int, cap: int | None = None) -> list[np.ndarray]:
+def weyl_operators(d: int) -> list[np.ndarray]:
     """The d^2 shift-and-phase unitaries; the first is the identity.
 
     Their uniform conjugation average sends any operator to tr(X) I / d,
@@ -179,7 +179,7 @@ def weyl_operators(d: int, cap: int | None = None) -> list[np.ndarray]:
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    check_cap(d * d, cap)
+    check_cap(d * d)
     omega = np.exp(2j * np.pi / d)
     shift = np.zeros((d, d), dtype=complex)
     for j in range(d):

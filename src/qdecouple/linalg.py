@@ -117,11 +117,11 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
-def is_hermitian(m: np.ndarray, tol: float = TOL_HERM) -> bool:
-    """Hermitian within ``tol``.
+def is_hermitian(m: np.ndarray) -> bool:
+    """Hermitian within ``TOL_HERM``.
 
     On a stack ``(..., n, n)`` the test covers the whole stack at once."""
-    return bool(_hermitian_items(np.asarray(m)[None], tol)[0])
+    return bool(_hermitian_items(np.asarray(m)[None], TOL_HERM)[0])
 
 
 def _hermitian_items(m: np.ndarray, tol: float, adjoint: np.ndarray | None = None
@@ -423,12 +423,12 @@ class PureState:
 # tensor products, partial traces, subsystem maps
 # ---------------------------------------------------------------------------
 
-def tensor(a: StateOperator, b: StateOperator, cap: int | None = None) -> StateOperator:
+def tensor(a: StateOperator, b: StateOperator) -> StateOperator:
     """Kronecker product with concatenated labels; trace multiplies."""
     overlap = set(a.labels) & set(b.labels)
     if overlap:
         raise LabelError(f"duplicate labels {sorted(overlap)} in tensor product")
-    check_cap(a.dims.total * b.dims.total, cap)
+    check_cap(a.dims.total * b.dims.total)
     return StateOperator(Dims(a.dims.pairs + b.dims.pairs),
                          np.kron(a.matrix, b.matrix), validate=False)
 
@@ -627,11 +627,11 @@ def purify(rho: StateOperator, new_label: str, *, cap: int | None = None,
     return PureState(dims, amps.reshape(-1), validate=False)
 
 
-def swap_operator(d: int, cap: int | None = None) -> np.ndarray:
+def swap_operator(d: int) -> np.ndarray:
     """The d^2 x d^2 permutation F with F(|i> (x) |k>) = |k> (x) |i>."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    check_cap(d * d, cap)
+    check_cap(d * d)
     f = np.zeros((d * d, d * d))
     for i in range(d):
         for k in range(d):
@@ -674,10 +674,9 @@ def maximally_mixed(pairs: Sequence[LabelPair], cap: int | None = None) -> State
     return StateOperator(dims, np.eye(d) / d, validate=False)
 
 
-def basis_ket(pairs: Sequence[LabelPair], index: Sequence[int],
-              cap: int | None = None) -> PureState:
+def basis_ket(pairs: Sequence[LabelPair], index: Sequence[int]) -> PureState:
     dims = Dims(tuple(pairs))
-    check_cap(dims.total, cap)
+    check_cap(dims.total)
     flat = int(np.ravel_multi_index(tuple(index), dims.dims))
     amps = np.zeros(dims.total, dtype=complex)
     amps[flat] = 1.0

@@ -27,9 +27,9 @@ import numpy as np
 
 from qdecouple import entropy, haar
 from qdecouple.linalg import (
+    DimCapError,
     PureState,
     StateOperator,
-    check_cap,
     fidelities,
     pure_marginal,
     trace_norms,
@@ -37,6 +37,8 @@ from qdecouple.linalg import (
 )
 
 LOG2_13 = math.log2(13.0)
+# default cap on the entries of a run's largest array (1 GiB of complex128)
+ENTRY_CAP = 1 << 26
 # outcomes below this probability have no normalized state and fidelity 0
 _P_DEAD = 1e-15
 
@@ -47,12 +49,12 @@ class MergingError(ValueError):
 
 @dataclass(frozen=True)
 class MergingInstance:
-    """Tripartite pure state with sender/receiver/reference label sets plus
-    the entanglement registers' Schmidt ranks.
+    """Pure state on the sender A, receiver B and reference E, plus the
+    entanglement registers' Schmidt ranks.
 
     ``cap`` bounds the entry count of the largest array a run allocates:
     the (K|A|)^2 Haar unitary in ``run_merging`` and the K|A| x L row block
-    in ``estimate_merging_fidelity``; None means ``linalg.DIM_CAP``.
+    in ``estimate_merging_fidelity``; None means ``ENTRY_CAP``.
     """
 
     psi: PureState
@@ -60,15 +62,11 @@ class MergingInstance:
     l_rank: int
     epsilon_target: float
     seed: haar.RngSeed = haar.RngSeed(0)
-    a_labels: tuple[str, ...] = ("A",)
-    b_labels: tuple[str, ...] = ("B",)
-    e_labels: tuple[str, ...] = ("E",)
     cap: int | None = None
 
     def __post_init__(self) -> None:
-        want = set(self.a_labels) | set(self.b_labels) | set(self.e_labels)
-        if want != set(self.psi.labels):
-            raise MergingError(f"labels {sorted(want)} != state labels {self.psi.labels}")
+        if set(self.psi.labels) != {"A", "B", "E"}:
+            raise MergingError(f"labels ['A', 'B', 'E'] != state labels {self.psi.labels}")
         if self.k_rank < 1 or self.l_rank < 1:
             raise MergingError("Schmidt ranks must be positive")
         if (self.k_rank * self.dim_a) % self.l_rank != 0:
@@ -77,10 +75,7 @@ class MergingInstance:
 
     @property
     def dim_a(self) -> int:
-        d = 1
-        for lab in self.a_labels:
-            d *= self.psi.dims.dim_of(lab)
-        return d
+        return self.psi.dims.dim_of("A")
 
     @property
     def num_outcomes(self) -> int:
@@ -140,7 +135,7 @@ def run_merging(instance: MergingInstance,
     k_dim, l_dim = inst.k_rank, inst.l_rank
     n_out = inst.num_outcomes
     reg = k_dim * inst.dim_a
-    check_cap(reg * reg, inst.cap)
+    _check_entries("the (K|A|)^2 Haar unitary", reg * reg, inst.cap)
     rho_ae = _sender_env_marginal(inst)
     u = haar.haar_unitary_indexed(inst.seed, 0, reg)
     p, f, states, ideal = _outcome_kernel(u.reshape(n_out, l_dim, reg), rho_ae, inst.dim_a)
@@ -164,17 +159,22 @@ def run_merging(instance: MergingInstance,
         raise MergingError(f"outcome probabilities sum to {p_sum}")
 
     if bounds is None:
-        bounds = cost_bounds(psi, inst.a_labels, inst.b_labels, inst.epsilon_target)
+        bounds = cost_bounds(psi, ("A",), ("B",), inst.epsilon_target)
     bound_ach, bound_con = bounds
     cost = math.log2(k_dim) - math.log2(l_dim)
     return MergingResult(overall, per_outcome, cost, bound_ach, bound_con,
                          decoupled / max(n_out, 1), inst.seed)
 
 
+def _check_entries(what: str, entries: int, cap: int | None) -> None:
+    limit = ENTRY_CAP if cap is None else cap
+    if entries > limit:
+        raise DimCapError(f"{what} has {entries} entries, above the merging cap {limit}")
+
+
 def _sender_env_marginal(inst: MergingInstance) -> np.ndarray:
-    """rho_AE as a matrix with the sender labels major."""
-    sender_env = [*inst.a_labels, *inst.e_labels]
-    return pure_marginal(inst.psi, sender_env).permute(sender_env).matrix
+    """rho_AE as a matrix with A major."""
+    return pure_marginal(inst.psi, ["A", "E"]).permute(["A", "E"]).matrix
 
 
 def _outcome_kernel(blocks: np.ndarray, rho_ae: np.ndarray, dim_a: int
@@ -245,7 +245,7 @@ def estimate_merging_fidelity(instance: MergingInstance,
     if draws < 2:
         raise MergingError("a standard error needs at least two draws")
     reg = inst.k_rank * inst.dim_a
-    check_cap(reg * inst.l_rank, inst.cap)
+    _check_entries("the K|A| x L row block", reg * inst.l_rank, inst.cap)
     rho_ae = _sender_env_marginal(inst)
     n_out = inst.num_outcomes
     samples = []

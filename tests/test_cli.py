@@ -173,6 +173,18 @@ def test_unknown_command_exits_two():
     ["merge", "run", "--state", "s.json", "--epsilon", "0.3", "--seed", "-1"],
     ["merge", "run", "--state", "s.json", "--epsilon", "0.3",
      "--seed", str(2 ** 64)],
+    # a cap below 1 exited 1 as "total dimension 4 exceeds cap 0"
+    ["gen-state", "classical", "--k", "1", "--cap", "0"],
+    ["gen-state", "classical", "--k", "1", "--cap", "-1"],
+    # the roles of the systems are fixed: the channel acts on A, merging
+    # moves A to B with reference E, gen-state's reference is maximally
+    # mixed of dimension 2^k, and every seed draws from the default stream
+    ["gen-state", "independent", "--rhoE", "pure0"],
+    ["gen-state", "independent", "--dE", "2"],
+    ["decouple", "run", "--state", "s.json", "--channel", "id:1", "--on", "A"],
+    ["merge", "run", "--state", "s.json", "--epsilon", "0.3", "--a-labels", "A"],
+    ["merge", "run", "--state", "s.json", "--epsilon", "0.3", "--stream", "x"],
+    ["lemmas", "check", "--stream", "x"],
 ])
 def test_unknown_flag_exits_two(argv):
     with pytest.raises(SystemExit) as err:
@@ -335,6 +347,26 @@ def test_merge_run_lone_k_or_l_exits_two(tmp_path, capsys, monkeypatch, flag):
     assert not out_path.exists()
 
 
+def test_merge_run_realises_the_achievable_cost(tmp_path, capsys):
+    # without --K and --L, merge run realises the achievable cost of
+    # |Phi>_AB (x) |0>_E as power-of-two registers
+    import math
+    from qdecouple import merging
+    from qdecouple.linalg import PureState, dims_of, state_to_json
+
+    amps = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
+    psi = PureState(dims_of(("A", 2), ("B", 2), ("E", 1)), amps)
+    st_path = tmp_path / "psi.json"
+    st_path.write_text(json.dumps(state_to_json(psi.to_operator(validate=True))))
+    code, out, _ = run_cli(capsys, "merge", "run", "--state", str(st_path),
+                           "--epsilon", "0.95")
+    assert code == 0
+    rep = json.loads(out)["result"]
+    raw = merging.cost_achievable(psi, ("A",), ("B",), 0.95, realize=False)
+    assert (rep["K"], rep["L"]) == merging.realize_cost(raw, 2) == (128, 1)
+    assert rep["cost_bits"] == rep["bound_achievable"]
+
+
 def test_merge_run_seed_range_covers_every_seed(tmp_path, capsys):
     import math
     from qdecouple.linalg import PureState, dims_of, state_to_json
@@ -358,12 +390,10 @@ def test_merge_run_seed_range_covers_every_seed(tmp_path, capsys):
     assert json.loads(out_path.read_text())["result"]["seeds"] == [2 ** 64 - 1]
 
 
-def test_dimension_cap_environment_variable(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("QDECOUPLE_DIM_CAP", "8")
+def test_dimension_cap_flag(tmp_path, capsys):
     code, _, err = run_cli(capsys, "gen-state", "classical", "--k", "2",
-                           "--out", str(tmp_path / "x.json"))
-    assert code == 1 and "cap" in err
-    # explicit flag wins over the environment
+                           "--cap", "8", "--out", str(tmp_path / "x.json"))
+    assert code == 1 and "cap 8" in err
     code, _, _ = run_cli(capsys, "gen-state", "classical", "--k", "2",
                          "--cap", "64", "--out", str(tmp_path / "x.json"))
     assert code == 0

@@ -398,14 +398,13 @@ def rotated_protocol_state(inst):
 
     Returns the unitary, the unrotated state and the rotated amplitudes as a
     (K|A|, rest) matrix with R major, plus the labels and dimensions of the
-    rest.  Single sender label only.
+    rest.
     """
-    (a,) = inst.a_labels
     reg = inst.k_rank * inst.dim_a
     theta = tensor_pure(maximally_entangled("A0", "B0", inst.k_rank), inst.psi,
                         cap=1 << 20)
     u = haar.haar_unitary_indexed(inst.seed, 0, reg)
-    rotated = apply_matrix_pure(theta, u, on=("A0", a), out=(("R", reg),),
+    rotated = apply_matrix_pure(theta, u, on=("A0", "A"), out=(("R", reg),),
                                 cap=1 << 20)
     perm = rotated.permute(["R"] + [lab for lab in rotated.labels if lab != "R"])
     rest_pairs = tuple(p for p in perm.dims.pairs if p[0] != "R")
@@ -418,12 +417,11 @@ def explicit_protocol(inst):
     state, its A1 E marginal for the decoupling test, and the receiver's
     Uhlmann isometry on (B0, B) toward Phi_L (x) psi with A moved to the
     receiver.  Returns (per_outcome, fidelity, decoupled_fraction)."""
-    (a,) = inst.a_labels
     l_dim, n_out = inst.l_rank, inst.num_outcomes
     _, _, amps, rest_pairs = rotated_protocol_state(inst)
     target = tensor_pure(maximally_entangled("A1", "B1", l_dim),
-                         inst.psi.relabel({a: a + "'"}), cap=1 << 20)
-    rho_e = pure_marginal(inst.psi, inst.e_labels).matrix
+                         inst.psi.relabel({"A": "A'"}), cap=1 << 20)
+    rho_e = pure_marginal(inst.psi, ["E"]).matrix
     ideal = np.kron(np.eye(l_dim) / l_dim, rho_e)
     per_outcome, overall, decoupled = [], 0.0, 0
     for x in range(n_out):
@@ -431,12 +429,12 @@ def explicit_protocol(inst):
         p_x = float(np.vdot(block, block).real)
         sigma_x = PureState(Dims((("A1", l_dim),) + rest_pairs),
                             (block / math.sqrt(p_x)).reshape(-1), validate=False)
-        marg = pure_marginal(sigma_x, ["A1", *inst.e_labels]).matrix
+        marg = pure_marginal(sigma_x, ["A1", "E"]).matrix
         decoupled += trace_norm(marg - ideal) <= 4.0 * inst.epsilon_target
         v, out_pairs = uhlmann_isometry(sigma_x, target,
-                                        bob_labels=["B0", *inst.b_labels],
+                                        bob_labels=["B0", "B"],
                                         delta=1.0)
-        eta_x = apply_matrix_pure(sigma_x, v, on=["B0", *inst.b_labels],
+        eta_x = apply_matrix_pure(sigma_x, v, on=["B0", "B"],
                                   out=out_pairs, cap=1 << 20)
         f_x = abs(inner(target, eta_x))
         per_outcome.append((x, p_x, f_x))
@@ -503,6 +501,17 @@ def test_run_merging_cap_bounds_the_unitary():
     assert len(mg.run_merging(make(256)).per_outcome) == 16
 
 
+def test_merging_default_cap_counts_entries():
+    # no cap means merging.ENTRY_CAP entries: the C9 companion's K|A| = 256
+    # unitary has 65536, far above linalg.DIM_CAP, which bounds a dimension
+    assert len(mg.run_merging(mg.MergingInstance(cc_state(2), 64, 1, 0.3)).per_outcome) == 256
+    with pytest.raises(DimCapError, match="Haar unitary has 65536 entries"):
+        mg.run_merging(mg.MergingInstance(cc_state(2), 64, 1, 0.3, cap=65535))
+    with pytest.raises(DimCapError, match=r"x L row block has 131072 entries"):
+        mg.estimate_merging_fidelity(
+            mg.MergingInstance(cc_state(2), 1 << 15, 1, 0.3, cap=1 << 16), draws=2)
+
+
 def test_estimator_matches_run_merging_at_desk_scale():
     # the desk-scale companion of C9: K = 64, L = 1, 20 run_merging seeds
     psi, eps = cc_state(2), 0.3
@@ -561,8 +570,7 @@ def outcome_by_outcome(rows, rho_ae, d_a):
 
 
 def sender_env(inst):
-    labels = [*inst.a_labels, *inst.e_labels]
-    return pure_marginal(inst.psi, labels).permute(labels).matrix
+    return pure_marginal(inst.psi, ["A", "E"]).permute(["A", "E"]).matrix
 
 
 def test_outcome_kernel_matches_the_per_outcome_route():
