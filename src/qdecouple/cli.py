@@ -24,12 +24,6 @@ from qdecouple import decoupling, entropy, haar, merging
 from qdecouple import linalg
 
 
-def _labels(arg: str | None) -> tuple[str, ...]:
-    if not arg:
-        return ()
-    return tuple(part.strip() for part in arg.split(",") if part.strip())
-
-
 def _emit(text: str, out: str | None) -> None:
     """Write serialized JSON and a newline to ``out``, or to stdout."""
     if out:
@@ -81,7 +75,11 @@ def gen_state(kind: str, k: int, dims: Sequence[tuple[str, int]] | None = None,
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_state(args: argparse.Namespace) -> int:
-    state = gen_state(args.kind, args.k, args.dims, args.seed, cap=args.cap)
+    if args.seed is not None and not args.kind.startswith("random-"):
+        print(f"error: --seed draws the random kinds only; {args.kind} takes none",
+              file=sys.stderr)
+        return 2
+    state = gen_state(args.kind, args.k, args.dims, args.seed or 0, cap=args.cap)
     _emit(json.dumps(linalg.state_to_json(state)), args.out)
     return 0
 
@@ -114,8 +112,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
               "takes none", file=sys.stderr)
         return 2
     state = _load_state(args.state, args.cap)
-    target = _labels(args.target)
-    condition = _labels(args.condition)
+    target, condition = args.target, args.condition
     note = None
     if kind == "vn":
         value, gap = entropy.von_neumann(state, target, condition), 0.0
@@ -253,12 +250,23 @@ def _seed(text: str) -> int:
 
 
 def _dims(text: str) -> tuple[tuple[str, int], ...]:
-    """A label:dim list such as A:2,E:3, each dim at least 1."""
+    """A label:dim list such as A:2,E:3, each dim at least 1, no label twice."""
     pairs = []
     for part in text.split(","):
         lab, _, dim = part.partition(":")
         pairs.append((lab.strip(), _positive_int(dim)))
+    labels = [lab for lab, _ in pairs]
+    if len(set(labels)) < len(labels):
+        raise argparse.ArgumentTypeError(f"duplicate labels in {text!r}")
     return tuple(pairs)
+
+
+def _labels(text: str) -> tuple[str, ...]:
+    """A comma-separated list naming at least one label."""
+    labels = tuple(part.strip() for part in text.split(",") if part.strip())
+    if not labels:
+        raise argparse.ArgumentTypeError(f"names no label: {text!r}")
+    return labels
 
 
 def _epsilon(text: str) -> float:
@@ -297,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-state", parents=[common],
                        help="emit a reference state as JSON")
-    p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=None,
+                   help="RNG seed of the random kinds (default 0)")
     p.add_argument("kind", choices=["independent", "classical", "entangled",
                                     "random-mixed", "random-pure"])
     p.add_argument("--k", type=_non_negative_int, default=1,
@@ -314,8 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entropy", parents=[common], help="entropy of a state file")
     p.add_argument("--state", required=True)
     p.add_argument("--kind", required=True, choices=["vn", "hmin", "hmax", "h2"])
-    p.add_argument("--target", required=True, help="comma-separated labels")
-    p.add_argument("--condition", default="", help="comma-separated labels")
+    p.add_argument("--target", type=_labels, required=True,
+                   help="comma-separated labels")
+    p.add_argument("--condition", type=_labels, default=(),
+                   help="comma-separated labels (default none)")
     p.add_argument("--epsilon", type=_epsilon, default=0.0,
                    help="smoothing parameter in [0, 1) for hmin and hmax "
                         "(default 0)")

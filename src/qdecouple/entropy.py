@@ -1,10 +1,12 @@
 """Exact and smooth conditional entropies of finite-dimensional states.
 
-Min-entropy and its smoothed variant are computed by the embedded SDP solver;
-a conditional max-entropy, smooth or not, is minus the min-entropy of a
-purification (duality), one certified SDP per query.  Collision entropy has a
-closed form at the reduced conditioning state, a lower bound on its
-supremum over conditioning operators.
+Min-entropy and its smoothed variant are computed by the embedded SDP solver,
+except that states diagonal in the product basis smooth through the exact
+Lagrange dual of their reduced program, with no SDP.  A conditional
+max-entropy, smooth or not, is minus the min-entropy of a purification
+(duality), one certified program per query.  Collision entropy has a closed
+form at the reduced conditioning state, a lower bound on its supremum over
+conditioning operators.
 
 All logarithms are base 2; values are reported in bits.
 """
@@ -319,42 +321,137 @@ def _close_smoothing(build: sdp.ProblemBuilder, fid: dict[int, np.ndarray],
     build.add_constraint(trace_row, 1.0)
 
 
+class _DiagDual:
+    """The Lagrange dual of the diagonal smoothing program, water-filled.
+
+    For a trace multiplier mu >= 0, each column b spreads unit weight over
+    nu_ab = max(0, sqrt(p_ab) / theta_b - mu), its level theta_b fixed by
+    sum_a nu_ab = 1.  With A(mu) = sum p_ab / (mu + nu_ab) + m / mu, the
+    dual bound is c^2 / A - mu, and its derivative in mu is T(mu) - 1 with
+    T = (c / A)^2 (sum p_ab / (mu + nu_ab)^2 + m / mu^2), the trace of the
+    primal point the multipliers give.
+    """
+
+    def __init__(self, p: np.ndarray, missing: float, eps: float):
+        self.m, self.eps2 = missing, eps * eps
+        self.c2 = 1.0 - self.eps2
+        # 1 - tr p - m: about 0 for a subnormalized input, the
+        # sub-threshold missing weight (or an excess trace) of a normalized one
+        self.slack = 1.0 - float(p.sum()) - missing
+        # over the k heaviest cells of each column: the sum of their sqrt p
+        # and the weight of the other cells; an empty column reads 0
+        ps = -np.sort(-p, axis=0)
+        self.rs = np.sqrt(ps)
+        self.k = np.arange(1, p.shape[0] + 1)[:, None]
+        tail = np.cumsum(ps[::-1], axis=0)[::-1]
+        self.prefix = np.stack([np.cumsum(self.rs, axis=0),
+                                np.vstack([tail[1:], np.zeros_like(tail[:1])])])
+        self.cols = np.arange(p.shape[1])
+
+    def at(self, mu: float) -> tuple[float, float, float, float, np.ndarray]:
+        """(T, dT/dmu, A, dual bound, theta) at trace multiplier mu."""
+        n = (self.rs * (1.0 + self.k * mu) > mu * self.prefix[0]).sum(axis=0)
+        s_k, rest = self.prefix[:, n - 1, self.cols]
+        den = 1.0 + n * mu
+        theta = s_k / den
+        nth2 = n * theta * theta
+        a, b = float(s_k @ theta), float(nth2.sum())
+        db = -2.0 * float((n * nth2 / den).sum())
+        if mu > 0:
+            out = float(rest.sum()) + self.m
+            a += out / mu
+            b += out / mu ** 2
+            db -= 2.0 * out / mu ** 3
+        t = self.c2 * b / (a * a)
+        return t, self.c2 * (db + 2.0 * b * b / a) / (a * a), a, self.c2 / a - mu, theta
+
+
 def _smooth_hmin_diag(p: np.ndarray, d_a: int, d_b: int, eps: float
                       ) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """Smoothing program restricted to diagonal states.
+    """Smoothing program restricted to diagonal states, solved exactly
+    through its Lagrange dual.
 
     Valid whenever the input is diagonal in the product basis: dephasing in
     that basis fixes the input, preserves feasibility of every constraint,
     and leaves the objective unchanged, so a diagonal optimizer exists.
+    The program minimizes sum_b s_b over q >= 0 with s_b >= q_ab, the
+    fidelity sum sqrt(p q) + sqrt(m (1 - sum q)) at least c = sqrt(1 -
+    eps^2) and sum q <= 1, m the missing weight.  The trace multiplier
+    mu* solves T(mu) = 1 (``_DiagDual``), by Newton steps in log mu kept
+    inside a bracket; mu* = 0 when m = 0 and T(0) <= 1.  The primal point
+    q = (c / A)^2 p / (mu + nu)^2 is checked by direct evaluation, a sliver
+    of p mixed in where rounding leaves its fidelity short.  The value is
+    the midpoint of sum s and the best dual bound, and the width their
+    log2 ratio, which bounds the optimum.
     """
-    d = d_a * d_b
     # cells with zero input weight carry no fidelity and only cost trace
     # budget, so an optimizer supported on the nonzero cells always exists
-    top = float(p.max(initial=0.0))
+    top, total = float(p.max(initial=0.0)), float(p.sum())
     if top <= 0:
         raise EntropyError("smoothing a zero operator")
-    live = [i for i in range(d) if float(p.flat[i]) > 1e-15 * top]
+    p = np.where(p > 1e-15 * top, p, 0.0)
+    missing = 1.0 - total if 1.0 - total > 1e-9 else 0.0
+    dual = _DiagDual(p, missing, eps)
+    if dual.eps2 <= dual.slack:
+        raise EntropyError(f"diagonal smoothing: no state within epsilon {eps} "
+                           f"of a trace-{total} input has trace at most 1")
+    mu, best = 0.0, -math.inf
+    if missing == 0.0:
+        t, dt, a, best, theta = dual.at(0.0)
+    if missing > 0.0 or t > 1.0:
+        # the dual bound is at least 0 at mu*, and A >= (1 - slack) / (1 + mu)
+        lo, hi = 0.0, dual.c2 / (dual.eps2 - dual.slack)
+        mu, at_hi = hi, None
+        for _ in range(200):
+            t, dt, a, bound, theta = dual.at(mu)
+            best = max(best, bound)
+            if t > 1.0:
+                lo = mu
+            else:
+                hi, at_hi = mu, (mu, a, theta)
+            if abs(t - 1.0) <= 1e-15 or hi - lo <= 1e-15 * hi:
+                break
+            step = -math.log(t) * t / (mu * dt) if dt < 0 else math.nan
+            mu = mu * math.exp(step) if abs(step) < 40 else math.nan
+            if not lo < mu < hi:
+                mu = math.sqrt(lo * hi) if lo > 0 else 1e-3 * hi
+        if t > 1.0 + 1e-15 and at_hi:
+            mu, a, theta = at_hi
 
-    build = sdp.ProblemBuilder()
-    f_blks = {i: build.add_block(2) for i in live}      # [[p_i, x_i], [x_i, q_i]]
-    s_blks = [build.add_block(1, np.eye(1, dtype=complex)) for _ in range(d_b)]
-    u_blks = {i: build.add_block(1) for i in live}      # s_beta - q_i slack
+    c = math.sqrt(dual.c2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(p > 0, (c / a) ** 2 * p / np.maximum(mu, np.sqrt(p) / theta) ** 2,
+                     0.0)
+    q /= max(1.0, float(q.sum()))
+    budget = dual.eps2 / (1.0 + c)
 
-    for i in live:
-        build.add_constraint({f_blks[i]: _E11}, float(p.flat[i]))
-    for i in live:
-        build.add_constraint({s_blks[i % d_b]: np.eye(1, dtype=complex),
-                              f_blks[i]: -_E22,
-                              u_blks[i]: -np.eye(1, dtype=complex)}, 0.0)
-    _close_smoothing(build, {f_blks[i]: _EX for i in live},
-                     {f_blks[i]: _E22 for i in live}, max(0.0, 1.0 - float(p.sum())), eps)
+    def deficit(x: np.ndarray) -> float:
+        """1 - fidelity, summed as squares so that rounding stays relative."""
+        rest = 1.0 - float(x.sum())
+        tail = ((math.sqrt(missing) - math.sqrt(max(rest, 0.0))) ** 2 if missing > 0
+                else rest)
+        return (float(((np.sqrt(p) - np.sqrt(x)) ** 2).sum()) + dual.slack + tail) / 2
 
-    mid, width, sol = _certified_solve(build.build(), "diagonal smoothing SDP")
-    q = np.zeros(d)
-    for i in live:
-        q[i] = float(sol.x_blocks[f_blks[i]][1, 1].real)
-    s = np.array([float(sol.x_blocks[s_blks[b]][0, 0].real) for b in range(d_b)])
-    return -math.log2(mid), q.reshape(d_a, d_b), s, width
+    short = deficit(q)
+    if short > budget:
+        # the fidelity is concave in q, so mixing in the input (its trace
+        # capped at 1) closes the gap, up to rounding: double the share
+        # until the evaluated deficit fits
+        anchor = p / max(1.0, total)
+        frac = min(1.0, (short - budget) / max(short - deficit(anchor), 1e-300)) / 2
+        mixed = q
+        while deficit(mixed) > budget and frac < 1.0:
+            frac = min(1.0, 2.0 * frac)
+            mixed = (1.0 - frac) * q + frac * anchor
+        if deficit(mixed) > budget:
+            raise EntropyError("diagonal smoothing: no feasible point at the dual optimum")
+        q = mixed
+    s = q.max(axis=0)
+    lo, hi = sorted((best, float(s.sum())))
+    width = math.log2(hi / lo) if lo > 0 else math.inf
+    if width > CERT_LIMIT_BITS:
+        raise EntropyError(f"diagonal smoothing: not certified (width {width:.2e} bits)")
+    return -math.log2((lo + hi) / 2), q, s, width
 
 
 def _support_factor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -420,13 +517,22 @@ def h_min_smooth(state: StateOperator, target: Sequence[str],
                  condition: Sequence[str] = (), epsilon: float = 0.0) -> EntropyResult:
     """Smooth conditional min-entropy over the purified-distance ball.
 
-    The dense path is reliable for epsilon of roughly 0.01 and larger;
-    states diagonal in the product basis use an exact reduced program that
-    is well conditioned at any epsilon and any dimension within the cap.
+    States diagonal in the product basis take ``_smooth_hmin_diag``, which
+    runs no SDP: it solves the reduced program through its Lagrange dual
+    for epsilon down to about 5e-8, and its ``certificate_gap`` bounds the
+    distance from the reported value to the optimum.  Any other state takes the dense
+    smoothing SDP, reliable for epsilon of roughly 0.005 and larger, whose
+    gap is the width of its primal/dual sandwich.  A state of trace at most
+    epsilon^2 has the zero operator in its ball, so its value is +inf and
+    ``EntropyError`` is raised.
     """
     _check_query(state, target, condition, epsilon)
     if epsilon == 0.0:
         return h_min(state, target, condition)
+    if state.trace <= epsilon * epsilon:
+        raise EntropyError(
+            f"trace {state.trace:.6g} <= epsilon^2 = {epsilon * epsilon:.6g}: the "
+            "epsilon-ball contains the zero operator, so the smooth min-entropy is +inf")
     rho, d_a, d_b, tdims, cdims = _prepare(state, target, condition)
     joint_dims = Dims(tdims.pairs + cdims.pairs)
     if _is_product_diagonal(rho):

@@ -173,6 +173,11 @@ def test_unknown_command_exits_two():
     ["merge", "run", "--state", "s.json", "--epsilon", "0.3", "--seed", "-1"],
     ["merge", "run", "--state", "s.json", "--epsilon", "0.3",
      "--seed", str(2 ** 64)],
+    # an empty label list and a label given twice exited 1 from the library
+    ["entropy", "--state", "s.json", "--kind", "hmin", "--target", ","],
+    ["entropy", "--state", "s.json", "--kind", "hmin", "--target", "A",
+     "--condition", ","],
+    ["gen-state", "random-mixed", "--dims", "A:2,A:2"],
     # a cap below 1 exited 1 as "total dimension 4 exceeds cap 0"
     ["gen-state", "classical", "--k", "1", "--cap", "0"],
     ["gen-state", "classical", "--k", "1", "--cap", "-1"],
@@ -204,6 +209,14 @@ def test_flags_a_subcommand_does_not_read_exit_two(argv):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("kind", ["independent", "classical", "entangled"])
+def test_gen_state_seed_without_randomness_exits_two(capsys, kind):
+    # only random-mixed and random-pure draw from --seed
+    code, _, err = run_cli(capsys, "gen-state", kind, "--k", "1", "--seed", "5")
+    assert code == 2
+    assert "--seed" in err
 
 
 def test_missing_file_exits_one(capsys):

@@ -180,6 +180,39 @@ def fidelity_oracle_cases():
         yield StateOperator(dims_of(("A", d_a), ("B", 2)), ac), d_a, 2
 
 
+def diag_smoothing_sdp(p, d_a, d_b, eps):
+    """The diagonal smoothing program as an SDP, one 2x2 fidelity block per
+    live cell: the oracle for ``entropy._smooth_hmin_diag``, with the same
+    arguments and return value (value_bits, q, s, width_bits)."""
+    d = d_a * d_b
+    top = float(p.max(initial=0.0))
+    if top <= 0:
+        raise ent.EntropyError("smoothing a zero operator")
+    live = [i for i in range(d) if float(p.flat[i]) > 1e-15 * top]
+
+    build = sdp.ProblemBuilder()
+    f_blks = {i: build.add_block(2) for i in live}      # [[p_i, x_i], [x_i, q_i]]
+    s_blks = [build.add_block(1, np.eye(1, dtype=complex)) for _ in range(d_b)]
+    u_blks = {i: build.add_block(1) for i in live}      # s_beta - q_i slack
+
+    for i in live:
+        build.add_constraint({f_blks[i]: ent._E11}, float(p.flat[i]))
+    for i in live:
+        build.add_constraint({s_blks[i % d_b]: np.eye(1, dtype=complex),
+                              f_blks[i]: -ent._E22,
+                              u_blks[i]: -np.eye(1, dtype=complex)}, 0.0)
+    ent._close_smoothing(build, {f_blks[i]: ent._EX for i in live},
+                         {f_blks[i]: ent._E22 for i in live},
+                         max(0.0, 1.0 - float(p.sum())), eps)
+
+    mid, width, sol = ent._certified_solve(build.build(), "diagonal smoothing SDP")
+    q = np.zeros(d)
+    for i in live:
+        q[i] = float(sol.x_blocks[f_blks[i]][1, 1].real)
+    s = np.array([float(sol.x_blocks[s_blks[b]][0, 0].real) for b in range(d_b)])
+    return -math.log2(mid), q.reshape(d_a, d_b), s, width
+
+
 def test_hmax_two_routes_agree_on_random_states():
     # h_max returns the duality route alone; the fidelity SDP is its oracle
     worst = 0.0
@@ -301,10 +334,81 @@ def test_smooth_hmin_diag_matches_dense():
         assert via_diag == pytest.approx(via_dense, abs=1e-6)
 
 
-def test_smooth_hmin_certifies_through_the_fallback_solve(solve_calls):
-    # near-pure diagonal state: the first solve ends uncertified at its
-    # 400-iteration limit; only the fallback's smaller regularization and
-    # shorter steps certify the value
+def test_smooth_hmin_diag_exact_values(solve_calls):
+    # a perfectly correlated state's optimum scales it by 1 - eps^2
+    for k in (1, 2, 3, 4):
+        for eps in (0.005, 0.05, 0.3):
+            res = ent.h_min_smooth(classical_state(k), ("A",), ("E",), eps)
+            assert res.value == pytest.approx(-math.log2(1 - eps * eps), abs=1e-12)
+            assert res.certificate_gap <= 1e-9
+    # the near-pure state of the fallback test below, where an independent
+    # SLSQP solve gives the same value
+    st = diag_state([1e-11, 1e-6, 1 - 1e-6 - 1e-11, 0.0], (("A", 2), ("B", 2)))
+    res = ent.h_min_smooth(st, ("A",), ("B",), 0.5)
+    assert res.value == pytest.approx(0.41504276727553, abs=1e-9)
+    assert res.certificate_gap <= 1e-9
+    # the optimum caps the heavier cell of each column at h_b and scales the
+    # others by b: sqrt(0.7 (1 - 0.3 b)) + 0.3 sqrt(b) = sqrt(1 - eps^2),
+    # solved to 40 digits, gives 2^-value = 1 - 0.3 b
+    st = diag_state([0.4, 0.1, 0.2, 0.3], (("A", 2), ("B", 2)))
+    res = ent.h_min_smooth(st, ("A",), ("B",), 1e-5)
+    assert res.value == pytest.approx(0.51459206234794, abs=1e-8)
+    assert res.certificate_gap <= 1e-9
+    assert not solve_calls
+
+
+def test_smooth_hmin_diag_matches_sdp_oracle():
+    # 2x2 to 3x3 Dirichlet states and their 0.8x subnormalized copies; the
+    # oracle's sandwich need not contain the optimum, but lies within 1e-6
+    # bits of it
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for d_a in (2, 3):
+        for d_b in (2, 3):
+            for _ in range(6):
+                p = rng.dirichlet(np.ones(d_a * d_b)).reshape(d_a, d_b)
+                for eps in (0.02, 0.05, 0.1):
+                    for scale in (1.0, 0.8):
+                        got = ent._smooth_hmin_diag(scale * p, d_a, d_b, eps)
+                        want = diag_smoothing_sdp(scale * p, d_a, d_b, eps)
+                        assert got[3] <= 1e-9
+                        worst = max(worst, abs(got[0] - want[0]))
+    assert worst <= 1e-6
+
+
+def test_smooth_hmin_diag_point_is_feasible_as_evaluated():
+    # a single column whose multipliers give a point a few ulps short of the
+    # fidelity row: the returned point meets it as evaluated, 1 - F summed
+    # as squares against 1 - c = eps^2 / (1 + c)
+    p = np.array([[0.46095461371753405], [0.5390453862824662]])
+    eps = 0.1
+    value, q, s, width = ent._smooth_hmin_diag(p, 2, 1, eps)
+    c = math.sqrt(1 - eps * eps)
+    short = (float(((np.sqrt(p) - np.sqrt(q)) ** 2).sum())
+             + (1.0 - float(p.sum())) + (1.0 - float(q.sum()))) / 2
+    assert short <= eps * eps / (1 + c)
+    assert float(q.sum()) <= 1.0
+    assert np.array_equal(s, q.max(axis=0))
+    assert value == pytest.approx(-math.log2(float(s.sum())), abs=width + 1e-15)
+
+
+def test_smoothing_a_state_within_epsilon_of_zero_raises(solve_calls):
+    # tr rho <= eps^2: the ball holds the zero operator, the value is +inf
+    st = diag_state(0.5 * np.array([0.4, 0.1, 0.2, 0.3]), (("A", 2), ("B", 2)))
+    with pytest.raises(ent.EntropyError, match="contains the zero operator"):
+        ent.h_min_smooth(st, ("A",), ("B",), 0.9)
+    dense = StateOperator(st.dims, 0.3 * random_density(
+        np.random.default_rng(48), (("A", 2), ("B", 2))).matrix)
+    with pytest.raises(ent.EntropyError, match="contains the zero operator"):
+        ent.h_min_smooth(dense, ("A",), ("B",), 0.6)
+    assert not solve_calls
+
+
+def test_smooth_hmin_certifies_through_the_fallback_solve(solve_calls, monkeypatch):
+    # near-pure diagonal state through the diagonal SDP oracle: the first
+    # solve ends uncertified at its 400-iteration limit; only the
+    # fallback's smaller regularization and shorter steps certify the value
+    monkeypatch.setattr(ent, "_smooth_hmin_diag", diag_smoothing_sdp)
     st = diag_state([1e-11, 1e-6, 1 - 1e-6 - 1e-11, 0.0], (("A", 2), ("B", 2)))
     res = ent.h_min_smooth(st, ("A",), ("B",), 0.5)
     assert res.certificate_gap <= ent.CERT_LIMIT_BITS
@@ -314,9 +418,11 @@ def test_smooth_hmin_certifies_through_the_fallback_solve(solve_calls):
     assert "reg" in solve_calls[1][0] and "step_frac" in solve_calls[1][0]
 
 
-def test_cq_converse_certifies_in_one_solve(solve_calls):
-    # the converse smoothing of the merging benchmark's cq instance: a solve
-    # stopped at the solver's default gap would leave the sandwich too wide
+def test_cq_converse_certifies_in_one_solve(solve_calls, monkeypatch):
+    # the converse smoothing of the merging benchmark's cq instance through
+    # the diagonal SDP oracle: a solve stopped at the solver's default gap
+    # would leave the sandwich too wide
+    monkeypatch.setattr(ent, "_smooth_hmin_diag", diag_smoothing_sdp)
     p = (0.5, 0.25, 0.125, 0.125)
     amps = np.zeros((2, 4, 2), dtype=complex)
     for a in range(2):

@@ -179,6 +179,21 @@ def test_achievable_cost_past_200_iterations_certifies_in_one_solve(solve_calls)
     assert solve_calls[0][1].iterations > 200
 
 
+def test_cost_bounds_of_diagonal_marginals_solve_no_sdp(solve_calls):
+    # the merge benchmark's three instances: each A:E marginal is diagonal,
+    # so both cost bounds smooth through the exact dual, with no SDP
+    p = (0.5, 0.25, 0.125, 0.125)
+    amps = np.zeros((2, 4, 2), dtype=complex)
+    for a in range(2):
+        for e in range(2):
+            amps[a, 2 * a + e, e] = math.sqrt(p[2 * a + e])
+    cq = PureState(dims_of(("A", 2), ("B", 4), ("E", 2)), amps.reshape(-1))
+    for psi, eps in ((cc_state(2), 0.3), (cc_state(1), 0.3), (cq, 0.06)):
+        ach, con = mg.cost_bounds(psi, ("A",), ("B",), eps)
+        assert np.isfinite(ach) and (con is None or con <= ach + 1e-9)
+    assert not solve_calls
+
+
 def test_merging_cost_trend_toward_conditional_entropy():
     beta = cc_state(1)
     h_vn = ent.von_neumann(beta.to_operator(), ("A",), ("B",))

@@ -1,4 +1,5 @@
-"""Property tests over random 2x2 and 2x3 states and purifications.
+"""Property tests over random 2x2 and 2x3 states, purifications and
+diagonal states.
 
 Each property draws a seed and a shape; hypothesis picks few examples
 (derandomized, so runs repeat exactly) and the programs stay small, so the
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdecouple import entropy
-from qdecouple.linalg import herm_basis, pure_marginal, random_density, random_pure
+from qdecouple.linalg import (StateOperator, dims_of, herm_basis, pure_marginal,
+                              purified_distance, random_density, random_pure)
 from qdecouple.sdp import ProblemBuilder, SdpStatus, solve
 
 SHAPES = ((2, 2), (2, 3))
@@ -66,3 +68,24 @@ def test_smooth_min_max_duality_on_purifications(seed, shape, eps):
     h_min = entropy.h_min_smooth(pure_marginal(psi, ["A", "B"]), ("A",), ("B",), eps)
     h_max = entropy.h_max_smooth(pure_marginal(psi, ["A", "C"]), ("A",), ("C",), eps)
     assert abs(h_min.value + h_max.value) <= 1e-5
+
+
+@few
+@given(seeds, shapes, st.sampled_from((0.01, 0.05, 0.2)), st.sampled_from((1.0, 0.7)))
+def test_diagonal_smoothing_is_feasible_and_smooths(seed, shape, eps, scale):
+    # a diagonal state with some empty cells, normalized or not, through the
+    # exact dual route: its smoothed state lies in the ball, satisfies
+    # rho_hat <= I (x) sigma' with sigma' = 2^(gap - value) sigma, the
+    # certified upper end, and the value is at least the unsmoothed one
+    d_a, d_b = shape
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(d_a * d_b)) * (rng.random(d_a * d_b) > 0.25)
+    w[0] += 1e-3
+    rho = StateOperator(dims_of(("A", d_a), ("B", d_b)),
+                        np.diag(scale * w / w.sum()).astype(complex))
+    res = entropy.h_min_smooth(rho, ("A",), ("B",), eps)
+    assert purified_distance(res.smoothed_state, rho) <= eps + 1e-9
+    sigma = 2.0 ** (res.certificate_gap - res.value) * res.optimizer_sigma.matrix
+    gap_op = np.kron(np.eye(d_a), sigma) - res.smoothed_state.matrix
+    assert float(np.linalg.eigvalsh(gap_op)[0]) >= -1e-12
+    assert res.value >= entropy.h_min(rho, ("A",), ("B",)).value - entropy.CERT_LIMIT_BITS

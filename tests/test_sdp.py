@@ -24,7 +24,7 @@ from qdecouple.decoupling import classical_state
 from qdecouple.linalg import (DimCapError, PureState, dims_of, herm_basis,
                               hermitian_part, random_density)
 from qdecouple.sdp import ProblemBuilder, SdpProblem, SdpStatus, solve
-from test_entropy import hmax_fidelity_sdp
+from test_entropy import diag_smoothing_sdp, hmax_fidelity_sdp
 
 
 def rnd_herm(rng, d):
@@ -269,7 +269,7 @@ def oracle_programs(monkeypatch) -> dict[str, SdpProblem]:
         "dense smoothing 3x2": built_program(
             monkeypatch, lambda: entropy._smooth_hmin_dense(rho32, 3, 2, 0.05)),
         "diagonal smoothing classical(2)": built_program(
-            monkeypatch, lambda: entropy._smooth_hmin_diag(p, 4, 4, 0.05)),
+            monkeypatch, lambda: diag_smoothing_sdp(p, 4, 4, 0.05)),
         "random dense": interior_problem(rng, 5, 9),
         # rank 4 < 9: the corner family (4 x 4) differs from the lower-right one
         "dense smoothing 3x3 rank 4": built_program(
@@ -504,10 +504,12 @@ def cq_state() -> PureState:
 
 @pytest.mark.parametrize("eps", [0.06 ** 2 / 13, 4 * math.sqrt(0.06)])
 def test_one_by_one_solves_are_lapacks(monkeypatch, eps):
-    # the state-merging cost bounds of the cq state at eps = 0.06: every
-    # solve's x, y and Z bytes, status and iteration count, and the value,
-    # equal those of the solves with every block through LAPACK
+    # the state-merging cost bounds of the cq state at eps = 0.06, through
+    # the diagonal SDP oracle: every solve's x, y and Z bytes, status and
+    # iteration count, and the value, equal those of the solves with every
+    # block through LAPACK
     state = cq_state().to_operator()
+    monkeypatch.setattr(entropy, "_smooth_hmin_diag", diag_smoothing_sdp)
     runs = []
     for lapack in (False, True):
         solves = []
@@ -525,7 +527,7 @@ def test_one_by_one_solves_are_lapacks(monkeypatch, eps):
             value = entropy.h_max_smooth(state, ("A",), ("B",), eps).value
         runs.append((value, solves))
     assert runs[0] == runs[1]
-    assert all(1 in dims and 2 in dims for dims, *_ in runs[0][1])
+    assert runs[0][1] and all(1 in dims and 2 in dims for dims, *_ in runs[0][1])
 
 
 def test_schur_kernel_choice_is_recorded(monkeypatch):
@@ -551,12 +553,14 @@ def test_dense_only_solves_do_not_import_scipy_sparse():
     # scipy.sparse costs every start-up about 1.7 MB and up to 25 ms, and no
     # module of the package imports it; only a program with constraint
     # families imports the family term.  A fresh interpreter imports the
-    # package and the CLI and solves a diagonal smoothing program, whose
-    # groups all take the dense kernel.
+    # package and the CLI and solves the diagonal smoothing oracle program,
+    # whose groups all take the dense kernel.
     code = textwrap.dedent("""
         import sys
         import qdecouple.cli
         from qdecouple import decoupling, entropy, sdp
+        from test_entropy import diag_smoothing_sdp
+        entropy._smooth_hmin_diag = diag_smoothing_sdp
         kernels = []
         solve = sdp.solve
         def recording(problem, **kwargs):
@@ -570,8 +574,9 @@ def test_dense_only_solves_do_not_import_scipy_sparse():
                      if m.startswith("scipy.sparse") or m == "qdecouple._sdp_family"))
         """)
     src = str(Path(sdp.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+        [src, tests] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
