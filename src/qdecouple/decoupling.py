@@ -102,12 +102,14 @@ class DecouplingReport:
 
 
 MAX_RETAINED_SAMPLES = 10_000
-# complex entries of the largest per-chunk array (32 KiB), which sets how
-# many samples one kernel call takes from the experiment's shapes.  The
-# allocator keeps the peak of one chunk's temporaries per thread, so on the
-# benchmark's decouple workload a larger budget raised peak RSS and bought
-# no speed.
-CHUNK_ENTRIES = 2 ** 11
+# complex entries of the largest per-chunk array (256 KiB), which sets how
+# many samples one kernel call takes from the experiment's shapes.  A
+# stacked Haar draw costs less per sample the more samples it takes, so
+# against 2^11 this budget ran the benchmark's six decouple configurations
+# in 211 ms instead of 251 ms (one core), every distance bit-identical.  The
+# allocator keeps the peak of one chunk's temporaries per thread, which
+# cost the decouple workload 2% more peak RSS.
+CHUNK_ENTRIES = 2 ** 14
 
 Kernel = Callable[[np.ndarray], np.ndarray]
 

@@ -1,8 +1,8 @@
 """Exact and smooth conditional entropies of finite-dimensional states.
 
 Min-entropy and its smoothed variant are computed by the embedded SDP solver,
-except that states diagonal in the product basis smooth through the exact
-Lagrange dual of their reduced program, with no SDP.  A conditional
+except that states diagonal in the product basis take a closed form and
+smooth through the exact Lagrange dual of their reduced program, with no SDP.  A conditional
 max-entropy, smooth or not, is minus the min-entropy of a purification
 (duality), one certified program per query.  Collision entropy has a closed
 form at the reduced conditioning state, a lower bound on its supremum over
@@ -181,16 +181,40 @@ def _hmin_sdp(rho: np.ndarray, d_a: int, d_b: int) -> tuple[float, np.ndarray, f
     return -math.log2(mid), sigma_prime, width
 
 
+def _hmin_diag(rho: np.ndarray, d_a: int, d_b: int) -> tuple[float, np.ndarray, float]:
+    """Conditional min-entropy of a state diagonal in the product basis, in
+    closed form: (value_bits, sigma_prime, width_bits) as ``_hmin_sdp``.
+
+    Y = sum_b |a*(b)><a*(b)| (x) |b><b|, a*(b) the heaviest cell of column b,
+    is feasible and gives lambda >= S = sum_b max_a p_ab.  With delta the
+    largest off-diagonal magnitude, I (x) sigma' >= rho for sigma'_b =
+    max_a p_ab + d delta (Gershgorin, d = d_a d_b), so lambda <= S + d_b d
+    delta; the value is -log2 of the midpoint and the width the log2 ratio.
+    """
+    p = np.real(np.diag(rho)).reshape(d_a, d_b)
+    top = p.max(axis=0)
+    lo = float(top.sum())
+    if lo <= 0:
+        raise EntropyError("min-entropy of a zero operator")
+    delta = float(np.abs(rho - np.diag(np.diag(rho))).max(initial=0.0))
+    hi = lo + d_b * d_a * d_b * delta
+    return -math.log2((lo + hi) / 2), np.diag(top).astype(complex), math.log2(hi / lo)
+
+
 def h_min(state: StateOperator, target: Sequence[str],
           condition: Sequence[str] = ()) -> EntropyResult:
-    """Conditional min-entropy; closed form when the condition is trivial."""
+    """Conditional min-entropy; closed form when the condition is trivial
+    or the state is diagonal in the product basis (``_hmin_diag``)."""
     rho, d_a, d_b, _, cdims = _prepare(state, target, condition)
     if not condition:
         lam = float(np.linalg.eigvalsh(hermitian_part(rho))[-1])
         if lam <= 0:
             raise EntropyError("min-entropy of a zero operator")
         return EntropyResult(-math.log2(lam))
-    value, sigma_prime, width = _hmin_sdp(rho, d_a, d_b)
+    if _is_product_diagonal(rho):
+        value, sigma_prime, width = _hmin_diag(rho, d_a, d_b)
+    else:
+        value, sigma_prime, width = _hmin_sdp(rho, d_a, d_b)
     tr = float(np.trace(sigma_prime).real)
     sigma = StateOperator(cdims, _clip_psd(sigma_prime / tr), validate=False)
     return EntropyResult(value, optimizer_sigma=sigma, certificate_gap=width)

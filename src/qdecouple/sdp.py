@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from qdecouple.linalg import (DimCapError, herm_basis, herm_pairs, hermitian_part,
                               read_only)
@@ -500,10 +499,17 @@ class _DenseSchur:
     """
 
     kernel = "dense"
+    corners = ()
 
-    def __init__(self, a: np.ndarray):
+    def __init__(self, a: np.ndarray, kept: np.ndarray | None):
         self.a = a
         self.a_flat = a.reshape(a.shape[0], -1)
+        # the stack on the rows of the Newton system: all, or those kept
+        # when fixed corners of other groups leave it
+        self.a_kept, self.a_kept_flat = a, self.a_flat
+        if kept is not None:
+            self.a_kept_flat = self.a_flat[kept]
+            self.a_kept = self.a_kept_flat.reshape((len(kept),) + a.shape[1:])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Re tr(A_i X) per constraint for a Hermitian (count, n, n) stack X."""
@@ -514,12 +520,12 @@ class _DenseSchur:
         return (y @ self.a_flat).reshape(self.a.shape[1:])
 
     def gram(self) -> np.ndarray:
-        return (self.a_flat @ self.a_flat.conj().T).real
+        return (self.a_kept_flat @ self.a_kept_flat.conj().T).real
 
     def schur(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         wb = w[None, :, :, :]
-        t = np.matmul(np.matmul(wb, self.a), wb)
-        res = (self.a_flat @ t.reshape(t.shape[0], -1).conj().T).real
+        t = np.matmul(np.matmul(wb, self.a_kept), wb)
+        res = (self.a_kept_flat @ t.reshape(t.shape[0], -1).conj().T).real
         if out is None:
             return res
         out += res
@@ -535,6 +541,11 @@ class _Groups:
     ``_sdp_family.takes_family`` picks it, and the dense sandwich on its dense
     stack otherwise.  A program in which no group takes the family term is
     solved exactly as its dense stacks would be, row norms included.
+
+    The fixed corners of family-term groups (``_sdp_family.newton_rows``)
+    leave the Newton system: the Schur and Gram matrices cover the ``kept``
+    rows alone (None: every row), and ``newton_solve`` eliminates and
+    recovers the corner rows around their factors.
     """
 
     def __init__(self, problem: SdpProblem, c_scale: float):
@@ -553,15 +564,22 @@ class _Groups:
             family = [_sdp_family.takes_family(problem, idx) for idx in self.index]
         row_norm = problem.row_norms(closed_form=any(family))
         self.row_scale = row_scale = np.maximum(np.sqrt(row_norm), 1e-12)
+        self.kept = None
+        if any(family):
+            newton_rows = _sdp_family.newton_rows(
+                problem, [k for idx, fam in zip(self.index, family) if fam for k in idx])
+            if newton_rows.min() < 0:
+                self.kept = np.flatnonzero(newton_rows >= 0)
         self.terms: list[_DenseSchur | _sdp_family.FamilyTerm] = []
         for idx, fam in zip(self.index, family):
             if fam:
-                self.terms.append(_sdp_family.family_term(problem, idx, row_scale))
+                self.terms.append(_sdp_family.family_term(problem, idx, row_scale,
+                                                          newton_rows))
                 continue
             a = np.stack([np.asarray(problem.block_stack(k), dtype=complex) for k in idx],
                          axis=1)  # (m, count, s, s)
             a /= row_scale[:, None, None, None]
-            self.terms.append(_DenseSchur(a))
+            self.terms.append(_DenseSchur(a, self.kept))
 
     def scatter(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
         return [np.stack([np.asarray(blocks[k], dtype=complex) for k in idx])
@@ -598,16 +616,38 @@ class _Groups:
         return total
 
     def gram(self) -> np.ndarray:
-        """Re <A_i, A_j>, the Gram matrix of the constraint map."""
+        """Re <A_i, A_j>, the Gram matrix of the constraint map, on the rows
+        of the Newton system (the corners eliminated at W = I)."""
         return sum(t.gram() for t in self.terms)
 
     def schur(self, w: list[np.ndarray], out: np.ndarray) -> np.ndarray:
         """M_ij = sum_k Re tr(A_ik W_k A_jk W_k), each group by its own kernel,
-        summed into the m x m ``out``."""
+        summed into ``out`` over the rows of the Newton system."""
         out.fill(0.0)
         for t, wg in zip(self.terms, w):
             t.schur(wg, out)
         return out
+
+    def corners(self, w: list[np.ndarray]) -> list:
+        """The fixed corners of each group at scaling w (``_sdp_family.Corners``)."""
+        return [t.eliminate(wg) for t, wg in zip(self.terms, w) if t.corners]
+
+    def newton_solve(self, solve: Callable[[np.ndarray], np.ndarray], u: np.ndarray,
+                     corners: list) -> np.ndarray:
+        """dy with M dy = u for the m x m Schur or Gram matrix M whose fixed
+        corners at its scaling are ``corners``: ``solve`` solves the system
+        of the kept rows, M_RR - M_RF M_FF^-1 M_FR, for u_R - M_RF M_FF^-1 u_F,
+        and each corner's dy_F follows from dy_R."""
+        if self.kept is None:
+            return solve(u)
+        v = u[self.kept]
+        for c in corners:
+            v -= c.reduce(u)[self.kept]
+        dy = np.zeros(len(u))
+        dy[self.kept] = solve(v)
+        for c in corners:
+            c.back(u, dy)
+        return dy
 
 
 def solve(problem: SdpProblem, *,
@@ -658,11 +698,18 @@ def solve(problem: SdpProblem, *,
 
     # Gram matrix of the constraint map, used to project search directions
     # exactly onto A(dx) = r_p so the primal residual cannot drift
+    # (on the rows of the Newton system, m_n of them: the fixed corners leave it)
     gram = groups.gram()
-    gram = (gram + gram.T) / 2 + 1e-12 * max(1.0, float(np.trace(gram)) / max(m, 1)) * np.eye(m)
+    m_n = len(gram)
+    gram = (gram + gram.T) / 2 + 1e-12 * max(1.0, float(np.trace(gram)) / max(m_n, 1)) * np.eye(m_n)
+    gram_corners = groups.corners(groups.identity(1.0))
     # LAPACK's potrf and potrs, as scipy.linalg.cho_factor and cho_solve call
     # them (upper factor), without those wrappers' checks and copies on every
-    # factorization and on every one of the three solves per direction
+    # factorization and on every one of the three solves per direction.
+    # scipy is imported here, not at module level: importing it costs a
+    # start-up about 0.3 s, and only a solve needs it
+    from scipy.linalg import get_lapack_funcs
+
     potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (gram,))
 
     def cho_factor(a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -682,11 +729,11 @@ def solve(problem: SdpProblem, *,
             raise ValueError(f"illegal value in argument {-info} of potrs")
         return out
 
-    gram_factor = cho_factor(gram, np.empty((m, m), order="F"))
+    gram_factor = cho_factor(gram, np.empty((m_n, m_n), order="F"))
     # the Schur matrix, its symmetrized copy and its factor, reused every
-    # iteration: fresh m x m arrays would fault their pages in on first touch
-    schur_sum, mat = np.empty((m, m)), np.empty((m, m))
-    schur_factor = np.empty((m, m), order="F")
+    # iteration: fresh arrays would fault their pages in on first touch
+    schur_sum, mat = np.empty((m_n, m_n)), np.empty((m_n, m_n))
+    schur_factor = np.empty((m_n, m_n), order="F")
 
     trace: list[IterateRecord] = []
     status = SdpStatus.MAX_ITER
@@ -746,26 +793,31 @@ def solve(problem: SdpProblem, *,
         # mat is C-ordered: the summation order of mat @ dy below depends on it
         np.add(schur_sum, schur_sum.T, out=mat)
         mat *= 0.5
-        mat.flat[::m + 1] += reg
+        mat.flat[::m_n + 1] += reg
         try:
             factor = cho_factor(mat, schur_factor)
         except np.linalg.LinAlgError:
-            factor = cho_factor(mat + 1e-8 * np.trace(mat) / m * np.eye(m), schur_factor)
+            factor = cho_factor(mat + 1e-8 * np.trace(mat) / m_n * np.eye(m_n), schur_factor)
+        corners = groups.corners(w_scale)
 
         mu = groups.ip(x, z) / n_tot
 
         wrw = [w @ rd @ w for w, rd in zip(w_scale, r_d)]
 
-        def direction(r_c):
-            rhs = groups.apply_a([a - rc for a, rc in zip(wrw, r_c)], r_p)
+        def schur_solve(rhs):
             dy = cho_solve(factor, rhs)
             # one round of iterative refinement on the Schur system
-            dy = dy + cho_solve(factor, rhs - mat @ dy)
+            return dy + cho_solve(factor, rhs - mat @ dy)
+
+        def direction(r_c):
+            rhs = groups.apply_a([a - rc for a, rc in zip(wrw, r_c)], r_p)
+            dy = groups.newton_solve(schur_solve, rhs, corners)
             dz = [rd - ad for rd, ad in zip(r_d, groups.apply_a_adjoint(dy))]
             dx = [hermitian_part(rc - w @ d @ w) for rc, w, d in zip(r_c, w_scale, dz)]
             dz = [hermitian_part(d) for d in dz]
             # project dx back onto A(dx) = r_p, killing residual drift
-            lam = cho_solve(gram_factor, r_p - groups.apply_a(dx))
+            lam = groups.newton_solve(lambda u: cho_solve(gram_factor, u),
+                                      r_p - groups.apply_a(dx), gram_corners)
             dx = [hermitian_part(d + c) for d, c in zip(dx, groups.apply_a_adjoint(lam))]
             return dx, dy, dz
 

@@ -2,6 +2,11 @@
 runs, exit codes, and report reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +254,29 @@ def test_decouple_run_and_reproducibility(tmp_path, capsys):
     csv1 = (tmp_path / "samples1.csv").read_text()
     assert csv0 == csv1
     assert csv0.splitlines()[0] == "sample,distance"
+
+
+def test_gen_state_and_decouple_run_do_not_import_scipy(tmp_path):
+    # importing scipy costs every start-up about 0.3 s and only an SDP solve
+    # needs it; a fresh interpreter generates a state and runs a non-smooth
+    # decoupling experiment, neither of which solves one
+    state, out = str(tmp_path / "cls.json"), str(tmp_path / "rep.json")
+    code = textwrap.dedent(f"""
+        import sys
+        from qdecouple import cli
+        assert cli.main(["gen-state", "classical", "--k", "1", "--out", {state!r}]) == 0
+        assert cli.main(["decouple", "run", "--state", {state!r}, "--channel",
+                         "id+trace:1,0", "--samples", "20", "--out", {out!r}]) == 0
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """)
+    src = str(Path(decoupling.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().splitlines()[-1] == "[]"
+    assert json.loads(Path(out).read_text())["result"]["kernel"] == "blocks:2"
 
 
 def test_decouple_config_round_trip(tmp_path, capsys):

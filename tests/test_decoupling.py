@@ -80,6 +80,8 @@ def test_chunked_run_matches_per_sample_distances(case, monkeypatch):
     # sample i's distance does not depend on its chunk or on the workers:
     # 1, S - 1 and S + 1 samples at S samples per chunk
     if case == "c5-blocks":
+        # at a budget of 2^11 entries, so that S - 1 and S + 1 stay small
+        monkeypatch.setattr(dec, "CHUNK_ENTRIES", 2 ** 11)
         st, ch = dec.classical_state(4), chan.reference_channel("id+trace", 4, 3)
     else:
         # the dense kernel orders its middle product's rows by whether the

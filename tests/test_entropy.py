@@ -108,6 +108,57 @@ def test_hmin_dimension_lower_bound():
         assert ent.h_min(st, ("A",), ("B",)).value >= -1.0 - 1e-6
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_hmin_of_reference_diagonal_states_is_closed_form(k, solve_calls):
+    for build, want in ((independent_state, k), (classical_state, 0)):
+        res = ent.h_min(build(k), ("A",), ("E",))
+        assert abs(res.value - want) <= 1e-12
+        assert res.certificate_gap <= 1e-12
+    assert not solve_calls
+
+
+def test_hmin_diag_matches_sdp_oracle(solve_calls):
+    # product-diagonal states, normalized and subnormalized, some with an
+    # all-zero column: the closed form and the SDP route, kept as its
+    # oracle, certify overlapping intervals
+    rng = np.random.default_rng(49)
+    for trial in range(12):
+        d_a, d_b = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        p = rng.dirichlet(np.ones(d_a * d_b)).reshape(d_a, d_b)
+        if trial % 3 == 0:
+            p[:, int(rng.integers(d_b))] = 0.0
+            p /= p.sum()
+        p *= 0.7 if trial % 2 else 1.0
+        st = diag_state(p.reshape(-1), (("A", d_a), ("B", d_b)))
+        res = ent.h_min(st, ("A",), ("B",))
+        assert not solve_calls
+        value, sigma_prime, width = ent._hmin_sdp(st.matrix, d_a, d_b)
+        assert abs(res.value - value) <= (res.certificate_gap + width) / 2 + 1e-12, trial
+        assert res.value == pytest.approx(-math.log2(p.max(axis=0).sum()), abs=1e-12)
+        np.testing.assert_allclose(res.optimizer_sigma.matrix,
+                                   np.diag(p.max(axis=0)) / p.max(axis=0).sum(), atol=1e-15)
+        solve_calls.clear()
+
+
+def test_hmin_diag_width_covers_off_diagonal_noise():
+    # off-diagonal entries the diagonal test lets through widen the interval
+    # so that it still holds the optimum
+    p = np.array([0.4, 0.1, 0.2, 0.3])
+    rho = np.diag(p).astype(complex)
+    rho[0, 3] = rho[3, 0] = 1e-14
+    value, _, width = ent._hmin_diag(rho, 2, 2)
+    sdp_value, _, sdp_width = ent._hmin_sdp(rho, 2, 2)
+    assert 0 < width <= 1e-12
+    assert abs(value - sdp_value) <= (width + sdp_width) / 2
+
+
+def test_hmin_of_zero_diagonal_operator_raises():
+    st = StateOperator(dims_of(("A", 2), ("B", 2)), np.zeros((4, 4), dtype=complex),
+                       validate=False)
+    with pytest.raises(ent.EntropyError, match="zero operator"):
+        ent.h_min(st, ("A",), ("B",))
+
+
 def test_request_validation():
     st = maximally_mixed((("A", 2), ("B", 2)))
     with pytest.raises(ValueError):

@@ -2,7 +2,8 @@
 certified gaps, an independent first-order oracle on small blocks, weak
 duality along the iterate trace, determinism, infeasibility detection, the
 family term's constraint map, adjoint, Gram matrix and Schur term against
-the dense sandwich, the eigendecompositions and the step search per
+the dense sandwich, the Newton system with its fixed corners eliminated
+against the full one, the eigendecompositions and the step search per
 iteration, the elementwise 1x1 blocks against LAPACK's n = 1 case, and the
 stack-size limit.
 """
@@ -299,8 +300,8 @@ def test_family_term_matches_dense_sandwich(monkeypatch):
         for s in sorted(set(problem.block_dims)):
             idx = [k for k, n in enumerate(problem.block_dims) if n == s]
             a = np.stack([problem.block_stack(k) for k in idx], axis=1)
-            dense = sdp._DenseSchur(a / row_scale[:, None, None, None])
-            family = _sdp_family.family_term(problem, idx, row_scale)
+            dense = sdp._DenseSchur(a / row_scale[:, None, None, None], None)
+            family = _sdp_family.family_term(problem, idx, row_scale, np.arange(m))
             w = np.stack([rnd_pd(rng, s) for _ in idx])
             x = np.stack([rnd_herm(rng, s) for _ in idx])
             y = rng.standard_normal(m)
@@ -312,6 +313,70 @@ def test_family_term_matches_dense_sandwich(monkeypatch):
                 err = float(np.abs(got - want).max()) / float(np.abs(want).max())
                 assert err <= 1e-12, (name, s, op, err)
     assert kinds == {"embed", "kron", "trace_out"}
+
+
+def newton_step(groups, w, rhs, dx):
+    """dy with M dy = rhs for the Schur matrix M at scaling w, and dx
+    projected onto A(dx) = 0 through the Gram matrix, each system solved
+    densely on the rows of the groups' Newton system."""
+    size = groups.gram().shape[0]
+    schur = groups.schur(w, np.empty((size, size)))
+    dy = groups.newton_solve(lambda u: np.linalg.solve(schur, u), rhs, groups.corners(w))
+    gram = groups.gram()
+    lam = groups.newton_solve(lambda u: np.linalg.solve(gram, u), -groups.apply_a(dx),
+                              groups.corners(groups.identity(1.0)))
+    return dy, [d + c for d, c in zip(dx, groups.apply_a_adjoint(lam))]
+
+
+def test_fixed_corner_elimination_matches_full_newton_system(monkeypatch):
+    # the dense smoothing programs with every group on the family term: the
+    # r^2 rows fixing the corner D of the fidelity block leave the Newton
+    # system, and the reduced solve recovers dy and the projected dx of the
+    # full system, which stays reachable with no row eliminated
+    rng = np.random.default_rng(117)
+    programs = oracle_programs(monkeypatch)
+    monkeypatch.setattr(_sdp_family, "takes_family", lambda problem, idx: True)
+    newton_rows = _sdp_family.newton_rows
+    for name in ("dense smoothing 3x2", "dense smoothing 3x3 rank 4",
+                 "dense smoothing 2x2 subnormalized"):
+        problem = programs[name]
+        m = problem.num_constraints
+        corner = problem.families[0]
+        reduced = sdp._Groups(problem, 1.0)
+        assert reduced.kept.tolist() == list(range(corner.d ** 2, m)), name
+        with monkeypatch.context() as patch:
+            patch.setattr(_sdp_family, "newton_rows",
+                          lambda problem, blocks: np.arange(problem.num_constraints))
+            full = sdp._Groups(problem, 1.0)
+        assert full.kept is None and newton_rows(problem, []).tolist() == list(range(m))
+        for trial in range(3):
+            w = [np.stack([rnd_pd(rng, s) for _ in idx])
+                 for s, idx in zip(reduced.sizes, reduced.index)]
+            dx = [np.stack([rnd_herm(rng, s) for _ in idx])
+                  for s, idx in zip(reduced.sizes, reduced.index)]
+            rhs = rng.standard_normal(m)
+            got_dy, got_dx = newton_step(reduced, w, rhs, dx)
+            want_dy, want_dx = newton_step(full, w, rhs, dx)
+            err = np.abs(got_dy - want_dy).max() / np.abs(want_dy).max()
+            assert err <= 1e-10, (name, trial, err)
+            for g, want in zip(got_dx, want_dx):
+                assert np.abs(g - want).max() <= 1e-10 * np.abs(want).max(), (name, trial)
+            assert np.abs(full.apply_a(want_dx)).max() <= 1e-10 * np.abs(rhs).max()
+
+
+def test_fixed_corners_leave_the_newton_system_only_on_family_groups(monkeypatch):
+    # dense smoothing at 4x4 factors 258 of its 514 rows; programs whose
+    # groups all take the dense sandwich keep every row
+    rho = random_density(np.random.default_rng(0), (("A", 4), ("B", 4))).matrix
+    problem = built_program(monkeypatch,
+                            lambda: entropy._smooth_hmin_dense(rho, 4, 4, 0.05))
+    groups = sdp._Groups(problem, 1.0)
+    assert problem.num_constraints == 514 and len(groups.kept) == 258
+    assert groups.gram().shape == (258, 258)
+    for name, problem in oracle_programs(monkeypatch).items():
+        groups = sdp._Groups(problem, 1.0)
+        if all(t.kernel == "dense" for t in groups.terms):
+            assert groups.kept is None, name
 
 
 def test_family_rows_materialize_as_their_maps(monkeypatch):
