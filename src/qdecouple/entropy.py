@@ -99,10 +99,14 @@ def _certified_solve(problem: sdp.SdpProblem, what: str, flip: bool = False,
     ``flip`` negates the sandwich for programs whose meaningful objective is
     the negative of the minimization objective.  One solve stops at the gap
     ``_cert_gap_tol`` allows, within 400 iterations.  Only if its sandwich is
-    still wider than CERT_LIMIT_BITS does a fallback solve run from scratch
-    with a smaller Schur regularization and shorter steps (``reg`` 1e-14,
+    still wider than CERT_LIMIT_BITS does a fallback solve run with a
+    smaller Schur regularization and shorter steps (``reg`` 1e-14,
     ``step_frac`` 0.93, 600 iterations), which near-pure states need; the
-    narrower of the two sandwiches is kept.
+    narrower of the two sandwiches is kept.  ``solve_kwargs`` go to both
+    solves: a strictly feasible start (``x0``, ``y0``, ``z0``, as
+    ``_hmin_sdp`` and ``_smooth_hmin_dense`` above its epsilon gate pass)
+    keeps every iterate feasible, so the sandwich brackets the optimum;
+    without one, both solves start in infeasible mode.
     """
     sol = sdp.solve(problem, gap_tol=_cert_gap_tol, max_iterations=400, **solve_kwargs)
     lo, hi = _sandwich(sol, flip)
@@ -128,6 +132,12 @@ def _certified_solve(problem: sdp.SdpProblem, what: str, flip: bool = False,
 def _clip_psd(m: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(hermitian_part(m))
     return (v * np.clip(w, 0.0, None)) @ v.conj().T
+
+
+def _clip_diag(m: np.ndarray) -> np.ndarray:
+    """``_clip_psd`` of a diagonal matrix, with no eigendecomposition: the
+    same bits, its eigenvalues being the real diagonal."""
+    return np.diag(np.clip(np.diag(m).real, 0.0, None)).astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +223,12 @@ def h_min(state: StateOperator, target: Sequence[str],
         return EntropyResult(-math.log2(lam))
     if _is_product_diagonal(rho):
         value, sigma_prime, width = _hmin_diag(rho, d_a, d_b)
+        clip = _clip_diag
     else:
         value, sigma_prime, width = _hmin_sdp(rho, d_a, d_b)
+        clip = _clip_psd
     tr = float(np.trace(sigma_prime).real)
-    sigma = StateOperator(cdims, _clip_psd(sigma_prime / tr), validate=False)
+    sigma = StateOperator(cdims, clip(sigma_prime / tr), validate=False)
     return EntropyResult(value, optimizer_sigma=sigma, certificate_gap=width)
 
 
@@ -487,15 +499,17 @@ def _support_factor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, np.diag(w[keep]).astype(complex)
 
 
-def _fidelity_embedding(rho: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+def _fidelity_embedding(rho: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Support-compressed PSD block embedding of the fidelity with rho.
 
     The embedding block is V = [[D, Y], [Y^H, X]] of size r + d, with the
     fixed corner D = R^H rho R compressed onto supp(rho) (rank r) so the
     programs keep a strictly feasible interior even for rank-deficient
-    states.  Returns r, the matrix Gamma with tr(Gamma V) = Re tr(R Y), and
-    the right-hand sides of the family that fixes the D corner (the
-    coordinates of D in ``herm_matrices(r)``, embedded at offset 0).
+    states.  Returns the support factor (R, D) of ``_support_factor``, the
+    matrix Gamma with tr(Gamma V) = Re tr(R Y), and the right-hand sides of
+    the family that fixes the D corner (the coordinates of D in
+    ``herm_matrices(r)``, embedded at offset 0).
     """
     d = rho.shape[0]
     r_iso, d_mat = _support_factor(rho)
@@ -503,7 +517,58 @@ def _fidelity_embedding(rho: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     gam = np.zeros((r + d, r + d), dtype=complex)
     gam[:r, r:] = r_iso.conj().T / 2
     gam[r:, :r] = r_iso / 2
-    return r, gam, herm_coords(d_mat)
+    return r_iso, d_mat, gam, herm_coords(d_mat)
+
+
+def _smoothing_start(rho: np.ndarray, r_iso: np.ndarray, d_mat: np.ndarray, d_a: int,
+                     missing: float, eps: float) -> dict:
+    """A strictly feasible primal-dual start of the dense smoothing program,
+    as ``sdp.solve``'s ``x0``, ``y0`` and ``z0``, in closed form from rho's
+    support factor (R, D).
+
+    With c0 = sqrt(1 - eps^2), c = (1 + c0) / 2 and b = (1 - c^2) / 4, the
+    candidate is rho_hat = (1 - b)((1 - b) rho + b tr(rho) I / d), coupled
+    to the corner by Y = c D R^H, so V = [[D, Y], [Y^H, rho_hat]] is
+    positive definite (its Schur complement is rho_hat - c^2 rho) and the
+    fidelity c tr(D) + c m exceeds c0 by the slack t.  sigma' = 1.5
+    lambda_max(rho_hat) I, and the trace slack is 1 - tr(rho_hat), or for a
+    subnormalized input (missing weight m) the block [[m, c m], [c m, 1 -
+    tr(rho_hat)]].  The dual multipliers are -1 on the corner rows, -1/(2
+    d_A) on the linking rows, +1 on the fidelity row and -1 on the trace
+    and missing-weight rows, which leaves Z = C - A*(y) positive definite:
+    [[I, -R^H/2], [-R/2, (1 + 1/(2 d_A)) I]] on V, I/(2 d_A) on the
+    slack, I/2 on sigma' and 1 on the fidelity and trace slacks.
+    """
+    d, r = rho.shape[0], r_iso.shape[1]
+    c0 = math.sqrt(1.0 - eps * eps)
+    c = (1.0 + c0) / 2
+    b = (1.0 - c * c) / 4
+    lam = np.real(np.diag(d_mat))
+    tr = float(lam.sum())
+    rho_hat = (1.0 - b) * ((1.0 - b) * rho + (b * tr / d) * np.eye(d))
+    y_blk = c * (d_mat @ r_iso.conj().T)
+    top = 1.5 * (1.0 - b) * ((1.0 - b) * float(lam.max()) + b * tr / d)
+    tr_hat = float(np.trace(rho_hat).real)
+    if missing > 1e-9:
+        x_tail = [[c * (tr + missing) - c0]], [[missing, c * missing],
+                                               [c * missing, 1.0 - tr_hat]]
+        y_tail, z_tail = [-1.0, 1.0, -1.0], [[1.0, -0.5], [-0.5, 1.0]]
+    else:
+        x_tail = [[c * tr - c0]], [[1.0 - tr_hat]]
+        y_tail, z_tail = [1.0, -1.0], [[1.0]]
+    x0 = [np.block([[d_mat, y_blk], [y_blk.conj().T, rho_hat]]),
+          top * np.eye(d) - rho_hat, top * np.eye(d // d_a)]
+    x0 += [np.array(t, dtype=complex) for t in x_tail]
+
+    y0 = np.concatenate([herm_coords(-np.eye(r, dtype=complex)),
+                         herm_coords(np.eye(d, dtype=complex) / (-2.0 * d_a)), y_tail])
+    z_v = np.eye(r + d, dtype=complex)
+    z_v[r:, r:] *= 1.0 + 1.0 / (2 * d_a)
+    z_v[:r, r:] = -r_iso.conj().T / 2
+    z_v[r:, :r] = -r_iso / 2
+    z0 = [z_v, np.eye(d) / (2 * d_a), np.eye(d // d_a) / 2, np.eye(1),
+          np.array(z_tail)]
+    return {"x0": x0, "y0": y0, "z0": [z.astype(complex) for z in z0]}
 
 
 def _smooth_hmin_dense(rho: np.ndarray, d_a: int, d_b: int, eps: float
@@ -512,10 +577,20 @@ def _smooth_hmin_dense(rho: np.ndarray, d_a: int, d_b: int, eps: float
 
     The fidelity constraint uses the PSD block embedding with the fixed
     corner compressed onto supp(rho); a generalized-fidelity block is added
-    only for subnormalized inputs.
+    only for subnormalized inputs.  Where the fidelity slack's whole range
+    1 - sqrt(1 - eps^2) is at least the certificate's relative precision
+    CERT_LIMIT_BITS ln 2 (eps of about 1.18e-3 and up), the solve starts
+    from ``_smoothing_start``: its iterates stay feasible, so weak duality
+    brackets the optimum (the interval held the exact value on 72 of 72
+    product-diagonal test states, where the infeasible start missed 17).
+    Below that radius a feasible start stalls (at radius 1.9e-4 four random
+    A:2,B:2,E:2 merging programs each ran 400 + 600 iterations and failed
+    to certify), so the solver starts in infeasible mode there, as before.
     """
     d = d_a * d_b
-    r, gam, corner = _fidelity_embedding(rho)
+    r_iso, d_mat, gam, corner = _fidelity_embedding(rho)
+    r = r_iso.shape[1]
+    missing = max(0.0, 1.0 - float(np.trace(rho).real))
 
     build = sdp.ProblemBuilder()
     v_blk = build.add_block(r + d)                      # [[D, Y], [Y^H, rho_hat]]
@@ -528,10 +603,12 @@ def _smooth_hmin_dense(rho: np.ndarray, d_a: int, d_b: int, eps: float
                          sig_blk: sdp.neg_trace_out(d_a)}, np.zeros(d * d))
     trace = np.zeros((r + d, r + d), dtype=complex)
     trace[r:, r:] = np.eye(d)
-    _close_smoothing(build, {v_blk: gam}, {v_blk: trace},
-                     max(0.0, 1.0 - float(np.trace(rho).real)), eps)
+    _close_smoothing(build, {v_blk: gam}, {v_blk: trace}, missing, eps)
 
-    mid, width, sol = _certified_solve(build.build(), "smoothing SDP")
+    start = {}
+    if 1.0 - math.sqrt(1.0 - eps * eps) >= CERT_LIMIT_BITS * math.log(2.0):
+        start = _smoothing_start(rho, r_iso, d_mat, d_a, missing, eps)
+    mid, width, sol = _certified_solve(build.build(), "smoothing SDP", **start)
     rho_hat = hermitian_part(sol.x_blocks[v_blk][r:, r:])
     sigma_prime = hermitian_part(sol.x_blocks[sig_blk])
     return -math.log2(mid), rho_hat, sigma_prime, width
@@ -545,8 +622,13 @@ def h_min_smooth(state: StateOperator, target: Sequence[str],
     runs no SDP: it solves the reduced program through its Lagrange dual
     for epsilon down to about 5e-8, and its ``certificate_gap`` bounds the
     distance from the reported value to the optimum.  Any other state takes the dense
-    smoothing SDP, reliable for epsilon of roughly 0.005 and larger, whose
-    gap is the width of its primal/dual sandwich.  A state of trace at most
+    smoothing SDP, whose gap is the width of its primal/dual sandwich.  From
+    epsilon of about 1.18e-3 it starts from a strictly feasible point
+    (``_smoothing_start``), and the sandwich brackets the optimum: on 72
+    product-diagonal states at epsilon 0.02 to 0.1 it contained the exact
+    value every time.  Below that radius it starts in infeasible mode, its
+    sandwich need not contain the optimum, and it may fail to certify and
+    raise ``EntropyError``.  A state of trace at most
     epsilon^2 has the zero operator in its ball, so its value is +inf and
     ``EntropyError`` is raised.
     """
@@ -564,13 +646,15 @@ def h_min_smooth(state: StateOperator, target: Sequence[str],
         value, q, s, width = _smooth_hmin_diag(p, d_a, d_b, epsilon)
         rho_hat = np.diag(q.reshape(-1)).astype(complex)
         sigma_prime = np.diag(s).astype(complex)
+        clip = _clip_diag
     else:
         value, rho_hat, sigma_prime, width = _smooth_hmin_dense(rho, d_a, d_b, epsilon)
-    smoothed = StateOperator(joint_dims, _clip_psd(rho_hat), validate=False)
+        clip = _clip_psd
+    smoothed = StateOperator(joint_dims, clip(rho_hat), validate=False)
     tr_sig = float(np.trace(sigma_prime).real)
     sigma = None
     if condition and tr_sig > 0:
-        sigma = StateOperator(cdims, _clip_psd(sigma_prime / tr_sig), validate=False)
+        sigma = StateOperator(cdims, clip(sigma_prime / tr_sig), validate=False)
     return EntropyResult(value, optimizer_sigma=sigma, smoothed_state=smoothed,
                          certificate_gap=width)
 

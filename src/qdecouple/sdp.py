@@ -379,6 +379,14 @@ def _one_by_one(stack: np.ndarray) -> bool:
     return stack.shape[-1] == 1
 
 
+def _b_herm(s: np.ndarray) -> np.ndarray:
+    """``hermitian_part`` of a (count, n, n) stack; of 1x1 blocks, their real
+    part, which is the same bits: (a + a) / 2 = a and (b - b) / 2 = +0."""
+    if _one_by_one(s):
+        return s.real.astype(complex)
+    return hermitian_part(s)
+
+
 def _b_floored(w: np.ndarray, rel_floor: float) -> np.ndarray:
     """Eigenvalues clamped below at rel_floor times each block's largest."""
     top = np.maximum(w[:, -1], 1e-100)
@@ -813,12 +821,12 @@ def solve(problem: SdpProblem, *,
             rhs = groups.apply_a([a - rc for a, rc in zip(wrw, r_c)], r_p)
             dy = groups.newton_solve(schur_solve, rhs, corners)
             dz = [rd - ad for rd, ad in zip(r_d, groups.apply_a_adjoint(dy))]
-            dx = [hermitian_part(rc - w @ d @ w) for rc, w, d in zip(r_c, w_scale, dz)]
-            dz = [hermitian_part(d) for d in dz]
+            dx = [_b_herm(rc - w @ d @ w) for rc, w, d in zip(r_c, w_scale, dz)]
+            dz = [_b_herm(d) for d in dz]
             # project dx back onto A(dx) = r_p, killing residual drift
             lam = groups.newton_solve(lambda u: cho_solve(gram_factor, u),
                                       r_p - groups.apply_a(dx), gram_corners)
-            dx = [hermitian_part(d + c) for d, c in zip(dx, groups.apply_a_adjoint(lam))]
+            dx = [_b_herm(d + c) for d, c in zip(dx, groups.apply_a_adjoint(lam))]
             return dx, dy, dz
 
         def steps(*cands):
@@ -840,7 +848,7 @@ def solve(problem: SdpProblem, *,
         # only when it does not shrink the step
         nu = sigma * mu
         r_c_plain = [nu * zi - xg for zi, xg in zip(z_inv, x)]
-        r_c_so = [rc - hermitian_part(dxa @ dza @ zi)
+        r_c_so = [rc - _b_herm(dxa @ dza @ zi)
                   for rc, dxa, dza, zi in zip(r_c_plain, dx_a, dz_a, z_inv)]
         dx, dy, dz = direction(r_c_so)
         dx_p, dy_p, dz_p = direction(r_c_plain)
@@ -850,8 +858,8 @@ def solve(problem: SdpProblem, *,
         if ap < 1e-12 and ad < 1e-12:
             break
         ap, ad = _b_back_off_pair(x, dx, ap, z, dz, ad)
-        x = [hermitian_part(xg + ap * d) for xg, d in zip(x, dx)]
-        z = [hermitian_part(zg + ad * d) for zg, d in zip(z, dz)]
+        x = [_b_herm(xg + ap * d) for xg, d in zip(x, dx)]
+        z = [_b_herm(zg + ad * d) for zg, d in zip(z, dz)]
         y = y + ad * dy
 
     if status is not SdpStatus.INFEASIBLE and best is not None:

@@ -11,6 +11,7 @@ import pytest
 from qdecouple import entropy as ent
 from qdecouple import haar
 from qdecouple import merging as mg
+from qdecouple import sdp
 from qdecouple.linalg import (
     DimCapError,
     Dims,
@@ -177,6 +178,18 @@ def test_achievable_cost_past_200_iterations_certifies_in_one_solve(solve_calls)
     assert np.isfinite(mg.cost_achievable(psi, ("A",), ("B",), 0.05, realize=False))
     assert len(solve_calls) == 1
     assert solve_calls[0][1].iterations > 200
+
+
+def test_achievable_cost_below_the_start_gate_starts_infeasible(solve_calls):
+    # the same program smooths at eps^2/13 = 1.9e-4, below the radius from
+    # which dense smoothing starts feasibly: one solve, with no start, ending
+    # at the iteration limit as it always has
+    psi = random_pure(np.random.default_rng(3), (("A", 2), ("B", 2), ("E", 2)))
+    mg.cost_achievable(psi, ("A",), ("B",), 0.05, realize=False)
+    assert [kwargs for kwargs, _ in solve_calls] == [
+        {"gap_tol": ent._cert_gap_tol, "max_iterations": 400}]
+    assert solve_calls[0][1].status is sdp.SdpStatus.MAX_ITER
+    assert solve_calls[0][1].iterations == 400
 
 
 def test_cost_bounds_of_diagonal_marginals_solve_no_sdp(solve_calls):

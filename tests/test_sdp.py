@@ -239,21 +239,27 @@ def test_trace_csv_export():
 # ---------------------------------------------------------------------------
 
 class _Built(Exception):
-    """Carries the first program an entropy routine hands to the solver."""
+    """Carries the first program an entropy routine hands to the solver, and
+    the keyword arguments it passes."""
 
 
-def built_program(monkeypatch, call) -> SdpProblem:
+def built_call(monkeypatch, call) -> tuple[SdpProblem, dict]:
     def capture(problem, **kwargs):
-        raise _Built(problem)
+        raise _Built(problem, kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(sdp, "solve", capture)
         with pytest.raises(_Built) as info:
             call()
-    return info.value.args[0]
+    return info.value.args
 
 
-def oracle_programs(monkeypatch) -> dict[str, SdpProblem]:
+def built_program(monkeypatch, call) -> SdpProblem:
+    return built_call(monkeypatch, call)[0]
+
+
+def oracle_calls(monkeypatch) -> dict[str, tuple[SdpProblem, dict]]:
+    """The oracle programs, each with the keyword arguments of its solve."""
     rng = np.random.default_rng(110)
     rho23 = random_density(rng, (("A", 2), ("B", 3))).matrix
     rho22 = random_density(rng, (("A", 2), ("B", 2))).matrix
@@ -264,22 +270,57 @@ def oracle_programs(monkeypatch) -> dict[str, SdpProblem]:
     rho22s = 0.8 * random_density(rng, (("A", 2), ("B", 2))).matrix
     rho26 = random_density(rng, (("A", 2), ("B", 6))).matrix
     return {
-        "hmin 2x3": built_program(monkeypatch, lambda: entropy._hmin_sdp(rho23, 2, 3)),
-        "hmax fidelity 2x2": built_program(
+        "hmin 2x3": built_call(monkeypatch, lambda: entropy._hmin_sdp(rho23, 2, 3)),
+        "hmax fidelity 2x2": built_call(
             monkeypatch, lambda: hmax_fidelity_sdp(rho22, 2, 2)),
-        "dense smoothing 3x2": built_program(
+        "dense smoothing 3x2": built_call(
             monkeypatch, lambda: entropy._smooth_hmin_dense(rho32, 3, 2, 0.05)),
-        "diagonal smoothing classical(2)": built_program(
+        "diagonal smoothing classical(2)": built_call(
             monkeypatch, lambda: diag_smoothing_sdp(p, 4, 4, 0.05)),
-        "random dense": interior_problem(rng, 5, 9),
+        "random dense": (interior_problem(rng, 5, 9), {}),
         # rank 4 < 9: the corner family (4 x 4) differs from the lower-right one
-        "dense smoothing 3x3 rank 4": built_program(
+        "dense smoothing 3x3 rank 4": built_call(
             monkeypatch, lambda: entropy._smooth_hmin_dense(rho33, 3, 3, 0.05)),
         # sigma' and the generalized-fidelity block form one group of two
-        "dense smoothing 2x2 subnormalized": built_program(
+        "dense smoothing 2x2 subnormalized": built_call(
             monkeypatch, lambda: entropy._smooth_hmin_dense(rho22s, 2, 2, 0.05)),
-        "hmin 2x6": built_program(monkeypatch, lambda: entropy._hmin_sdp(rho26, 2, 6)),
+        "hmin 2x6": built_call(monkeypatch, lambda: entropy._hmin_sdp(rho26, 2, 6)),
     }
+
+
+def oracle_programs(monkeypatch) -> dict[str, SdpProblem]:
+    return {name: problem for name, (problem, _) in oracle_calls(monkeypatch).items()}
+
+
+def test_dense_smoothing_start_is_strictly_feasible(monkeypatch):
+    # entropy._smoothing_start: A(x0) = b and C - A*(y0) = z0 to rounding,
+    # both sides positive definite, and the solve from it keeps the primal
+    # residual at rounding level
+    calls = oracle_calls(monkeypatch)
+    for name in ("dense smoothing 3x2", "dense smoothing 3x3 rank 4",
+                 "dense smoothing 2x2 subnormalized"):
+        problem, start = calls[name]
+        x0, y0, z0 = start["x0"], start["y0"], start["z0"]
+        a = problem.a_blocks
+        ax = sum(np.einsum("ipq,qp->i", ak, xk).real for ak, xk in zip(a, x0))
+        assert np.abs(problem.b - ax).max() <= 1e-14, name
+        for k, (c, ak, xk, zk) in enumerate(zip(problem.c_blocks, a, x0, z0)):
+            assert np.abs(c - np.einsum("i,ipq->pq", y0, ak) - zk).max() <= 1e-14, (name, k)
+            assert np.linalg.eigvalsh(xk)[0] > 0 and np.linalg.eigvalsh(zk)[0] > 0, (name, k)
+        sol = solve(problem, **start)
+        assert sol.status is SdpStatus.OPTIMAL and sol.primal_infeas <= 1e-14, name
+
+
+def test_dense_smoothing_starts_feasibly_only_above_the_gate(monkeypatch):
+    # 1 - sqrt(1 - eps^2) >= CERT_LIMIT_BITS ln 2 holds from eps = 1.18e-3;
+    # below it the solve starts in infeasible mode, as it always did
+    rho = random_density(np.random.default_rng(40), (("A", 2), ("B", 2))).matrix
+    for eps, started in ((1e-4, False), (1.17e-3, False), (1.18e-3, True), (0.05, True)):
+        _, kwargs = built_call(monkeypatch,
+                               lambda: entropy._smooth_hmin_dense(rho, 2, 2, eps))
+        assert ({"x0", "y0", "z0"} <= kwargs.keys()) == started, eps
+        if not started:
+            assert kwargs == {"gap_tol": entropy._cert_gap_tol, "max_iterations": 400}
 
 
 def test_family_term_matches_dense_sandwich(monkeypatch):
