@@ -1,8 +1,9 @@
-"""Completely positive maps as Choi matrices, with Kraus and Stinespring forms.
+"""Completely positive maps as Choi matrices, built from Kraus operators.
 
-The Choi matrix lives on labels (A', out) where A' is a copy of the input
+The Choi matrix lives on labels (A', B) where A' is a copy of the input
 system, normalized so the identity channel has Choi trace one; the input
-marginal of a trace-preserving channel's Choi matrix is I/dim_in.
+marginal of a trace-preserving channel's Choi matrix is I/dim_in.  A channel
+read from JSON keeps the output label its file names.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from qdecouple.linalg import (
     Dims,
     LabelError,
     StateOperator,
-    apply_matrix,
     check_cap,
     dims_of,
     hermitian_part,
@@ -30,8 +30,8 @@ from qdecouple.linalg import (
 )
 
 IN_LABEL = "A'"
+OUT_LABEL = "B"
 TP_TOL = 1e-9
-KRAUS_CUTOFF = 1e-12
 
 
 class ChannelError(ValueError):
@@ -45,36 +45,13 @@ class TraceClass(enum.Enum):
 
 
 @dataclass(frozen=True)
-class KrausSet:
-    """Operators of size dim_out x dim_in; sum K^H K <= I for TNI channels."""
-
-    operators: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if not self.operators:
-            raise ChannelError("empty Kraus set")
-        shape = self.operators[0].shape
-        for k in self.operators:
-            if k.shape != shape:
-                raise ChannelError("inconsistent Kraus operator shapes")
-
-    @property
-    def dim_in(self) -> int:
-        return self.operators[0].shape[1]
-
-    @property
-    def dim_out(self) -> int:
-        return self.operators[0].shape[0]
-
-
-@dataclass(frozen=True)
 class Channel:
     """CPM with Choi matrix on (A', out_label)."""
 
     dim_in: int
     dim_out: int
     choi: StateOperator
-    out_label: str = "B"
+    out_label: str = OUT_LABEL
     trace_class: TraceClass = field(init=False)
 
     def __post_init__(self) -> None:
@@ -101,38 +78,29 @@ def _classify(choi: StateOperator, dim_in: int) -> TraceClass:
 
 
 def channel_from_choi(choi_matrix: np.ndarray, dim_in: int, dim_out: int,
-                      out_label: str = "B", cap: int | None = None) -> Channel:
-    op = StateOperator(dims_of((IN_LABEL, dim_in), (out_label, dim_out)),
+                      cap: int | None = None) -> Channel:
+    op = StateOperator(dims_of((IN_LABEL, dim_in), (OUT_LABEL, dim_out)),
                        choi_matrix, cap=cap)
-    return Channel(dim_in, dim_out, op, out_label)
+    return Channel(dim_in, dim_out, op)
 
 
-def choi_of(kraus: KrausSet | Sequence[np.ndarray], out_label: str = "B",
-            cap: int | None = None) -> Channel:
-    """Choi matrix of a Kraus decomposition: J = sum_i |k_i><k_i| / dim_in."""
-    if not isinstance(kraus, KrausSet):
-        kraus = KrausSet(tuple(np.asarray(k, dtype=complex) for k in kraus))
-    din, dout = kraus.dim_in, kraus.dim_out
+def choi_of(kraus: Sequence[np.ndarray], cap: int | None = None) -> Channel:
+    """Choi matrix of a Kraus decomposition: J = sum_i |k_i><k_i| / dim_in.
+
+    The operators are dim_out x dim_in; sum K^H K <= I for TNI channels.
+    """
+    ops = [np.asarray(k, dtype=complex) for k in kraus]
+    if not ops:
+        raise ChannelError("empty Kraus set")
+    dout, din = ops[0].shape
+    if any(k.shape != (dout, din) for k in ops):
+        raise ChannelError("inconsistent Kraus operator shapes")
     check_cap(din * dout, cap)
     j = np.zeros((din * dout, din * dout), dtype=complex)
-    for k in kraus.operators:
+    for k in ops:
         vec = k.T.reshape(-1)  # index (a, b) -> K[b, a]
         j += np.outer(vec, vec.conj())
-    return channel_from_choi(j / din, din, dout, out_label, cap=cap)
-
-
-def kraus_of(ch: Channel) -> KrausSet:
-    """Kraus operators from the Choi eigendecomposition, zero modes dropped."""
-    w, v = np.linalg.eigh(hermitian_part(ch.choi.matrix * ch.dim_in))
-    ops = []
-    for i in range(len(w) - 1, -1, -1):
-        if w[i] <= KRAUS_CUTOFF:
-            break
-        vec = np.sqrt(w[i]) * v[:, i]
-        ops.append(vec.reshape(ch.dim_in, ch.dim_out).T)
-    if not ops:
-        ops = [np.zeros((ch.dim_out, ch.dim_in), dtype=complex)]
-    return KrausSet(tuple(ops))
+    return channel_from_choi(j / din, din, dout, cap=cap)
 
 
 def apply(ch: Channel, state: StateOperator, on: Sequence[str]) -> StateOperator:
@@ -159,49 +127,6 @@ def apply(ch: Channel, state: StateOperator, on: Sequence[str]) -> StateOperator
     check_cap(new_dims.total)
     d = new_dims.total
     return StateOperator(new_dims, out.reshape(d, d), validate=False)
-
-
-def apply_via_kraus(ch: Channel, state: StateOperator,
-                    on: Sequence[str]) -> StateOperator:
-    """Kraus-route application; used to cross-check the Choi contraction."""
-    out_pairs = ((ch.out_label, ch.dim_out),)
-    total = None
-    for k in kraus_of(ch).operators:
-        term = apply_matrix(state, k, on, out=out_pairs)
-        total = term.matrix if total is None else total + term.matrix
-        dims = term.dims
-    return StateOperator(dims, total, validate=False)
-
-
-def stinespring(ch: Channel) -> np.ndarray:
-    """Isometry V: in -> out (x) env with tr_env(V rho V^H) = ch(rho).
-
-    The environment dimension equals the Kraus rank.
-    """
-    if ch.trace_class is not TraceClass.TRACE_PRESERVING:
-        raise ChannelError("Stinespring dilation requires a trace-preserving channel")
-    ops = kraus_of(ch).operators
-    env = len(ops)
-    v = np.zeros((ch.dim_out * env, ch.dim_in), dtype=complex)
-    for i, k in enumerate(ops):
-        v[i::env, :] = k  # row (b, i) = (b * env + i)
-    return v
-
-
-def complementary(ch: Channel) -> Channel:
-    """Environment side of the Stinespring dilation, on output label Env."""
-    if ch.trace_class is not TraceClass.TRACE_PRESERVING:
-        raise ChannelError("complementary channel requires a trace-preserving channel")
-    ops = kraus_of(ch).operators
-    env = len(ops)
-    # L_b[i, a] = K_i[b, a] so that comp(rho) = sum_b L_b rho L_b^H
-    kraus_comp = []
-    for b in range(ch.dim_out):
-        l_b = np.zeros((env, ch.dim_in), dtype=complex)
-        for i, k in enumerate(ops):
-            l_b[i, :] = k[b, :]
-        kraus_comp.append(l_b)
-    return choi_of(kraus_comp, out_label="Env")
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ def _cmd_decouple_run(args: argparse.Namespace) -> int:
             fh.write(report.samples_csv())
     config = {"state": args.state, "channel": args.channel,
               "samples": args.samples, "epsilon": args.epsilon,
-              "on": list(exp.on), "workers": args.workers}
+              "on": ["A"], "workers": args.workers}
     _emit(_report("decouple run", config, report.to_json(), seed, started), args.out)
     ok = report.empirical_mean <= report.bound_nonsmooth + 3 * report.std_error
     if not ok:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -41,31 +41,35 @@ class DecouplingError(ValueError):
 
 @dataclass(frozen=True)
 class DecouplingExperiment:
-    """State on (input, reference) systems, a channel on the input, and the
-    Monte Carlo configuration."""
+    """State on the input system A and reference systems, a channel on A, and
+    the Monte Carlo configuration."""
 
     state: StateOperator
     channel: chan.Channel
     num_samples: int
     epsilon: float = 0.0
     seed: haar.RngSeed = haar.RngSeed(0)
-    on: tuple[str, ...] = ("A",)
 
     def __post_init__(self) -> None:
         if self.num_samples < 1:
             raise DecouplingError("num_samples must be positive")
         if not (0.0 <= self.epsilon < 1.0):
             raise DecouplingError("epsilon must lie in [0, 1)")
-        din = 1
-        for lab in self.on:
-            din *= self.state.dims.dim_of(lab)
+        if "A" not in self.state.labels:
+            raise DecouplingError(
+                f"the channel acts on A, but the state has labels {self.state.labels}")
+        din = self.state.dims.dim_of("A")
         if din != self.channel.dim_in:
             raise DecouplingError(
                 f"channel input dim {self.channel.dim_in} != system dim {din}")
 
     @property
     def reference_labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab in self.state.labels if lab not in set(self.on))
+        return _references(self.state)
+
+
+def _references(state: StateOperator) -> tuple[str, ...]:
+    return tuple(lab for lab in state.labels if lab != "A")
 
 
 @dataclass
@@ -132,7 +136,7 @@ def _kernel(exp: DecouplingExperiment) -> tuple[str, int, Kernel]:
     """
     ch, refs = exp.channel, list(exp.reference_labels)
     d_in = ch.dim_in
-    perm = exp.state.permute(list(exp.on) + refs)
+    perm = exp.state.permute(["A"] + refs)
     d_r = perm.dims.total // d_in
     rho = perm.matrix.reshape(d_in, d_r, d_in, d_r)
     tau_b, d_out = partial_trace(ch.choi, [ch.out_label]).matrix, ch.dim_out
@@ -185,10 +189,9 @@ def _chunk(entries: int, d_in: int) -> int:
     return max(1, CHUNK_ENTRIES // max(entries, d_in * d_in))
 
 
-def sample_distance(state: StateOperator, ch: chan.Channel, u: np.ndarray,
-                    on: Sequence[str] = ("A",)) -> float:
+def sample_distance(state: StateOperator, ch: chan.Channel, u: np.ndarray) -> float:
     """|| T(U rho U^H) - tau_B (x) rho_E ||_1 for one unitary U."""
-    exp = DecouplingExperiment(state, ch, num_samples=1, on=tuple(on))
+    exp = DecouplingExperiment(state, ch, num_samples=1)
     d = ch.dim_in
     if u.shape != (d, d) or float(np.abs(u @ u.conj().T - np.eye(d)).max()) > 1e-10:
         raise DecouplingError(f"U is not a {d} x {d} unitary within tolerance")
@@ -207,7 +210,7 @@ def run(experiment: DecouplingExperiment, workers: int = 1) -> DecouplingReport:
     over the sample index.
     """
     exp = experiment
-    state, ch, on = exp.state, exp.channel, list(exp.on)
+    state, ch = exp.state, exp.channel
     kernel, chunk, distances = _kernel(exp)
 
     def one_chunk(start: int) -> np.ndarray:
@@ -226,31 +229,28 @@ def run(experiment: DecouplingExperiment, workers: int = 1) -> DecouplingReport:
         std_err = float(np.std(dist, ddof=1) / math.sqrt(exp.num_samples))
     else:
         std_err = 0.0
-    b_ns = bound_nonsmooth(state, ch, on)
+    b_ns = bound_nonsmooth(state, ch)
     b_s = None
     if (exp.epsilon > 0.0 and ch.trace_class is not chan.TraceClass.GENERAL
             and abs(state.trace - 1.0) <= 1e-9):
-        b_s = bound_smooth(state, ch, exp.epsilon, on)
+        b_s = bound_smooth(state, ch, exp.epsilon)
     retained = dist.tolist() if exp.num_samples <= MAX_RETAINED_SAMPLES else None
     return DecouplingReport(mean, std_err, b_ns, b_s, exp.epsilon,
                             exp.num_samples, exp.seed, kernel, retained)
 
 
-def bound_nonsmooth(state: StateOperator, ch: chan.Channel,
-                    on: Sequence[str] = ("A",)) -> float:
+def bound_nonsmooth(state: StateOperator, ch: chan.Channel) -> float:
     """2^(-H2(A|E)/2 - H2(A|B)/2) with collision entropies at default sigma.
 
     Valid for any CPM; the default conditioning operators only loosen the
     bound, never break it.
     """
-    refs = [lab for lab in state.labels if lab not in set(on)]
-    h2_state = entropy.h2(state, tuple(on), tuple(refs)).value
+    h2_state = entropy.h2(state, ("A",), _references(state)).value
     h2_choi = entropy.h2(ch.choi, (chan.IN_LABEL,), (ch.out_label,)).value
     return 2.0 ** (-0.5 * h2_state - 0.5 * h2_choi)
 
 
-def bound_smooth(state: StateOperator, ch: chan.Channel, epsilon: float,
-                 on: Sequence[str] = ("A",)) -> float:
+def bound_smooth(state: StateOperator, ch: chan.Channel, epsilon: float) -> float:
     """2^(-Hmin^eps(A|E)/2 - Hmin^eps(A|B)/2) + 12 eps.
 
     Requires a channel with Choi trace at most one and a normalized state.
@@ -259,8 +259,7 @@ def bound_smooth(state: StateOperator, ch: chan.Channel, epsilon: float,
         raise DecouplingError("smooth bound needs Choi trace at most one")
     if abs(state.trace - 1.0) > 1e-9:
         raise DecouplingError("smooth bound needs a normalized state")
-    refs = [lab for lab in state.labels if lab not in set(on)]
-    h_state = entropy.h_min_smooth(state, tuple(on), tuple(refs), epsilon).value
+    h_state = entropy.h_min_smooth(state, ("A",), _references(state), epsilon).value
     h_choi = entropy.h_min_smooth(ch.choi, (chan.IN_LABEL,), (ch.out_label,),
                                   epsilon).value
     return 2.0 ** (-0.5 * h_state - 0.5 * h_choi) + 12.0 * epsilon
@@ -307,7 +306,7 @@ def converse_check(state: StateOperator, ch: chan.Channel, eps: float,
     if eps1 <= 0 or eps2 < 0 or eps3 < 0:
         raise DecouplingError("smoothing parameters must satisfy eps1 > 0, eps2, eps3 >= 0")
     on = ["A"]
-    refs = [lab for lab in state.labels if lab != "A"]
+    refs = _references(state)
     out_full = chan.apply(ch, state, on)
     rho_a = partial_trace(state, on).permute(on)
     out_a = chan.apply(ch, rho_a, on)
@@ -328,7 +327,7 @@ def converse_check(state: StateOperator, ch: chan.Channel, eps: float,
     tau_mat = ch.dim_in * hermitian_part(tilt @ ch.choi.matrix @ tilt)
     tau = StateOperator(ch.choi.dims, tau_mat, validate=False)
 
-    h_state = entropy.h_min_smooth(state, tuple(on), tuple(refs), smooth_param).value
+    h_state = entropy.h_min_smooth(state, tuple(on), refs, smooth_param).value
     h_joint = entropy.h_max_smooth(tau, (chan.IN_LABEL, ch.out_label),
                                    epsilon=eps2).value
     h_out = entropy.h_min_smooth(tau, (ch.out_label,), epsilon=eps3).value

@@ -39,6 +39,9 @@ from qdecouple.linalg import (
 # value to this many bits, regardless of the raw solver status.
 CERT_LIMIT_BITS = 1e-6
 DIAG_TOL = 1e-13
+# a smoothing input whose trace falls short of one by more than this is
+# subnormalized: its missing weight enters the fidelity and trace rows
+MISSING_WEIGHT_TOL = 1e-9
 
 
 class EntropyError(RuntimeError):
@@ -341,12 +344,13 @@ def _close_smoothing(build: sdp.ProblemBuilder, fid: dict[int, np.ndarray],
     """Close a smoothing program: fidelity - t = sqrt(1 - eps^2) and trace = 1.
 
     ``fid`` and ``trace_row`` hold the candidate's terms; the slack blocks
-    are added last.  A subnormalized input (missing weight above 1e-9) adds
-    a 2x2 block [[missing, x], [x, q]] to both rows, making the fidelity the
-    generalized one; a normalized input gets a trace slack w instead.
+    are added last.  A subnormalized input (missing weight above
+    ``MISSING_WEIGHT_TOL``) adds a 2x2 block [[missing, x], [x, q]] to both
+    rows, making the fidelity the generalized one; a normalized input gets a
+    trace slack w instead.
     """
     fid[build.add_block(1)] = -np.eye(1, dtype=complex)
-    if missing > 1e-9:
+    if missing > MISSING_WEIGHT_TOL:
         g_blk = build.add_block(2)
         build.add_constraint({g_blk: _E11}, missing)
         fid[g_blk] = _EX
@@ -426,7 +430,7 @@ def _smooth_hmin_diag(p: np.ndarray, d_a: int, d_b: int, eps: float
     if top <= 0:
         raise EntropyError("smoothing a zero operator")
     p = np.where(p > 1e-15 * top, p, 0.0)
-    missing = 1.0 - total if 1.0 - total > 1e-9 else 0.0
+    missing = 1.0 - total if 1.0 - total > MISSING_WEIGHT_TOL else 0.0
     dual = _DiagDual(p, missing, eps)
     if dual.eps2 <= dual.slack:
         raise EntropyError(f"diagonal smoothing: no state within epsilon {eps} "
@@ -549,7 +553,7 @@ def _smoothing_start(rho: np.ndarray, r_iso: np.ndarray, d_mat: np.ndarray, d_a:
     y_blk = c * (d_mat @ r_iso.conj().T)
     top = 1.5 * (1.0 - b) * ((1.0 - b) * float(lam.max()) + b * tr / d)
     tr_hat = float(np.trace(rho_hat).real)
-    if missing > 1e-9:
+    if missing > MISSING_WEIGHT_TOL:
         x_tail = [[c * (tr + missing) - c0]], [[missing, c * missing],
                                                [c * missing, 1.0 - tr_hat]]
         y_tail, z_tail = [-1.0, 1.0, -1.0], [[1.0, -0.5], [-0.5, 1.0]]

@@ -1,4 +1,4 @@
-"""Haar-random unitaries, exact two-copy twirling, and Weyl operators.
+"""Haar-random unitaries and exact two-copy twirling.
 
 Sampling is counter-based: sample i of a seeded stream is a deterministic
 function of (seed, stream, i), so parallel evaluation order cannot change
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qdecouple.linalg import check_cap, is_hermitian, swap_operator
+from qdecouple.linalg import is_hermitian, swap_operator
 
 
 @dataclass(frozen=True)
@@ -170,24 +170,3 @@ def twirl_exact(m: np.ndarray) -> tuple[TwirlCoefficients, np.ndarray]:
     coeffs = TwirlCoefficients(float(alpha), float(beta), residual)
     return coeffs, coeffs.matrix(d)
 
-
-def weyl_operators(d: int) -> list[np.ndarray]:
-    """The d^2 shift-and-phase unitaries; the first is the identity.
-
-    Their uniform conjugation average sends any operator to tr(X) I / d,
-    i.e. summing over all of them depolarizes: sum_i U_i X U_i^dag = d tr(X) I.
-    """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    check_cap(d * d)
-    omega = np.exp(2j * np.pi / d)
-    shift = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        shift[(j + 1) % d, j] = 1.0
-    phase = np.diag(omega ** np.arange(d))
-    ops = []
-    for a in range(d):
-        for b in range(d):
-            ops.append(np.linalg.matrix_power(shift, a)
-                       @ np.linalg.matrix_power(phase, b))
-    return ops

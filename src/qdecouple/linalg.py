@@ -433,15 +433,6 @@ def tensor(a: StateOperator, b: StateOperator) -> StateOperator:
                          np.kron(a.matrix, b.matrix), validate=False)
 
 
-def tensor_pure(a: PureState, b: PureState, cap: int | None = None) -> PureState:
-    overlap = set(a.labels) & set(b.labels)
-    if overlap:
-        raise LabelError(f"duplicate labels {sorted(overlap)} in tensor product")
-    check_cap(a.dims.total * b.dims.total, cap)
-    return PureState(Dims(a.dims.pairs + b.dims.pairs),
-                     np.kron(a.amplitudes, b.amplitudes), validate=False)
-
-
 def partial_trace(op: StateOperator, keep: Iterable[str]) -> StateOperator:
     """Reduced operator on ``keep`` (original order); trace is preserved."""
     keep_set = set(keep)
@@ -519,35 +510,6 @@ def apply_matrix(op: StateOperator, m: np.ndarray, on: Sequence[str],
     check_cap(new_dims.total, cap)
     dtot = new_dims.total
     return StateOperator(new_dims, res.reshape(dtot, dtot), validate=False)
-
-
-def apply_matrix_pure(psi: PureState, m: np.ndarray, on: Sequence[str],
-                      out: Sequence[LabelPair] | None = None, *,
-                      cap: int | None = None) -> PureState:
-    """(M (x) I) |psi> on the ``on`` subsystems; see ``apply_matrix``."""
-    front, rest = _split_front(psi.dims, on)
-    din = front.total
-    m = np.asarray(m, dtype=complex)
-    if m.shape[1] != din:
-        raise LabelError(f"operator input dim {m.shape[1]} != subsystem dim {din}")
-    if out is None:
-        if m.shape[0] != din:
-            raise LabelError("square operator required when out labels are omitted")
-        out_pairs = front.pairs
-    else:
-        out_pairs = tuple(out)
-    perm = psi.permute(list(on) + list(rest.labels))
-    vec = m @ perm.amplitudes.reshape(din, -1)
-    new_dims = Dims(out_pairs + rest.pairs)
-    check_cap(new_dims.total, cap)
-    return PureState(new_dims, vec.reshape(-1), validate=False)
-
-
-def inner(a: PureState, b: PureState) -> complex:
-    """<a|b> with b permuted into a's label order."""
-    if set(a.labels) != set(b.labels):
-        raise LabelError(f"label mismatch {a.labels} vs {b.labels}")
-    return complex(np.vdot(a.amplitudes, b.permute(a.labels).amplitudes))
 
 
 # ---------------------------------------------------------------------------
@@ -672,15 +634,6 @@ def maximally_mixed(pairs: Sequence[LabelPair], cap: int | None = None) -> State
     check_cap(dims.total, cap)
     d = dims.total
     return StateOperator(dims, np.eye(d) / d, validate=False)
-
-
-def basis_ket(pairs: Sequence[LabelPair], index: Sequence[int]) -> PureState:
-    dims = Dims(tuple(pairs))
-    check_cap(dims.total)
-    flat = int(np.ravel_multi_index(tuple(index), dims.dims))
-    amps = np.zeros(dims.total, dtype=complex)
-    amps[flat] = 1.0
-    return PureState(dims, amps, validate=False)
 
 
 def maximally_entangled(label_a: str, label_b: str, d: int,

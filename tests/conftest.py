@@ -1,8 +1,13 @@
-"""Shared fixtures."""
+"""Shared fixtures and the test-only helpers that more than one module uses."""
 
+import numpy as np
 import pytest
 
 from qdecouple import sdp
+from qdecouple.channel import Channel
+from qdecouple.linalg import Dims, PureState, hermitian_part
+
+KRAUS_CUTOFF = 1e-12
 
 
 @pytest.fixture
@@ -18,3 +23,23 @@ def solve_calls(monkeypatch):
 
     monkeypatch.setattr(sdp, "solve", recording)
     return calls
+
+
+def kraus_of(ch: Channel) -> list[np.ndarray]:
+    """Kraus operators from the Choi eigendecomposition, zero modes dropped."""
+    w, v = np.linalg.eigh(hermitian_part(ch.choi.matrix * ch.dim_in))
+    ops = []
+    for i in range(len(w) - 1, -1, -1):
+        if w[i] <= KRAUS_CUTOFF:
+            break
+        vec = np.sqrt(w[i]) * v[:, i]
+        ops.append(vec.reshape(ch.dim_in, ch.dim_out).T)
+    if not ops:
+        ops = [np.zeros((ch.dim_out, ch.dim_in), dtype=complex)]
+    return ops
+
+
+def tensor_pure(a: PureState, b: PureState) -> PureState:
+    """|a> (x) |b> with concatenated labels."""
+    return PureState(Dims(a.dims.pairs + b.dims.pairs),
+                     np.kron(a.amplitudes, b.amplitudes), validate=False)

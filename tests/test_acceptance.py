@@ -30,9 +30,10 @@ from qdecouple.linalg import (
     random_density,
     random_pure,
     tensor,
-    tensor_pure,
     trace_norm,
 )
+
+from conftest import kraus_of, tensor_pure
 
 
 def report(tag: str, ok: bool, detail: str) -> None:
@@ -139,7 +140,7 @@ def test_c04_smooth_bound_sweep():
         state = random_density(rng, (("A", d_a), ("E", d_e)))
         if trial % 5 == 4:
             # trace-non-increasing channel exercises subnormalized smoothing
-            kraus = chan.kraus_of(chan.random_tp_channel(rng, d_a, d_b)).operators
+            kraus = kraus_of(chan.random_tp_channel(rng, d_a, d_b))
             scale = float(rng.uniform(0.85, 0.99))
             ch = chan.choi_of([math.sqrt(scale) * k for k in kraus])
         else:
@@ -455,7 +456,7 @@ def test_c09_merging_desk_scale_companion():
     rates = []
     for n in (1, 2, 3):
         piece = beta.relabel({"A": f"A{n}", "B": f"B{n}", "E": f"E{n}"})
-        state = piece if state is None else tensor_pure(state, piece, cap=1 << 12)
+        state = piece if state is None else tensor_pure(state, piece)
         labels_a = tuple(f"A{i}" for i in range(1, n + 1))
         labels_b = tuple(f"B{i}" for i in range(1, n + 1))
         rates.append(mg.cost_achievable(state, labels_a, labels_b, eps,

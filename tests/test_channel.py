@@ -1,5 +1,5 @@
-"""Channel representation tests: Choi/Kraus round trips, application routes,
-Stinespring dilations, complementary channels, and the builder family."""
+"""Channel representation tests: Choi/Kraus round trips, the Choi
+contraction against the Kraus route, and the builder family."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,23 @@ from qdecouple import channel as chan
 from qdecouple import entropy as ent
 from qdecouple.linalg import (
     StateOperator,
+    apply_matrix,
     maximally_entangled,
     maximally_mixed,
     partial_trace,
     random_density,
     trace_distance,
 )
+
+from conftest import kraus_of
+
+
+def apply_via_kraus(ch, state, on):
+    """sum_i K_i rho K_i^H on the ``on`` subsystems, the oracle for the Choi
+    contraction of ``channel.apply``."""
+    out_pairs = ((ch.out_label, ch.dim_out),)
+    terms = [apply_matrix(state, k, on, out=out_pairs) for k in kraus_of(ch)]
+    return StateOperator(terms[0].dims, sum(t.matrix for t in terms), validate=False)
 
 
 def test_identity_channel_choi_is_maximally_entangled():
@@ -36,7 +47,7 @@ def test_choi_kraus_round_trip_random():
     rng = np.random.default_rng(50)
     for _ in range(10):
         ch = chan.random_tp_channel(rng, 3, 2, env=int(rng.integers(2, 5)))
-        back = chan.choi_of(chan.kraus_of(ch))
+        back = chan.choi_of(kraus_of(ch))
         assert np.abs(back.choi.matrix - ch.choi.matrix).max() <= 1e-9
         assert back.trace_class is ch.trace_class
 
@@ -45,8 +56,17 @@ def test_choi_bijection_on_random_psd():
     rng = np.random.default_rng(51)
     for _ in range(100):
         ch = chan.random_cpm(rng, 2, 3, trace=float(rng.uniform(0.2, 1.0)))
-        back = chan.choi_of(chan.kraus_of(ch))
+        back = chan.choi_of(kraus_of(ch))
         assert np.abs(back.choi.matrix - ch.choi.matrix).max() <= 1e-9
+
+
+def test_choi_of_rejects_empty_and_mismatched_kraus_sets():
+    with pytest.raises(chan.ChannelError, match="empty Kraus set"):
+        chan.choi_of([])
+    with pytest.raises(chan.ChannelError, match="inconsistent Kraus operator shapes"):
+        chan.choi_of([np.eye(2), np.ones((3, 2))])
+    with pytest.raises(chan.ChannelError, match="inconsistent Kraus operator shapes"):
+        chan.choi_of([np.eye(2), np.eye(2)[:, :1]])
 
 
 def test_apply_identity_channel():
@@ -70,7 +90,7 @@ def test_apply_choi_and_kraus_routes_agree():
         ch = chan.random_cpm(rng, 2, 3, trace=float(rng.uniform(0.3, 1.0)))
         st = random_density(rng, (("A", 2), ("E", 2)))
         out1 = chan.apply(ch, st, ("A",))
-        out2 = chan.apply_via_kraus(ch, st, ("A",))
+        out2 = apply_via_kraus(ch, st, ("A",))
         assert np.abs(out1.matrix - out2.permute(out1.labels).matrix).max() <= 1e-10
 
 
@@ -91,100 +111,6 @@ def test_apply_dimension_mismatch():
     st = maximally_mixed((("A", 3),))
     with pytest.raises(chan.ChannelError):
         chan.apply(ch, st, ("A",))
-
-
-def test_stinespring_postconditions():
-    rng = np.random.default_rng(56)
-    for _ in range(8):
-        env = int(rng.integers(2, 5))
-        ch = chan.random_tp_channel(rng, 3, 2, env=env)
-        v = chan.stinespring(ch)
-        assert np.abs(v.conj().T @ v - np.eye(3)).max() <= 1e-9
-        rho = random_density(rng, (("A", 3),))
-        big = v @ rho.matrix @ v.conj().T
-        kr = len(chan.kraus_of(ch).operators)
-        # rows are ordered (out, env); trace out the env factor
-        tr_env = np.einsum("iaja->ij", big.reshape(2, kr, 2, kr))
-        want = chan.apply(ch, rho, ("A",)).matrix
-        assert np.abs(tr_env - want).max() <= 1e-9
-
-
-def test_stinespring_identity_channel():
-    v = chan.stinespring(chan.identity_channel(2))
-    assert v.shape == (2, 2)
-    np.testing.assert_allclose(np.abs(v.conj().T @ v), np.eye(2), atol=1e-12)
-
-
-def test_stinespring_measurement_structure():
-    # V|i> = |i> (x) |f_i> with orthonormal environment flags
-    m = 2
-    ch = chan.reference_channel("meas", m)
-    v = chan.stinespring(ch)
-    d = 2 ** m
-    env = v.shape[0] // d
-    assert env == d
-    flags = []
-    for i in range(d):
-        w = (v @ np.eye(d)[:, i]).reshape(d, env)
-        # output factor must be |i>: all other rows vanish
-        mask = np.ones(d, dtype=bool)
-        mask[i] = False
-        assert np.abs(w[mask]).max() <= 1e-9
-        flags.append(w[i])
-    gram = np.array([[np.vdot(f1, f2) for f2 in flags] for f1 in flags])
-    np.testing.assert_allclose(gram, np.eye(d), atol=1e-9)
-
-
-def test_stinespring_requires_trace_preserving():
-    rng = np.random.default_rng(57)
-    ch = chan.random_cpm(rng, 2, 2, trace=0.7)
-    with pytest.raises(chan.ChannelError):
-        chan.stinespring(ch)
-
-
-def test_complementary_matches_dilation():
-    rng = np.random.default_rng(58)
-    for _ in range(6):
-        ch = chan.random_tp_channel(rng, 3, 2, env=2)
-        comp = chan.complementary(ch)
-        v = chan.stinespring(ch)
-        env = v.shape[0] // 2
-        rho = random_density(rng, (("A", 3),))
-        big = v @ rho.matrix @ v.conj().T
-        tr_b = np.einsum("aiaj->ij", big.reshape(2, env, 2, env))
-        got = chan.apply(comp, rho, ("A",)).matrix
-        assert np.abs(got - tr_b).max() <= 1e-9
-
-
-def test_complementary_of_identity_erases():
-    comp = chan.complementary(chan.identity_channel(2))
-    assert comp.dim_out == 1
-    rng = np.random.default_rng(59)
-    rho = random_density(rng, (("A", 2),))
-    out = chan.apply(comp, rho, ("A",))
-    assert out.matrix[0, 0] == pytest.approx(1.0, abs=1e-10)
-
-
-def test_complementary_of_erasure_is_unitary_conjugation():
-    # the environment carries the input: complementary = W rho W^H
-    comp = chan.complementary(chan.reference_channel("erase", 1))
-    kraus = chan.kraus_of(comp).operators
-    assert len(kraus) == 1
-    w = kraus[0]
-    np.testing.assert_allclose(w.conj().T @ w, np.eye(2), atol=1e-9)
-
-
-def test_complementary_of_measurement_via_dilation():
-    ch = chan.reference_channel("meas", 1)
-    comp = chan.complementary(ch)
-    v = chan.stinespring(ch)
-    env = v.shape[0] // 2
-    rng = np.random.default_rng(60)
-    rho = random_density(rng, (("A", 2),))
-    big = v @ rho.matrix @ v.conj().T
-    tr_b = np.einsum("aiaj->ij", big.reshape(2, env, 2, env))
-    got = chan.apply(comp, rho, ("A",)).matrix
-    assert np.abs(got - tr_b).max() <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Haar sampling, exact twirling, and Weyl operator tests, including the
-Monte Carlo cross-checks of the exact two-copy average."""
+"""Haar sampling and exact twirling tests, including the Monte Carlo
+cross-checks of the exact two-copy average."""
 
 import hashlib
 
@@ -196,52 +196,6 @@ def test_twirl_monte_carlo_oracle():
     mean = acc / n
     std_err = np.sqrt(np.maximum(acc2 / n - np.abs(mean) ** 2, 0.0) / n)
     assert (np.abs(mean - exact) <= 5 * std_err + 1e-9).all()
-
-
-def test_weyl_qubit_paulis():
-    ops = haar.weyl_operators(2)
-    assert len(ops) == 4
-    np.testing.assert_allclose(ops[0], np.eye(2), atol=1e-14)
-    paulis = [np.eye(2), np.diag([1, -1]),
-              np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]])]
-    for op in ops:
-        # matches some Pauli up to a global phase
-        match = False
-        for p in paulis:
-            overlap = abs(np.trace(p.conj().T @ op)) / 2
-            if overlap == pytest.approx(1.0, abs=1e-12):
-                match = True
-        assert match
-
-
-def test_weyl_unitarity():
-    for d in (2, 3):
-        for op in haar.weyl_operators(d):
-            assert np.abs(op.conj().T @ op - np.eye(d)).max() <= 1e-12
-
-
-def test_weyl_depolarization_identity():
-    rng = haar.generator(5)
-    for d in (2, 3):
-        ops = haar.weyl_operators(d)
-        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        total = sum(u @ x @ u.conj().T for u in ops)
-        want = d * np.trace(x) * np.eye(d)
-        assert np.abs(total - want).max() <= 1e-10
-
-
-def test_weyl_depolarization_on_bipartite_state():
-    # applying every shift-phase unitary on one side flattens that marginal
-    rng = haar.generator(6)
-    d = 2
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    xi = g @ g.conj().T
-    ops = haar.weyl_operators(d)
-    total = sum(np.kron(u, np.eye(2)) @ xi @ np.kron(u, np.eye(2)).conj().T
-                for u in ops)
-    xi_b = np.einsum("abad->bd", xi.reshape(2, 2, 2, 2))
-    want = d * np.kron(np.eye(2), xi_b)
-    assert np.abs(total - want).max() <= 1e-10
 
 
 def test_seed_validation():

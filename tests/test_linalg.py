@@ -14,8 +14,8 @@ from qdecouple.linalg import (
     Dims,
     InvariantError,
     LabelError,
+    PureState,
     StateOperator,
-    basis_ket,
     dims_of,
     extension_map,
     fidelities,
@@ -42,6 +42,14 @@ from qdecouple.linalg import (
     trace_norm,
     trace_norms,
 )
+
+
+def basis_ket(pairs, index):
+    """The product basis vector |index> on the labeled dimensions ``pairs``."""
+    dims = Dims(tuple(pairs))
+    amps = np.zeros(dims.total, dtype=complex)
+    amps[np.ravel_multi_index(tuple(index), dims.dims)] = 1.0
+    return PureState(dims, amps, validate=False)
 
 
 def rnd_herm(rng, d):

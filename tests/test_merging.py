@@ -17,20 +17,19 @@ from qdecouple.linalg import (
     Dims,
     LabelError,
     PureState,
-    apply_matrix_pure,
     dims_of,
     fidelity,
-    inner,
     maximally_entangled,
     pure_marginal,
     purified_distance,
     purify,
     random_density,
     random_pure,
-    tensor_pure,
     trace_norm,
     trace_out_leading,
 )
+
+from conftest import tensor_pure
 
 
 def cc_state(k):
@@ -214,7 +213,7 @@ def test_merging_cost_trend_toward_conditional_entropy():
     rates = []
     for n in range(1, 4):
         piece = beta.relabel({"A": f"A{n}", "B": f"B{n}", "E": f"E{n}"})
-        state = piece if state is None else tensor_pure(state, piece, cap=1 << 12)
+        state = piece if state is None else tensor_pure(state, piece)
         a = tuple(f"A{i}" for i in range(1, n + 1))
         b = tuple(f"B{i}" for i in range(1, n + 1))
         rates.append(mg.cost_achievable(state, a, b, 0.3, realize=False) / n)
@@ -420,6 +419,23 @@ def test_uhlmann_enforces_marginal_delta():
 # explicit LOCC protocol, the oracle for run_merging
 # ---------------------------------------------------------------------------
 
+def apply_matrix_pure(psi: PureState, m: np.ndarray, on: Sequence[str],
+                      out: Sequence[tuple[str, int]] | None = None) -> PureState:
+    """(M (x) I) |psi> on the ``on`` subsystems, M's output labelled ``out``
+    (the ``on`` labels when omitted), ahead of the remaining labels."""
+    front = Dims(tuple((lab, psi.dims.dim_of(lab)) for lab in on))
+    rest = Dims(tuple(p for p in psi.dims.pairs if p[0] not in set(on)))
+    perm = psi.permute(list(on) + list(rest.labels))
+    vec = np.asarray(m, dtype=complex) @ perm.amplitudes.reshape(front.total, -1)
+    out_pairs = front.pairs if out is None else tuple(out)
+    return PureState(Dims(out_pairs + rest.pairs), vec.reshape(-1), validate=False)
+
+
+def inner(a: PureState, b: PureState) -> complex:
+    """<a|b> with b permuted into a's label order."""
+    return complex(np.vdot(a.amplitudes, b.permute(a.labels).amplitudes))
+
+
 def rotated_protocol_state(inst):
     """First half of the explicit protocol: Phi_K on (A0, B0) next to psi, and
     the sender's Haar unitary on (A0, A) into the register R.
@@ -429,11 +445,9 @@ def rotated_protocol_state(inst):
     rest.
     """
     reg = inst.k_rank * inst.dim_a
-    theta = tensor_pure(maximally_entangled("A0", "B0", inst.k_rank), inst.psi,
-                        cap=1 << 20)
+    theta = tensor_pure(maximally_entangled("A0", "B0", inst.k_rank), inst.psi)
     u = haar.haar_unitary_indexed(inst.seed, 0, reg)
-    rotated = apply_matrix_pure(theta, u, on=("A0", "A"), out=(("R", reg),),
-                                cap=1 << 20)
+    rotated = apply_matrix_pure(theta, u, on=("A0", "A"), out=(("R", reg),))
     perm = rotated.permute(["R"] + [lab for lab in rotated.labels if lab != "R"])
     rest_pairs = tuple(p for p in perm.dims.pairs if p[0] != "R")
     return u, theta, perm.amplitudes.reshape(reg, -1), rest_pairs
@@ -448,7 +462,7 @@ def explicit_protocol(inst):
     l_dim, n_out = inst.l_rank, inst.num_outcomes
     _, _, amps, rest_pairs = rotated_protocol_state(inst)
     target = tensor_pure(maximally_entangled("A1", "B1", l_dim),
-                         inst.psi.relabel({"A": "A'"}), cap=1 << 20)
+                         inst.psi.relabel({"A": "A'"}))
     rho_e = pure_marginal(inst.psi, ["E"]).matrix
     ideal = np.kron(np.eye(l_dim) / l_dim, rho_e)
     per_outcome, overall, decoupled = [], 0.0, 0
@@ -462,8 +476,7 @@ def explicit_protocol(inst):
         v, out_pairs = uhlmann_isometry(sigma_x, target,
                                         bob_labels=["B0", "B"],
                                         delta=1.0)
-        eta_x = apply_matrix_pure(sigma_x, v, on=["B0", "B"],
-                                  out=out_pairs, cap=1 << 20)
+        eta_x = apply_matrix_pure(sigma_x, v, on=["B0", "B"], out=out_pairs)
         f_x = abs(inner(target, eta_x))
         per_outcome.append((x, p_x, f_x))
         overall += math.sqrt(p_x / n_out) * f_x
