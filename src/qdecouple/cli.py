@@ -50,8 +50,8 @@ def _report(command: str, config: dict, result: dict, seed: haar.RngSeed | None,
 # state and channel generators
 # ---------------------------------------------------------------------------
 
-def gen_state(kind: str, k: int, dims: Sequence[tuple[str, int]] | None = None,
-              seed: int = 0, cap: int | None = None) -> linalg.StateOperator:
+def gen_state(kind: str, k: int, dims: Sequence[tuple[str, int]] | None, seed: int,
+              cap: int | None) -> linalg.StateOperator:
     """Reference bipartite states on labels (A, E); ``dims`` gives the
     (label, dim) pairs of the random kinds."""
     if kind == "independent":

@@ -232,7 +232,7 @@ def run(experiment: DecouplingExperiment, workers: int = 1) -> DecouplingReport:
     b_ns = bound_nonsmooth(state, ch)
     b_s = None
     if (exp.epsilon > 0.0 and ch.trace_class is not chan.TraceClass.GENERAL
-            and abs(state.trace - 1.0) <= 1e-9):
+            and state.is_normalized):
         b_s = bound_smooth(state, ch, exp.epsilon)
     retained = dist.tolist() if exp.num_samples <= MAX_RETAINED_SAMPLES else None
     return DecouplingReport(mean, std_err, b_ns, b_s, exp.epsilon,
@@ -257,7 +257,7 @@ def bound_smooth(state: StateOperator, ch: chan.Channel, epsilon: float) -> floa
     """
     if ch.choi.trace > 1.0 + 1e-9:
         raise DecouplingError("smooth bound needs Choi trace at most one")
-    if abs(state.trace - 1.0) > 1e-9:
+    if not state.is_normalized:
         raise DecouplingError("smooth bound needs a normalized state")
     h_state = entropy.h_min_smooth(state, ("A",), _references(state), epsilon).value
     h_choi = entropy.h_min_smooth(ch.choi, (chan.IN_LABEL,), (ch.out_label,),
@@ -299,9 +299,9 @@ def converse_check(state: StateOperator, ch: chan.Channel, eps: float,
     the tilted Choi state is reported alongside as data for the conjectured
     sharper form, but nothing is asserted about it.
     """
-    if abs(ch.choi.trace - 1.0) > 1e-9:
+    if not ch.choi.is_normalized:
         raise DecouplingError("converse needs a channel with Choi trace one")
-    if abs(state.trace - 1.0) > 1e-9:
+    if not state.is_normalized:
         raise DecouplingError("converse needs a normalized state")
     if eps1 <= 0 or eps2 < 0 or eps3 < 0:
         raise DecouplingError("smoothing parameters must satisfy eps1 > 0, eps2, eps3 >= 0")

@@ -156,7 +156,7 @@ def _spectral_entropy(m: np.ndarray) -> float:
 def von_neumann(state: StateOperator, target: Sequence[str],
                 condition: Sequence[str] = ()) -> float:
     """H(target | condition) = H(target, condition) - H(condition), in bits."""
-    if abs(state.trace - 1.0) > 1e-9:
+    if not state.is_normalized:
         raise EntropyError(f"von Neumann entropy needs a normalized state, trace {state.trace}")
     rho, d_a, d_b, _, _ = _prepare(state, target, condition)
     h_joint = _spectral_entropy(rho)
@@ -674,7 +674,7 @@ def h_max_smooth(state: StateOperator, target: Sequence[str],
     _check_query(state, target, condition, epsilon)
     if epsilon == 0.0:
         return h_max(state, target, condition)
-    if abs(state.trace - 1.0) > 1e-9:
+    if not state.is_normalized:
         raise EntropyError("smooth max-entropy needs a normalized state")
     carrier, purifier = _purified(state, target, condition)
     dual = h_min_smooth(carrier, target, purifier, epsilon)

@@ -22,7 +22,7 @@ DIM_CAP = 256
 
 TOL_HERM = 1e-10   # Hermiticity tolerance, relative to operator norm
 TOL_PSD = 1e-10    # allowed negative eigenvalue, relative to operator norm
-TOL_TRACE = 1e-9   # allowed excess above trace one
+TOL_TRACE = 1e-9   # allowed excess above trace one, and |trace - 1| of a normalized state
 GINV_RCOND = 1e-10  # relative eigenvalue cutoff for generalized inverses
 
 
@@ -347,6 +347,11 @@ class StateOperator:
         return float(np.trace(self.matrix).real)
 
     @property
+    def is_normalized(self) -> bool:
+        """Trace one within ``TOL_TRACE``."""
+        return abs(self.trace - 1.0) <= TOL_TRACE
+
+    @property
     def labels(self) -> tuple[str, ...]:
         return self.dims.labels
 
@@ -363,10 +368,6 @@ class StateOperator:
         t = self.tensor_view().transpose(axes + [a + n for a in axes])
         d = self.dims.total
         return StateOperator(new_dims, t.reshape(d, d), validate=False)
-
-    def relabel(self, mapping: dict[str, str]) -> "StateOperator":
-        pairs = tuple((mapping.get(lab, lab), d) for lab, d in self.dims.pairs)
-        return StateOperator(Dims(pairs), self.matrix, validate=False)
 
 
 @dataclass(frozen=True)
@@ -394,10 +395,6 @@ class PureState:
     @property
     def labels(self) -> tuple[str, ...]:
         return self.dims.labels
-
-    @property
-    def norm2(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
     def tensor_view(self) -> np.ndarray:
         return self.amplitudes.reshape(self.dims.dims)
@@ -572,7 +569,7 @@ def purify(rho: StateOperator, new_label: str, *, cap: int | None = None,
     if new_label in rho.labels:
         raise LabelError(f"label {new_label!r} already present")
     tr = rho.trace
-    if require_normalized and abs(tr - 1.0) > 1e-9:
+    if require_normalized and not rho.is_normalized:
         raise InvariantError(f"purify requires a normalized state, trace = {tr}")
     w, v = np.linalg.eigh(hermitian_part(rho.matrix))
     top = float(w[-1]) if w.size else 0.0

@@ -12,11 +12,8 @@ the boundary of strict feasibility.  Each group of equal-size blocks adds its
 part of the Schur complement with the dense sandwich W A_i W (``_DenseSchur``)
 or, where the group carries constraint families (``ProblemBuilder.add_family``)
 and that needs fewer operations, with the family term, which works from the
-scaling matrix W alone (``_sdp_family``).  A group of n >= 2 factors its
-iterates and bounds its steps with stacked LAPACK calls; a group of 1x1
-blocks makes none, and works elementwise on real parts with the same
-floating-point operations as LAPACK's n = 1 case, so its iterates are the
-LAPACK route's bit for bit.
+scaling matrix W alone (``_sdp_family``).  Every group factors its iterates
+and bounds its steps with stacked LAPACK calls.
 """
 
 from __future__ import annotations
@@ -370,23 +367,6 @@ class ProblemBuilder:
 # never loops over individual blocks.
 # ---------------------------------------------------------------------------
 
-def _one_by_one(stack: np.ndarray) -> bool:
-    """Whether a (count, n, n) stack holds 1x1 blocks, which the step and
-    factor routines below serve elementwise as LAPACK's n = 1 case: the
-    eigenvalue of a Hermitian 1x1 block is its real part, its eigenvector 1.
-    Each elementwise route makes the same floating-point operations as the
-    LAPACK route, so both give the same bits."""
-    return stack.shape[-1] == 1
-
-
-def _b_herm(s: np.ndarray) -> np.ndarray:
-    """``hermitian_part`` of a (count, n, n) stack; of 1x1 blocks, their real
-    part, which is the same bits: (a + a) / 2 = a and (b - b) / 2 = +0."""
-    if _one_by_one(s):
-        return s.real.astype(complex)
-    return hermitian_part(s)
-
-
 def _b_floored(w: np.ndarray, rel_floor: float) -> np.ndarray:
     """Eigenvalues clamped below at rel_floor times each block's largest."""
     top = np.maximum(w[:, -1], 1e-100)
@@ -406,16 +386,6 @@ def _b_factor(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
     Optim. 8, 1998).  Eigenvalues are clamped at a relative machine floor:
     1e-16 for X, X^(1/2) Z X^(1/2) and Z^(-1/2), 1e-18 for Z^(-1).
     """
-    if _one_by_one(x):
-        # every factor is real: a product of 1x1 blocks is the product of
-        # their real parts, as the complex products below compute it
-        wx = _b_floored(x.real[:, 0], 1e-16)
-        wz = z.real[:, 0]
-        xh = np.sqrt(wx)
-        mih = _b_floored(xh * wz * xh, 1e-16) ** -0.5
-        return tuple(f.astype(complex).reshape(-1, 1, 1) for f in (
-            xh * mih * xh, wx ** -0.5, _b_floored(wz, 1e-16) ** -0.5,
-            1.0 / _b_floored(wz, 1e-18)))
     count = len(x)
     w, v = np.linalg.eigh(hermitian_part(np.concatenate((x, z))))
     wx, vx, wz, vz = w[:count], v[:count], w[count:], v[count:]
@@ -430,8 +400,6 @@ def _b_factor(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _b_lowest_eig(s: np.ndarray) -> np.ndarray:
     """The lowest eigenvalue of each Hermitian part of a (count, n, n) stack."""
-    if _one_by_one(s):
-        return s.real[:, 0, 0]
     return np.linalg.eigvalsh(hermitian_part(s))[:, 0]
 
 
@@ -439,7 +407,7 @@ def _b_step_lows(isq: tuple[np.ndarray, np.ndarray], d: list[np.ndarray]) -> lis
     """Lowest eigenvalue of isq_j d isq_j over the items of one group size, for
     each direction d of [dx_1, dz_1, dx_2, dz_2, ...], where the x-side
     directions take isq_0 = x^(-1/2) and the z-side ones isq_1 = z^(-1/2),
-    from one stacked ``eigvalsh`` (none for 1x1 blocks).
+    from one stacked ``eigvalsh``.
 
     With isq = x^(-1/2), sup { a : x + a d >= 0 } is -1 / lowest, or
     infinite when lowest is not negative.  Each item is scaled to unit
@@ -449,19 +417,11 @@ def _b_step_lows(isq: tuple[np.ndarray, np.ndarray], d: list[np.ndarray]) -> lis
     """
     count, n = isq[0].shape[:2]
     shape = (len(d) // 2, 2, count, n, n)  # (direction pair, side, item)
-    if _one_by_one(isq[0]):
-        # numpy divides a complex entry by a real one by multiplying with
-        # the reciprocal, so lam is not v, but v * (1 / scale) * scale
-        i = np.concatenate(isq).real.reshape(shape[1:])
-        v = i * np.concatenate(d).real.reshape(shape) * i
-        scale = np.maximum(np.abs(v), 1e-300)
-        lam = v * (1.0 / scale) * scale
-    else:
-        i = np.concatenate(isq).reshape(shape[1:])
-        s = hermitian_part((i @ np.concatenate(d).reshape(shape) @ i).reshape(-1, n, n))
-        scale = np.abs(s).reshape(len(s), -1).max(axis=1)
-        scale = np.maximum(scale, 1e-300)
-        lam = np.linalg.eigvalsh(s / scale[:, None, None])[:, 0] * scale
+    i = np.concatenate(isq).reshape(shape[1:])
+    s = hermitian_part((i @ np.concatenate(d).reshape(shape) @ i).reshape(-1, n, n))
+    scale = np.abs(s).reshape(len(s), -1).max(axis=1)
+    scale = np.maximum(scale, 1e-300)
+    lam = np.linalg.eigvalsh(s / scale[:, None, None])[:, 0] * scale
     return lam.reshape(-1, count).min(axis=1).tolist()
 
 
@@ -486,8 +446,8 @@ def _b_back_off_pair(x: list[np.ndarray], dx: list[np.ndarray], ap: float,
                      ) -> tuple[float, float]:
     """(ap, ad) halved, at most 40 times each, until x + ap dx and z + ad dz
     are positive definite.  The first check of both is one stacked
-    ``eigvalsh`` per group (none for 1x1 blocks); ``_b_back_off`` goes on
-    from half a step that fails it."""
+    ``eigvalsh`` per group; ``_b_back_off`` goes on from half a step that
+    fails it."""
     x_ok = z_ok = True
     for xg, dxg, zg, dzg in zip(x, dx, z, dz):
         w = _b_lowest_eig(np.concatenate((xg + ap * dxg, zg + ad * dzg)))
@@ -821,12 +781,12 @@ def solve(problem: SdpProblem, *,
             rhs = groups.apply_a([a - rc for a, rc in zip(wrw, r_c)], r_p)
             dy = groups.newton_solve(schur_solve, rhs, corners)
             dz = [rd - ad for rd, ad in zip(r_d, groups.apply_a_adjoint(dy))]
-            dx = [_b_herm(rc - w @ d @ w) for rc, w, d in zip(r_c, w_scale, dz)]
-            dz = [_b_herm(d) for d in dz]
+            dx = [hermitian_part(rc - w @ d @ w) for rc, w, d in zip(r_c, w_scale, dz)]
+            dz = [hermitian_part(d) for d in dz]
             # project dx back onto A(dx) = r_p, killing residual drift
             lam = groups.newton_solve(lambda u: cho_solve(gram_factor, u),
                                       r_p - groups.apply_a(dx), gram_corners)
-            dx = [_b_herm(d + c) for d, c in zip(dx, groups.apply_a_adjoint(lam))]
+            dx = [hermitian_part(d + c) for d, c in zip(dx, groups.apply_a_adjoint(lam))]
             return dx, dy, dz
 
         def steps(*cands):
@@ -848,7 +808,7 @@ def solve(problem: SdpProblem, *,
         # only when it does not shrink the step
         nu = sigma * mu
         r_c_plain = [nu * zi - xg for zi, xg in zip(z_inv, x)]
-        r_c_so = [rc - _b_herm(dxa @ dza @ zi)
+        r_c_so = [rc - hermitian_part(dxa @ dza @ zi)
                   for rc, dxa, dza, zi in zip(r_c_plain, dx_a, dz_a, z_inv)]
         dx, dy, dz = direction(r_c_so)
         dx_p, dy_p, dz_p = direction(r_c_plain)
@@ -858,8 +818,8 @@ def solve(problem: SdpProblem, *,
         if ap < 1e-12 and ad < 1e-12:
             break
         ap, ad = _b_back_off_pair(x, dx, ap, z, dz, ad)
-        x = [_b_herm(xg + ap * d) for xg, d in zip(x, dx)]
-        z = [_b_herm(zg + ad * d) for zg, d in zip(z, dz)]
+        x = [hermitian_part(xg + ap * d) for xg, d in zip(x, dx)]
+        z = [hermitian_part(zg + ad * d) for zg, d in zip(z, dz)]
         y = y + ad * dy
 
     if status is not SdpStatus.INFEASIBLE and best is not None:

@@ -78,7 +78,11 @@ def test_state_operator_validation():
     with pytest.raises(DimCapError):
         maximally_mixed((("A", 512),))
     # subnormalized states are fine
-    StateOperator(dims_of(("A", 2)), np.diag([0.3, 0.2]))
+    assert not StateOperator(dims_of(("A", 2)), np.diag([0.3, 0.2])).is_normalized
+    # normalized means trace one within TOL_TRACE = 1e-9, on either side
+    for off, normalized in ((0.0, True), (5e-10, True), (-5e-10, True), (-2e-9, False)):
+        state = StateOperator(dims_of(("A", 2)), np.diag([0.5, 0.5 + off]))
+        assert state.is_normalized is normalized, off
 
 
 def test_dim_cap_configurable():
@@ -406,8 +410,12 @@ def test_purify_round_trip_oracle():
 
 def test_purify_rejects_subnormalized():
     sub = StateOperator(dims_of(("A", 2)), np.diag([0.4, 0.4]))
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="purify requires a normalized state"):
         purify(sub, "R")
+    # trace one within TOL_TRACE passes
+    purify(StateOperator(dims_of(("A", 2)), np.diag([0.5, 0.5 - 5e-10])), "R")
+    with pytest.raises(InvariantError):
+        purify(StateOperator(dims_of(("A", 2)), np.diag([0.5, 0.5 - 2e-9])), "R")
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,15 @@ duality along the iterate trace, determinism, infeasibility detection, the
 family term's constraint map, adjoint, Gram matrix and Schur term against
 the dense sandwich, the Newton system with its fixed corners eliminated
 against the full one, the eigendecompositions and the step search per
-iteration, the elementwise 1x1 blocks against LAPACK's n = 1 case, and the
-stack-size limit.
+iteration for groups of every block size, and the stack-size limit.
 """
 
-import math
 import os
 import subprocess
 import sys
 import textwrap
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +21,7 @@ from scipy.optimize import minimize
 
 from qdecouple import _sdp_family, entropy, sdp
 from qdecouple.decoupling import classical_state
-from qdecouple.linalg import (DimCapError, PureState, dims_of, herm_basis,
-                              hermitian_part, random_density)
+from qdecouple.linalg import DimCapError, herm_basis, hermitian_part, random_density
 from qdecouple.sdp import ProblemBuilder, SdpProblem, SdpStatus, solve
 from test_entropy import diag_smoothing_sdp, hmax_fidelity_sdp
 
@@ -465,9 +463,9 @@ def count_lapack(monkeypatch) -> tuple[list, list]:
 
 
 def test_iterates_are_factored_once_per_iteration(monkeypatch):
-    # per group of n >= 2 and iteration: one stacked eigendecomposition of X
-    # and Z and one of X^(1/2) Z X^(1/2), from which W, X^(-1/2), Z^(-1/2)
-    # and Z^(-1) follow; groups of 1x1 blocks make no LAPACK call
+    # per group and iteration: one stacked eigendecomposition of X and Z and
+    # one of X^(1/2) Z X^(1/2), from which W, X^(-1/2), Z^(-1/2) and Z^(-1)
+    # follow; a group of 1x1 blocks takes the same two calls
     programs = oracle_programs(monkeypatch)
     calls, factored = count_lapack(monkeypatch)
     for name, problem in programs.items():
@@ -476,16 +474,17 @@ def test_iterates_are_factored_once_per_iteration(monkeypatch):
         sol = solve(problem)
         assert sol.status is SdpStatus.OPTIMAL, name
         assert sol.iterations - 1 <= len(factored) <= sol.iterations, name
-        lapack_groups = len(set(problem.block_dims) - {1})
-        eigh = [call for call in calls if call[0] == "eigh"]
-        assert all(caller == "_b_factor" and n > 1 for _, caller, n in eigh), name
-        assert len(eigh) == 2 * lapack_groups * len(factored), name
+        eigh = Counter(call for call in calls if call[0] == "eigh")
+        assert eigh == {("eigh", "_b_factor", n): 2 * len(factored)
+                        for n in set(problem.block_dims)}, name
+    # the programs cover groups of 1x1 blocks
+    assert any(1 in problem.block_dims for problem in programs.values())
 
 
 def test_step_search_is_two_stacked_eigvalsh_per_group(monkeypatch):
-    # per group of n >= 2 and factored iteration: one eigvalsh bounds the
-    # predictor's x and z steps, one both correctors', and one makes the
-    # back-off's first check of x and z; groups of 1x1 blocks make none
+    # per group and factored iteration: one eigvalsh bounds the predictor's x
+    # and z steps, one both correctors', and one makes the back-off's first
+    # check of x and z; a group of 1x1 blocks takes the same three calls
     programs = oracle_programs(monkeypatch)
     calls, factored = count_lapack(monkeypatch)
     for name, problem in programs.items():
@@ -493,12 +492,11 @@ def test_step_search_is_two_stacked_eigvalsh_per_group(monkeypatch):
         factored.clear()
         sol = solve(problem)
         assert sol.status is SdpStatus.OPTIMAL, name
-        lapack_groups = len(set(problem.block_dims) - {1})
-        assert all(n > 1 for *_, n in calls), name
-        lows = [call for call in calls if call[:2] == ("eigvalsh", "_b_step_lows")]
-        first = [call for call in calls if call[:2] == ("eigvalsh", "_b_back_off_pair")]
-        assert len(lows) == 2 * lapack_groups * len(factored), name
-        assert len(first) == lapack_groups * len(factored), name
+        for n in set(problem.block_dims):
+            lows = calls.count(("eigvalsh", "_b_step_lows", n))
+            first = calls.count(("eigvalsh", "_b_back_off_pair", n))
+            assert lows == 2 * len(factored), (name, n)
+            assert first == len(factored), (name, n)
     # the programs cover groups of 1x1 blocks
     assert any(1 in problem.block_dims for problem in programs.values())
 
@@ -533,107 +531,6 @@ def test_stacked_step_bound_matches_per_side_bound():
                 for cand in cands for j in (0, 1)]
         assert sdp._b_max_steps(lows) == want
         assert (trial % 5 == 0) == (want == [np.inf] * 4)
-
-
-# ---------------------------------------------------------------------------
-# 1x1 blocks: the elementwise route against LAPACK's n = 1 case
-# ---------------------------------------------------------------------------
-
-# negative, zero, about 1e-300, below 1e-300, large and ordinary entries;
-# zero and negative ones are clamped by the 1e-16 and 1e-18 floors
-ONE_BY_ONE = (-0.7, -1e-300, -0.0, 0.0, 1e-305, 1e-300, 3e-300, 1e-17, 1e-3, 0.5,
-              1.0, 2.5, 7e10)
-
-
-def lapack_route(monkeypatch, fn, *args):
-    """fn(*args) with the 1x1 dispatch off, every block through LAPACK."""
-    with monkeypatch.context() as patch:
-        patch.setattr(sdp, "_one_by_one", lambda stack: False)
-        return fn(*args)
-
-
-def one_by_one(values) -> np.ndarray:
-    return np.asarray(values, dtype=complex).reshape(-1, 1, 1)
-
-
-def test_one_by_one_factor_is_lapacks(monkeypatch):
-    x, z = (one_by_one(v) for v in zip(*[(a, b) for a in ONE_BY_ONE for b in ONE_BY_ONE]))
-    got = sdp._b_factor(x, z)
-    want = lapack_route(monkeypatch, sdp._b_factor, x, z)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.dtype == w.dtype
-        assert (g == w).all()
-        assert g.tobytes() == w.tobytes()  # signed zeros too
-
-
-def test_one_by_one_step_bounds_are_lapacks(monkeypatch):
-    # isq spans 1e-160 to 1e140, so isq d isq runs from underflow through
-    # entries below the 1e-300 scale floor to about 1e291
-    rng = np.random.default_rng(115)
-    scales = (1e-160, 1e-5, 0.3, 1.0, 4.0, 1e140)
-    for trial in range(40):
-        count = int(rng.integers(1, 6))
-        isq = tuple(one_by_one(rng.choice(scales, count)) for _ in "xz")
-        d = [one_by_one(rng.choice(ONE_BY_ONE, count) * rng.choice((-1.0, 1.0), count))
-             for _ in range(4 if trial % 2 else 2)]
-        got = sdp._b_step_lows(isq, d)
-        assert got == lapack_route(monkeypatch, sdp._b_step_lows, isq, d), trial
-
-
-def test_one_by_one_back_off_is_lapacks(monkeypatch):
-    # steps that pass, that fail at the first check and back off, and that
-    # land on an exact zero
-    rng = np.random.default_rng(116)
-    for trial in range(40):
-        count = int(rng.integers(1, 6))
-        x, z = (one_by_one(rng.choice(ONE_BY_ONE[5:], count)) for _ in "xz")
-        dx, dz = (one_by_one(rng.choice(ONE_BY_ONE, count)) for _ in "xz")
-        if trial % 4 == 0:
-            dx = -x  # x + 1.0 dx is exactly zero
-        args = ([x], [dx], float(rng.choice((1.0, 0.96, 0.3))), [z], [dz], 0.96)
-        got = sdp._b_back_off_pair(*args)
-        assert got == lapack_route(monkeypatch, sdp._b_back_off_pair, *args), trial
-
-
-def cq_state() -> PureState:
-    """sum_{a,e} sqrt(p_ae) |a>|(a,e)>|e> on A:2, B:4, E:2, p = (1/2, 1/4, 1/8,
-    1/8): its A:E marginal is diagonal, so the smooth max-entropy of A given
-    B takes the diagonal smoothing program, with groups of 1x1 and 2x2
-    blocks."""
-    p = (0.5, 0.25, 0.125, 0.125)
-    amps = np.zeros((2, 4, 2), dtype=complex)
-    for a in range(2):
-        for e in range(2):
-            amps[a, 2 * a + e, e] = math.sqrt(p[2 * a + e])
-    return PureState(dims_of(("A", 2), ("B", 4), ("E", 2)), amps.reshape(-1))
-
-
-@pytest.mark.parametrize("eps", [0.06 ** 2 / 13, 4 * math.sqrt(0.06)])
-def test_one_by_one_solves_are_lapacks(monkeypatch, eps):
-    # the state-merging cost bounds of the cq state at eps = 0.06, through
-    # the diagonal SDP oracle: every solve's x, y and Z bytes, status and
-    # iteration count, and the value, equal those of the solves with every
-    # block through LAPACK
-    state = cq_state().to_operator()
-    monkeypatch.setattr(entropy, "_smooth_hmin_diag", diag_smoothing_sdp)
-    runs = []
-    for lapack in (False, True):
-        solves = []
-
-        def recording(problem, **kwargs):
-            sol = solve(problem, **kwargs)
-            solves.append((problem.block_dims, sol.status, sol.iterations,
-                           [a.tobytes() for a in (*sol.x_blocks, sol.y, *sol.z_blocks)]))
-            return sol
-
-        with monkeypatch.context() as patch:
-            patch.setattr(sdp, "solve", recording)
-            if lapack:
-                patch.setattr(sdp, "_one_by_one", lambda stack: False)
-            value = entropy.h_max_smooth(state, ("A",), ("B",), eps).value
-        runs.append((value, solves))
-    assert runs[0] == runs[1]
-    assert runs[0][1] and all(1 in dims and 2 in dims for dims, *_ in runs[0][1])
 
 
 def test_schur_kernel_choice_is_recorded(monkeypatch):
