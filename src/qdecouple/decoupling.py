@@ -22,6 +22,7 @@ from qdecouple import entropy
 from qdecouple import haar
 from qdecouple.linalg import (
     Dims,
+    TOL_TRACE,
     StateOperator,
     hermitian_part,
     partial_trace,
@@ -112,7 +113,8 @@ MAX_RETAINED_SAMPLES = 10_000
 # against 2^11 this budget ran the benchmark's six decouple configurations
 # in 211 ms instead of 251 ms (one core), every distance bit-identical.  The
 # allocator keeps the peak of one chunk's temporaries per thread, which
-# cost the decouple workload 2% more peak RSS.
+# cost the decouple workload 2% more peak RSS.  Criterion C5 gets S = 64 at
+# m'=1 and S = 16 at m'=3 from its block kernel's output and factor arrays.
 CHUNK_ENTRIES = 2 ** 14
 
 Kernel = Callable[[np.ndarray], np.ndarray]
@@ -123,15 +125,19 @@ def _kernel(exp: DecouplingExperiment) -> tuple[str, int, Kernel]:
     its chunk size S and the map from a stack of unitaries (s, d_in, d_in),
     s <= S, to the s values || T(U rho U^H) - tau_B (x) rho_E ||_1.
 
-    A sample gets the same BLAS calls in any chunk (the dense kernel stacks
-    them over the chunk, one call per item), and ``trace_norms`` routes each
+    A sample gets the same BLAS calls in any chunk (each kernel makes stacked
+    ``matmul`` calls, one call per item), and ``trace_norms`` routes each
     sample's item on its own, so a sample's bits do not depend on its chunk.
     A state classical on the reference, rho = sum_e rho_e (x) |e><e| (every
     entry off the reference diagonal exactly zero), makes the difference
     block diagonal: the norm is sum_e || T(U rho_e U^H) - w_e tau_B ||_1 with
     w_e = tr rho_e, computed on the stack of the n nonzero blocks (a zero
-    block contributes exactly 0).  Any other state takes the dense kernel:
-    the matmuls of numpy's ``einsum`` split of ``apply_matrix`` +
+    block contributes exactly 0).  The block kernel works on factors taken
+    once per experiment: rho_e = sum_k lam_ek f_ek f_ek^H and
+    T(X) = d_in sum_j mu_j K_j X K_j^H from the eigenvectors of the Choi
+    matrix, so T(U rho_e U^H) = H_e diag(d_in mu_j lam_ek) H_e^H with
+    columns K_j U f_ek.  Any other state takes the dense kernel: the
+    matmuls of numpy's ``einsum`` split of ``apply_matrix`` +
     ``channel.apply``.
     """
     ch, refs = exp.channel, list(exp.reference_labels)
@@ -140,29 +146,37 @@ def _kernel(exp: DecouplingExperiment) -> tuple[str, int, Kernel]:
     d_r = perm.dims.total // d_in
     rho = perm.matrix.reshape(d_in, d_r, d_in, d_r)
     tau_b, d_out = partial_trace(ch.choi, [ch.out_label]).matrix, ch.dim_out
-    # choi[(a, c), (b, d)] = choi_tensor[a, b, c, d], so T(rot) = d_in rot @ choi, flattened
-    choi = ch.choi_tensor.transpose(0, 2, 1, 3).reshape(d_in * d_in, d_out * d_out)
 
     diag = rho.transpose(1, 3, 0, 2)[np.arange(d_r), np.arange(d_r)]
     # every nonzero entry of rho lies on the reference diagonal
     if d_r > 1 and np.count_nonzero(diag) == np.count_nonzero(rho):
         blocks = diag[diag.any(axis=(1, 2))]
-        n, choi_blocks = len(blocks), d_in * choi
+        n = len(blocks)
         targets = np.trace(blocks, axis1=1, axis2=2)[:, None, None] * tau_b
+        lam, f = _factors(blocks)
+        mu, v = _factors(ch.choi.matrix[None])
+        r, kappa = lam.shape[1], mu.shape[1]
+        # Choi eigenvector v_j[(a, b)] = K_j[b, a]; rows of k_all run over (j, b)
+        k_all = v[0].reshape(d_in, d_out, kappa).transpose(2, 1, 0).reshape(-1, d_in)
+        f_all = f.transpose(1, 0, 2).reshape(d_in, n * r)  # columns (e, k)
+        w = (d_in * mu[0][:, None] * lam[:, None, :]).reshape(n, 1, kappa * r)
 
         def block_distances(us: np.ndarray) -> np.ndarray:
-            out = np.empty((len(us), n, d_out * d_out), dtype=complex)
-            for j, u in enumerate(us):
-                rot = u @ blocks @ u.conj().T
-                out[j] = rot.reshape(n, d_in * d_in) @ choi_blocks
-            out = out.reshape(len(us), n, d_out, d_out)
+            s = len(us)
+            g = k_all @ (us @ f_all)  # (s, (j, b), (e, k))
+            h = g.reshape(s, kappa, d_out, n, r).transpose(0, 3, 2, 1, 4)
+            h = h.reshape(s, n, d_out, kappa * r)
+            out = (h * w) @ h.conj().swapaxes(-1, -2)
             out -= targets
             return trace_norms(out)
-        return f"blocks:{n}", _chunk(n * d_out * d_out, d_in), block_distances
+        entries = max(n * d_out * d_out, max(d_in, kappa * d_out) * n * r)
+        return f"blocks:{n}", _chunk(entries, d_in), block_distances
 
     target = tau_b
     if refs:
         target = np.kron(target, partial_trace(exp.state, refs).matrix)
+    # choi[(a, c), (b, d)] = choi_tensor[a, b, c, d], so T(rot) = d_in rot @ choi, flattened
+    choi = ch.choi_tensor.transpose(0, 2, 1, 3).reshape(d_in * d_in, d_out * d_out)
     # einsum's split: (r l s, k) @ U^T, then (rows, l) @ conj(U)^T with rows
     # (r, s, i) if d_r < d_in else (i, r, s), then (r s, a c) @ choi
     rho_t, ref_first = rho.transpose(1, 2, 3, 0).reshape(-1, d_in), d_r < d_in
@@ -181,11 +195,28 @@ def _kernel(exp: DecouplingExperiment) -> tuple[str, int, Kernel]:
     return "dense", _chunk(target.size, d_in), distances
 
 
+def _factors(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed eigen-factors of a stack of Hermitian matrices (m, d, d): weights
+    (m, r) and vectors (m, d, r) with item i = sum_k w_ik v_ik v_ik^H.  Each
+    item keeps its eigenvalues above 1e-15 times its largest in modulus,
+    signs included, and is padded to the largest kept count r with
+    zero weights and zero vectors."""
+    lam, vec = np.linalg.eigh(hermitian_part(stack))
+    mag = np.abs(lam)
+    keep = mag > 1e-15 * mag.max(axis=1, keepdims=True)
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :int(keep.sum(axis=1).max())]
+    kept = np.take_along_axis(keep, order, axis=1)
+    lam = np.take_along_axis(lam, order, axis=1) * kept
+    vec = np.take_along_axis(vec, order[:, None, :], axis=2) * kept[:, None, :]
+    return lam, vec
+
+
 def _chunk(entries: int, d_in: int) -> int:
     """Samples per chunk: the most whose per-sample share of the largest
-    chunk array (``entries`` output entries, or the d_in x d_in draw) fits
-    ``CHUNK_ENTRIES``.  The dense kernel's rotated stack is not counted:
-    it is (d_in / d_out)^2 times its output, 4x on 8x2->4."""
+    chunk array (``entries`` per sample, or the d_in x d_in draw) fits
+    ``CHUNK_ENTRIES``.  The block kernel counts its output blocks and its
+    factor products; the dense kernel counts its output, not its rotated
+    stack, which is (d_in / d_out)^2 times larger, 4x on 8x2->4."""
     return max(1, CHUNK_ENTRIES // max(entries, d_in * d_in))
 
 
@@ -255,7 +286,7 @@ def bound_smooth(state: StateOperator, ch: chan.Channel, epsilon: float) -> floa
 
     Requires a channel with Choi trace at most one and a normalized state.
     """
-    if ch.choi.trace > 1.0 + 1e-9:
+    if ch.choi.trace > 1.0 + TOL_TRACE:
         raise DecouplingError("smooth bound needs Choi trace at most one")
     if not state.is_normalized:
         raise DecouplingError("smooth bound needs a normalized state")

@@ -295,9 +295,11 @@ def _h2_at_sigma(rho: np.ndarray, sigma: np.ndarray, d_a: int) -> float:
     leak = float(np.trace(rho_b @ (np.eye(d_b) - proj)).real)
     if leak > 1e-9 * max(float(np.trace(rho_b).real), 1e-12):
         raise EntropyError("state has support outside the conditioning operator")
-    tilt = np.kron(np.eye(d_a), psd_power(sigma, -0.25))
-    tilted = tilt @ rho @ tilt
-    val = float(np.trace(tilted @ tilted).real)
+    # (I (x) S) rho (I (x) S) with S = sigma^(-1/4), block by block over A;
+    # tr(T^2) of the Hermitian result is its squared Frobenius norm
+    tilt = psd_power(sigma, -0.25)
+    tilted = tilt @ rho.reshape(d_a, d_b, d_a, d_b).swapaxes(1, 2) @ tilt
+    val = float(np.vdot(tilted, tilted).real)
     if val <= 0:
         raise EntropyError("collision entropy of a zero operator")
     return -math.log2(val)

@@ -150,12 +150,12 @@ def test_kernel_distances_match_library_route(family, dims, d_out, on):
 
 
 def _cq_state(rng, d_a, weights, rank):
-    """sum_e w_e rho_e (x) |e><e| on (A, E), each rho_e a random rank-``rank``
-    density matrix."""
+    """sum_e w_e rho_e (x) |e><e| on (A, E), each rho_e a random density
+    matrix of rank ``rank`` (one rank for every block, or one per block)."""
     d_e = len(weights)
     m = np.zeros((d_a * d_e, d_a * d_e), dtype=complex)
-    for e, w in enumerate(weights):
-        g = rng.standard_normal((d_a, rank)) + 1j * rng.standard_normal((d_a, rank))
+    for e, (w, r) in enumerate(zip(weights, np.broadcast_to(rank, d_e))):
+        g = rng.standard_normal((d_a, r)) + 1j * rng.standard_normal((d_a, r))
         block = g @ g.conj().T
         proj = np.zeros((d_e, d_e))
         proj[e, e] = 1.0
@@ -175,6 +175,16 @@ def _cq_case(name):
         st = _cq_state(rng, 2, [0.3, 0.1, 0.2, 0.15, 0.05, 0.2], 2)
         st = StateOperator(Dims((("A", 2), ("E1", 2), ("E2", 3))), st.matrix)
         return st.permute(["E1", "A", "E2"]), chan.random_tp_channel(rng, 2, 3), 6
+    if name == "negative-eigenvalue":
+        # blocks of ranks 1, 3 and 2, the last with a -1e-12 eigenvalue off
+        # its support: the block kernel pads to rank 3 and keeps the sign
+        cq = _cq_state(rng, 4, [0.4, 0.35, 0.25], [1, 3, 2])
+        null = np.linalg.eigh(cq.matrix.reshape(4, 3, 4, 3)[:, 2, :, 2])[1][:, 0]
+        m = cq.matrix + np.kron(-1e-12 * np.outer(null, null.conj()), np.diag([0.0, 0.0, 1.0]))
+        return StateOperator(cq.dims, m), chan.random_tp_channel(rng, 4, 2), 3
+    if name == "kraus-rank-1":
+        return _cq_state(rng, 3, [0.6, 0.4], 2), chan.identity_channel(3), 2
+    # a Ginibre Choi matrix: full Kraus rank
     st = _cq_state(rng, 3, [0.6, 0.4], 3)
     return st, chan.random_cpm(rng, 3, 2, trace=0.7), 2
 
@@ -192,7 +202,8 @@ def _library_distances(exp):
     return out
 
 
-@pytest.mark.parametrize("name", ["classical", "rank2-zero-weight", "two-labels", "cpm"])
+@pytest.mark.parametrize("name", ["classical", "rank2-zero-weight", "two-labels", "cpm",
+                                  "negative-eigenvalue", "kraus-rank-1"])
 def test_block_kernel_matches_library_route(name):
     st, ch, blocks = _cq_case(name)
     exp = dec.DecouplingExperiment(st, ch, 30, seed=haar.RngSeed(4))
@@ -204,6 +215,33 @@ def test_block_kernel_matches_library_route(name):
     for i in (0, 17):
         u = haar.haar_unitary_indexed(exp.seed, i, ch.dim_in)
         assert dec.sample_distance(st, ch, u) == rep.per_sample_distances[i]
+
+
+def test_block_factors_pad_and_keep_signs():
+    # ranks 1, 3 and 2 with a -1e-12 eigenvalue on the rank-2 block, inside
+    # the validation tolerance: padded to rank 3 by zero weights and vectors,
+    # every kept eigenvalue with its sign
+    st = _cq_case("negative-eigenvalue")[0]
+    blocks = st.matrix.reshape(4, 3, 4, 3).transpose(1, 3, 0, 2)[np.arange(3), np.arange(3)]
+    lam, vec = dec._factors(blocks)
+    assert lam.shape == (3, 3) and vec.shape == (3, 4, 3)
+    assert np.count_nonzero(lam == 0.0) == 2 and not vec.swapaxes(1, 2)[lam == 0.0].any()
+    assert lam.min() == pytest.approx(-1e-12, rel=1e-3)
+    rebuilt = (vec * lam[:, None, :]) @ vec.conj().swapaxes(1, 2)
+    assert np.abs(rebuilt - blocks).max() <= 1e-15
+    # Kraus ranks 1 (identity) and full (a Ginibre Choi matrix)
+    for ch, kappa in ((chan.identity_channel(3), 1),
+                      (chan.random_cpm(np.random.default_rng(2), 3, 2), 6)):
+        assert dec._factors(ch.choi.matrix[None])[0].shape == (1, kappa)
+
+
+def test_c5_block_kernel_chunk_sizes():
+    # the largest per-sample arrays are the factor products (256 entries) at
+    # m'=1 and the 16 output blocks of 8 x 8 (1024 entries) at m'=3
+    st = dec.classical_state(4)
+    for spec, chunk in (("id+trace:4,1", 64), ("id+trace:4,3", 16)):
+        exp = dec.DecouplingExperiment(st, chan.parse_spec(spec), 1)
+        assert dec._kernel(exp)[:2] == ("blocks:16", chunk)
 
 
 def test_near_cq_state_takes_dense_kernel():

@@ -18,6 +18,7 @@ from qdecouple.linalg import (
     hermitian_part,
     maximally_mixed,
     partial_trace,
+    psd_power,
     pure_marginal,
     purified_distance,
     random_density,
@@ -322,6 +323,34 @@ def test_h2_support_mismatch_raises():
     bad_sigma = np.diag([0.0, 1.0]).astype(complex)
     with pytest.raises(ent.EntropyError):
         ent._h2_at_sigma(st.matrix, bad_sigma, 2)
+
+
+def _h2_kron_oracle(rho, sigma, d_a):
+    # the dense form: (I (x) sigma^-1/4) rho (I (x) sigma^-1/4), then tr(T^2)
+    tilt = np.kron(np.eye(d_a), psd_power(sigma, -0.25))
+    tilted = tilt @ rho @ tilt
+    return -math.log2(float(np.trace(tilted @ tilted).real))
+
+
+@pytest.mark.parametrize("case", ["random", "rank-deficient-sigma", "subnormalized"])
+def test_h2_matches_kron_oracle(case):
+    rng = np.random.default_rng(34)
+    for d_a, d_b in ((2, 3), (3, 2), (4, 4)):
+        st = random_density(rng, (("A", d_a), ("B", d_b)))
+        m = st.matrix
+        if case == "rank-deficient-sigma":
+            # no weight on the last B level: sigma has rank d_b - 1
+            keep = np.arange(d_a * d_b) % d_b != d_b - 1
+            m = np.where(np.outer(keep, keep), m, 0.0)
+            m /= np.trace(m).real
+        elif case == "subnormalized":
+            m = 0.7 * m
+        st = StateOperator(st.dims, m)
+        res = ent.h2(st, ("A",), ("B",))
+        sigma = res.optimizer_sigma.matrix
+        assert np.linalg.matrix_rank(sigma) == d_b - (case == "rank-deficient-sigma")
+        want = _h2_kron_oracle(m, sigma, d_a)
+        assert 2 ** -res.value == pytest.approx(2 ** -want, rel=1e-13, abs=0)
 
 
 # ---------------------------------------------------------------------------
