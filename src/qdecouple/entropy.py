@@ -2,7 +2,10 @@
 
 Min-entropy and its smoothed variant are computed by the embedded SDP solver,
 except that states diagonal in the product basis take a closed form and
-smooth through the exact Lagrange dual of their reduced program, with no SDP.  A conditional
+smooth through the exact Lagrange dual of their reduced program, with no SDP,
+and that a pure (or near-pure) state takes H_min(A|B) = -2 log2 tr sqrt(rho_A)
+in closed form, its witness S sqrt(rho_B) + t I_B with S = tr sqrt(rho_A)
+and t the trace norm of the rest of the spectrum.  A conditional
 max-entropy, smooth or not, is minus the min-entropy of a purification
 (duality), one certified program per query.  Collision entropy has a closed
 form at the reduced conditioning state, a lower bound on its supremum over
@@ -214,10 +217,38 @@ def _hmin_diag(rho: np.ndarray, d_a: int, d_b: int) -> tuple[float, np.ndarray, 
     return -math.log2((lo + hi) / 2), np.diag(top).astype(complex), math.log2(hi / lo)
 
 
+def _hmin_pure(rho: np.ndarray, d_a: int, d_b: int
+               ) -> tuple[float, np.ndarray, float] | None:
+    """Conditional min-entropy of a near-pure state in closed form, as
+    ``_hmin_sdp``, or None where the sandwich is wider than CERT_LIMIT_BITS,
+    as it is for every mixed input.
+
+    With w, v the top eigenpair of rho and S the sum of the singular values
+    of M = sqrt(w) v as a d_A x d_B matrix, the pure part has lambda = S^2
+    (H_min(A|B) = -2 log2 tr sqrt(rho_A)) and witness S sqrt(rho_B), rho_B =
+    M^T conj(M).  The rest of rho has trace norm t, so sigma' = S sqrt(rho_B)
+    + t I_B is feasible for rho, of trace S^2 + d_B t.  Every feasible Y has
+    ||Y|| <= d_A, as Y <= d_A I (x) tr_A Y, so the rest moves lambda by at
+    most d_A t: the value is -log2 S^2, the midpoint of S^2 -+ d_A t, and
+    the width their log2 ratio.
+    """
+    w, v = np.linalg.eigh(hermitian_part(rho))
+    _, s, vh = np.linalg.svd(math.sqrt(max(float(w[-1]), 0.0)) * v[:, -1].reshape(d_a, d_b),
+                             full_matrices=False)
+    root, rest = float(s.sum()), float(np.abs(w[:-1]).sum())
+    lam, spread = root * root, d_a * rest
+    width = math.log2((lam + spread) / (lam - spread)) if lam > spread else math.inf
+    if width > CERT_LIMIT_BITS:
+        return None
+    return -math.log2(lam), root * ((vh.T * s) @ vh.conj()) + rest * np.eye(d_b), width
+
+
 def h_min(state: StateOperator, target: Sequence[str],
           condition: Sequence[str] = ()) -> EntropyResult:
-    """Conditional min-entropy; closed form when the condition is trivial
-    or the state is diagonal in the product basis (``_hmin_diag``)."""
+    """Conditional min-entropy; closed form when the condition is trivial,
+    the state is diagonal in the product basis (``_hmin_diag``) or it is
+    pure up to a sandwich within CERT_LIMIT_BITS (``_hmin_pure``); every
+    other state takes the SDP (``_hmin_sdp``)."""
     rho, d_a, d_b, _, cdims = _prepare(state, target, condition)
     if not condition:
         lam = float(np.linalg.eigvalsh(hermitian_part(rho))[-1])
@@ -228,7 +259,7 @@ def h_min(state: StateOperator, target: Sequence[str],
         value, sigma_prime, width = _hmin_diag(rho, d_a, d_b)
         clip = _clip_diag
     else:
-        value, sigma_prime, width = _hmin_sdp(rho, d_a, d_b)
+        value, sigma_prime, width = _hmin_pure(rho, d_a, d_b) or _hmin_sdp(rho, d_a, d_b)
         clip = _clip_psd
     tr = float(np.trace(sigma_prime).real)
     sigma = StateOperator(cdims, clip(sigma_prime / tr), validate=False)

@@ -39,7 +39,7 @@ def diag_state(probs, pairs):
 def test_reference_state_min_entropies(k):
     assert ent.h_min(independent_state(k), ("A",), ("E",)).value == pytest.approx(k, abs=1e-6)
     assert ent.h_min(classical_state(k), ("A",), ("E",)).value == pytest.approx(0.0, abs=1e-6)
-    assert ent.h_min(entangled_state(k), ("A",), ("E",)).value == pytest.approx(-k, abs=1e-6)
+    assert ent.h_min(entangled_state(k), ("A",), ("E",)).value == pytest.approx(-k, abs=1e-12)
 
 
 def test_hmin_witness_is_feasible():
@@ -158,6 +158,116 @@ def test_hmin_of_zero_diagonal_operator_raises():
                        validate=False)
     with pytest.raises(ent.EntropyError, match="zero operator"):
         ent.h_min(st, ("A",), ("B",))
+
+
+def isotropic(d, f):
+    """F Phi + (1 - F)(I - Phi)/(d^2 - 1) on A:d,B:d, Phi maximally entangled."""
+    phi = np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
+    proj = np.outer(phi, phi.conj())
+    rho = f * proj + (1 - f) * (np.eye(d * d) - proj) / (d * d - 1)
+    return StateOperator(dims_of(("A", d), ("B", d)), rho)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_isotropic_hmin_exact_value(d, solve_calls):
+    # twirl symmetry reduces the program to -log2(d max(F, (1 - F)/(d^2 - 1)))
+    for f in (0.3, 0.7, 0.95):
+        want = -math.log2(d * max(f, (1 - f) / (d * d - 1)))
+        value, _, width = ent._hmin_sdp(isotropic(d, f).matrix, d, d)
+        assert abs(value - want) <= width / 2, (f, value - want, width)
+    solve_calls.clear()
+    res = ent.h_min(isotropic(d, 1.0), ("A",), ("B",))
+    assert not solve_calls
+    assert abs(res.value + math.log2(d)) <= 1e-12
+    assert res.certificate_gap <= 1e-12
+
+
+def pure_route_cases():
+    rng = np.random.default_rng(50)
+    for k in (1, 2, 3):
+        yield entangled_state(k), 2 ** k, 2 ** k
+    for d_a, d_b in ((2, 3), (3, 2), (4, 4), (2, 8)):
+        yield random_pure(rng, (("A", d_a), ("B", d_b))).to_operator(), d_a, d_b
+    psi = random_pure(rng, (("A", 2), ("B", 3))).to_operator()
+    mixed = random_density(rng, (("A", 2), ("B", 3)))
+    yield StateOperator(psi.dims, 0.7 * psi.matrix), 2, 3
+    yield StateOperator(psi.dims, (1 - 1e-12) * psi.matrix + 1e-12 * mixed.matrix), 2, 3
+
+
+def test_hmin_pure_route_matches_sdp_oracle(solve_calls):
+    # the closed form runs no solve; the SDP, kept as its oracle, certifies
+    # an overlapping interval, and the witness is feasible
+    for case, (st, d_a, d_b) in enumerate(pure_route_cases()):
+        res = ent.h_min(st, st.labels[:1], st.labels[1:])
+        assert not solve_calls, case
+        # exactly pure inputs pin the value to rounding; 1e-12 of mixing
+        # widens it by about 2 d_A 1e-12 / (S^2 ln 2)
+        assert res.certificate_gap <= (1e-11 if case == 8 else 1e-12), case
+        value, _, width = ent._hmin_sdp(st.matrix, d_a, d_b)
+        assert abs(res.value - value) <= (res.certificate_gap + width) / 2, case
+        if case < 3:
+            assert abs(res.value + case + 1) <= 1e-12
+            assert abs(value + case + 1) <= width / 2
+        assert abs(np.trace(res.optimizer_sigma.matrix) - 1) <= 1e-12, case
+        _, sigma_prime, _ = ent._hmin_pure(st.matrix, d_a, d_b)
+        gap_op = np.kron(np.eye(d_a), sigma_prime) - st.matrix
+        assert float(np.linalg.eigvalsh(gap_op)[0]) >= -1e-12, case
+        assert abs(np.trace(sigma_prime).real * 2.0 ** res.value - 1) <= 1e-11, case
+        solve_calls.clear()
+
+
+def test_hmin_pure_route_gate(solve_calls):
+    rng = np.random.default_rng(51)
+    psi = random_pure(rng, (("A", 2), ("B", 3))).to_operator()
+    mixed = random_density(rng, (("A", 2), ("B", 3)))
+    # 1e-3 of mixing widens the closed form's sandwich past the limit
+    near = StateOperator(psi.dims, (1 - 1e-3) * psi.matrix + 1e-3 * mixed.matrix)
+    res = ent.h_min(near, ("A",), ("B",))
+    assert len(solve_calls) == 1
+    assert res.certificate_gap <= ent.CERT_LIMIT_BITS
+    assert ent._hmin_pure(near.matrix, 2, 3) is None
+    assert ent._hmin_pure(mixed.matrix, 2, 3) is None
+
+    # 1.2e-8 of an orthogonal pure state on A:32,B:4 makes the sandwich
+    # 1 -+ 32 t 1.1e-6 bits wide: no closed form
+    a, b = random_pure(rng, (("A", 32),)), random_pure(rng, (("B", 4),))
+    prod = np.kron(a.amplitudes, b.amplitudes)
+    other = random_pure(rng, (("A", 32), ("B", 4))).amplitudes
+    other -= np.vdot(prod, other) * prod
+    other /= np.linalg.norm(other)
+    wide = np.outer(prod, prod.conj()) + 1.2e-8 * np.outer(other, other.conj())
+    assert ent._hmin_pure(wide, 32, 4) is None
+
+
+def test_hmin_pure_witness_feasible_at_gate():
+    # 3e-7 of mixing on 2x3 is about the most the route accepts; the pure
+    # part's witness S sqrt(rho_B) alone misses the rest by about t / 4,
+    # S sqrt(rho_B) + t I_B covers it
+    rng = np.random.default_rng(53)
+    psi = random_pure(rng, (("A", 2), ("B", 3))).to_operator().matrix
+    mixed = random_density(rng, (("A", 2), ("B", 3))).matrix
+    assert ent._hmin_pure((1 - 4e-7) * psi + 4e-7 * mixed, 2, 3) is None
+    rho = (1 - 3e-7) * psi + 3e-7 * mixed
+    value, sigma_prime, width = ent._hmin_pure(rho, 2, 3)
+    assert 0.8 * ent.CERT_LIMIT_BITS <= width <= ent.CERT_LIMIT_BITS
+    gap_op = np.kron(np.eye(2), sigma_prime) - rho
+    assert float(np.linalg.eigvalsh(gap_op)[0]) >= -1e-15
+    t = float(np.abs(np.linalg.eigvalsh(rho)[:-1]).sum())
+    assert abs(np.trace(sigma_prime).real - 2.0 ** (-value) - 3 * t) <= 1e-15
+
+
+def test_hmin_pure_sandwich_is_tight():
+    # rho = |00><00| + delta |phi><phi|, phi = (|01> + |12>)/sqrt 2: Y =
+    # |00><00| + 2 |phi><phi| is feasible, so lambda = 1 + d_A delta exactly,
+    # the top of the sandwich 1 -+ d_A delta
+    delta = 1e-10
+    phi = np.zeros(6, dtype=complex)
+    phi[1] = phi[5] = 1 / math.sqrt(2)
+    rho = delta * np.outer(phi, phi)
+    rho[0, 0] = 1.0
+    value, _, width = ent._hmin_pure(rho, 2, 3)
+    assert value == 0.0
+    assert value - width / 2 <= -math.log2(1 + 2 * delta) + 1e-15
 
 
 def test_request_validation():
