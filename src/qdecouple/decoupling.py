@@ -114,7 +114,8 @@ MAX_RETAINED_SAMPLES = 10_000
 # in 211 ms instead of 251 ms (one core), every distance bit-identical.  The
 # allocator keeps the peak of one chunk's temporaries per thread, which
 # cost the decouple workload 2% more peak RSS.  Criterion C5 gets S = 64 at
-# m'=1 and S = 16 at m'=3 from its block kernel's output and factor arrays.
+# m'=1 and S = 16 at m'=3 from its block kernel's output and factor arrays;
+# the Gram step forms no (n, d_B, d_B) output blocks, but S still counts them.
 CHUNK_ENTRIES = 2 ** 14
 
 Kernel = Callable[[np.ndarray], np.ndarray]
@@ -125,9 +126,10 @@ def _kernel(exp: DecouplingExperiment) -> tuple[str, int, Kernel]:
     its chunk size S and the map from a stack of unitaries (s, d_in, d_in),
     s <= S, to the s values || T(U rho U^H) - tau_B (x) rho_E ||_1.
 
-    A sample gets the same BLAS calls in any chunk (each kernel makes stacked
-    ``matmul`` calls, one call per item), and ``trace_norms`` routes each
-    sample's item on its own, so a sample's bits do not depend on its chunk.
+    A sample gets the same BLAS and LAPACK calls in any chunk (each kernel
+    makes stacked ``matmul`` and ``eigvalsh`` calls, one call per item), and
+    ``trace_norms`` routes each sample's item on its own, so a sample's bits
+    do not depend on its chunk.
     A state classical on the reference, rho = sum_e rho_e (x) |e><e| (every
     entry off the reference diagonal exactly zero), makes the difference
     block diagonal: the norm is sum_e || T(U rho_e U^H) - w_e tau_B ||_1 with
@@ -136,7 +138,13 @@ def _kernel(exp: DecouplingExperiment) -> tuple[str, int, Kernel]:
     once per experiment: rho_e = sum_k lam_ek f_ek f_ek^H and
     T(X) = d_in sum_j mu_j K_j X K_j^H from the eigenvectors of the Choi
     matrix, so T(U rho_e U^H) = H_e diag(d_in mu_j lam_ek) H_e^H with
-    columns K_j U f_ek.  Any other state takes the dense kernel: the
+    columns K_j U f_ek.  When tau_B = t I exactly, every weight
+    d_in mu_j lam_ek is >= 0 and k = kappa r < d_B, the Gram step takes
+    block e's norm as sum_i |mu_ei - c_e| + (d_B - k) c_e from the
+    eigenvalues mu_ei of the k x k Gram matrix of H_e sqrt(w), with
+    c_e = t tr rho_e, and forms no d_B x d_B block; every other block
+    experiment forms the (n, d_B, d_B) blocks and calls ``trace_norms``.
+    Any other state takes the dense kernel: the
     matmuls of numpy's ``einsum`` split of ``apply_matrix`` +
     ``channel.apply``.
     """
@@ -159,18 +167,36 @@ def _kernel(exp: DecouplingExperiment) -> tuple[str, int, Kernel]:
         # Choi eigenvector v_j[(a, b)] = K_j[b, a]; rows of k_all run over (j, b)
         k_all = v[0].reshape(d_in, d_out, kappa).transpose(2, 1, 0).reshape(-1, d_in)
         f_all = f.transpose(1, 0, 2).reshape(d_in, n * r)  # columns (e, k)
-        w = (d_in * mu[0][:, None] * lam[:, None, :]).reshape(n, 1, kappa * r)
+        k = kappa * r
+        w = (d_in * mu[0][:, None] * lam[:, None, :]).reshape(n, 1, k)
 
-        def block_distances(us: np.ndarray) -> np.ndarray:
+        def products(us: np.ndarray) -> np.ndarray:
             s = len(us)
             g = k_all @ (us @ f_all)  # (s, (j, b), (e, k))
             h = g.reshape(s, kappa, d_out, n, r).transpose(0, 3, 2, 1, 4)
-            h = h.reshape(s, n, d_out, kappa * r)
+            return h.reshape(s, n, d_out, k)
+
+        def block_distances(us: np.ndarray) -> np.ndarray:
+            h = products(us)
             out = (h * w) @ h.conj().swapaxes(-1, -2)
             out -= targets
             return trace_norms(out)
+
         entries = max(n * d_out * d_out, max(d_in, kappa * d_out) * n * r)
-        return f"blocks:{n}", _chunk(entries, d_in), block_distances
+        t = tau_b[0, 0].real
+        if not (np.array_equal(tau_b, t * np.eye(d_out)) and (w >= 0).all() and k < d_out):
+            return f"blocks:{n}", _chunk(entries, d_in), block_distances
+        # block e is (H_e sqrt w)(H_e sqrt w)^H - c_e I: the k eigenvalues of
+        # the Gram matrix (H_e sqrt w)^H (H_e sqrt w) less c_e, and d_B - k
+        # eigenvalues -c_e
+        root_w, c = np.sqrt(w), t * np.trace(blocks, axis1=1, axis2=2).real
+        rest = (d_out - k) * np.abs(c).sum()
+
+        def gram_distances(us: np.ndarray) -> np.ndarray:
+            h = products(us) * root_w
+            mu_e = np.linalg.eigvalsh(h.conj().swapaxes(-1, -2) @ h)
+            return np.abs(mu_e - c[:, None]).reshape(len(us), -1).sum(axis=1) + rest
+        return f"blocks:{n}", _chunk(entries, d_in), gram_distances
 
     target = tau_b
     if refs:
@@ -214,9 +240,10 @@ def _factors(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _chunk(entries: int, d_in: int) -> int:
     """Samples per chunk: the most whose per-sample share of the largest
     chunk array (``entries`` per sample, or the d_in x d_in draw) fits
-    ``CHUNK_ENTRIES``.  The block kernel counts its output blocks and its
-    factor products; the dense kernel counts its output, not its rotated
-    stack, which is (d_in / d_out)^2 times larger, 4x on 8x2->4."""
+    ``CHUNK_ENTRIES``.  The block kernel counts its output blocks, which the
+    Gram step does not form, and its factor products; the dense kernel
+    counts its output, not its rotated stack, which is (d_in / d_out)^2
+    times larger, 4x on 8x2->4."""
     return max(1, CHUNK_ENTRIES // max(entries, d_in * d_in))
 
 

@@ -167,6 +167,17 @@ def _cq_case(name):
     rng = np.random.default_rng(23)
     if name == "classical":
         return dec.classical_state(2), chan.reference_channel("id+trace", 2, 1), 4
+    if name in ("id+trace:3,2", "id+meas:3,2", "id:3", "id+trace:3,1"):
+        return dec.classical_state(3), chan.parse_spec(name), 8
+    if name == "ranks-1-2":
+        # rank 1 padded to rank 2 by a zero weight
+        return _cq_state(rng, 3, [0.6, 0.4], [1, 2]), chan.identity_channel(3), 2
+    if name == "non-unital":
+        # tau_B != t I with Kraus rank 3 < d_B = 4
+        return _cq_state(rng, 3, [0.5, 0.3, 0.2], 1), chan.random_tp_channel(rng, 3, 4), 3
+    if name == "negative-eigenvalue-unital":
+        # a -1e-12 weight through the identity: Kraus rank 1, k = 3 < d_B = 4
+        return _cq_case("negative-eigenvalue")[0], chan.identity_channel(4), 3
     if name == "rank2-zero-weight":
         st = _cq_state(rng, 3, [0.5, 0.0, 0.3, 0.2], 2)
         return st, chan.random_tp_channel(rng, 3, 2), 3
@@ -202,19 +213,49 @@ def _library_distances(exp):
     return out
 
 
+def _trace_norms_called(_):
+    raise AssertionError("trace_norms called")
+
+
+# tau_B = t I exactly, every weight d_in mu_j lam_ek >= 0 and k = kappa r < d_B:
+# the cases whose block norms come from the k x k Gram spectrum.  Of the
+# others, "id+trace:3,1" fails only k < d_B, "non-unital" only tau_B = t I and
+# "negative-eigenvalue-unital" only the weights' signs
+GRAM_CASES = ("kraus-rank-1", "id+trace:3,2", "id+meas:3,2", "id:3", "ranks-1-2")
+
+
 @pytest.mark.parametrize("name", ["classical", "rank2-zero-weight", "two-labels", "cpm",
-                                  "negative-eigenvalue", "kraus-rank-1"])
-def test_block_kernel_matches_library_route(name):
+                                  "negative-eigenvalue", "kraus-rank-1", "id+trace:3,2",
+                                  "id+meas:3,2", "id:3", "ranks-1-2", "id+trace:3,1",
+                                  "non-unital", "negative-eigenvalue-unital"])
+def test_block_kernel_matches_library_route(name, monkeypatch):
     st, ch, blocks = _cq_case(name)
     exp = dec.DecouplingExperiment(st, ch, 30, seed=haar.RngSeed(4))
+    want = _library_distances(exp)
+    # the Gram step makes no call to trace_norms
+    monkeypatch.setattr(dec, "trace_norms", _trace_norms_called)
+    if name not in GRAM_CASES:
+        with pytest.raises(AssertionError, match="trace_norms called"):
+            dec.run(exp)
+        monkeypatch.undo()
     rep = dec.run(exp)
     assert rep.kernel == f"blocks:{blocks}"
-    want = _library_distances(exp)
     assert max(abs(a - b) for a, b in zip(rep.per_sample_distances, want)) <= 1e-12
     assert max(want) > 0.05  # the distances are not all trivially zero
     for i in (0, 17):
         u = haar.haar_unitary_indexed(exp.seed, i, ch.dim_in)
         assert dec.sample_distance(st, ch, u) == rep.per_sample_distances[i]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gram_step_identity_closed_form(k, monkeypatch):
+    # the identity leaves 2^k blocks U|e><e|U^H / 2^k against I / 4^k: each block
+    # has norm 2 (2^k - 1) / 4^k, for 2 (1 - 2^-k) on every sample
+    monkeypatch.setattr(dec, "trace_norms", _trace_norms_called)
+    exp = dec.DecouplingExperiment(dec.classical_state(k), chan.parse_spec(f"id:{k}"), 40,
+                                   seed=haar.RngSeed(6))
+    got = np.array(dec.run(exp).per_sample_distances)
+    assert np.abs(got - 2 * (1 - 2.0 ** -k)).max() <= 1e-14
 
 
 def test_block_factors_pad_and_keep_signs():
