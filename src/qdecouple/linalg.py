@@ -307,13 +307,39 @@ def _eigenvalue_norms(m: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
     return _by_item(np.abs(np.linalg.eigvalsh((m + adjoint) / 2))).sum(axis=1)
 
 
+def _block_eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hermitian matrix ``h``, unsorted.
+
+    An index with no off-diagonal nonzero contributes its real diagonal
+    entry; the other indices contribute ``eigvalsh`` of their principal
+    submatrix.  When no index is isolated this is ``np.linalg.eigvalsh(h)``
+    itself, bit for bit.
+    """
+    link = h != 0
+    np.fill_diagonal(link, False)
+    has_link = link.any(axis=1)
+    if has_link.all():
+        return np.linalg.eigvalsh(h)
+    linked = np.flatnonzero(has_link)
+    return np.concatenate([np.diagonal(h).real[~has_link],
+                           np.linalg.eigvalsh(h[np.ix_(linked, linked)])])
+
+
 # ---------------------------------------------------------------------------
 # states
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class StateOperator:
-    """Subnormalized positive operator on a labeled tensor-product space."""
+    """Subnormalized positive operator on a labeled tensor-product space.
+
+    With ``validate`` the matrix must be finite, Hermitian within
+    ``TOL_HERM``, positive within ``TOL_PSD`` of its norm and of trace at
+    most one.  The positivity check takes an isolated index's eigenvalue
+    from its diagonal entry and decomposes only the linked indices
+    (``_block_eigvalsh``), so a diagonal state such as ``classical_state``
+    needs no eigendecomposition.
+    """
 
     dims: Dims
     matrix: np.ndarray
@@ -330,12 +356,14 @@ class StateOperator:
             check_cap(d, cap)
             if not np.all(np.isfinite(matrix)):
                 raise InvariantError("matrix has non-finite entries")
-            if not is_hermitian(matrix):
+            adjoint = matrix.conj().T
+            if not _hermitian_items(matrix[None], TOL_HERM, adjoint[None])[0]:
                 raise InvariantError("matrix is not Hermitian within tolerance")
-            w = np.linalg.eigvalsh(hermitian_part(matrix))
+            w = _block_eigvalsh((matrix + adjoint) / 2)
             norm = float(np.max(np.abs(w), initial=0.0))
-            if w.size and float(w[0]) < -TOL_PSD * max(norm, 1.0):
-                raise InvariantError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
+            low = w.min()
+            if low < -TOL_PSD * max(norm, 1.0):
+                raise InvariantError(f"matrix is not PSD: min eigenvalue {low:.3e}")
             tr = float(np.trace(matrix).real)
             if tr > 1.0 + TOL_TRACE:
                 raise InvariantError(f"trace {tr} exceeds 1 beyond tolerance")

@@ -9,7 +9,10 @@ import json
 import numpy as np
 import pytest
 
+from qdecouple.channel import parse_spec
+from qdecouple.decoupling import classical_state
 from qdecouple.linalg import (
+    TOL_PSD,
     DimCapError,
     Dims,
     InvariantError,
@@ -41,6 +44,7 @@ from qdecouple.linalg import (
     trace_distance,
     trace_norm,
     trace_norms,
+    _block_eigvalsh,
 )
 
 
@@ -83,6 +87,102 @@ def test_state_operator_validation():
     for off, normalized in ((0.0, True), (5e-10, True), (-5e-10, True), (-2e-9, False)):
         state = StateOperator(dims_of(("A", 2)), np.diag([0.5, 0.5 + off]))
         assert state.is_normalized is normalized, off
+
+
+def permuted_blocks(rng, blocks, zeros=0):
+    """The matrices ``blocks`` on the diagonal, ``zeros`` all-zero rows after
+    them, and the whole under a random permutation."""
+    n = sum(len(b) for b in blocks) + zeros
+    m = np.zeros((n, n), dtype=complex)
+    at = 0
+    for b in blocks:
+        m[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    p = rng.permutation(n)
+    return m[np.ix_(p, p)]
+
+
+def dense_psd_decision(m):
+    """The positivity decision from one dense eigvalsh of the whole operator."""
+    w = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    return not w[0] < -TOL_PSD * max(np.abs(w).max(), 1.0)
+
+
+@pytest.mark.parametrize("sizes, zeros", [
+    ([1] * 12, 0),
+    ([1] * 5, 7),
+    ([40], 0),
+    ([3, 3, 3, 5, 1, 1, 40, 2, 2, 7], 6),
+    ([2] * 20, 3),
+    ([17, 1, 23, 1], 0),
+    ([12, 12, 12, 1, 1], 30),
+])
+def test_block_eigvalsh_matches_dense_eigvalsh(sizes, zeros):
+    rng = np.random.default_rng(sum(sizes) + zeros)
+    h = permuted_blocks(rng, [rnd_herm(rng, s) for s in sizes], zeros)
+    dense = np.linalg.eigvalsh(h)
+    w = _block_eigvalsh(h)
+    if min(sizes) > 1 and not zeros:
+        np.testing.assert_array_equal(w, dense)  # nothing isolated: the dense call
+    elif max(sizes) == 1:
+        np.testing.assert_array_equal(np.sort(w), dense)  # diagonal: exact
+    else:
+        np.testing.assert_allclose(np.sort(w), dense, rtol=0,
+                                   atol=1e-12 * np.abs(dense).max())
+
+
+def test_block_eigvalsh_on_a_choi_matrix():
+    # id+trace:4,3 has a 128 x 128 Choi matrix: 16 linked indices, the
+    # other 112 all zero
+    choi = parse_spec("id+trace:4,3").choi.matrix
+    link = choi != 0
+    np.fill_diagonal(link, False)
+    assert np.count_nonzero(link.any(axis=1)) == 16
+    dense = np.linalg.eigvalsh(choi)
+    np.testing.assert_allclose(np.sort(_block_eigvalsh(choi)), dense, rtol=0, atol=1e-15)
+
+
+def test_state_validation_finds_a_negative_eigenvalue_in_any_block():
+    c5 = classical_state(4)
+    zero = np.flatnonzero(np.diagonal(c5.matrix) == 0)[3]
+    m = c5.matrix.copy()
+    m[zero, zero] = -1e-6
+    with pytest.raises(InvariantError, match=r"min eigenvalue -1\.000e-06"):
+        StateOperator(c5.dims, m)
+    # every diagonal entry is >= 0; only the 2 x 2 block of two linked
+    # indices has the eigenvalue 1/16 - (1/16 + 1e-6)
+    i, j = np.flatnonzero(np.diagonal(c5.matrix))[[2, 9]]
+    m = c5.matrix.copy()
+    m[i, j] = m[j, i] = 1 / 16 + 1e-6
+    with pytest.raises(InvariantError, match=r"min eigenvalue -1\.000e-06"):
+        StateOperator(c5.dims, m)
+
+
+@pytest.mark.parametrize("low", [0.0, -1e-13, -1e-6, -0.02])
+def test_state_validation_decisions_match_dense_eigvalsh(low):
+    rng = np.random.default_rng(2700)
+    for sizes, zeros in (([1] * 8, 4), ([2, 2, 5, 1, 9], 3), ([6] * 4, 0), ([33], 0)):
+        blocks = []
+        for s in sizes:
+            v = np.linalg.qr(rng.standard_normal((s, s))
+                             + 1j * rng.standard_normal((s, s)))[0]
+            blocks.append((v * rng.uniform(0.01, 1.0, s)) @ v.conj().T)
+        total = sum(np.trace(b).real for b in blocks)
+        blocks = [0.9 * b / total for b in blocks]
+        # one eigenvalue of one block moved to ``low``
+        k = rng.integers(len(blocks))
+        w, v = np.linalg.eigh(blocks[k])
+        w[0] = low
+        blocks[k] = (v * w) @ v.conj().T
+        m = permuted_blocks(rng, blocks, zeros)
+        expected = dense_psd_decision(m)
+        assert expected is (low > -1e-10), (sizes, low)
+        try:
+            StateOperator(dims_of(("A", len(m))), m)
+            accepted = True
+        except InvariantError:
+            accepted = False
+        assert accepted is expected, (sizes, zeros, low)
 
 
 def test_dim_cap_configurable():
