@@ -10,6 +10,7 @@ assertion failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -93,7 +94,7 @@ def _cmd_gen_channel(args: argparse.Namespace) -> int:
 def _load_state(path: str, cap: int | None) -> linalg.StateOperator:
     # the parsed lists are dropped before validation, which copies the matrix
     with open(path, "r", encoding="utf-8") as fh:
-        dims, matrix = linalg.parse_state_json(json.load(fh))
+        dims, matrix = linalg.parse_state_json(json.load(fh), cap)
     return linalg.StateOperator(dims, matrix, validate=True, cap=cap)
 
 
@@ -283,6 +284,9 @@ def _merging_epsilon(text: str) -> float:
     return value
 
 
+# built once per process: parsing reads the tree and writes only the
+# namespace it returns, so repeated calls to ``main`` share it
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdecouple",

@@ -694,31 +694,79 @@ def random_pure(rng: np.random.Generator, pairs: Sequence[LabelPair],
 # ---------------------------------------------------------------------------
 
 def state_to_json(op: StateOperator) -> dict:
-    return {
-        "dims": [{"label": lab, "dim": d} for lab, d in op.dims.pairs],
-        "matrix": {
-            "re": op.matrix.real.tolist(),
-            "im": op.matrix.imag.tolist(),
-        },
-    }
+    """The state JSON object: ``dims`` and the matrix in one of two encodings.
+
+    An entry is stored unless both its parts are +0.0, so -0.0 and NaN are
+    stored.  A matrix with fewer than half its entries stored is written in
+    coordinate form, ``{"rows", "cols", "re", "im"}`` with one item per stored
+    entry in row-major order (four numbers per stored entry against two per
+    entry); every other matrix is written dense, as nested ``re`` and ``im``
+    row lists.  Both read back bit for bit.
+    """
+    m = np.ascontiguousarray(op.matrix, dtype=complex)
+    stored = (m.view(np.uint64).reshape(m.shape + (2,)) != 0).any(axis=2)
+    if 2 * np.count_nonzero(stored) < m.size:
+        rows, cols = np.nonzero(stored)
+        values = m[rows, cols]
+        matrix = {"rows": rows.tolist(), "cols": cols.tolist(),
+                  "re": values.real.tolist(), "im": values.imag.tolist()}
+    else:
+        matrix = {"re": m.real.tolist(), "im": m.imag.tolist()}
+    return {"dims": [{"label": lab, "dim": d} for lab, d in op.dims.pairs],
+            "matrix": matrix}
 
 
-def parse_state_json(obj: dict) -> tuple[Dims, np.ndarray]:
+def _coordinates(items, d: int, name: str) -> np.ndarray:
+    """A coordinate list as an index array, each index an int in [0, d)."""
+    if not isinstance(items, list) or not set(map(type, items)) <= {int}:
+        raise InvariantError(f"matrix {name} must be a list of integers")
+    if items and (min(items) < 0 or max(items) >= d):
+        raise InvariantError(f"matrix {name} has an index outside [0, {d})")
+    return np.asarray(items, dtype=np.intp)
+
+
+def parse_state_json(obj: dict, cap: int | None) -> tuple[Dims, np.ndarray]:
     """The dimensions and the complex matrix of a parsed state JSON object,
-    not yet validated.  The matrix is built in one array, so a caller that
-    drops ``obj`` holds only it during validation."""
+    not yet validated, from either encoding of ``state_to_json``.
+
+    The dense matrix is built in one array, so a caller that drops ``obj``
+    holds only it during validation.  The coordinate form holds the total
+    dimension to ``cap`` (see ``check_cap``) before it allocates the d x d
+    array, and raises ``InvariantError`` on lists of unequal length, an index
+    that is not an int in [0, d) or a coordinate given twice.
+    """
     pairs = tuple((str(e["label"]), int(e["dim"])) for e in obj["dims"])
-    re = np.asarray(obj["matrix"]["re"], dtype=float)
-    matrix = np.empty(re.shape, dtype=complex)
-    matrix.real = re
-    del re
-    matrix.imag = obj["matrix"]["im"]
-    return Dims(pairs), matrix
+    dims = Dims(pairs)
+    entries = obj["matrix"]
+    if "rows" not in entries:
+        re = np.asarray(entries["re"], dtype=float)
+        matrix = np.empty(re.shape, dtype=complex)
+        matrix.real = re
+        del re
+        matrix.imag = entries["im"]
+        return dims, matrix
+    d = dims.total
+    check_cap(d, cap)
+    rows = _coordinates(entries["rows"], d, "rows")
+    cols = _coordinates(entries["cols"], d, "cols")
+    re = np.asarray(entries["re"], dtype=float)
+    im = np.asarray(entries["im"], dtype=float)
+    if not rows.shape == cols.shape == re.shape == im.shape:
+        raise InvariantError("matrix rows, cols, re and im differ in length")
+    flat = rows * d + cols
+    if np.unique(flat).size < flat.size:
+        raise InvariantError("matrix has a coordinate given twice")
+    values = np.empty(rows.shape, dtype=complex)
+    values.real = re
+    values.imag = im
+    matrix = np.zeros((d, d), dtype=complex)
+    matrix[rows, cols] = values
+    return dims, matrix
 
 
 def state_from_json(obj: dict | str, cap: int | None = None) -> StateOperator:
     """Parse the state JSON format, rejecting invariant violations."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    dims, matrix = parse_state_json(obj)
+    dims, matrix = parse_state_json(obj, cap)
     return StateOperator(dims, matrix, validate=True, cap=cap)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdecouple import decoupling
+from qdecouple import decoupling, linalg
 from qdecouple import entropy as ent
 from qdecouple.cli import main
 from qdecouple.linalg import state_from_json
@@ -254,6 +254,56 @@ def test_decouple_run_and_reproducibility(tmp_path, capsys):
     csv1 = (tmp_path / "samples1.csv").read_text()
     assert csv0 == csv1
     assert csv0.splitlines()[0] == "sample,distance"
+
+
+def test_decouple_run_reads_both_state_encodings_to_the_same_report(tmp_path, capsys):
+    # the sparse coordinate form and the dense nested lists of an older file,
+    # written in turn to one path so that the configurations match
+    state = decoupling.classical_state(4)
+    dense = {"dims": [{"label": lab, "dim": d} for lab, d in state.dims.pairs],
+             "matrix": {"re": state.matrix.real.tolist(),
+                        "im": state.matrix.imag.tolist()}}
+    state_path = tmp_path / "c5.json"
+    reports = []
+    for obj in (linalg.state_to_json(state), dense):
+        state_path.write_text(json.dumps(obj))
+        out_path = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, "decouple", "run", "--state", str(state_path),
+                             "--channel", "id+trace:4,3", "--samples", "50",
+                             "--out", str(out_path))
+        assert code == 0
+        report = json.loads(out_path.read_text())
+        report.pop("duration_s")
+        reports.append(json.dumps(report, sort_keys=True))
+    assert "rows" in linalg.state_to_json(state)["matrix"]
+    assert reports[0] == reports[1]
+
+
+def test_main_builds_its_parser_once_and_carries_no_value_over(tmp_path, capsys):
+    from qdecouple.cli import build_parser
+
+    assert build_parser() is build_parser()
+    state_path, small_path = tmp_path / "cls.json", tmp_path / "small.json"
+    assert run_cli(capsys, "gen-state", "classical", "--k", "2", "--cap", "64",
+                   "--out", str(state_path))[0] == 0
+    configs = []
+    for extra in (["--seed", "9", "--workers", "2", "--epsilon", "0.1"], []):
+        out_path = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, "decouple", "run", "--state", str(state_path),
+                             "--channel", "id:2", "--samples", "3", *extra,
+                             "--out", str(out_path))
+        assert code == 0
+        report = json.loads(out_path.read_text())
+        configs.append((report["config"], report["seed"]["seed"]))
+    (first, first_seed), (second, second_seed) = configs
+    assert (first["workers"], first["epsilon"], first_seed) == (2, 0.1, 9)
+    assert (second["workers"], second["epsilon"], second_seed) == (1, 0.0, 0)
+    # --k and --out of the first gen-state do not carry over either
+    assert run_cli(capsys, "gen-state", "classical", "--out", str(small_path))[0] == 0
+    assert state_from_json(json.loads(small_path.read_text())).dims.total == 4
+    with pytest.raises(SystemExit) as err:
+        main(["decouple", "run", "--state", str(state_path)])
+    assert err.value.code == 2
 
 
 def test_gen_state_and_decouple_run_do_not_import_scipy(tmp_path):

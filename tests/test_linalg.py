@@ -35,6 +35,7 @@ from qdecouple.linalg import (
     purified_distance,
     purify,
     random_density,
+    parse_state_json,
     random_pure,
     sqrt_psd,
     state_from_json,
@@ -675,3 +676,139 @@ def test_state_json_matrix_matches_the_two_array_construction(tmp_path):
     path.write_text(json.dumps(bad))
     with pytest.raises(InvariantError):
         cli._load_state(str(path), None)
+
+
+def _dense_json(st):
+    """The dense encoding, which every state file used before the coordinate
+    form and which the reader still takes."""
+    return {"dims": [{"label": lab, "dim": d} for lab, d in st.dims.pairs],
+            "matrix": {"re": st.matrix.real.tolist(), "im": st.matrix.imag.tolist()}}
+
+
+def _bits(m):
+    return np.ascontiguousarray(m).view(np.uint64)
+
+
+def _signed_zero_state():
+    # a complex state whose stored entries include -0.0 parts, and a -0.0 + 0j
+    # entry that is stored only for its sign bit
+    m = np.zeros((8, 8), dtype=complex)
+    m[0, 0], m[3, 3] = 0.75, 0.25
+    m[0, 3], m[3, 0] = complex(-0.0, 0.125), complex(-0.0, -0.125)
+    m[1, 1] = complex(-0.0, 0.0)
+    m[5, 2] = complex(0.0, -0.0)
+    return StateOperator(dims_of(("A", 2), ("E", 4)), m)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: classical_state(4),
+    lambda: parse_spec("id+trace:4,3").choi,
+    _signed_zero_state,
+], ids=["classical_state(4)", "choi id+trace:4,3", "signed zeros"])
+def test_state_json_coordinate_form_round_trips_bit_for_bit(make):
+    st = make()
+    obj = json.loads(json.dumps(state_to_json(st)))
+    assert set(obj["matrix"]) == {"rows", "cols", "re", "im"}
+    back = state_from_json(obj)
+    assert back.dims.pairs == st.dims.pairs
+    assert np.array_equal(_bits(back.matrix), _bits(st.matrix))
+
+
+def test_state_json_coordinate_form_is_row_major_and_keeps_signed_zeros():
+    obj = state_to_json(_signed_zero_state())["matrix"]
+    assert list(zip(obj["rows"], obj["cols"])) == [(0, 0), (0, 3), (1, 1), (3, 0),
+                                                   (3, 3), (5, 2)]
+    assert np.signbit(obj["re"][2]) and np.signbit(obj["im"][5])
+
+
+@pytest.mark.parametrize("stored, form", [(7, {"rows", "cols", "re", "im"}),
+                                          (8, {"re", "im"})])
+def test_state_json_encoding_switches_at_half_the_entries(stored, form):
+    # 4 x 4: fewer than 8 stored entries take the coordinate form
+    m = np.zeros(16, dtype=complex)
+    m[:stored] = np.arange(1, stored + 1) * (1 - 0.5j)
+    st = StateOperator(dims_of(("A", 4)), m.reshape(4, 4), validate=False)
+    obj = state_to_json(st)
+    assert set(obj["matrix"]) == form
+    _, matrix = parse_state_json(json.loads(json.dumps(obj)), None)
+    assert np.array_equal(_bits(matrix), _bits(st.matrix))
+
+
+def _coordinate_json(**matrix):
+    """A 2 x 2 state in coordinate form, with ``matrix`` overriding its lists."""
+    entries = {"rows": [0, 1], "cols": [0, 1], "re": [0.5, 0.5], "im": [0.0, 0.0]}
+    entries.update(matrix)
+    return {"dims": [{"label": "A", "dim": 2}], "matrix": entries}
+
+
+def test_state_json_coordinate_form_loads_a_valid_state():
+    st = state_from_json(_coordinate_json())
+    assert np.array_equal(st.matrix, np.eye(2) / 2)
+
+
+@pytest.mark.parametrize("matrix", [
+    {"cols": [0]},
+    {"re": [0.5, 0.25, 0.25]},
+    {"im": [0.0]},
+    {"re": [[0.5], [0.5]]},
+], ids=["cols", "re", "im", "nested re"])
+def test_state_json_rejects_coordinate_lists_of_unequal_length(matrix):
+    with pytest.raises(InvariantError, match="differ in length"):
+        parse_state_json(_coordinate_json(**matrix), None)
+
+
+@pytest.mark.parametrize("matrix", [
+    {"rows": [0.0, 1]},
+    {"cols": [0, True]},
+    {"rows": ["0", 1]},
+    {"cols": 0},
+], ids=["float", "bool", "string", "not a list"])
+def test_state_json_rejects_non_integer_indices(matrix):
+    with pytest.raises(InvariantError, match="list of integers"):
+        parse_state_json(_coordinate_json(**matrix), None)
+
+
+@pytest.mark.parametrize("matrix", [
+    {"rows": [-1, 1]},       # numpy would wrap it to row 1
+    {"cols": [0, 2]},
+    {"rows": [0, 2 ** 70]},  # past int64, checked before any conversion
+], ids=["negative", "at d", "huge"])
+def test_state_json_rejects_indices_outside_the_matrix(matrix):
+    with pytest.raises(InvariantError, match="outside"):
+        parse_state_json(_coordinate_json(**matrix), None)
+
+
+def test_state_json_rejects_a_duplicate_coordinate():
+    obj = _coordinate_json(rows=[1, 1], cols=[1, 1])
+    with pytest.raises(InvariantError, match="twice"):
+        parse_state_json(obj, None)
+
+
+def test_state_json_cap_precedes_the_matrix_allocation(tmp_path):
+    # 2^40 x 2^40 complex entries would need 2^84 bytes: a loader that
+    # allocated first would raise numpy's "too big" ValueError or MemoryError
+    from qdecouple import cli
+
+    obj = _coordinate_json()
+    obj["dims"] = [{"label": "A", "dim": 2 ** 20}, {"label": "E", "dim": 2 ** 20}]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    assert path.stat().st_size < 200
+    with pytest.raises(DimCapError, match="exceeds cap 256"):
+        cli._load_state(str(path), None)
+    with pytest.raises(DimCapError, match="exceeds cap 64"):
+        state_from_json(obj, cap=64)
+
+
+def test_legacy_dense_file_loads_to_the_same_bits(tmp_path):
+    from qdecouple import cli
+
+    st = classical_state(4)
+    dense, sparse = tmp_path / "dense.json", tmp_path / "sparse.json"
+    dense.write_text(json.dumps(_dense_json(st)))
+    sparse.write_text(json.dumps(state_to_json(st)))
+    assert sparse.stat().st_size < 1000 < dense.stat().st_size
+    for path in (dense, sparse):
+        loaded = cli._load_state(str(path), None)
+        assert loaded.dims.pairs == st.dims.pairs
+        assert np.array_equal(_bits(loaded.matrix), _bits(st.matrix))
