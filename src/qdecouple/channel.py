@@ -9,7 +9,6 @@ read from JSON keeps the output label its file names.
 from __future__ import annotations
 
 import enum
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -223,10 +222,14 @@ def channel_to_json(ch: Channel) -> dict:
             "choi": state_to_json(ch.choi)}
 
 
-def channel_from_json(obj: dict | str, cap: int | None = None) -> Channel:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+def channel_from_json(obj: dict, cap: int | None = None) -> Channel:
+    """Parse the channel JSON format: int ``dim_in`` and ``dim_out`` and a
+    ``choi`` state object on two systems, else ``ChannelError``."""
+    if not (isinstance(obj, dict) and type(obj.get("dim_in")) is int
+            and type(obj.get("dim_out")) is int and isinstance(obj.get("choi"), dict)):
+        raise ChannelError("a channel must be an object with integer dim_in and "
+                           "dim_out and a choi object")
     choi = state_from_json(obj["choi"], cap=cap)
-    din, dout = int(obj["dim_in"]), int(obj["dim_out"])
-    out_label = choi.dims.pairs[1][0]
-    return Channel(din, dout, choi, out_label)
+    if len(choi.dims.pairs) != 2:
+        raise ChannelError(f"Choi dims {choi.dims.pairs} must name two systems")
+    return Channel(obj["dim_in"], obj["dim_out"], choi, choi.dims.pairs[1][0])

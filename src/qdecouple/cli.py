@@ -54,7 +54,7 @@ def _report(command: str, config: dict, result: dict, seed: haar.RngSeed | None,
 def gen_state(kind: str, k: int, dims: Sequence[tuple[str, int]] | None, seed: int,
               cap: int | None) -> linalg.StateOperator:
     """Reference bipartite states on labels (A, E); ``dims`` gives the
-    (label, dim) pairs of the random kinds."""
+    (label, dim) pairs of the random kinds, which need it."""
     if kind == "independent":
         return decoupling.independent_state(k, cap=cap)
     if kind == "classical":
@@ -62,8 +62,6 @@ def gen_state(kind: str, k: int, dims: Sequence[tuple[str, int]] | None, seed: i
     if kind == "entangled":
         return decoupling.entangled_state(k, cap=cap)
     if kind in ("random-mixed", "random-pure"):
-        if not dims:
-            raise ValueError("random states need --dims, e.g. A:2,E:3")
         rng = haar.generator(seed)
         if kind == "random-mixed":
             return linalg.random_density(rng, dims, cap=cap)
@@ -76,8 +74,14 @@ def gen_state(kind: str, k: int, dims: Sequence[tuple[str, int]] | None, seed: i
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_state(args: argparse.Namespace) -> int:
-    if args.seed is not None and not args.kind.startswith("random-"):
+    random = args.kind.startswith("random-")
+    if args.seed is not None and not random:
         print(f"error: --seed draws the random kinds only; {args.kind} takes none",
+              file=sys.stderr)
+        return 2
+    if (args.dims is not None) != random:
+        print(f"error: {args.kind} needs --dims, e.g. A:2,E:3" if random else
+              f"error: --dims shapes the random kinds only; {args.kind} takes none",
               file=sys.stderr)
         return 2
     state = gen_state(args.kind, args.k, args.dims, args.seed or 0, cap=args.cap)

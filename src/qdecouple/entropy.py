@@ -116,14 +116,13 @@ def _certified_solve(problem: sdp.SdpProblem, what: str, flip: bool = False,
     """
     sol = sdp.solve(problem, gap_tol=_cert_gap_tol, max_iterations=400, **solve_kwargs)
     lo, hi = _sandwich(sol, flip)
-    if (sol.status is not sdp.SdpStatus.INFEASIBLE and hi > 0
-            and math.log2(hi / max(lo, 1e-300)) > CERT_LIMIT_BITS):
+    if hi > 0 and math.log2(hi / max(lo, 1e-300)) > CERT_LIMIT_BITS:
         cand = sdp.solve(problem, gap_tol=_cert_gap_tol, max_iterations=600,
                          reg=1e-14, step_frac=0.93, **solve_kwargs)
         c_lo, c_hi = _sandwich(cand, flip)
         if c_hi > 0 and c_hi - c_lo < hi - lo:
             sol, lo, hi = cand, c_lo, c_hi
-    if sol.status is sdp.SdpStatus.INFEASIBLE or hi <= 0:
+    if hi <= 0:
         raise EntropyError(f"{what}: solver reported {sol.status.value}")
     lo = max(lo, 1e-300)
     width = math.log2(hi / lo)

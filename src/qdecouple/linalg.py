@@ -9,7 +9,6 @@ workers.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -725,34 +724,60 @@ def _coordinates(items, d: int, name: str) -> np.ndarray:
     return np.asarray(items, dtype=np.intp)
 
 
+def _floats(entries: dict, name: str, shape: tuple[int, ...], mismatch: str) -> np.ndarray:
+    """``entries[name]`` as a float array of ``shape``, else InvariantError
+    (with ``mismatch`` for numbers of another shape)."""
+    try:
+        part = np.asarray(entries.get(name), dtype=float)
+    except (TypeError, ValueError):
+        raise InvariantError(f"matrix {name} must hold numbers only") from None
+    if part.shape != shape:
+        raise InvariantError(mismatch)
+    return part
+
+
 def parse_state_json(obj: dict, cap: int | None) -> tuple[Dims, np.ndarray]:
     """The dimensions and the complex matrix of a parsed state JSON object,
     not yet validated, from either encoding of ``state_to_json``.
 
-    The dense matrix is built in one array, so a caller that drops ``obj``
-    holds only it during validation.  The coordinate form holds the total
+    ``obj`` must be an object with a ``dims`` list of objects, each with a
+    str ``label`` and an int ``dim``, and a ``matrix`` object; otherwise this
+    raises ``InvariantError``.  The dense matrix is built in one array, so a
+    caller that drops ``obj`` holds only it during validation, and each of
+    its parts must be d x d numbers.  The coordinate form holds the total
     dimension to ``cap`` (see ``check_cap``) before it allocates the d x d
-    array, and raises ``InvariantError`` on lists of unequal length, an index
-    that is not an int in [0, d) or a coordinate given twice.
+    array, and raises ``InvariantError`` on a missing list, lists of unequal
+    length, values that are not numbers, an index that is not an int in
+    [0, d) or a coordinate given twice.
     """
-    pairs = tuple((str(e["label"]), int(e["dim"])) for e in obj["dims"])
-    dims = Dims(pairs)
+    if not (isinstance(obj, dict) and isinstance(obj.get("dims"), list)
+            and isinstance(obj.get("matrix"), dict)):
+        raise InvariantError("a state must be an object with a dims list and a "
+                             "matrix object")
+    for e in obj["dims"]:
+        if not (isinstance(e, dict) and type(e.get("label")) is str
+                and type(e.get("dim")) is int):
+            raise InvariantError("each dims entry must be an object with a string "
+                                 "label and an integer dim")
+    dims = Dims(tuple((e["label"], e["dim"]) for e in obj["dims"]))
+    d = dims.total
     entries = obj["matrix"]
     if "rows" not in entries:
-        re = np.asarray(entries["re"], dtype=float)
-        matrix = np.empty(re.shape, dtype=complex)
+        square = f"matrix re and im must each be {d} rows of {d} numbers"
+        re = _floats(entries, "re", (d, d), square)
+        matrix = np.empty((d, d), dtype=complex)
         matrix.real = re
         del re
-        matrix.imag = entries["im"]
+        matrix.imag = _floats(entries, "im", (d, d), square)
         return dims, matrix
-    d = dims.total
     check_cap(d, cap)
-    rows = _coordinates(entries["rows"], d, "rows")
-    cols = _coordinates(entries["cols"], d, "cols")
-    re = np.asarray(entries["re"], dtype=float)
-    im = np.asarray(entries["im"], dtype=float)
-    if not rows.shape == cols.shape == re.shape == im.shape:
-        raise InvariantError("matrix rows, cols, re and im differ in length")
+    rows = _coordinates(entries.get("rows"), d, "rows")
+    cols = _coordinates(entries.get("cols"), d, "cols")
+    unequal = "matrix rows, cols, re and im differ in length"
+    if cols.shape != rows.shape:
+        raise InvariantError(unequal)
+    re = _floats(entries, "re", rows.shape, unequal)
+    im = _floats(entries, "im", rows.shape, unequal)
     flat = rows * d + cols
     if np.unique(flat).size < flat.size:
         raise InvariantError("matrix has a coordinate given twice")
@@ -764,9 +789,7 @@ def parse_state_json(obj: dict, cap: int | None) -> tuple[Dims, np.ndarray]:
     return dims, matrix
 
 
-def state_from_json(obj: dict | str, cap: int | None = None) -> StateOperator:
+def state_from_json(obj: dict, cap: int | None = None) -> StateOperator:
     """Parse the state JSON format, rejecting invariant violations."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     dims, matrix = parse_state_json(obj, cap)
     return StateOperator(dims, matrix, validate=True, cap=cap)

@@ -13,14 +13,16 @@ part of the Schur complement with the dense sandwich W A_i W (``_DenseSchur``)
 or, where the group carries constraint families (``ProblemBuilder.add_family``)
 and that needs fewer operations, with the family term, which works from the
 scaling matrix W alone (``_sdp_family``).  Every group factors its iterates
-and bounds its steps with stacked LAPACK calls.
+and bounds its steps with stacked LAPACK calls.  A solve returns X, y, both
+objectives and both residuals at the best iterate it recorded, with one of
+two outcomes: Optimal or MaxIter.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -31,7 +33,6 @@ from qdecouple.linalg import (DimCapError, herm_basis, herm_pairs, hermitian_par
 
 class SdpStatus(enum.Enum):
     OPTIMAL = "Optimal"
-    INFEASIBLE = "Infeasible"
     MAX_ITER = "MaxIter"
 
 
@@ -243,36 +244,18 @@ class SdpProblem:
 
 
 @dataclass
-class IterateRecord:
-    iteration: int
-    primal_obj: float
-    dual_obj: float
-    gap: float
-    primal_infeas: float
-    dual_infeas: float
-
-
-@dataclass
 class SdpSolution:
     x_blocks: list[np.ndarray]
     y: np.ndarray
-    z_blocks: list[np.ndarray]
     primal_obj: float
     dual_obj: float
     gap: float
     status: SdpStatus
     iterations: int
-    primal_infeas: float = 0.0
-    dual_infeas: float = 0.0
-    trace: list[IterateRecord] = field(default_factory=list)
+    primal_infeas: float
+    dual_infeas: float
     # Schur-complement kernel ("dense" or "family") per block size
-    schur_kernels: dict[int, str] = field(default_factory=dict)
-
-    def trace_csv(self) -> str:
-        lines = ["iteration,primal_obj,dual_obj,gap"]
-        for r in self.trace:
-            lines.append(f"{r.iteration},{r.primal_obj!r},{r.dual_obj!r},{r.gap!r}")
-        return "\n".join(lines) + "\n"
+    schur_kernels: dict[int, str]
 
 
 class ProblemBuilder:
@@ -625,8 +608,7 @@ def solve(problem: SdpProblem, *,
           max_iterations: int = 200,
           gap_tol: Callable[[float], float] = default_gap_tol,
           reg: float = 1e-12,
-          step_frac: float = 0.96,
-          record_trace: bool = False) -> SdpSolution:
+          step_frac: float = 0.96) -> SdpSolution:
     """Run the interior-point iteration; see module docstring for the form.
 
     Strictly feasible (x0, y0, z0) starts preserve feasibility exactly, so
@@ -637,12 +619,15 @@ def solve(problem: SdpProblem, *,
     (in original units) to the largest duality gap at which a feasible
     iterate counts as Optimal.  The default, ``default_gap_tol``, allows
     1e-7 * (1 + |primal|).  The same rule scales the gap in the merit that
-    picks the iterate returned when the iteration limit is reached.
+    picks the iterate returned.  The solution is the best iterate recorded
+    within ``max_iterations``: Optimal if its residuals are at most 1e-8 and
+    its gap within ``gap_tol``, MaxIter otherwise.  A program with no
+    feasible point therefore ends MaxIter, with its residuals reported.
     """
     m = problem.num_constraints
 
     # normalize constraints and objective; solved in scaled units, reported
-    # in original units (y and Z are rescaled on exit)
+    # in original units (y is rescaled on exit)
     c_scale = max(max(float(np.linalg.norm(c)) for c in problem.c_blocks), 1e-12)
     groups = _Groups(problem, c_scale)
     row_scale = groups.row_scale
@@ -703,8 +688,6 @@ def solve(problem: SdpProblem, *,
     schur_sum, mat = np.empty((m_n, m_n)), np.empty((m_n, m_n))
     schur_factor = np.empty((m_n, m_n), order="F")
 
-    trace: list[IterateRecord] = []
-    status = SdpStatus.MAX_ITER
     it = 0
     best = None
     best_merit = np.inf
@@ -713,18 +696,18 @@ def solve(problem: SdpProblem, *,
         """Primal and dual objective in original (unscaled) units."""
         return groups.ip(groups.c, x) * c_scale, float(b @ y) * c_scale
 
-    def residuals() -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        """b - A(X), C - A*(y) - Z and A*(y) at the current iterate."""
+    def residuals() -> tuple[np.ndarray, list[np.ndarray]]:
+        """b - A(X) and C - A*(y) - Z at the current iterate."""
         r_p = b - groups.apply_a(x)
         aty = groups.apply_a_adjoint(y)
-        return r_p, [cg - ag - zg for cg, ag, zg in zip(groups.c, aty, z)], aty
+        return r_p, [cg - ag - zg for cg, ag, zg in zip(groups.c, aty, z)]
 
     def infeasibility(r_p, r_d) -> tuple[float, float]:
         return (float(np.linalg.norm(r_p)) / (1.0 + norm_b),
                 max(float(np.linalg.norm(rd)) for rd in r_d) / (1.0 + norm_c))
 
     for it in range(1, max_iterations + 1):
-        r_p, r_d, aty = residuals()
+        r_p, r_d = residuals()
         # residuals at machine-noise level are treated as exact zeros: the
         # W-sandwich below would otherwise amplify them by ||W||^2
         if float(np.linalg.norm(r_p)) <= 1e-13 * (1.0 + norm_b):
@@ -734,8 +717,6 @@ def solve(problem: SdpProblem, *,
         pobj, dobj = objective()
         gap = pobj - dobj
         pinf, dinf = infeasibility(r_p, r_d)
-        if record_trace:
-            trace.append(IterateRecord(it - 1, pobj, dobj, gap, pinf, dinf))
 
         tol_gap = gap_tol(pobj)
         merit = max(pinf / FEAS_TOL, dinf / FEAS_TOL,
@@ -744,17 +725,7 @@ def solve(problem: SdpProblem, *,
             best_merit = merit
             best = (x, y, z)
         if pinf <= FEAS_TOL and dinf <= FEAS_TOL and abs(gap) <= tol_gap:
-            status = SdpStatus.OPTIMAL
             break
-
-        # dual improving ray => primal infeasible
-        ny = float(np.linalg.norm(y))
-        if ny > 1e6 and float(b @ y) > 1e-6 * ny:
-            lam_max = max(float(np.linalg.eigvalsh(hermitian_part(s))[:, -1].max())
-                          for s in aty)
-            if lam_max <= 1e-8 * ny:
-                status = SdpStatus.INFEASIBLE
-                break
 
         w_scale, x_isq, z_isq, z_inv = zip(*map(_b_factor, x, z))
         groups.schur(w_scale, schur_sum)
@@ -822,24 +793,14 @@ def solve(problem: SdpProblem, *,
         z = [hermitian_part(zg + ad * d) for zg, d in zip(z, dz)]
         y = y + ad * dy
 
-    if status is not SdpStatus.INFEASIBLE and best is not None:
+    if best is not None:
         # fall back to the best recorded iterate if later steps degraded it
         x, y, z = best
     pobj, dobj = objective()
     gap = pobj - dobj
-    pinf = dinf = 0.0
-    if status is not SdpStatus.INFEASIBLE:
-        pinf, dinf = infeasibility(*residuals()[:2])
-        tol_gap = gap_tol(pobj)
-        if pinf <= 1e-8 and dinf <= 1e-8 and abs(gap) <= tol_gap:
-            status = SdpStatus.OPTIMAL
-        elif status is not SdpStatus.MAX_ITER:
-            status = SdpStatus.MAX_ITER
-    if record_trace:
-        trace.append(IterateRecord(it, pobj, dobj, gap, pinf, dinf))
-    x_out = groups.gather(x)
-    z_out = groups.gather([g * c_scale for g in z])
-    y_out = y * c_scale / row_scale
-    return SdpSolution(x_out, y_out, z_out, pobj, dobj, gap, status, it,
-                       pinf, dinf, trace,
+    pinf, dinf = infeasibility(*residuals())
+    optimal = pinf <= 1e-8 and dinf <= 1e-8 and abs(gap) <= gap_tol(pobj)
+    return SdpSolution(groups.gather(x), y * c_scale / row_scale, pobj, dobj, gap,
+                       SdpStatus.OPTIMAL if optimal else SdpStatus.MAX_ITER, it,
+                       pinf, dinf,
                        {s: t.kernel for s, t in zip(groups.sizes, groups.terms)})

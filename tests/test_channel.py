@@ -1,6 +1,8 @@
 """Channel representation tests: Choi/Kraus round trips, the Choi
 contraction against the Kraus route, and the builder family."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from qdecouple.linalg import (
     maximally_mixed,
     partial_trace,
     random_density,
+    state_to_json,
     trace_distance,
 )
 
@@ -176,6 +179,25 @@ def test_parse_spec():
     assert (ch.dim_in, ch.dim_out) == (8, 2)
     with pytest.raises(chan.ChannelError):
         chan.parse_spec("id:x")
+
+
+@pytest.mark.parametrize("defect", [
+    lambda o: o.update(dim_in=2.5),
+    lambda o: o.update(dim_out="3"),
+    lambda o: o.update(dim_in=True),
+    lambda o: o.pop("dim_out"),
+    lambda o: o.pop("choi"),
+    lambda o: o.update(choi=[]),
+    lambda o: o.update(choi=state_to_json(maximally_mixed((("A'", 4),)))),
+], ids=["float dim_in", "string dim_out", "bool dim_in", "no dim_out", "no choi",
+        "choi list", "one-system choi"])
+def test_channel_json_rejects_malformed_objects(defect):
+    obj = json.loads(json.dumps(chan.channel_to_json(chan.identity_channel(2))))
+    defect(obj)
+    with pytest.raises(chan.ChannelError):
+        chan.channel_from_json(obj)
+    with pytest.raises(chan.ChannelError):
+        chan.channel_from_json([obj])
 
 
 def test_channel_json_round_trip():

@@ -224,6 +224,59 @@ def test_gen_state_seed_without_randomness_exits_two(capsys, kind):
     assert "--seed" in err
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["classical", "--k", "1", "--dims", "A:3,E:3"], "--dims"),
+    (["entangled", "--dims", "A:2,E:2"], "--dims"),
+    (["random-mixed"], "needs --dims"),
+    (["random-pure", "--seed", "3"], "needs --dims"),
+])
+def test_gen_state_dims_and_kind_mismatch_exits_two(capsys, tmp_path, argv, needle):
+    # --dims was ignored by the fixed kinds, and a random kind without it
+    # exited 1 from the library
+    out = tmp_path / "s.json"
+    code, _, err = run_cli(capsys, "gen-state", *argv, "--out", str(out))
+    assert code == 2
+    assert needle in err
+    assert not out.exists()
+
+
+def _state_defects():
+    good = linalg.state_to_json(linalg.maximally_mixed((("A", 2),)))
+    dims, matrix = good["dims"], good["matrix"]
+    return {
+        "no matrix": {"dims": dims},
+        "top-level list": [good],
+        "float dim": {"dims": [{"label": "A", "dim": 2.5}], "matrix": matrix},
+        "string dim": {"dims": [{"label": "A", "dim": "2"}], "matrix": matrix},
+        "bool dim": {"dims": [{"label": "A", "dim": True}], "matrix": matrix},
+        "broadcast im": {"dims": dims, "matrix": {"re": matrix["re"], "im": [[0, 0]]}},
+    }
+
+
+@pytest.mark.parametrize("defect", list(_state_defects()))
+def test_malformed_state_file_exits_one_with_an_error_line(tmp_path, capsys, defect):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_state_defects()[defect]))
+    code, out, err = run_cli(capsys, "entropy", "--state", str(path), "--kind", "vn",
+                             "--target", "A")
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
+def test_malformed_channel_file_exits_one_with_an_error_line(tmp_path, capsys):
+    state_path, chan_path = tmp_path / "s.json", tmp_path / "ch.json"
+    run_cli(capsys, "gen-state", "classical", "--k", "1", "--out", str(state_path))
+    run_cli(capsys, "gen-channel", "id:1", "--out", str(chan_path))
+    obj = json.loads(chan_path.read_text())
+    obj["dim_in"] = "2"
+    chan_path.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, "decouple", "run", "--state", str(state_path),
+                           "--channel", str(chan_path), "--samples", "2")
+    assert code == 1
+    assert err.startswith("error: ") and "dim_in" in err
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = run_cli(capsys, "entropy", "--state", "/no/such/file.json",
                            "--kind", "hmin", "--target", "A")

@@ -656,6 +656,43 @@ def test_state_json_rejects_invalid():
         state_from_json(bad)
 
 
+def _malformed_state(defect):
+    obj = state_to_json(maximally_mixed((("A", 2),)))
+    defect(obj)
+    return obj
+
+
+@pytest.mark.parametrize("make", [
+    lambda: [_malformed_state(lambda o: None)],
+    lambda: _malformed_state(lambda o: o.pop("matrix")),
+    lambda: _malformed_state(lambda o: o.update(matrix=[[0.5, 0.0], [0.0, 0.5]])),
+    lambda: _malformed_state(lambda o: o.update(dims={"label": "A", "dim": 2})),
+    lambda: _malformed_state(lambda o: o.update(dims=[["A", 2]])),
+    lambda: _malformed_state(lambda o: o["dims"][0].update(dim=2.5)),
+    lambda: _malformed_state(lambda o: o["dims"][0].update(dim="2")),
+    lambda: _malformed_state(lambda o: o["dims"][0].update(dim=True)),
+    lambda: _malformed_state(lambda o: o["dims"][0].update(label=1)),
+    lambda: _malformed_state(lambda o: o["dims"][0].pop("dim")),
+    lambda: _malformed_state(lambda o: o["matrix"].update(im=[[0, 0]])),
+    lambda: _malformed_state(lambda o: o["matrix"].update(re=[[0.5, 0.0]] * 3)),
+    lambda: _malformed_state(lambda o: o["matrix"].update(re=[[0.5], [0.0, 0.5]])),
+    lambda: _malformed_state(lambda o: o["matrix"].update(im={"0": 0})),
+    lambda: _malformed_state(lambda o: o["matrix"].pop("im")),
+    lambda: {"dims": [{"label": "A", "dim": 2}],
+             "matrix": {"rows": [0, 1], "re": [0.5, 0.5], "im": [0.0, 0.0]}},
+    lambda: _coordinate_json(re={"0": 0.5}),
+    lambda: _coordinate_json(im=["x", 0.0]),
+], ids=["top-level list", "no matrix", "matrix list", "dims object", "dims pair",
+        "float dim", "string dim", "bool dim", "int label", "no dim",
+        "im one row", "re three rows", "ragged re", "im object", "no im",
+        "coordinates without cols", "coordinate re object", "coordinate im string"])
+def test_state_json_rejects_malformed_objects(make):
+    # each of these raised KeyError, TypeError or numpy's ValueError, or
+    # loaded a truncated dim, a coerced one or a broadcast row
+    with pytest.raises(InvariantError):
+        parse_state_json(make(), None)
+
+
 def test_state_json_matrix_matches_the_two_array_construction(tmp_path):
     # the loader fills one complex array in place of re + 1j * im; the CLI
     # loader drops the parsed lists before validating

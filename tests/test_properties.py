@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from qdecouple import entropy
 from qdecouple.linalg import (StateOperator, dims_of, herm_basis, pure_marginal,
                               purified_distance, random_density, random_pure)
-from qdecouple.sdp import ProblemBuilder, SdpStatus, solve
+from qdecouple.sdp import ProblemBuilder, SdpStatus
+from conftest import iterate_sweep
 
 SHAPES = ((2, 2), (2, 3))
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -38,15 +39,18 @@ def test_min_entropy_sdp_weak_duality_and_certificate(seed, shape):
     blk = build.add_block(d_a * d_b, -rho)
     for g in basis:
         build.add_constraint({blk: np.kron(np.eye(d_a), g)}, float(np.trace(g).real))
-    # strictly feasible start, so weak duality holds on every iterate
+    # strictly feasible start, so weak duality holds on every iterate, and
+    # every iterate's pair brackets the converged optimum
     lam = float(np.abs(np.linalg.eigvalsh(rho)).max()) + 1.0
     sigma0 = lam * np.eye(d_b, dtype=complex)
     y0 = -np.array([float(np.trace(g @ sigma0).real) for g in basis])
-    sol = solve(build.build(), x0=[np.eye(d_a * d_b, dtype=complex) / d_a], y0=y0,
-                z0=[-rho + np.kron(np.eye(d_a), sigma0)], record_trace=True)
+    sol, sweep = iterate_sweep(build.build(), x0=[np.eye(d_a * d_b, dtype=complex) / d_a],
+                               y0=y0, z0=[-rho + np.kron(np.eye(d_a), sigma0)])
     assert sol.status is SdpStatus.OPTIMAL
-    for rec in sol.trace:
-        assert rec.dual_obj <= rec.primal_obj + 1e-9
+    for s in sweep:
+        assert s.dual_obj <= s.primal_obj + 1e-9
+        assert s.dual_obj <= sol.primal_obj + 1e-9
+        assert s.primal_obj >= sol.dual_obj - 1e-9
     lo, hi = sorted((-sol.primal_obj, -sol.dual_obj))
     assert math.log2(hi / lo) <= entropy.CERT_LIMIT_BITS
 

@@ -1,8 +1,9 @@
 """Solver tests: closed-form programs, interior-constructed instances with
 certified gaps, an independent first-order oracle on small blocks, weak
-duality along the iterate trace, determinism, infeasibility detection, the
-family term's constraint map, adjoint, Gram matrix and Schur term against
-the dense sandwich, the Newton system with its fixed corners eliminated
+duality at every iterate (swept through ``max_iterations``), determinism,
+the two outcomes (an infeasible program ends MaxIter), the family term's
+constraint map, adjoint, Gram matrix and Schur term against the dense
+sandwich, the Newton system with its fixed corners eliminated
 against the full one, the eigendecompositions and the step search per
 iteration for groups of every block size, and the stack-size limit.
 """
@@ -22,7 +23,8 @@ from scipy.optimize import minimize
 from qdecouple import _sdp_family, entropy, sdp
 from qdecouple.decoupling import classical_state
 from qdecouple.linalg import DimCapError, herm_basis, hermitian_part, random_density
-from qdecouple.sdp import ProblemBuilder, SdpProblem, SdpStatus, solve
+from qdecouple.sdp import ProblemBuilder, SdpProblem, SdpSolution, SdpStatus, solve
+from conftest import iterate_sweep
 from test_entropy import diag_smoothing_sdp, hmax_fidelity_sdp
 
 
@@ -144,12 +146,16 @@ def test_weak_duality_on_every_iterate_with_feasible_start():
     lam = float(np.abs(np.linalg.eigvalsh(rho)).max()) + 1.0
     sigma0 = lam * np.eye(2, dtype=complex)
     y0 = -np.array([float(np.trace(g @ sigma0).real) for g in basis])
-    sol = solve(build.build(), x0=[np.eye(4, dtype=complex) / 2], y0=y0,
-                z0=[-rho + np.kron(np.eye(2), sigma0)], record_trace=True)
-    assert sol.status is SdpStatus.OPTIMAL
-    assert len(sol.trace) > 2
-    for rec in sol.trace:
-        assert rec.dual_obj <= rec.primal_obj + 1e-9
+    full, sweep = iterate_sweep(build.build(), x0=[np.eye(4, dtype=complex) / 2], y0=y0,
+                                z0=[-rho + np.kron(np.eye(2), sigma0)])
+    assert full.status is SdpStatus.OPTIMAL
+    assert full.iterations > 2
+    # the sweep reaches every iterate of the path, not one of them repeatedly
+    assert len({(s.primal_obj, s.dual_obj) for s in sweep}) == full.iterations
+    for s in sweep:
+        assert s.dual_obj <= s.primal_obj + 1e-9
+        assert s.dual_obj <= full.primal_obj + 1e-9
+        assert s.primal_obj >= full.dual_obj - 1e-9
 
 
 def test_determinism():
@@ -162,12 +168,29 @@ def test_determinism():
     np.testing.assert_array_equal(s1.x_blocks[0], s2.x_blocks[0])
 
 
-def test_infeasible_detection():
+def test_infeasible_program_ends_max_iter_and_is_not_certified():
+    # x_11 = -1 has no PSD solution: the solve runs out its iterations with
+    # the primal residual left standing, and a certified solve raises
     build = ProblemBuilder()
     blk = build.add_block(2)
     build.add_constraint({blk: np.diag([1.0, 0.0]).astype(complex)}, -1.0)
-    sol = solve(build.build())
-    assert sol.status is SdpStatus.INFEASIBLE
+    problem = build.build()
+    sol = solve(problem)
+    assert sol.status is SdpStatus.MAX_ITER
+    assert sol.iterations == 200
+    assert sol.primal_infeas > 0.1
+    with pytest.raises(entropy.EntropyError):
+        entropy._certified_solve(problem, "x_11 = -1")
+
+
+def test_solution_holds_only_what_callers_read():
+    # perfbench reads iterations and status.value, entropy the rest; no
+    # dual slack blocks and no iterate trace
+    assert set(SdpSolution.__dataclass_fields__) == {
+        "x_blocks", "y", "primal_obj", "dual_obj", "gap", "status", "iterations",
+        "primal_infeas", "dual_infeas", "schur_kernels"}
+    assert [s.name for s in SdpStatus] == ["OPTIMAL", "MAX_ITER"]
+    assert SdpStatus.OPTIMAL.value == "Optimal" and SdpStatus.MAX_ITER.value == "MaxIter"
 
 
 def test_max_iter_escape_hatch():
@@ -221,15 +244,6 @@ def test_block_index_outside_the_program_is_rejected(k):
     # nothing was recorded: the program still has no constraints
     with pytest.raises(ValueError, match="no constraints"):
         build.build()
-
-
-def test_trace_csv_export():
-    rng = np.random.default_rng(105)
-    sol = solve(interior_problem(rng, 3, 3), record_trace=True)
-    csv = sol.trace_csv()
-    lines = csv.strip().splitlines()
-    assert lines[0] == "iteration,primal_obj,dual_obj,gap"
-    assert len(lines) == len(sol.trace) + 1
 
 
 # ---------------------------------------------------------------------------
