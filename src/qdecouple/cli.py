@@ -79,12 +79,17 @@ def _cmd_gen_state(args: argparse.Namespace) -> int:
         print(f"error: --seed draws the random kinds only; {args.kind} takes none",
               file=sys.stderr)
         return 2
+    if args.k is not None and random:
+        print(f"error: --k sizes the fixed kinds only; {args.kind} takes --dims",
+              file=sys.stderr)
+        return 2
     if (args.dims is not None) != random:
         print(f"error: {args.kind} needs --dims, e.g. A:2,E:3" if random else
               f"error: --dims shapes the random kinds only; {args.kind} takes none",
               file=sys.stderr)
         return 2
-    state = gen_state(args.kind, args.k, args.dims, args.seed or 0, cap=args.cap)
+    k = 1 if args.k is None else args.k
+    state = gen_state(args.kind, k, args.dims, args.seed or 0, cap=args.cap)
     _emit(json.dumps(linalg.state_to_json(state)), args.out)
     return 0
 
@@ -184,18 +189,18 @@ def _cmd_merge_run(args: argparse.Namespace) -> int:
         print("error: merge run needs a pure input state", file=sys.stderr)
         return 1
     psi = linalg.PureState(state.dims, v[:, -1] * math.sqrt(w[-1]), cap=args.cap)
+    # the bounds depend on the state and epsilon only: one pair of solves.
+    # The achievable bound is already a realised cost, so realize_cost
+    # gives back its registers
+    bounds = merging.cost_bounds(psi, ("A",), ("B",), args.epsilon)
     if args.K is not None:
         k_dim, l_dim = args.K, args.L
     else:
-        target_bits = merging.cost_achievable(psi, ("A",), ("B",), args.epsilon,
-                                              realize=False)
-        k_dim, l_dim = merging.realize_cost(target_bits, psi.dims.dim_of("A"))
+        k_dim, l_dim = merging.realize_cost(bounds[0], psi.dims.dim_of("A"))
     seeds = list(range(args.seed, args.seed + args.num_seeds))
     instances = [merging.MergingInstance(psi, k_dim, l_dim, args.epsilon,
                                          seed=haar.RngSeed(s), cap=args.cap)
                  for s in seeds]
-    # the bounds depend on the state and epsilon only: one pair of solves
-    bounds = merging.cost_bounds(psi, ("A",), ("B",), args.epsilon)
     runs = [merging.run_merging(inst, bounds) for inst in instances]
     fidelities = [r.fidelity for r in runs]
     result = {
@@ -317,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="RNG seed of the random kinds (default 0)")
     p.add_argument("kind", choices=["independent", "classical", "entangled",
                                     "random-mixed", "random-pure"])
-    p.add_argument("--k", type=_non_negative_int, default=1,
-                   help="number of qubits (default 1)")
+    p.add_argument("--k", type=_non_negative_int, default=None,
+                   help="number of qubits of the fixed kinds (default 1)")
     p.add_argument("--dims", type=_dims, default=None,
                    help="label:dim list for random kinds, e.g. A:2,E:3")
     p.set_defaults(func=_cmd_gen_state)

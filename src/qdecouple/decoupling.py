@@ -335,17 +335,6 @@ class ConverseReport:
     h_max_conditional: float  # conjectured replacement term, reported only
     epsilons: tuple[float, float, float, float]
 
-    def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs, "rhs": self.rhs, "holds": self.holds,
-            "measured_distance": self.measured_distance,
-            "h_min_smooth_state": self.h_min_smooth_state,
-            "h_max_joint": self.h_max_joint,
-            "h_min_output": self.h_min_output,
-            "h_max_conditional": self.h_max_conditional,
-            "epsilons": list(self.epsilons),
-        }
-
 
 def converse_check(state: StateOperator, ch: chan.Channel, eps: float,
                    eps1: float, eps2: float, eps3: float) -> ConverseReport:

@@ -74,10 +74,11 @@ class EntropyResult:
     certificate_gap: float = 0.0
 
 
-def _prepare(state: StateOperator, target: Sequence[str], condition: Sequence[str]
-             ) -> tuple[np.ndarray, int, int, Dims, Dims]:
-    """Trace out spectator labels and order the matrix as (target, condition)."""
-    _check_query(state, target, condition, 0.0)
+def _prepare(state: StateOperator, target: Sequence[str], condition: Sequence[str],
+             epsilon: float) -> tuple[np.ndarray, int, int, Dims, Dims]:
+    """Check the query, trace out spectator labels and order the matrix as
+    (target, condition)."""
+    _check_query(state, target, condition, epsilon)
     rel = list(target) + list(condition)
     reduced = state if set(rel) == set(state.labels) else partial_trace(state, rel)
     reduced = reduced.permute(rel)
@@ -98,8 +99,8 @@ def _cert_gap_tol(primal_obj: float) -> float:
                0.4 * CERT_LIMIT_BITS * math.log(2.0) * abs(primal_obj))
 
 
-def _certified_solve(problem: sdp.SdpProblem, what: str, flip: bool = False,
-                     **solve_kwargs) -> tuple[float, float, sdp.SdpSolution]:
+def _certified_solve(problem: sdp.SdpProblem, what: str, start: sdp.Start | None,
+                     flip: bool = False) -> tuple[float, float, sdp.SdpSolution]:
     """Solve and certify the optimum to within CERT_LIMIT_BITS.
 
     ``flip`` negates the sandwich for programs whose meaningful objective is
@@ -108,17 +109,16 @@ def _certified_solve(problem: sdp.SdpProblem, what: str, flip: bool = False,
     still wider than CERT_LIMIT_BITS does a fallback solve run with a
     smaller Schur regularization and shorter steps (``reg`` 1e-14,
     ``step_frac`` 0.93, 600 iterations), which near-pure states need; the
-    narrower of the two sandwiches is kept.  ``solve_kwargs`` go to both
-    solves: a strictly feasible start (``x0``, ``y0``, ``z0``, as
-    ``_hmin_sdp`` and ``_smooth_hmin_dense`` above its epsilon gate pass)
-    keeps every iterate feasible, so the sandwich brackets the optimum;
-    without one, both solves start in infeasible mode.
+    narrower of the two sandwiches is kept.  Both solves take ``start``: a
+    strictly feasible (x, y, z), as ``_hmin_sdp`` and ``_smooth_hmin_dense``
+    above its epsilon gate pass, keeps every iterate feasible, so the
+    sandwich brackets the optimum; with None, both start in infeasible mode.
     """
-    sol = sdp.solve(problem, gap_tol=_cert_gap_tol, max_iterations=400, **solve_kwargs)
+    sol = sdp.solve(problem, start=start, gap_tol=_cert_gap_tol, max_iterations=400)
     lo, hi = _sandwich(sol, flip)
     if hi > 0 and math.log2(hi / max(lo, 1e-300)) > CERT_LIMIT_BITS:
-        cand = sdp.solve(problem, gap_tol=_cert_gap_tol, max_iterations=600,
-                         reg=1e-14, step_frac=0.93, **solve_kwargs)
+        cand = sdp.solve(problem, start=start, gap_tol=_cert_gap_tol, max_iterations=600,
+                         reg=1e-14, step_frac=0.93)
         c_lo, c_hi = _sandwich(cand, flip)
         if c_hi > 0 and c_hi - c_lo < hi - lo:
             sol, lo, hi = cand, c_lo, c_hi
@@ -160,7 +160,7 @@ def von_neumann(state: StateOperator, target: Sequence[str],
     """H(target | condition) = H(target, condition) - H(condition), in bits."""
     if not state.is_normalized:
         raise EntropyError(f"von Neumann entropy needs a normalized state, trace {state.trace}")
-    rho, d_a, d_b, _, _ = _prepare(state, target, condition)
+    rho, d_a, d_b, _, _ = _prepare(state, target, condition, 0.0)
     h_joint = _spectral_entropy(rho)
     if not condition:
         return h_joint
@@ -184,14 +184,12 @@ def _hmin_sdp(rho: np.ndarray, d_a: int, d_b: int) -> tuple[float, np.ndarray, f
     build.add_family(d_b, {blk: sdp.kron_eye(d_a)}, herm_coords(eye_b))
     problem = build.build()
     # both sides strictly feasible: Y = I/d_a,  sigma' = (||rho|| + 1) I
-    x0 = [np.eye(d_a * d_b, dtype=complex) / d_a]
     lam = float(np.abs(np.linalg.eigvalsh(hermitian_part(rho))).max(initial=0.0)) + 1.0
     sigma0 = lam * eye_b
-    y0 = -herm_coords(sigma0)
-    z0 = [-rho + np.kron(np.eye(d_a), sigma0)]
+    start = ([np.eye(d_a * d_b, dtype=complex) / d_a], -herm_coords(sigma0),
+             [-rho + np.kron(np.eye(d_a), sigma0)])
     # minimization of tr(-rho Y): optimum of tr(sigma') lies in [-p, -d]
-    mid, width, sol = _certified_solve(problem, "min-entropy SDP", flip=True,
-                                       x0=x0, y0=y0, z0=z0)
+    mid, width, sol = _certified_solve(problem, "min-entropy SDP", start, flip=True)
     sigma_prime = hermitian_part(-herm_combination(sol.y))
     return -math.log2(mid), sigma_prime, width
 
@@ -244,25 +242,9 @@ def _hmin_pure(rho: np.ndarray, d_a: int, d_b: int
 
 def h_min(state: StateOperator, target: Sequence[str],
           condition: Sequence[str] = ()) -> EntropyResult:
-    """Conditional min-entropy; closed form when the condition is trivial,
-    the state is diagonal in the product basis (``_hmin_diag``) or it is
-    pure up to a sandwich within CERT_LIMIT_BITS (``_hmin_pure``); every
-    other state takes the SDP (``_hmin_sdp``)."""
-    rho, d_a, d_b, _, cdims = _prepare(state, target, condition)
-    if not condition:
-        lam = float(np.linalg.eigvalsh(hermitian_part(rho))[-1])
-        if lam <= 0:
-            raise EntropyError("min-entropy of a zero operator")
-        return EntropyResult(-math.log2(lam))
-    if _is_product_diagonal(rho):
-        value, sigma_prime, width = _hmin_diag(rho, d_a, d_b)
-        clip = _clip_diag
-    else:
-        value, sigma_prime, width = _hmin_pure(rho, d_a, d_b) or _hmin_sdp(rho, d_a, d_b)
-        clip = _clip_psd
-    tr = float(np.trace(sigma_prime).real)
-    sigma = StateOperator(cdims, clip(sigma_prime / tr), validate=False)
-    return EntropyResult(value, optimizer_sigma=sigma, certificate_gap=width)
+    """Conditional min-entropy: ``h_min_smooth`` at epsilon 0, which picks
+    the route."""
+    return h_min_smooth(state, target, condition, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +253,9 @@ def h_min(state: StateOperator, target: Sequence[str],
 
 def h_max(state: StateOperator, target: Sequence[str],
           condition: Sequence[str] = ()) -> EntropyResult:
-    """Conditional max-entropy by min-entropy duality on a purification.
-
-    H_max(A|B) = -H_min(A|C) for a purification on C (see ``_purified``),
-    one certified SDP; ``certificate_gap`` is that SDP's width.  No
-    conditioning witness is returned (``optimizer_sigma`` is None).  The
-    trivially conditioned case is the closed form 2 log tr sqrt(rho).
-    """
-    if not condition:
-        rho = _prepare(state, target, condition)[0]
-        return EntropyResult(2 * math.log2(float(np.trace(sqrt_psd(rho)).real)))
-    _check_query(state, target, condition, 0.0)
-    carrier, purifier = _purified(state, target, condition)
-    dual = h_min(carrier, target, purifier)
-    return EntropyResult(-dual.value, certificate_gap=dual.certificate_gap)
+    """Conditional max-entropy: ``h_max_smooth`` at epsilon 0, which picks
+    the route."""
+    return h_max_smooth(state, target, condition, 0.0)
 
 
 def _purified(state: StateOperator, target: Sequence[str], condition: Sequence[str]
@@ -342,7 +313,7 @@ def h2(state: StateOperator, target: Sequence[str],
     The value is a lower bound on the supremum over conditioning operators,
     which is all the decoupling bound needs.
     """
-    rho, d_a, _, _, cdims = _prepare(state, target, condition)
+    rho, d_a, _, _, cdims = _prepare(state, target, condition, 0.0)
     if not condition:
         val = float(np.trace(rho @ rho).real)
         if val <= 0:
@@ -557,10 +528,10 @@ def _fidelity_embedding(rho: np.ndarray
 
 
 def _smoothing_start(rho: np.ndarray, r_iso: np.ndarray, d_mat: np.ndarray, d_a: int,
-                     missing: float, eps: float) -> dict:
-    """A strictly feasible primal-dual start of the dense smoothing program,
-    as ``sdp.solve``'s ``x0``, ``y0`` and ``z0``, in closed form from rho's
-    support factor (R, D).
+                     missing: float, eps: float) -> sdp.Start:
+    """A strictly feasible primal-dual start (x, y, z) of the dense smoothing
+    program, as ``sdp.solve`` takes it, in closed form from rho's support
+    factor (R, D).
 
     With c0 = sqrt(1 - eps^2), c = (1 + c0) / 2 and b = (1 - c^2) / 4, the
     candidate is rho_hat = (1 - b)((1 - b) rho + b tr(rho) I / d), coupled
@@ -604,7 +575,7 @@ def _smoothing_start(rho: np.ndarray, r_iso: np.ndarray, d_mat: np.ndarray, d_a:
     z_v[r:, :r] = -r_iso / 2
     z0 = [z_v, np.eye(d) / (2 * d_a), np.eye(d // d_a) / 2, np.eye(1),
           np.array(z_tail)]
-    return {"x0": x0, "y0": y0, "z0": [z.astype(complex) for z in z0]}
+    return x0, y0, [z.astype(complex) for z in z0]
 
 
 def _smooth_hmin_dense(rho: np.ndarray, d_a: int, d_b: int, eps: float
@@ -641,10 +612,10 @@ def _smooth_hmin_dense(rho: np.ndarray, d_a: int, d_b: int, eps: float
     trace[r:, r:] = np.eye(d)
     _close_smoothing(build, {v_blk: gam}, {v_blk: trace}, missing, eps)
 
-    start = {}
+    start = None
     if 1.0 - math.sqrt(1.0 - eps * eps) >= CERT_LIMIT_BITS * math.log(2.0):
         start = _smoothing_start(rho, r_iso, d_mat, d_a, missing, eps)
-    mid, width, sol = _certified_solve(build.build(), "smoothing SDP", **start)
+    mid, width, sol = _certified_solve(build.build(), "smoothing SDP", start)
     rho_hat = hermitian_part(sol.x_blocks[v_blk][r:, r:])
     sigma_prime = hermitian_part(sol.x_blocks[sig_blk])
     return -math.log2(mid), rho_hat, sigma_prime, width
@@ -652,41 +623,62 @@ def _smooth_hmin_dense(rho: np.ndarray, d_a: int, d_b: int, eps: float
 
 def h_min_smooth(state: StateOperator, target: Sequence[str],
                  condition: Sequence[str] = (), epsilon: float = 0.0) -> EntropyResult:
-    """Smooth conditional min-entropy over the purified-distance ball.
+    """Smooth conditional min-entropy over the purified-distance ball; the
+    one place that picks a min-entropy route (``h_min`` is epsilon 0):
 
-    States diagonal in the product basis take ``_smooth_hmin_diag``, which
-    runs no SDP: it solves the reduced program through its Lagrange dual
-    for epsilon down to about 5e-8, and its ``certificate_gap`` bounds the
-    distance from the reported value to the optimum.  Any other state takes the dense
-    smoothing SDP, whose gap is the width of its primal/dual sandwich.  From
+    ================  ===============================  ===========================
+    epsilon           state (target, condition)        route
+    ================  ===============================  ===========================
+    0                 no condition                     -log2 lambda_max(rho)
+    0                 diagonal in the product basis    ``_hmin_diag``
+    0                 pure within CERT_LIMIT_BITS      ``_hmin_pure``
+    0                 any other                        ``_hmin_sdp``
+    > 0               diagonal in the product basis    ``_smooth_hmin_diag``
+    > 0               any other                        ``_smooth_hmin_dense``
+    ================  ===============================  ===========================
+
+    Every route but the first returns a conditioning witness and a
+    ``certificate_gap``; the smooth routes also return the smoothed state.
+    ``_smooth_hmin_diag`` runs no SDP: it solves the reduced program
+    through its Lagrange dual for epsilon down to about 5e-8, and its gap
+    bounds the distance from the reported value to the optimum.  The dense
+    smoothing SDP's gap is the width of its primal/dual sandwich.  From
     epsilon of about 1.18e-3 it starts from a strictly feasible point
     (``_smoothing_start``), and the sandwich brackets the optimum: on 72
     product-diagonal states at epsilon 0.02 to 0.1 it contained the exact
     value every time.  Below that radius it starts in infeasible mode, its
     sandwich need not contain the optimum, and it may fail to certify and
-    raise ``EntropyError``.  A state of trace at most
+    raise ``EntropyError``.  At epsilon > 0 a state of trace at most
     epsilon^2 has the zero operator in its ball, so its value is +inf and
     ``EntropyError`` is raised.
     """
-    _check_query(state, target, condition, epsilon)
-    if epsilon == 0.0:
-        return h_min(state, target, condition)
-    if state.trace <= epsilon * epsilon:
+    rho, d_a, d_b, tdims, cdims = _prepare(state, target, condition, epsilon)
+    if epsilon == 0.0 and not condition:
+        lam = float(np.linalg.eigvalsh(hermitian_part(rho))[-1])
+        if lam <= 0:
+            raise EntropyError("min-entropy of a zero operator")
+        return EntropyResult(-math.log2(lam))
+    if epsilon > 0.0 and state.trace <= epsilon * epsilon:
         raise EntropyError(
             f"trace {state.trace:.6g} <= epsilon^2 = {epsilon * epsilon:.6g}: the "
             "epsilon-ball contains the zero operator, so the smooth min-entropy is +inf")
-    rho, d_a, d_b, tdims, cdims = _prepare(state, target, condition)
-    joint_dims = Dims(tdims.pairs + cdims.pairs)
-    if _is_product_diagonal(rho):
-        p = np.real(np.diag(rho)).reshape(d_a, d_b)
-        value, q, s, width = _smooth_hmin_diag(p, d_a, d_b, epsilon)
-        rho_hat = np.diag(q.reshape(-1)).astype(complex)
-        sigma_prime = np.diag(s).astype(complex)
-        clip = _clip_diag
+    diagonal = _is_product_diagonal(rho)
+    clip = _clip_diag if diagonal else _clip_psd
+    smoothed = None
+    if epsilon == 0.0 and diagonal:
+        value, sigma_prime, width = _hmin_diag(rho, d_a, d_b)
+    elif epsilon == 0.0:
+        value, sigma_prime, width = _hmin_pure(rho, d_a, d_b) or _hmin_sdp(rho, d_a, d_b)
     else:
-        value, rho_hat, sigma_prime, width = _smooth_hmin_dense(rho, d_a, d_b, epsilon)
-        clip = _clip_psd
-    smoothed = StateOperator(joint_dims, clip(rho_hat), validate=False)
+        if diagonal:
+            p = np.real(np.diag(rho)).reshape(d_a, d_b)
+            value, q, s, width = _smooth_hmin_diag(p, d_a, d_b, epsilon)
+            rho_hat = np.diag(q.reshape(-1)).astype(complex)
+            sigma_prime = np.diag(s).astype(complex)
+        else:
+            value, rho_hat, sigma_prime, width = _smooth_hmin_dense(rho, d_a, d_b, epsilon)
+        smoothed = StateOperator(Dims(tdims.pairs + cdims.pairs), clip(rho_hat),
+                                 validate=False)
     tr_sig = float(np.trace(sigma_prime).real)
     sigma = None
     if condition and tr_sig > 0:
@@ -697,16 +689,21 @@ def h_min_smooth(state: StateOperator, target: Sequence[str],
 
 def h_max_smooth(state: StateOperator, target: Sequence[str],
                  condition: Sequence[str] = (), epsilon: float = 0.0) -> EntropyResult:
-    """Smooth conditional max-entropy by duality on a purification.
+    """Smooth conditional max-entropy; the one place that picks a
+    max-entropy route (``h_max`` is epsilon 0).
 
-    Minus the smooth min-entropy of target given the purifier of
-    ``_purified``; the input must be normalized.  At epsilon = 0 it is
-    ``h_max``.  Like ``h_max`` it returns no conditioning witness.
+    With no condition at epsilon 0 it is the closed form 2 log2 tr sqrt(rho).
+    Otherwise it is minus the smooth min-entropy of target given the
+    purifier of ``_purified`` (duality, H_max(A|B) = -H_min(A|C)), whose
+    ``certificate_gap`` it returns; at epsilon > 0 the input must be
+    normalized.  No conditioning witness is returned (``optimizer_sigma``
+    is None).
     """
+    if epsilon == 0.0 and not condition:
+        rho = _prepare(state, target, condition, epsilon)[0]
+        return EntropyResult(2 * math.log2(float(np.trace(sqrt_psd(rho)).real)))
     _check_query(state, target, condition, epsilon)
-    if epsilon == 0.0:
-        return h_max(state, target, condition)
-    if not state.is_normalized:
+    if epsilon > 0.0 and not state.is_normalized:
         raise EntropyError("smooth max-entropy needs a normalized state")
     carrier, purifier = _purified(state, target, condition)
     dual = h_min_smooth(carrier, target, purifier, epsilon)

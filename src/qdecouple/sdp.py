@@ -40,6 +40,8 @@ FEAS_TOL = 1e-9  # relative residual at which an iterate counts as feasible
 # dense constraint stacks hold m * sum_k n_k^2 complex entries (16 bytes each);
 # ProblemBuilder refuses programs above this before allocating them
 MAX_STACK_ENTRIES = 1 << 26
+# a primal-dual start (X blocks, y, Z blocks) in original units
+Start = tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]
 
 
 def default_gap_tol(primal_obj: float) -> float:
@@ -602,18 +604,17 @@ class _Groups:
 
 
 def solve(problem: SdpProblem, *,
-          x0: list[np.ndarray] | None = None,
-          y0: np.ndarray | None = None,
-          z0: list[np.ndarray] | None = None,
+          start: Start | None = None,
           max_iterations: int = 200,
           gap_tol: Callable[[float], float] = default_gap_tol,
           reg: float = 1e-12,
           step_frac: float = 0.96) -> SdpSolution:
     """Run the interior-point iteration; see module docstring for the form.
 
-    Strictly feasible (x0, y0, z0) starts preserve feasibility exactly, so
-    weak duality then holds on every iterate.  Without starts the solver runs
-    in infeasible mode and drives the residuals to zero alongside the gap.
+    A strictly feasible ``start`` (X, y, Z) preserves feasibility exactly,
+    so weak duality then holds on every iterate.  With None the solver
+    starts at scaled identities with y = 0, in infeasible mode, and drives
+    the residuals to zero alongside the gap.
 
     ``gap_tol`` is the stopping rule: it maps an iterate's primal objective
     (in original units) to the largest duality gap at which a feasible
@@ -636,18 +637,15 @@ def solve(problem: SdpProblem, *,
     norm_b = float(np.linalg.norm(b))
     norm_c = max(float(np.linalg.norm(c)) for cg in groups.c for c in cg)
 
-    if x0 is not None:
-        x = [hermitian_part(g) for g in groups.scatter(list(x0))]
-    else:
+    if start is None:
         x = groups.identity(max(1.0, norm_b))
-    if y0 is None:
         y = np.zeros(m)
-    else:
-        y = np.asarray(y0, dtype=float) * row_scale / c_scale
-    if z0 is not None:
-        z = [hermitian_part(g) / c_scale for g in groups.scatter(list(z0))]
-    else:
         z = groups.identity(max(1.0, norm_c))
+    else:
+        x0, y0, z0 = start
+        x = [hermitian_part(g) for g in groups.scatter(list(x0))]
+        y = np.asarray(y0, dtype=float) * row_scale / c_scale
+        z = [hermitian_part(g) / c_scale for g in groups.scatter(list(z0))]
 
     # Gram matrix of the constraint map, used to project search directions
     # exactly onto A(dx) = r_p so the primal residual cannot drift

@@ -25,15 +25,15 @@ def solve_calls(monkeypatch):
     return calls
 
 
-def iterate_sweep(problem: sdp.SdpProblem, **start
+def iterate_sweep(problem: sdp.SdpProblem, start: sdp.Start
                   ) -> tuple[sdp.SdpSolution, list[sdp.SdpSolution]]:
     """The full solve from ``start`` and the solves with ``max_iterations``
     1..N, N its iteration count.  The iteration is deterministic, so each
     returns the best of the first k iterates of the full solve's path; where
     that is the latest, the sweep returns every iterate the full solve
     visited."""
-    full = sdp.solve(problem, **start)
-    return full, [sdp.solve(problem, max_iterations=k, **start)
+    full = sdp.solve(problem, start=start)
+    return full, [sdp.solve(problem, start=start, max_iterations=k)
                   for k in range(1, full.iterations + 1)]
 
 

@@ -229,10 +229,12 @@ def test_gen_state_seed_without_randomness_exits_two(capsys, kind):
     (["entangled", "--dims", "A:2,E:2"], "--dims"),
     (["random-mixed"], "needs --dims"),
     (["random-pure", "--seed", "3"], "needs --dims"),
+    (["random-mixed", "--dims", "A:2,E:2", "--k", "5"], "--k"),
+    (["random-pure", "--dims", "A:2,E:2", "--k", "0"], "--k"),
 ])
 def test_gen_state_dims_and_kind_mismatch_exits_two(capsys, tmp_path, argv, needle):
-    # --dims was ignored by the fixed kinds, and a random kind without it
-    # exited 1 from the library
+    # --dims was ignored by the fixed kinds, a random kind without it
+    # exited 1 from the library, and --k was ignored by the random kinds
     out = tmp_path / "s.json"
     code, _, err = run_cli(capsys, "gen-state", *argv, "--out", str(out))
     assert code == 2
@@ -509,6 +511,33 @@ def test_merge_run_realises_the_achievable_cost(tmp_path, capsys):
     raw = merging.cost_achievable(psi, ("A",), ("B",), 0.95, realize=False)
     assert (rep["K"], rep["L"]) == merging.realize_cost(raw, 2) == (128, 1)
     assert rep["cost_bits"] == rep["bound_achievable"]
+
+
+def test_merge_run_without_registers_smooths_once(tmp_path, capsys, monkeypatch):
+    # merge run without --K and --L takes its registers from the achievable
+    # bound it reports: one h_max_smooth at eps^2/13, not one for the
+    # registers and another for the bound (4 sqrt(0.95) >= 1, so no converse)
+    import math
+    from qdecouple import merging
+    from qdecouple.linalg import PureState, dims_of, state_to_json
+
+    psi = PureState(dims_of(("A", 2), ("B", 2), ("E", 2)),
+                    np.full(8, 1 / math.sqrt(8), dtype=complex))
+    st_path = tmp_path / "psi.json"
+    st_path.write_text(json.dumps(state_to_json(psi.to_operator(validate=True))))
+    raw = merging.cost_achievable(psi, ("A",), ("B",), 0.95, realize=False)
+    epsilons = []
+    h_max_smooth = ent.h_max_smooth
+    monkeypatch.setattr(ent, "h_max_smooth",
+                        lambda *a: epsilons.append(a[3]) or h_max_smooth(*a))
+    code, out, _ = run_cli(capsys, "merge", "run", "--state", str(st_path),
+                           "--epsilon", "0.95")
+    assert code == 0
+    assert epsilons == [0.95 * 0.95 / 13.0]
+    rep = json.loads(out)["result"]
+    assert (rep["K"], rep["L"]) == merging.realize_cost(raw, 2)
+    assert rep["cost_bits"] == rep["bound_achievable"]
+    assert rep["bound_converse"] is None
 
 
 def test_merge_run_seed_range_covers_every_seed(tmp_path, capsys):

@@ -3,6 +3,7 @@ oracles (spectral sums, grid searches, one-parameter families), and the
 randomized property suites behind the smooth-entropy calculus.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -315,7 +316,7 @@ def hmax_fidelity_sdp(rho, d_a, d_b):
                      np.zeros(d * d))
     build.add_constraint({s_blk: np.eye(d_b, dtype=complex)}, 1.0)
     mid, width, sol = ent._certified_solve(build.build(), "max-entropy fidelity SDP",
-                                           flip=True)
+                                           None, flip=True)
     sigma = hermitian_part(sol.x_blocks[s_blk])
     return 2 * math.log2(mid), sigma, 2 * width
 
@@ -368,7 +369,7 @@ def diag_smoothing_sdp(p, d_a, d_b, eps):
                          {f_blks[i]: ent._E22 for i in live},
                          max(0.0, 1.0 - float(p.sum())), eps)
 
-    mid, width, sol = ent._certified_solve(build.build(), "diagonal smoothing SDP")
+    mid, width, sol = ent._certified_solve(build.build(), "diagonal smoothing SDP", None)
     q = np.zeros(d)
     for i in live:
         q[i] = float(sol.x_blocks[f_blks[i]][1, 1].real)
@@ -673,6 +674,72 @@ def test_smooth_hmax_epsilon_zero_matches():
     st = random_density(rng, (("A", 2), ("B", 2)))
     assert ent.h_max_smooth(st, ("A",), ("B",), 0.0).value == pytest.approx(
         ent.h_max(st, ("A",), ("B",)).value, abs=1e-9)
+
+
+def result_bits(res: ent.EntropyResult) -> dict:
+    """Every field of an entropy result, floats as hex and operators as their
+    dims and matrix bytes, so that equal results compare bit for bit."""
+    def enc(v):
+        if isinstance(v, StateOperator):
+            return v.dims.pairs, v.matrix.tobytes()
+        return v if v is None else float(v).hex()
+    return {f.name: enc(getattr(res, f.name)) for f in dataclasses.fields(res)}
+
+
+# (state, target, condition, number of SDP solves) per epsilon-0 route
+HMIN_ROUTES = {
+    "unconditional": lambda: (random_density(np.random.default_rng(50), (("A", 2), ("B", 2))),
+                              ("A",), (), 0),
+    "product-diagonal": lambda: (classical_state(1), ("A",), ("E",), 0),
+    "pure": lambda: (entangled_state(1), ("A",), ("E",), 0),
+    "sdp": lambda: (random_density(np.random.default_rng(51), (("A", 2), ("B", 3))),
+                    ("A",), ("B",), 1),
+}
+HMAX_ROUTES = {
+    "unconditional": lambda: (random_density(np.random.default_rng(52), (("A", 2), ("B", 2))),
+                              ("A",), (), 0),
+    "duality": lambda: (random_density(np.random.default_rng(53), (("A", 2), ("B", 2))),
+                        ("A",), ("B",), 1),
+}
+
+
+@pytest.mark.parametrize("route", list(HMIN_ROUTES))
+def test_hmin_is_smooth_hmin_at_epsilon_zero(route, solve_calls):
+    # h_min_smooth picks every min-entropy route; h_min is its epsilon-0 call
+    state, target, condition, solves = HMIN_ROUTES[route]()
+    res = ent.h_min(state, target, condition)
+    assert len(solve_calls) == solves
+    assert (res.optimizer_sigma is None) == (not condition)
+    assert res.smoothed_state is None
+    assert result_bits(res) == result_bits(ent.h_min_smooth(state, target, condition, 0.0))
+
+
+@pytest.mark.parametrize("route", list(HMAX_ROUTES))
+def test_hmax_is_smooth_hmax_at_epsilon_zero(route, solve_calls):
+    state, target, condition, solves = HMAX_ROUTES[route]()
+    res = ent.h_max(state, target, condition)
+    assert len(solve_calls) == solves
+    assert res.optimizer_sigma is None and res.smoothed_state is None
+    assert result_bits(res) == result_bits(ent.h_max_smooth(state, target, condition, 0.0))
+
+
+def test_smooth_hmax_rejects_subnormalized_input():
+    st = StateOperator(dims_of(("A", 2), ("B", 2)), 0.7 * random_density(
+        np.random.default_rng(54), (("A", 2), ("B", 2))).matrix)
+    with pytest.raises(ent.EntropyError, match="normalized"):
+        ent.h_max_smooth(st, ("A",), ("B",), 0.05)
+
+
+def test_purifier_label_avoids_the_query_labels():
+    # a target named like the purifier's default label gets a fresh one, and
+    # the value is that of the same matrix under other labels
+    rho = random_density(np.random.default_rng(55), (("A", 2), ("B", 2))).matrix
+    st = StateOperator(dims_of(("_pur", 2), ("B", 2)), rho)
+    carrier, purifier = ent._purified(st, ("_pur",), ("B",))
+    assert purifier == ("_pur_",)
+    assert carrier.labels == ("_pur", "_pur_")
+    renamed = StateOperator(dims_of(("A", 2), ("B", 2)), rho)
+    assert ent.h_max(st, ("_pur",), ("B",)).value == ent.h_max(renamed, ("A",), ("B",)).value
 
 
 # ---------------------------------------------------------------------------

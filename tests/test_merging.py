@@ -186,9 +186,23 @@ def test_achievable_cost_below_the_start_gate_starts_infeasible(solve_calls):
     psi = random_pure(np.random.default_rng(3), (("A", 2), ("B", 2), ("E", 2)))
     mg.cost_achievable(psi, ("A",), ("B",), 0.05, realize=False)
     assert [kwargs for kwargs, _ in solve_calls] == [
-        {"gap_tol": ent._cert_gap_tol, "max_iterations": 400}]
+        {"start": None, "gap_tol": ent._cert_gap_tol, "max_iterations": 400}]
     assert solve_calls[0][1].status is sdp.SdpStatus.MAX_ITER
     assert solve_calls[0][1].iterations == 400
+
+
+def test_achievable_cost_certifies_through_the_fallback_solve(solve_calls):
+    # seed 4's dense smoothing at eps^2/13, below the start gate: the first
+    # solve ends uncertified at its 400-iteration limit, and the fallback's
+    # smaller regularization and shorter steps certify the value
+    psi = random_pure(np.random.default_rng(4), (("A", 2), ("B", 2), ("E", 2)))
+    assert np.isfinite(mg.cost_achievable(psi, ("A",), ("B",), 0.05))
+    assert [(kwargs["max_iterations"], kwargs.get("reg"), sol.status)
+            for kwargs, sol in solve_calls] == [
+        (400, None, sdp.SdpStatus.MAX_ITER), (600, 1e-14, sdp.SdpStatus.OPTIMAL)]
+    fallback = solve_calls[1][1]
+    lo, hi = sorted((fallback.primal_obj, fallback.dual_obj))
+    assert math.log2(hi / lo) <= ent.CERT_LIMIT_BITS
 
 
 def test_cost_bounds_of_diagonal_marginals_solve_no_sdp(solve_calls):

@@ -44,8 +44,8 @@ def test_min_entropy_sdp_weak_duality_and_certificate(seed, shape):
     lam = float(np.abs(np.linalg.eigvalsh(rho)).max()) + 1.0
     sigma0 = lam * np.eye(d_b, dtype=complex)
     y0 = -np.array([float(np.trace(g @ sigma0).real) for g in basis])
-    sol, sweep = iterate_sweep(build.build(), x0=[np.eye(d_a * d_b, dtype=complex) / d_a],
-                               y0=y0, z0=[-rho + np.kron(np.eye(d_a), sigma0)])
+    sol, sweep = iterate_sweep(build.build(), ([np.eye(d_a * d_b, dtype=complex) / d_a],
+                                               y0, [-rho + np.kron(np.eye(d_a), sigma0)]))
     assert sol.status is SdpStatus.OPTIMAL
     for s in sweep:
         assert s.dual_obj <= s.primal_obj + 1e-9

@@ -146,8 +146,8 @@ def test_weak_duality_on_every_iterate_with_feasible_start():
     lam = float(np.abs(np.linalg.eigvalsh(rho)).max()) + 1.0
     sigma0 = lam * np.eye(2, dtype=complex)
     y0 = -np.array([float(np.trace(g @ sigma0).real) for g in basis])
-    full, sweep = iterate_sweep(build.build(), x0=[np.eye(4, dtype=complex) / 2], y0=y0,
-                                z0=[-rho + np.kron(np.eye(2), sigma0)])
+    full, sweep = iterate_sweep(build.build(), ([np.eye(4, dtype=complex) / 2], y0,
+                                                [-rho + np.kron(np.eye(2), sigma0)]))
     assert full.status is SdpStatus.OPTIMAL
     assert full.iterations > 2
     # the sweep reaches every iterate of the path, not one of them repeatedly
@@ -180,7 +180,7 @@ def test_infeasible_program_ends_max_iter_and_is_not_certified():
     assert sol.iterations == 200
     assert sol.primal_infeas > 0.1
     with pytest.raises(entropy.EntropyError):
-        entropy._certified_solve(problem, "x_11 = -1")
+        entropy._certified_solve(problem, "x_11 = -1", None)
 
 
 def test_solution_holds_only_what_callers_read():
@@ -311,15 +311,15 @@ def test_dense_smoothing_start_is_strictly_feasible(monkeypatch):
     calls = oracle_calls(monkeypatch)
     for name in ("dense smoothing 3x2", "dense smoothing 3x3 rank 4",
                  "dense smoothing 2x2 subnormalized"):
-        problem, start = calls[name]
-        x0, y0, z0 = start["x0"], start["y0"], start["z0"]
+        problem, kwargs = calls[name]
+        x0, y0, z0 = kwargs["start"]
         a = problem.a_blocks
         ax = sum(np.einsum("ipq,qp->i", ak, xk).real for ak, xk in zip(a, x0))
         assert np.abs(problem.b - ax).max() <= 1e-14, name
         for k, (c, ak, xk, zk) in enumerate(zip(problem.c_blocks, a, x0, z0)):
             assert np.abs(c - np.einsum("i,ipq->pq", y0, ak) - zk).max() <= 1e-14, (name, k)
             assert np.linalg.eigvalsh(xk)[0] > 0 and np.linalg.eigvalsh(zk)[0] > 0, (name, k)
-        sol = solve(problem, **start)
+        sol = solve(problem, start=kwargs["start"])
         assert sol.status is SdpStatus.OPTIMAL and sol.primal_infeas <= 1e-14, name
 
 
@@ -330,9 +330,10 @@ def test_dense_smoothing_starts_feasibly_only_above_the_gate(monkeypatch):
     for eps, started in ((1e-4, False), (1.17e-3, False), (1.18e-3, True), (0.05, True)):
         _, kwargs = built_call(monkeypatch,
                                lambda: entropy._smooth_hmin_dense(rho, 2, 2, eps))
-        assert ({"x0", "y0", "z0"} <= kwargs.keys()) == started, eps
+        assert (kwargs["start"] is not None) == started, eps
         if not started:
-            assert kwargs == {"gap_tol": entropy._cert_gap_tol, "max_iterations": 400}
+            assert kwargs == {"start": None, "gap_tol": entropy._cert_gap_tol,
+                              "max_iterations": 400}
 
 
 def test_family_term_matches_dense_sandwich(monkeypatch):
