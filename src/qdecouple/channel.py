@@ -151,8 +151,13 @@ def reference_channel(kind: str, m: int, m_prime: int | None = None,
                      "erase": ("id+trace", 0)}.get(kind, (kind, m_prime))
     if m_prime is None:
         raise ChannelError(f"builder {kind!r} needs m_prime")
+    if kind not in ("id+meas", "id+trace"):
+        raise ChannelError(f"unknown channel kind {kind!r}")
     dk = 2 ** m_prime       # kept coherently
     dm = 2 ** (m - m_prime)  # measured or traced out
+    # d_in d_out is 4^m for id+meas and 2^(m + m') for id+trace, checked
+    # before the d_m Kraus operators are built
+    check_cap(dk * dm * (dk * dm if kind == "id+meas" else dk), cap)
     if kind == "id+meas":
         ops = []
         for i in range(dm):
@@ -160,14 +165,12 @@ def reference_channel(kind: str, m: int, m_prime: int | None = None,
             proj[i, i] = 1.0
             ops.append(np.kron(np.eye(dk, dtype=complex), proj))
         return choi_of(ops, cap=cap)
-    if kind == "id+trace":
-        ops = []
-        for i in range(dm):
-            bra = np.zeros((1, dm), dtype=complex)
-            bra[0, i] = 1.0
-            ops.append(np.kron(np.eye(dk, dtype=complex), bra))
-        return choi_of(ops, cap=cap)
-    raise ChannelError(f"unknown channel kind {kind!r}")
+    ops = []
+    for i in range(dm):
+        bra = np.zeros((1, dm), dtype=complex)
+        bra[0, i] = 1.0
+        ops.append(np.kron(np.eye(dk, dtype=complex), bra))
+    return choi_of(ops, cap=cap)
 
 
 def random_tp_channel(rng: np.random.Generator, dim_in: int, dim_out: int,

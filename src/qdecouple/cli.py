@@ -4,7 +4,8 @@ Subcommands: gen-state, gen-channel, entropy, decouple run, merge run,
 lemmas check.  All structured output is JSON (per-sample vectors optionally
 as CSV); every report embeds the seed, the parsed configuration, the library
 version, and the wall-clock duration.  Exit codes: 0 success, 1 invariant or
-assertion failure, 2 usage error.
+assertion failure, 2 usage error.  Handlers return on success and raise
+otherwise; ``main`` alone writes the ``error:`` line and picks the code.
 """
 
 from __future__ import annotations
@@ -47,57 +48,44 @@ def _report(command: str, config: dict, result: dict, seed: haar.RngSeed | None,
     }, indent=2, sort_keys=True)
 
 
-# ---------------------------------------------------------------------------
-# state and channel generators
-# ---------------------------------------------------------------------------
-
-def gen_state(kind: str, k: int, dims: Sequence[tuple[str, int]] | None, seed: int,
-              cap: int | None) -> linalg.StateOperator:
-    """Reference bipartite states on labels (A, E); ``dims`` gives the
-    (label, dim) pairs of the random kinds, which need it."""
-    if kind == "independent":
-        return decoupling.independent_state(k, cap=cap)
-    if kind == "classical":
-        return decoupling.classical_state(k, cap=cap)
-    if kind == "entangled":
-        return decoupling.entangled_state(k, cap=cap)
-    if kind in ("random-mixed", "random-pure"):
-        rng = haar.generator(seed)
-        if kind == "random-mixed":
-            return linalg.random_density(rng, dims, cap=cap)
-        return linalg.random_pure(rng, dims, cap=cap).to_operator()
-    raise ValueError(f"unknown state kind {kind!r}")
+class _UsageError(Exception):
+    """A flag combination the parser cannot reject on its own (exit 2)."""
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_gen_state(args: argparse.Namespace) -> int:
-    random = args.kind.startswith("random-")
-    if args.seed is not None and not random:
-        print(f"error: --seed draws the random kinds only; {args.kind} takes none",
-              file=sys.stderr)
-        return 2
-    if args.k is not None and random:
-        print(f"error: --k sizes the fixed kinds only; {args.kind} takes --dims",
-              file=sys.stderr)
-        return 2
-    if (args.dims is not None) != random:
-        print(f"error: {args.kind} needs --dims, e.g. A:2,E:3" if random else
-              f"error: --dims shapes the random kinds only; {args.kind} takes none",
-              file=sys.stderr)
-        return 2
-    k = 1 if args.k is None else args.k
-    state = gen_state(args.kind, k, args.dims, args.seed or 0, cap=args.cap)
+_FIXED_STATES = {"independent": decoupling.independent_state,
+                 "classical": decoupling.classical_state,
+                 "entangled": decoupling.entangled_state}
+
+
+def _cmd_gen_state(args: argparse.Namespace) -> None:
+    """Reference bipartite states on labels (A, E): the fixed kinds on k
+    qubits each, the random kinds on the (label, dim) pairs of --dims."""
+    fixed = _FIXED_STATES.get(args.kind)
+    if args.seed is not None and fixed:
+        raise _UsageError(f"--seed draws the random kinds only; {args.kind} takes none")
+    if args.k is not None and not fixed:
+        raise _UsageError(f"--k sizes the fixed kinds only; {args.kind} takes --dims")
+    if (args.dims is None) != bool(fixed):
+        raise _UsageError(f"--dims shapes the random kinds only; {args.kind} takes none"
+                          if fixed else f"{args.kind} needs --dims, e.g. A:2,E:3")
+    if fixed:
+        state = fixed(1 if args.k is None else args.k, cap=args.cap)
+    elif args.kind == "random-mixed":
+        state = linalg.random_density(haar.generator(args.seed or 0), args.dims,
+                                      cap=args.cap)
+    else:
+        state = linalg.random_pure(haar.generator(args.seed or 0), args.dims,
+                                   cap=args.cap).to_operator()
     _emit(json.dumps(linalg.state_to_json(state)), args.out)
-    return 0
 
 
-def _cmd_gen_channel(args: argparse.Namespace) -> int:
+def _cmd_gen_channel(args: argparse.Namespace) -> None:
     ch = chan.parse_spec(args.spec, cap=args.cap)
     _emit(json.dumps(chan.channel_to_json(ch)), args.out)
-    return 0
 
 
 def _load_state(path: str, cap: int | None) -> linalg.StateOperator:
@@ -114,13 +102,12 @@ def _load_channel(spec: str, cap: int | None) -> chan.Channel:
         return chan.channel_from_json(json.load(fh), cap=cap)
 
 
-def _cmd_entropy(args: argparse.Namespace) -> int:
+def _cmd_entropy(args: argparse.Namespace) -> None:
     started = time.time()
     kind = args.kind
     if kind in ("vn", "h2") and args.epsilon > 0:
-        print(f"error: --epsilon smooths hmin and hmax only; --kind {kind} "
-              "takes none", file=sys.stderr)
-        return 2
+        raise _UsageError(f"--epsilon smooths hmin and hmax only; --kind {kind} "
+                          "takes none")
     state = _load_state(args.state, args.cap)
     target, condition = args.target, args.condition
     note = None
@@ -132,12 +119,10 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     elif kind == "hmax":
         res = entropy.h_max_smooth(state, target, condition, args.epsilon)
         value, gap = res.value, res.certificate_gap
-    elif kind == "h2":
+    else:  # h2
         res = entropy.h2(state, target, condition)
         value, gap = res.value, res.certificate_gap
         note = "lower bound on the conditioning supremum"
-    else:
-        raise ValueError(f"unknown entropy kind {kind!r}")
     result = {"value": value, "epsilon": args.epsilon, "kind": kind,
               "certificate_gap": gap}
     if note:
@@ -145,15 +130,13 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     config = {"state": args.state, "kind": kind, "target": list(target),
               "condition": list(condition), "epsilon": args.epsilon}
     _emit(_report("entropy", config, result, None, started), args.out)
-    return 0
 
 
-def _cmd_decouple_run(args: argparse.Namespace) -> int:
+def _cmd_decouple_run(args: argparse.Namespace) -> None:
     started = time.time()
     if args.csv and args.samples > decoupling.MAX_RETAINED_SAMPLES:
-        print(f"error: --csv needs --samples <= {decoupling.MAX_RETAINED_SAMPLES}; "
-              "larger runs do not retain per-sample distances", file=sys.stderr)
-        return 2
+        raise _UsageError(f"--csv needs --samples <= {decoupling.MAX_RETAINED_SAMPLES}; "
+                          "larger runs do not retain per-sample distances")
     state = _load_state(args.state, args.cap)
     ch = _load_channel(args.channel, args.cap)
     seed = haar.RngSeed(args.seed)
@@ -166,28 +149,22 @@ def _cmd_decouple_run(args: argparse.Namespace) -> int:
     config = {"state": args.state, "channel": args.channel,
               "samples": args.samples, "epsilon": args.epsilon,
               "on": ["A"], "workers": args.workers}
+    # the report is written either way; a mean above the bound then fails
     _emit(_report("decouple run", config, report.to_json(), seed, started), args.out)
-    ok = report.empirical_mean <= report.bound_nonsmooth + 3 * report.std_error
-    if not ok:
-        print("error: empirical mean exceeds the non-smooth bound", file=sys.stderr)
-        return 1
-    return 0
+    if not report.empirical_mean <= report.bound_nonsmooth + 3 * report.std_error:
+        raise RuntimeError("empirical mean exceeds the non-smooth bound")
 
 
-def _cmd_merge_run(args: argparse.Namespace) -> int:
+def _cmd_merge_run(args: argparse.Namespace) -> None:
     started = time.time()
     if (args.K is None) != (args.L is None):
-        print("error: --K and --L go together; give both or neither",
-              file=sys.stderr)
-        return 2
+        raise _UsageError("--K and --L go together; give both or neither")
     if args.seed + args.num_seeds > 2 ** 64:
-        print("error: --seed + --num-seeds - 1 must be below 2^64", file=sys.stderr)
-        return 2
+        raise _UsageError("--seed + --num-seeds - 1 must be below 2^64")
     state = _load_state(args.state, args.cap)
     w, v = np.linalg.eigh(linalg.hermitian_part(state.matrix))
     if w[-1] < 1.0 - 1e-7 or float(np.sum(w > 1e-9)) > 1:
-        print("error: merge run needs a pure input state", file=sys.stderr)
-        return 1
+        raise ValueError("merge run needs a pure input state")
     psi = linalg.PureState(state.dims, v[:, -1] * math.sqrt(w[-1]), cap=args.cap)
     # the bounds depend on the state and epsilon only: one pair of solves.
     # The achievable bound is already a realised cost, so realize_cost
@@ -218,20 +195,20 @@ def _cmd_merge_run(args: argparse.Namespace) -> int:
               "L": l_dim, "seeds": seeds}
     _emit(_report("merge run", config, result, haar.RngSeed(args.seed), started),
           args.out)
-    return 0
 
 
-def _cmd_lemmas_check(args: argparse.Namespace) -> int:
+def _cmd_lemmas_check(args: argparse.Namespace) -> None:
     started = time.time()
     seed = haar.RngSeed(args.seed)
     reports = decoupling.verify_proof_lemmas(seed, trials=args.trials)
-    result = decoupling.lemma_report_json(reports)
-    config = {"trials": args.trials}
-    _emit(_report("lemmas check", config, result, seed, started), args.out)
+    result = {name: {"trials": r.trials, "failures": r.failures,
+                     "worst_slack": r.worst_slack, "passed": r.passed}
+              for name, r in reports.items()}
+    _emit(_report("lemmas check", {"trials": args.trials}, result, seed, started),
+          args.out)
+    # the report is written either way; a violation then fails
     if not all(r.passed for r in reports.values()):
-        print("error: lemma property suite reported violations", file=sys.stderr)
-        return 1
-    return 0
+        raise RuntimeError("lemma property suite reported violations")
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +359,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit code: 0 when its handler
+    returns, 2 when it raises ``_UsageError``, 1 when it raises a
+    ``ValueError``, ``RuntimeError`` or ``OSError``."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

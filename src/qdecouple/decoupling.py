@@ -24,6 +24,7 @@ from qdecouple.linalg import (
     Dims,
     TOL_TRACE,
     StateOperator,
+    check_cap,
     hermitian_part,
     partial_trace,
     psd_power,
@@ -332,7 +333,6 @@ class ConverseReport:
     h_min_smooth_state: float
     h_max_joint: float
     h_min_output: float
-    h_max_conditional: float  # conjectured replacement term, reported only
     epsilons: tuple[float, float, float, float]
 
 
@@ -342,9 +342,7 @@ def converse_check(state: StateOperator, ch: chan.Channel, eps: float,
     smoothing parameters.
 
     Requires || T(rho_AE) - T(rho_A) (x) rho_E ||_1 <= eps (verified
-    numerically) and a trace-one Choi matrix.  The conditional max-entropy of
-    the tilted Choi state is reported alongside as data for the conjectured
-    sharper form, but nothing is asserted about it.
+    numerically) and a trace-one Choi matrix.
     """
     if not ch.choi.is_normalized:
         raise DecouplingError("converse needs a channel with Choi trace one")
@@ -378,11 +376,10 @@ def converse_check(state: StateOperator, ch: chan.Channel, eps: float,
     h_joint = entropy.h_max_smooth(tau, (chan.IN_LABEL, ch.out_label),
                                    epsilon=eps2).value
     h_out = entropy.h_min_smooth(tau, (ch.out_label,), epsilon=eps3).value
-    h_cond = entropy.h_max(tau, (chan.IN_LABEL,), (ch.out_label,)).value
     lhs = h_state + h_joint - h_out
     rhs = -math.log2(2.0 / (eps1 * eps1))
     return ConverseReport(lhs, rhs, lhs >= rhs - 1e-6, measured, h_state,
-                          h_joint, h_out, h_cond, (eps, eps1, eps2, eps3))
+                          h_joint, h_out, (eps, eps1, eps2, eps3))
 
 
 def default_converse_epsilons(eps: float) -> tuple[float, float, float]:
@@ -412,79 +409,74 @@ def _rnd_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
+_LEMMA_DIMS = (2, 3, 4)
+
+
+def _swap_trick(rng: np.random.Generator, t: int) -> tuple[float, float]:
+    """tr((M (x) N) F) = tr(MN) with F the swap: the error and its bound."""
+    d = int(rng.choice(_LEMMA_DIMS))
+    m, n = _rnd_matrix(rng, d), _rnd_matrix(rng, d)
+    lhs = complex(np.trace(np.kron(m, n) @ swap_operator(d)))
+    rhs = complex(np.trace(m @ n))
+    return abs(lhs - rhs), 1e-10 * max(1.0, abs(rhs))
+
+
+def _purity_ratio(rng: np.random.Generator, t: int) -> tuple[float, float]:
+    """1/d_A <= tr xi^2 / tr xi_B^2 <= d_A: the violation and its bound."""
+    da = int(rng.choice(_LEMMA_DIMS))
+    db = int(rng.choice(_LEMMA_DIMS))
+    g = _rnd_matrix(rng, da * db)
+    xi = g @ g.conj().T
+    xi_b = trace_out_leading(xi, da)
+    ratio = float(np.trace(xi @ xi).real) / float(np.trace(xi_b @ xi_b).real)
+    return max(1.0 / da - ratio, ratio - da, 0.0), 1e-10
+
+
+def _weighted_trace_norm(rng: np.random.Generator, t: int) -> tuple[float, float]:
+    """||M||_1 <= sqrt(tr sigma tr (sigma^-1/4 M sigma^-1/4)^2): the
+    violation and its bound."""
+    d = int(rng.choice(_LEMMA_DIMS))
+    m = hermitian_part(_rnd_matrix(rng, d))
+    g = _rnd_matrix(rng, d)
+    sigma = g @ g.conj().T
+    if t % 5 == 1:
+        # adversarial near-singular weight, above the inverse cutoff
+        w, v = np.linalg.eigh(sigma)
+        w[0] = 1e-8 * w[-1]
+        sigma = (v * w) @ v.conj().T
+    elif t % 5 == 3 and d >= 3:
+        # exactly singular weight with M inside its support
+        w, v = np.linalg.eigh(sigma)
+        w[0] = 0.0
+        sigma = (v * w) @ v.conj().T
+        proj = (v[:, 1:]) @ v[:, 1:].conj().T
+        m = hermitian_part(proj @ m @ proj)
+    tilt = psd_power(sigma, -0.25)
+    rhs = math.sqrt(float(np.trace(sigma).real)
+                    * float(np.trace((tilt @ m @ tilt) @ (tilt @ m @ tilt)).real))
+    return trace_norm(m) - rhs, 1e-8
+
+
 def verify_proof_lemmas(seed: haar.RngSeed | int = 0,
                         trials: int = 200) -> dict[str, LemmaReport]:
     """Randomized checks of the swap trick, the two-copy purity ratio, and
-    the weighted trace-norm bound on dimensions 2, 3 and 4.  Failures are
-    reported, never raised.
+    the weighted trace-norm bound on dimensions 2, 3 and 4, run one suite
+    after the other from one generator.  Failures are reported, never
+    raised.
     """
     rng = haar.generator(seed if isinstance(seed, haar.RngSeed) else haar.RngSeed(seed))
     reports: dict[str, LemmaReport] = {}
-    dims = [2, 3, 4]
-
-    fails = 0
-    worst = 0.0
-    for _ in range(trials):
-        d = int(rng.choice(dims))
-        m, n = _rnd_matrix(rng, d), _rnd_matrix(rng, d)
-        lhs = complex(np.trace(np.kron(m, n) @ swap_operator(d)))
-        rhs = complex(np.trace(m @ n))
-        err = abs(lhs - rhs)
-        worst = max(worst, err)
-        if err > 1e-10 * max(1.0, abs(rhs)):
-            fails += 1
-    reports["swap_trick"] = LemmaReport("swap_trick", trials, fails, worst)
-
-    fails = 0
-    worst = 0.0
-    for _ in range(trials):
-        da = int(rng.choice(dims))
-        db = int(rng.choice(dims))
-        g = _rnd_matrix(rng, da * db)
-        xi = g @ g.conj().T
-        xi_b = trace_out_leading(xi, da)
-        ratio = float(np.trace(xi @ xi).real) / float(np.trace(xi_b @ xi_b).real)
-        slack = max(1.0 / da - ratio, ratio - da, 0.0)
-        worst = max(worst, slack)
-        if slack > 1e-10:
-            fails += 1
-    reports["purity_ratio"] = LemmaReport("purity_ratio", trials, fails, worst)
-
-    fails = 0
-    worst = 0.0
-    for t in range(trials):
-        d = int(rng.choice(dims))
-        m = hermitian_part(_rnd_matrix(rng, d))
-        g = _rnd_matrix(rng, d)
-        sigma = g @ g.conj().T
-        if t % 5 == 1:
-            # adversarial near-singular weight, above the inverse cutoff
-            w, v = np.linalg.eigh(sigma)
-            w[0] = 1e-8 * w[-1]
-            sigma = (v * w) @ v.conj().T
-        elif t % 5 == 3 and d >= 3:
-            # exactly singular weight with M inside its support
-            w, v = np.linalg.eigh(sigma)
-            w[0] = 0.0
-            sigma = (v * w) @ v.conj().T
-            proj = (v[:, 1:]) @ v[:, 1:].conj().T
-            m = hermitian_part(proj @ m @ proj)
-        tilt = psd_power(sigma, -0.25)
-        rhs = math.sqrt(float(np.trace(sigma).real)
-                        * float(np.trace((tilt @ m @ tilt) @ (tilt @ m @ tilt)).real))
-        slack = trace_norm(m) - rhs
-        worst = max(worst, slack)
-        if slack > 1e-8:
-            fails += 1
-    reports["weighted_trace_norm"] = LemmaReport("weighted_trace_norm", trials,
-                                                 fails, worst)
+    for name, trial in (("swap_trick", _swap_trick), ("purity_ratio", _purity_ratio),
+                        ("weighted_trace_norm", _weighted_trace_norm)):
+        fails = 0
+        worst = 0.0
+        for t in range(trials):
+            slack, bound = trial(rng, t)
+            worst = max(worst, slack)
+            if slack > bound:
+                fails += 1
+        reports[name] = LemmaReport(name, trials, fails, worst)
     return reports
-
-
-def lemma_report_json(reports: dict[str, LemmaReport]) -> dict:
-    return {name: {"trials": r.trials, "failures": r.failures,
-                   "worst_slack": r.worst_slack, "passed": r.passed}
-            for name, r in reports.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +487,7 @@ def independent_state(k: int, cap: int | None = None) -> StateOperator:
     """k uniformly random bits, uncorrelated with a maximally mixed
     reference of the same dimension."""
     d = 2 ** k
+    check_cap(d * d, cap)  # before the d^2 x d^2 matrix is built
     mixed = np.eye(d) / d
     return StateOperator(Dims((("A", d), ("E", d))), np.kron(mixed, mixed), cap=cap)
 
@@ -502,6 +495,7 @@ def independent_state(k: int, cap: int | None = None) -> StateOperator:
 def classical_state(k: int, cap: int | None = None) -> StateOperator:
     """k bits perfectly correlated with a classical reference register."""
     d = 2 ** k
+    check_cap(d * d, cap)  # before the d^2 x d^2 matrix is built
     m = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         m[i * d + i, i * d + i] = 1.0 / d

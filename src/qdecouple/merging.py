@@ -122,11 +122,11 @@ def run_merging(instance: MergingInstance,
     The draw is the unitary ``haar_unitary_indexed(seed, 0, K|A|)`` on the
     sender registers (A0, A); outcome x is its rows x L .. (x + 1) L.  Each
     outcome's probability, Uhlmann-decoder fidelity and decoupling test come
-    from its receiver-independent A1 E marginal (``outcome_fidelity``), and
-    ``_outcome_kernel`` forms them for the whole stack of outcomes, so the
-    largest arrays are that (K|A|)^2 unitary and the Gram step's regrouped
-    copies of it, never the K^2|A||B||E| protocol state; the unitary's entry
-    count is held to the instance's cap.  ``bounds`` is ``cost_bounds`` of the instance's
+    from its receiver-independent A1 E marginal, and ``_outcome_kernel``
+    forms them for the whole stack of outcomes, so the largest arrays are
+    that (K|A|)^2 unitary and the Gram step's regrouped copies of it, never
+    the K^2|A||B||E| protocol state; the unitary's entry count is held to
+    the instance's cap.  ``bounds`` is ``cost_bounds`` of the instance's
     state and epsilon, which do not depend on the seed; it is computed here
     when not given.
     """
@@ -179,14 +179,23 @@ def _sender_env_marginal(inst: MergingInstance) -> np.ndarray:
 
 def _outcome_kernel(blocks: np.ndarray, rho_ae: np.ndarray, dim_a: int
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(p, f, states, ideal) of a stack of outcomes (``outcome_fidelity``).
+    """(p, f, states, ideal) of a stack of outcomes.
 
-    ``blocks`` (count, L, K|A|) holds each outcome's rows U_x.  p and f are
-    the outcomes' probabilities and decoder fidelities; ``states`` stacks
-    the normalized A1 E marginals sigma_x / p_x of the outcomes with
-    p_x >= ``_P_DEAD``, in order (the others have f = 0), and ``ideal`` is
-    I/L (x) rho_E.  Every step is one stacked call, and an outcome's values
-    do not depend on the rest of the stack.
+    ``blocks`` (count, L, K|A|) holds each outcome's rows U_x of the unitary
+    on the K|A| register (index k |A| + a, A0 major), and ``rho_ae`` is the
+    sender-reference marginal with the sender index major.  An outcome's
+    A1 E marginal does not depend on the receiver:
+
+        sigma_x = (1/K) sum G_x rho_AE,
+        G_x[l, a, l', a'] = sum_k U_x[l, k, a] conj(U_x[l', k, a']),
+
+    so p_x = tr sigma_x and, by Uhlmann's theorem, the decoder fidelity is
+    f_x = F(sigma_x / p_x, I/L (x) rho_E): the values the explicit protocol
+    gets from its K^2|A||B||E| state and a per-outcome Uhlmann isometry.
+    ``states`` stacks the normalized marginals sigma_x / p_x of the outcomes
+    with p_x >= ``_P_DEAD``, in order (the others have f = 0), and ``ideal``
+    is I/L (x) rho_E.  Every step is one stacked call, and an outcome's
+    values do not depend on the rest of the stack.
     """
     count, l_dim, reg = blocks.shape
     if reg % dim_a != 0:
@@ -207,27 +216,6 @@ def _outcome_kernel(blocks: np.ndarray, rho_ae: np.ndarray, dim_a: int
     f = np.zeros(count)
     f[live] = fidelities(states, ideal[None])
     return p, f, states, ideal
-
-
-def outcome_fidelity(rows: np.ndarray, rho_ae: np.ndarray,
-                     dim_a: int) -> tuple[float, float]:
-    """(p_x, f_x) of the outcome whose block of the sender unitary is ``rows``.
-
-    ``rows`` are the L rows U_x of the unitary on the K|A| register (index
-    k |A| + a, A0 major) and ``rho_ae`` is the sender-reference marginal with
-    the sender index major.  The outcome's A1 E marginal does not depend on
-    the receiver:
-
-        sigma_x = (1/K) sum G_x rho_AE,
-        G_x[l, a, l', a'] = sum_k U_x[l, k, a] conj(U_x[l', k, a']),
-
-    so p_x = tr sigma_x and, by Uhlmann's theorem, the decoder fidelity is
-    f_x = F(sigma_x / p_x, I/L (x) rho_E): the values the explicit protocol
-    gets from its K^2|A||B||E| state and a per-outcome Uhlmann isometry.
-    It is ``_outcome_kernel`` on a stack of one.
-    """
-    p, f, _, _ = _outcome_kernel(rows[None], rho_ae, dim_a)
-    return float(p[0]), float(f[0])
 
 
 def estimate_merging_fidelity(instance: MergingInstance,
@@ -251,8 +239,8 @@ def estimate_merging_fidelity(instance: MergingInstance,
     samples = []
     for i in range(draws):
         rows = haar.haar_row_block_indexed(inst.seed, i, reg, inst.l_rank)
-        p_0, f_0 = outcome_fidelity(rows, rho_ae, inst.dim_a)
-        samples.append(math.sqrt(n_out * p_0) * f_0)
+        p, f, _, _ = _outcome_kernel(rows[None], rho_ae, inst.dim_a)
+        samples.append(math.sqrt(n_out * float(p[0])) * float(f[0]))
     mean = float(np.mean(samples))
     std_err = float(np.std(samples, ddof=1) / math.sqrt(draws))
     cost = math.log2(inst.k_rank) - math.log2(inst.l_rank)

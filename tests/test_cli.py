@@ -121,6 +121,19 @@ def test_lemmas_check_exit_zero(tmp_path, capsys):
     assert report["seed"] == {"seed": 7, "stream": "default"}
 
 
+def test_lemmas_check_with_a_violation_exits_one_after_the_report(
+        tmp_path, capsys, monkeypatch):
+    violated = {"swap_trick": decoupling.LemmaReport("swap_trick", 5, 1, 0.5)}
+    monkeypatch.setattr(decoupling, "verify_proof_lemmas", lambda *a, **k: violated)
+    out_path = tmp_path / "lem.json"
+    code, out, err = run_cli(capsys, "lemmas", "check", "--trials", "5",
+                             "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert err == "error: lemma property suite reported violations\n"
+    assert json.loads(out_path.read_text())["result"] == {
+        "swap_trick": {"trials": 5, "failures": 1, "worst_slack": 0.5, "passed": False}}
+
+
 def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
@@ -587,3 +600,34 @@ def test_decouple_csv_over_retention_limit_fails_before_sampling(
                            "--csv", str(csv_path), "--out", str(out_path))
     assert code == 2 and "--csv" in err
     assert not csv_path.exists() and not out_path.exists()
+
+
+def test_decouple_run_above_the_bound_exits_one_after_the_report(
+        tmp_path, capsys, monkeypatch):
+    state_path = tmp_path / "cls.json"
+    run_cli(capsys, "gen-state", "classical", "--k", "1", "--out", str(state_path))
+
+    def above_bound(exp, workers):
+        return decoupling.DecouplingReport(1.0, 0.0, 0.5, None, 0.0, exp.num_samples,
+                                           exp.seed, "dense", [1.0] * exp.num_samples)
+    monkeypatch.setattr(decoupling, "run", above_bound)
+    out_path = tmp_path / "rep.json"
+    code, out, err = run_cli(capsys, "decouple", "run", "--state", str(state_path),
+                             "--channel", "id:1", "--samples", "2",
+                             "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert err == "error: empirical mean exceeds the non-smooth bound\n"
+    result = json.loads(out_path.read_text())["result"]
+    assert (result["empirical_mean"], result["bound_nonsmooth"]) == (1.0, 0.5)
+
+
+def test_merge_run_on_a_mixed_state_exits_one_without_a_report(tmp_path, capsys):
+    state_path, out_path = tmp_path / "mixed.json", tmp_path / "merge.json"
+    run_cli(capsys, "gen-state", "random-mixed", "--dims", "A:2,B:2,E:2",
+            "--out", str(state_path))
+    code, out, err = run_cli(capsys, "merge", "run", "--state", str(state_path),
+                             "--epsilon", "0.3", "--K", "2", "--L", "1",
+                             "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert err == "error: merge run needs a pure input state\n"
+    assert not out_path.exists()

@@ -2,6 +2,8 @@
 Monte Carlo determinism, the converse checker, and the randomized lemma
 suites."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from qdecouple import channel as chan
 from qdecouple import decoupling as dec
 from qdecouple import haar
 from qdecouple.linalg import (
+    DimCapError,
     Dims,
     StateOperator,
     apply_matrix,
@@ -418,16 +421,6 @@ def test_converse_weakly_correlated_identity():
     assert rep.lhs >= rep.rhs - 1e-6
 
 
-def test_converse_flat_instance_matches_conditional_form():
-    # for a flat Choi state with maximally mixed input the reported
-    # conditional term equals the entropy difference
-    st = tensor(maximally_mixed((("A", 2),)), maximally_mixed((("E", 2),)))
-    ch = chan.reference_channel("meas", 1)
-    rep = dec.converse_check(st, ch, eps=1e-9, eps1=0.05, eps2=0.0, eps3=0.0)
-    diff = rep.h_max_joint - rep.h_min_output
-    assert diff == pytest.approx(rep.h_max_conditional, abs=1e-5)
-
-
 def test_converse_precondition_enforced():
     st = dec.entangled_state(1)
     with pytest.raises(dec.DecouplingError):
@@ -467,3 +460,24 @@ def test_report_serialization_and_csv():
     csv = rep.samples_csv()
     assert csv.splitlines()[0] == "sample,distance"
     assert len(csv.strip().splitlines()) == 26
+
+
+@pytest.mark.parametrize("build", [
+    lambda: dec.independent_state(5), lambda: dec.classical_state(5),
+    lambda: chan.parse_spec("id:8"), lambda: chan.parse_spec("id+trace:9,1"),
+    lambda: dec.independent_state(40), lambda: dec.classical_state(40),
+    lambda: chan.parse_spec("id:40"), lambda: chan.parse_spec("meas:40"),
+], ids=["independent_state(5)", "classical_state(5)", "id:8", "id+trace:9,1",
+        "independent_state(40)", "classical_state(40)", "id:40", "meas:40"])
+def test_reference_builders_check_the_cap_before_allocating(build):
+    # built first, the first four allocated 25.2, 16.8, 2.1 and 4.3 MB before
+    # the operator's own cap check failed, and the last four ended in numpy's
+    # "array is too big"
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimCapError, match="exceeds cap"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
