@@ -117,14 +117,14 @@ def apply(ch: Channel, state: StateOperator, on: Sequence[str]) -> StateOperator
     rest = [lab for lab in state.labels if lab not in set(on)]
     if ch.out_label in rest:
         raise LabelError(f"output label {ch.out_label!r} collides with {rest}")
+    rest_pairs = tuple((lab, state.dims.dim_of(lab)) for lab in rest)
+    new_dims = Dims(((ch.out_label, ch.dim_out),) + rest_pairs)
+    d = new_dims.total
+    check_cap(d)
     perm = state.permute(on + rest)
     dr = perm.dims.total // din
     t = perm.matrix.reshape(din, dr, din, dr)
     out = ch.dim_in * np.einsum("abcd,arcs->brds", ch.choi_tensor, t, optimize=True)
-    rest_pairs = tuple((lab, state.dims.dim_of(lab)) for lab in rest)
-    new_dims = Dims(((ch.out_label, ch.dim_out),) + rest_pairs)
-    check_cap(new_dims.total)
-    d = new_dims.total
     return StateOperator(new_dims, out.reshape(d, d), validate=False)
 
 
@@ -180,6 +180,7 @@ def random_tp_channel(rng: np.random.Generator, dim_in: int, dim_out: int,
     total = dim_out * env
     if total < dim_in:
         raise ChannelError("dim_out * env must be at least dim_in")
+    check_cap(dim_in * dim_out)  # the Choi matrix's, before the draw
     u = haar.haar_unitary(total, rng)
     v = u[:, :dim_in]
     # rows of V grouped as (out, env): K_i[b, a] = V[(b, i), a]
@@ -196,6 +197,7 @@ def random_cpm(rng: np.random.Generator, dim_in: int, dim_out: int,
                trace: float = 1.0) -> Channel:
     """CPM with a Ginibre-random Choi matrix of the given trace (<= 1)."""
     d = dim_in * dim_out
+    check_cap(d)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     j = g @ g.conj().T
     j *= trace / float(np.trace(j).real)

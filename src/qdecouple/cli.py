@@ -188,7 +188,8 @@ def _cmd_merge_run(args: argparse.Namespace) -> None:
         "mean_fidelity": float(np.mean(fidelities)),
         "fidelities": fidelities,
         "decoupled_fraction": [r.decoupled_fraction for r in runs],
-        "per_outcome": [r.to_json()["per_outcome"] for r in runs],
+        "per_outcome": [[{"x": x, "p": p, "fidelity": f} for x, p, f in r.per_outcome]
+                        for r in runs],
         "seeds": seeds,
     }
     config = {"state": args.state, "epsilon": args.epsilon, "K": k_dim,

@@ -84,7 +84,7 @@ class DecouplingReport:
     num_samples: int
     seed: haar.RngSeed
     kernel: str  # "blocks:<n>" for a state classical on the reference, else "dense"
-    per_sample_distances: list[float] | None = None
+    per_sample_distances: list[float] | None
 
     def to_json(self) -> dict:
         return {
@@ -274,7 +274,8 @@ def run(experiment: DecouplingExperiment, workers: int = 1) -> DecouplingReport:
 
     def one_chunk(start: int) -> np.ndarray:
         stop = min(start + chunk, exp.num_samples)
-        return distances(haar.haar_unitaries_indexed(exp.seed, start, stop, ch.dim_in))
+        d = ch.dim_in
+        return distances(haar.haar_columns_indexed(exp.seed, start, stop, d, d))
 
     starts = range(0, exp.num_samples, chunk)
     if workers > 1:
@@ -464,7 +465,7 @@ def verify_proof_lemmas(seed: haar.RngSeed | int = 0,
     after the other from one generator.  Failures are reported, never
     raised.
     """
-    rng = haar.generator(seed if isinstance(seed, haar.RngSeed) else haar.RngSeed(seed))
+    rng = haar.generator(seed)
     reports: dict[str, LemmaReport] = {}
     for name, trial in (("swap_trick", _swap_trick), ("purity_ratio", _purity_ratio),
                         ("weighted_trace_norm", _weighted_trace_norm)):

@@ -29,10 +29,6 @@ class RngSeed:
     def to_json(self) -> dict:
         return {"seed": int(self.seed), "stream": self.stream}
 
-    @staticmethod
-    def from_json(obj: dict) -> "RngSeed":
-        return RngSeed(int(obj["seed"]), str(obj.get("stream", "default")))
-
 
 def _stream_key(stream: str) -> int:
     digest = hashlib.sha256(stream.encode("utf-8")).digest()
@@ -54,35 +50,41 @@ def _counter(index: int) -> np.ndarray:
     return np.array([0, 0, index & _WORD, (index >> 64) & _WORD], dtype=np.uint64)
 
 
-def generator(seed: RngSeed | int, index: int = 0) -> np.random.Generator:
-    """Independent generator for sample ``index`` of the seeded stream."""
-    return np.random.Generator(np.random.Philox(key=_key(seed), counter=_counter(index)))
+def generator(seed: RngSeed | int) -> np.random.Generator:
+    """Generator over the seeded stream, from Philox's zero counter."""
+    return np.random.Generator(np.random.Philox(key=_key(seed)))
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed d x d unitary: the transposed all-rows ``haar_row_block``."""
-    return haar_row_block(d, d, rng).T
+    """Haar-distributed d x d unitary drawn from ``rng``."""
+    return _stiefel(_ginibre(rng.standard_normal((2, d, d))))
 
 
 def haar_unitary_indexed(seed: RngSeed | int, index: int, d: int) -> np.ndarray:
     """Sample ``index`` of the Haar stream; independent of evaluation order."""
-    return haar_unitaries_indexed(seed, index, index + 1, d)[0]
+    return haar_columns_indexed(seed, index, index + 1, d, d)[0]
 
 
-def haar_unitaries_indexed(seed: RngSeed | int, start: int, stop: int,
-                           d: int) -> np.ndarray:
-    """Samples ``start, ..., stop - 1`` of the Haar stream as an (n, d, d) stack.
+def haar_columns_indexed(seed: RngSeed | int, start: int, stop: int, d: int,
+                         cols: int) -> np.ndarray:
+    """First ``cols`` columns of samples ``start, ..., stop - 1`` of the Haar
+    stream, as an (n, d, cols) stack: Haar points on the Stiefel manifold,
+    at O(d cols^2) per sample.
 
-    Sample i is the unitary ``haar_unitary(d, generator(seed, i))``, bit for
-    bit: one Philox draws every sample's Gaussians, its counter set to each
-    sample's ``_counter(i)`` in turn, and the stack takes one batched QR.
+    Sample i is ``_stiefel`` of the Ginibre matrix that a Generator over
+    ``Philox(key).jumped(i)`` draws, bit for bit: one Philox draws every
+    sample's Gaussians, its counter set to each sample's ``_counter(i)`` in
+    turn, and the stack takes one batched QR.  At ``cols = d`` sample i is
+    ``haar_unitary`` on that Generator.
     """
     if not 0 <= start < stop:
         raise ValueError(f"need 0 <= start < stop, got start={start}, stop={stop}")
+    if not 1 <= cols <= d:
+        raise ValueError(f"need 1 <= cols <= d, got cols={cols}, d={d}")
     bitgen = np.random.Philox(key=_key(seed))
     rng = np.random.Generator(bitgen)
     state = bitgen.state
-    normals = np.empty((stop - start, 2, d, d))
+    normals = np.empty((stop - start, 2, d, cols))
     for j, i in enumerate(range(start, stop)):
         state["state"]["counter"] = _counter(i)
         bitgen.state = state  # also empties the output buffer
@@ -93,7 +95,7 @@ def haar_unitaries_indexed(seed: RngSeed | int, start: int, stop: int,
 
 
 def _ginibre(normals: np.ndarray) -> np.ndarray:
-    """(re + 1j im) / sqrt(2) for ``normals`` (..., 2, d, rows) holding the
+    """(re + 1j im) / sqrt(2) for ``normals`` (..., 2, d, cols) holding the
     real and imaginary parts, without stack-sized temporaries."""
     g = np.empty(normals.shape[:-3] + normals.shape[-2:], dtype=complex)
     g.real, g.imag = normals[..., 0, :, :], normals[..., 1, :, :]
@@ -102,32 +104,13 @@ def _ginibre(normals: np.ndarray) -> np.ndarray:
 
 
 def _stiefel(g: np.ndarray) -> np.ndarray:
-    """Q of the reduced QR of each Ginibre matrix in ``g`` (..., d, rows), each
+    """Q of the reduced QR of each Ginibre matrix in ``g`` (..., d, cols), each
     column's phase fixed by the phase of R's diagonal (Mezzadri,
-    math-ph/0609050): the first ``rows`` columns of a Haar d x d unitary."""
+    math-ph/0609050): the first ``cols`` columns of a Haar d x d unitary."""
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (diag / np.abs(diag))[..., None, :]
     return q
-
-
-def haar_row_block(d: int, rows: int, rng: np.random.Generator) -> np.ndarray:
-    """First ``rows`` rows of a Haar d x d unitary, as a (rows, d) array.
-
-    A Haar point on the Stiefel manifold (``_stiefel`` of a d x rows Ginibre
-    matrix) gives the first columns of a Haar unitary, and the transpose of
-    a Haar unitary is Haar.  Costs O(d rows^2), never d^2.
-    """
-    if not 1 <= rows <= d:
-        raise ValueError(f"need 1 <= rows <= d, got rows={rows}, d={d}")
-    return _stiefel(_ginibre(rng.standard_normal((2, d, rows)))).T
-
-
-def haar_row_block_indexed(seed: RngSeed | int, index: int, d: int,
-                           rows: int) -> np.ndarray:
-    """Sample ``index`` of the Haar row-block stream; independent of
-    evaluation order."""
-    return haar_row_block(d, rows, generator(seed, index))
 
 
 @dataclass(frozen=True)

@@ -526,13 +526,13 @@ def apply_matrix(op: StateOperator, m: np.ndarray, on: Sequence[str],
             dout *= d
         if m.shape[0] != dout:
             raise LabelError(f"operator output dim {m.shape[0]} != {dout}")
+    new_dims = Dims(out_pairs + rest.pairs)
+    dtot = new_dims.total
+    check_cap(dtot, cap)
     perm = op.permute(list(on) + list(rest.labels))
     dr = rest.total
     t = perm.matrix.reshape(din, dr, din, dr)
     res = np.einsum("ik,krls,jl->irjs", m, t, m.conj(), optimize=True)
-    new_dims = Dims(out_pairs + rest.pairs)
-    check_cap(new_dims.total, cap)
-    dtot = new_dims.total
     return StateOperator(new_dims, res.reshape(dtot, dtot), validate=False)
 
 

@@ -11,10 +11,10 @@ By Uhlmann's theorem each outcome's decoder fidelity depends only on the
 outcome's sender-reference marginal, so neither entry point builds the
 protocol state: ``run_merging`` evaluates every outcome of one full Haar
 unitary, and ``estimate_merging_fidelity`` estimates the mean fidelity from
-one Haar row block per draw, at costs where even that unitary would not
-fit.  The explicit protocol, with its measurement isometry and Uhlmann
-decoder, is built in ``tests/test_merging.py`` as the oracle for this
-shortcut.
+one Haar row block per draw (the transposed first L columns of a Haar
+unitary), at costs where even that unitary would not fit.  The explicit
+protocol, with its measurement isometry and Uhlmann decoder, is built in
+``tests/test_merging.py`` as the oracle for this shortcut.
 """
 
 from __future__ import annotations
@@ -91,18 +91,6 @@ class MergingResult:
     bound_converse: float | None
     decoupled_fraction: float
     seed: haar.RngSeed
-
-    def to_json(self) -> dict:
-        return {
-            "fidelity": self.fidelity,
-            "per_outcome": [{"x": x, "p": p, "fidelity": f}
-                            for x, p, f in self.per_outcome],
-            "cost_bits": self.cost_bits,
-            "bound_achievable": self.bound_achievable,
-            "bound_converse": self.bound_converse,
-            "decoupled_fraction": self.decoupled_fraction,
-            "seed": self.seed.to_json(),
-        }
 
 
 @dataclass
@@ -225,9 +213,11 @@ def estimate_merging_fidelity(instance: MergingInstance,
     Haar row blocks are exchangeable, so the mean of the per-draw fidelity
     sum_x sqrt(p_x / N) f_x of ``run_merging`` equals
     sqrt(N) E[sqrt(p_0) f_0] with N outcomes.  Draw i is the row block
-    ``haar_row_block_indexed(seed, i, K|A|, L)``; the largest array is that
-    K|A| x L block, never the K^2|A||B||E| protocol state or a (K|A|)^2
-    unitary, and its entry count is held to the instance's cap.
+    whose transpose is ``haar_columns_indexed(seed, i, i + 1, K|A|, L)``, the
+    first L columns of a Haar unitary (the transpose of a Haar unitary is
+    Haar); the largest array is that K|A| x L block, never the K^2|A||B||E|
+    protocol state or a (K|A|)^2 unitary, and its entry count is held to the
+    instance's cap.
     """
     inst = instance
     if draws < 2:
@@ -238,8 +228,8 @@ def estimate_merging_fidelity(instance: MergingInstance,
     n_out = inst.num_outcomes
     samples = []
     for i in range(draws):
-        rows = haar.haar_row_block_indexed(inst.seed, i, reg, inst.l_rank)
-        p, f, _, _ = _outcome_kernel(rows[None], rho_ae, inst.dim_a)
+        rows = haar.haar_columns_indexed(inst.seed, i, i + 1, reg, inst.l_rank)
+        p, f, _, _ = _outcome_kernel(rows.swapaxes(1, 2), rho_ae, inst.dim_a)
         samples.append(math.sqrt(n_out * float(p[0])) * float(f[0]))
     mean = float(np.mean(samples))
     std_err = float(np.std(samples, ddof=1) / math.sqrt(draws))

@@ -462,21 +462,37 @@ def test_report_serialization_and_csv():
     assert len(csv.strip().splitlines()) == 26
 
 
-@pytest.mark.parametrize("build", [
-    lambda: dec.independent_state(5), lambda: dec.classical_state(5),
-    lambda: chan.parse_spec("id:8"), lambda: chan.parse_spec("id+trace:9,1"),
-    lambda: dec.independent_state(40), lambda: dec.classical_state(40),
-    lambda: chan.parse_spec("id:40"), lambda: chan.parse_spec("meas:40"),
+def _wide_input():
+    # a state on A:2,E:128 and a 2 -> 4 map on A: the output on B:4,E:128
+    # has total dimension 512
+    rng = np.random.default_rng(0)
+    return (random_density(rng, (("A", 2), ("E", 128))), chan.random_cpm(rng, 2, 4),
+            rng.standard_normal((4, 2)))
+
+
+@pytest.mark.parametrize("build, inputs", [
+    (dec.independent_state, lambda: (5,)), (dec.classical_state, lambda: (5,)),
+    (chan.parse_spec, lambda: ("id:8",)), (chan.parse_spec, lambda: ("id+trace:9,1",)),
+    (dec.independent_state, lambda: (40,)), (dec.classical_state, lambda: (40,)),
+    (chan.parse_spec, lambda: ("id:40",)), (chan.parse_spec, lambda: ("meas:40",)),
+    (lambda st, ch, _: chan.apply(ch, st, ["A"]), _wide_input),
+    (lambda st, _, m: apply_matrix(st, m, ["A"], out=(("B", 4),)), _wide_input),
+    (chan.random_cpm, lambda: (np.random.default_rng(0), 32, 16)),
+    (chan.random_tp_channel, lambda: (np.random.default_rng(0), 32, 16)),
 ], ids=["independent_state(5)", "classical_state(5)", "id:8", "id+trace:9,1",
-        "independent_state(40)", "classical_state(40)", "id:40", "meas:40"])
-def test_reference_builders_check_the_cap_before_allocating(build):
+        "independent_state(40)", "classical_state(40)", "id:40", "meas:40",
+        "apply(2->4 on A:2,E:128)", "apply_matrix(2->4 on A:2,E:128)",
+        "random_cpm(32,16)", "random_tp_channel(32,16)"])
+def test_reference_builders_check_the_cap_before_allocating(build, inputs):
     # built first, the first four allocated 25.2, 16.8, 2.1 and 4.3 MB before
-    # the operator's own cap check failed, and the last four ended in numpy's
-    # "array is too big"
+    # the operator's own cap check failed, the next four ended in numpy's
+    # "array is too big", and the last four allocated 8.0, 8.0, 12.0 and
+    # 16.3 MiB before the check of their output's dimension
+    args = inputs()
     tracemalloc.start()
     try:
         with pytest.raises(DimCapError, match="exceeds cap"):
-            build()
+            build(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -68,58 +68,79 @@ def test_indexed_sampling_deterministic():
 
 
 def test_batched_draws_match_jumped_generators():
-    # oracle: sample i is haar_unitary on a Generator over Philox(key).jumped(i),
-    # the key being (seed, first 8 bytes of sha256(stream), little endian)
+    # oracle: sample i is _stiefel of the Ginibre matrix a Generator over
+    # Philox(key).jumped(i) draws, the key being (seed, first 8 bytes of
+    # sha256(stream), little endian); at cols = d it is haar_unitary there
     cases = ((haar.RngSeed(2026), 0, 5), (haar.RngSeed(9, "other"), 3, 7),
              (haar.RngSeed(1), 2 ** 32 - 1, 2 ** 32 + 2))
     for seed, start, stop in cases:
-        stream = int.from_bytes(hashlib.sha256(seed.stream.encode()).digest()[:8],
-                                "little")
-        key = np.array([seed.seed, stream], dtype=np.uint64)
-        for d in (1, 2, 3, 16):
-            stack = haar.haar_unitaries_indexed(seed, start, stop, d)
-            assert stack.shape == (stop - start, d, d)
-            for j, i in enumerate(range(start, stop)):
-                rng = np.random.Generator(np.random.Philox(key=key).jumped(i))
-                np.testing.assert_array_equal(stack[j], haar.haar_unitary(d, rng))
-                np.testing.assert_array_equal(stack[j],
-                                              haar.haar_unitary_indexed(seed, i, d))
-                np.testing.assert_array_equal(
-                    haar.generator(seed, i).standard_normal(8),
-                    np.random.Generator(np.random.Philox(key=key).jumped(i))
-                    .standard_normal(8))
+        key = _philox_key(seed)
+        np.testing.assert_array_equal(
+            haar.generator(seed).standard_normal(8),
+            np.random.Generator(np.random.Philox(key=key)).standard_normal(8))
+        for d in (1, 2, 3, 16, 64, 256):
+            for cols in sorted({c for c in (1, 2, d // 2, d) if 1 <= c <= d}):
+                stack = haar.haar_columns_indexed(seed, start, stop, d, cols)
+                assert stack.shape == (stop - start, d, cols)
+                for j, i in enumerate(range(start, stop)):
+                    np.testing.assert_array_equal(stack[j], _jumped_draw(key, i, d, cols))
+                    if cols == d:
+                        rng = np.random.Generator(np.random.Philox(key=key).jumped(i))
+                        np.testing.assert_array_equal(stack[j], haar.haar_unitary(d, rng))
+                        np.testing.assert_array_equal(
+                            stack[j], haar.haar_unitary_indexed(seed, i, d))
+    # the merging estimator's single-column draws on large registers
+    key = _philox_key(haar.RngSeed(7))
+    for d, index in ((256, 0), (256, 9), (65536, 3)):
+        np.testing.assert_array_equal(haar.haar_columns_indexed(7, index, index + 1, d, 1),
+                                      _jumped_draw(key, index, d, 1)[None])
     with pytest.raises(ValueError):
-        haar.haar_unitaries_indexed(0, 3, 3, 2)
+        haar.haar_columns_indexed(0, 3, 3, 2, 2)
+    for d, cols in ((3, 0), (3, 4), (1, 2)):
+        with pytest.raises(ValueError, match="1 <= cols <= d"):
+            haar.haar_columns_indexed(0, 0, 1, d, cols)
+
+
+def _philox_key(seed: haar.RngSeed) -> np.ndarray:
+    stream = int.from_bytes(hashlib.sha256(seed.stream.encode()).digest()[:8], "little")
+    return np.array([seed.seed, stream], dtype=np.uint64)
+
+
+def _jumped_draw(key: np.ndarray, i: int, d: int, cols: int) -> np.ndarray:
+    rng = np.random.Generator(np.random.Philox(key=key).jumped(i))
+    return haar._stiefel(haar._ginibre(rng.standard_normal((2, d, cols))))
 
 
 def test_row_block_rows_orthonormal():
+    # a row block is the transposed column draw: the first rows of a Haar
+    # unitary, the transpose of a Haar unitary being Haar
     for d, rows in ((1, 1), (5, 1), (6, 2), (8, 4), (4, 4), (1 << 12, 2)):
-        block = haar.haar_row_block_indexed(11, 0, d, rows)
+        block = haar.haar_columns_indexed(11, 0, 1, d, rows)[0].T
         assert block.shape == (rows, d)
         assert np.abs(block @ block.conj().T - np.eye(rows)).max() <= 1e-12
-    with pytest.raises(ValueError):
-        haar.haar_row_block(3, 4, haar.generator(0))
-    with pytest.raises(ValueError):
-        haar.haar_row_block(3, 0, haar.generator(0))
 
 
 def test_unitary_is_the_transposed_full_row_block():
     for d in (1, 2, 3, 16, 64, 256):
-        for seed, index in ((0, 0), (haar.RngSeed(7, "x"), 3)):
+        for seed, index in ((haar.RngSeed(0), 0), (haar.RngSeed(7, "x"), 3)):
             unitary = haar.haar_unitary_indexed(seed, index, d)
-            block = haar.haar_row_block_indexed(seed, index, d, d)
+            block = haar.haar_columns_indexed(seed, index, index + 1, d, d)[0].T
             np.testing.assert_array_equal(block.T, unitary)
+            rng = np.random.Generator(np.random.Philox(key=_philox_key(seed)).jumped(index))
+            np.testing.assert_array_equal(unitary, haar.haar_unitary(d, rng))
 
 
 def test_row_block_indexed_independent_of_order():
     seed = haar.RngSeed(42, "blocks")
-    forward = [haar.haar_row_block_indexed(seed, i, 12, 3) for i in range(6)]
-    backward = {i: haar.haar_row_block_indexed(seed, i, 12, 3)
+    forward = [haar.haar_columns_indexed(seed, i, i + 1, 12, 3)[0] for i in range(6)]
+    backward = {i: haar.haar_columns_indexed(seed, i, i + 1, 12, 3)[0]
                 for i in (5, 3, 1, 4, 0, 2)}
+    stack = haar.haar_columns_indexed(seed, 0, 6, 12, 3)
     for i in range(6):
         np.testing.assert_array_equal(forward[i], backward[i])
+        np.testing.assert_array_equal(forward[i], stack[i])
     assert np.abs(forward[0] - forward[1]).max() > 1e-3
-    other = haar.haar_row_block_indexed(haar.RngSeed(42, "other"), 0, 12, 3)
+    other = haar.haar_columns_indexed(haar.RngSeed(42, "other"), 0, 1, 12, 3)[0]
     assert np.abs(forward[0] - other).max() > 1e-3
 
 
@@ -130,7 +151,7 @@ def test_row_block_projector_average():
     acc = np.zeros((d, d), dtype=complex)
     acc2 = np.zeros((d, d))
     for i in range(n):
-        block = haar.haar_row_block_indexed(5, i, d, rows)
+        block = haar.haar_columns_indexed(5, i, i + 1, d, rows)[0].T
         term = block.conj().T @ block
         acc += term
         acc2 += np.abs(term) ** 2
@@ -201,5 +222,6 @@ def test_twirl_monte_carlo_oracle():
 def test_seed_validation():
     with pytest.raises(ValueError):
         haar.RngSeed(-1)
-    s = haar.RngSeed(3, "stream-x")
-    assert haar.RngSeed.from_json(s.to_json()) == s
+    with pytest.raises(ValueError):
+        haar.RngSeed(2 ** 64)
+    assert haar.RngSeed(3, "stream-x").to_json() == {"seed": 3, "stream": "stream-x"}

@@ -660,7 +660,7 @@ def test_estimator_matches_the_per_outcome_route():
     rho_ae, reg = sender_env(inst), inst.k_rank * inst.dim_a
     want = []
     for i in range(6):
-        rows = haar.haar_row_block_indexed(inst.seed, i, reg, inst.l_rank)
+        rows = haar.haar_columns_indexed(inst.seed, i, i + 1, reg, inst.l_rank)[0].T
         p_0, f_0, _, _ = outcome_by_outcome(rows, rho_ae, inst.dim_a)
         want.append(math.sqrt(inst.num_outcomes * p_0) * f_0)
     assert est.samples == want
