@@ -2,12 +2,13 @@
 served from the Nesterov-Todd scaling matrix W alone.
 
 A family (``sdp.Family``) is d^2 constraints sum_k T_k(h_i) over the matrices
-h_i of ``herm_matrices(d)``, each T_k an embedded sub-block, I (x) h or
--tr_A h.  The family term forms their part of the Schur complement, the
-constraint map, its adjoint and the Gram matrix without storing a constraint
-matrix.  ``sdp`` imports this module only when a program has families.
+h_i of ``herm_basis(d)``, each T_k a placement (``sdp.FamilyMap.placement``):
+h at one or several offsets, or -tr_A h gathered from a table.  The family
+term forms their part of the Schur complement, the constraint map, its
+adjoint and the Gram matrix without storing a constraint matrix.  ``sdp``
+imports this module only when a program has families.
 
-A fixed-corner family, whose only map is one ``embed`` on one block of a
+A fixed-corner family, whose only map places h at one offset of one block of a
 group that takes the family term, leaves the Newton system by block
 elimination (Boyd-Vandenberghe, *Convex Optimization*, App. C.4): its Schur
 block h -> W_DD h W_DD on the corner D has the inverse h -> W_DD^-1 h W_DD^-1,
@@ -38,9 +39,10 @@ FAMILY_SCHUR_CALLS = 1 << 18
 
 @dataclass
 class Piece:
-    """One family's map on one block of a group: row i of the family is
-    w_i g_src_i (g = h, src = None, or the trace-out table) placed as the s x s
-    diagonal sub-block at every offset of block c; w is coef / row scale."""
+    """One family's map on one block of a group, from its placement: row i of
+    the family is w_i g_src_i (g = h, src = None, or the trace-out table)
+    placed as the s x s diagonal sub-block at every offset of block c; w is
+    coef / row scale."""
 
     c: int
     rows: slice | np.ndarray
@@ -59,14 +61,14 @@ class Piece:
         return out
 
     def values(self, coords: np.ndarray) -> np.ndarray:
-        """Row values from ``herm_matrices(s)`` coordinates on the last axis."""
+        """Row values from ``herm_basis(s)`` coordinates on the last axis."""
         return (coords if self.src is None else coords[..., self.src]) * self.w
 
 
 @functools.lru_cache(maxsize=None)
 def upper_pairs(s: int) -> tuple[np.ndarray, np.ndarray]:
     """Every a <= b: the diagonal pairs first, then the pair order of
-    ``herm_matrices(s)``."""
+    ``herm_basis(s)``."""
     diag = np.arange(s)
     a, b = herm_pairs(s)
     return read_only(np.concatenate([diag, a]), np.concatenate([diag, b]))
@@ -74,8 +76,8 @@ def upper_pairs(s: int) -> tuple[np.ndarray, np.ndarray]:
 
 def pair_block(w: np.ndarray, f: Piece, g: Piece) -> np.ndarray:
     """Re tr(g_i X g_j X^H) summed over the sub-blocks X = W[o_f, o_g] of
-    every offset pair, for g_i of ``herm_matrices(f.s)`` and g_j of
-    ``herm_matrices(g.s)``: an (f.s^2, g.s^2) real matrix.
+    every offset pair, for g_i of ``herm_basis(f.s)`` and g_j of
+    ``herm_basis(g.s)``: an (f.s^2, g.s^2) real matrix.
 
     With P_ab[c, e] = sum_X conj(X[a, c]) X[b, e] (row products for one
     sub-block, else a Gram matrix), X^H g_i X is P_aa for a diagonal unit,
@@ -172,11 +174,10 @@ class FamilyTerm:
 
     def gram(self) -> np.ndarray:
         return self.schur(np.broadcast_to(np.eye(self.n, dtype=complex),
-                                          (self.count, self.n, self.n)))
+                                          (self.count, self.n, self.n)),
+                          np.zeros((self.size, self.size)))
 
-    def schur(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            out = np.zeros((self.size, self.size))
+    def schur(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
         self._add_schur(w, self.pieces, out, 1.0)
         if self.corners:
             # minus the eliminated corners' share M_RF M_FF^-1 M_FR: the same
@@ -284,16 +285,18 @@ def family_cost(term: FamilyTerm) -> int:
 
 def newton_rows(problem: SdpProblem, blocks: list[int]) -> np.ndarray:
     """Each row's index in the Newton system, -1 for the rows of a fixed
-    corner that leaves it: a family whose only map is one ``embed`` on one of
-    ``blocks`` (those whose group takes the family term), the first such on
-    each block.  A program of fixed corners alone keeps every row."""
+    corner that leaves it: a family whose only map places h itself at one
+    offset (lead 1, not trace-out) of one of ``blocks`` (those whose group
+    takes the family term), the first such on each block.  A program of fixed
+    corners alone keeps every row."""
     keep = np.ones(problem.num_constraints, dtype=bool)
     fixed = set()
     for fam in problem.families:
         if len(fam.maps) != 1:
             continue
         ((k, fmap),) = fam.maps
-        if fmap.kind == "embed" and k in blocks and k not in fixed:
+        _, offsets, src, _ = fmap.placement(fam.d)
+        if len(offsets) == 1 and src is None and k in blocks and k not in fixed:
             fixed.add(k)
             keep[fam.rows] = False
     if not keep.any():
@@ -313,11 +316,10 @@ def family_term(problem: SdpProblem, idx: list[int], row_scale: np.ndarray,
         for k, fmap in fam.maps:
             if k not in idx:
                 continue
-            s, offsets = fmap.base(fam.d)
-            rows, src, coef = fam.rows, None, 1.0
-            if fmap.base_rows(fam.d) is not None:
-                # trace-out rows: only those with coef != 0 touch the block
-                src, coef = fmap.base_rows(fam.d)
+            s, offsets, src, coef = fmap.placement(fam.d)
+            rows = fam.rows
+            if src is not None:
+                # gathered rows: only those with coef != 0 touch the block
                 keep = np.flatnonzero(coef)
                 rows, src, coef = fam.start + keep, src[keep], coef[keep]
             if isinstance(rows, slice):

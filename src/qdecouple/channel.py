@@ -2,8 +2,8 @@
 
 The Choi matrix lives on labels (A', B) where A' is a copy of the input
 system, normalized so the identity channel has Choi trace one; the input
-marginal of a trace-preserving channel's Choi matrix is I/dim_in.  A channel
-read from JSON keeps the output label its file names.
+marginal of a trace-preserving channel's Choi matrix is I/dim_in.  Every
+channel, one read from JSON included, outputs on B (``OUT_LABEL``).
 """
 
 from __future__ import annotations
@@ -45,16 +45,15 @@ class TraceClass(enum.Enum):
 
 @dataclass(frozen=True)
 class Channel:
-    """CPM with Choi matrix on (A', out_label)."""
+    """CPM with Choi matrix on (A', B)."""
 
     dim_in: int
     dim_out: int
     choi: StateOperator
-    out_label: str = OUT_LABEL
     trace_class: TraceClass = field(init=False)
 
     def __post_init__(self) -> None:
-        want = ((IN_LABEL, self.dim_in), (self.out_label, self.dim_out))
+        want = ((IN_LABEL, self.dim_in), (OUT_LABEL, self.dim_out))
         if self.choi.dims.pairs != want:
             raise ChannelError(f"Choi dims {self.choi.dims.pairs} != {want}")
         object.__setattr__(self, "trace_class", _classify(self.choi, self.dim_in))
@@ -115,10 +114,10 @@ def apply(ch: Channel, state: StateOperator, on: Sequence[str]) -> StateOperator
     if din != ch.dim_in:
         raise ChannelError(f"subsystem dim {din} != channel input dim {ch.dim_in}")
     rest = [lab for lab in state.labels if lab not in set(on)]
-    if ch.out_label in rest:
-        raise LabelError(f"output label {ch.out_label!r} collides with {rest}")
+    if OUT_LABEL in rest:
+        raise LabelError(f"output label {OUT_LABEL!r} collides with {rest}")
     rest_pairs = tuple((lab, state.dims.dim_of(lab)) for lab in rest)
-    new_dims = Dims(((ch.out_label, ch.dim_out),) + rest_pairs)
+    new_dims = Dims(((OUT_LABEL, ch.dim_out),) + rest_pairs)
     d = new_dims.total
     check_cap(d)
     perm = state.permute(on + rest)
@@ -181,16 +180,12 @@ def random_tp_channel(rng: np.random.Generator, dim_in: int, dim_out: int,
     if total < dim_in:
         raise ChannelError("dim_out * env must be at least dim_in")
     check_cap(dim_in * dim_out)  # the Choi matrix's, before the draw
-    u = haar.haar_unitary(total, rng)
-    v = u[:, :dim_in]
+    # a full unitary's Gaussians, so that later draws from rng do not change;
+    # V is the first dim_in columns of haar_unitary on them, bit for bit
+    normals = rng.standard_normal((2, total, total))
+    v = haar._stiefel(haar._ginibre(normals[..., :dim_in]))
     # rows of V grouped as (out, env): K_i[b, a] = V[(b, i), a]
-    kraus = []
-    for i in range(env):
-        k = np.zeros((dim_out, dim_in), dtype=complex)
-        for b in range(dim_out):
-            k[b, :] = v[b * env + i, :]
-        kraus.append(k)
-    return choi_of(kraus)
+    return choi_of(v.reshape(dim_out, env, dim_in).swapaxes(0, 1))
 
 
 def random_cpm(rng: np.random.Generator, dim_in: int, dim_out: int,
@@ -229,12 +224,9 @@ def channel_to_json(ch: Channel) -> dict:
 
 def channel_from_json(obj: dict, cap: int | None = None) -> Channel:
     """Parse the channel JSON format: int ``dim_in`` and ``dim_out`` and a
-    ``choi`` state object on two systems, else ``ChannelError``."""
+    ``choi`` state object on (A', B) of those dims, else ``ChannelError``."""
     if not (isinstance(obj, dict) and type(obj.get("dim_in")) is int
             and type(obj.get("dim_out")) is int and isinstance(obj.get("choi"), dict)):
         raise ChannelError("a channel must be an object with integer dim_in and "
                            "dim_out and a choi object")
-    choi = state_from_json(obj["choi"], cap=cap)
-    if len(choi.dims.pairs) != 2:
-        raise ChannelError(f"Choi dims {choi.dims.pairs} must name two systems")
-    return Channel(obj["dim_in"], obj["dim_out"], choi, choi.dims.pairs[1][0])
+    return Channel(obj["dim_in"], obj["dim_out"], state_from_json(obj["choi"], cap=cap))

@@ -154,7 +154,7 @@ def _kernel(exp: DecouplingExperiment) -> tuple[str, int, Kernel]:
     perm = exp.state.permute(["A"] + refs)
     d_r = perm.dims.total // d_in
     rho = perm.matrix.reshape(d_in, d_r, d_in, d_r)
-    tau_b, d_out = partial_trace(ch.choi, [ch.out_label]).matrix, ch.dim_out
+    tau_b, d_out = partial_trace(ch.choi, [chan.OUT_LABEL]).matrix, ch.dim_out
 
     diag = rho.transpose(1, 3, 0, 2)[np.arange(d_r), np.arange(d_r)]
     # every nonzero entry of rho lies on the reference diagonal
@@ -306,7 +306,7 @@ def bound_nonsmooth(state: StateOperator, ch: chan.Channel) -> float:
     bound, never break it.
     """
     h2_state = entropy.h2(state, ("A",), _references(state)).value
-    h2_choi = entropy.h2(ch.choi, (chan.IN_LABEL,), (ch.out_label,)).value
+    h2_choi = entropy.h2(ch.choi, (chan.IN_LABEL,), (chan.OUT_LABEL,)).value
     return 2.0 ** (-0.5 * h2_state - 0.5 * h2_choi)
 
 
@@ -320,7 +320,7 @@ def bound_smooth(state: StateOperator, ch: chan.Channel, epsilon: float) -> floa
     if not state.is_normalized:
         raise DecouplingError("smooth bound needs a normalized state")
     h_state = entropy.h_min_smooth(state, ("A",), _references(state), epsilon).value
-    h_choi = entropy.h_min_smooth(ch.choi, (chan.IN_LABEL,), (ch.out_label,),
+    h_choi = entropy.h_min_smooth(ch.choi, (chan.IN_LABEL,), (chan.OUT_LABEL,),
                                   epsilon).value
     return 2.0 ** (-0.5 * h_state - 0.5 * h_choi) + 12.0 * epsilon
 
@@ -374,9 +374,9 @@ def converse_check(state: StateOperator, ch: chan.Channel, eps: float,
     tau = StateOperator(ch.choi.dims, tau_mat, validate=False)
 
     h_state = entropy.h_min_smooth(state, tuple(on), refs, smooth_param).value
-    h_joint = entropy.h_max_smooth(tau, (chan.IN_LABEL, ch.out_label),
+    h_joint = entropy.h_max_smooth(tau, (chan.IN_LABEL, chan.OUT_LABEL),
                                    epsilon=eps2).value
-    h_out = entropy.h_min_smooth(tau, (ch.out_label,), epsilon=eps3).value
+    h_out = entropy.h_min_smooth(tau, (chan.OUT_LABEL,), epsilon=eps3).value
     lhs = h_state + h_joint - h_out
     rhs = -math.log2(2.0 / (eps1 * eps1))
     return ConverseReport(lhs, rhs, lhs >= rhs - 1e-6, measured, h_state,
@@ -458,8 +458,7 @@ def _weighted_trace_norm(rng: np.random.Generator, t: int) -> tuple[float, float
     return trace_norm(m) - rhs, 1e-8
 
 
-def verify_proof_lemmas(seed: haar.RngSeed | int = 0,
-                        trials: int = 200) -> dict[str, LemmaReport]:
+def verify_proof_lemmas(seed: haar.RngSeed | int, trials: int) -> dict[str, LemmaReport]:
     """Randomized checks of the swap trick, the two-copy purity ratio, and
     the weighted trace-norm bound on dimensions 2, 3 and 4, run one suite
     after the other from one generator.  Failures are reported, never

@@ -176,7 +176,7 @@ def _hmin_sdp(rho: np.ndarray, d_a: int, d_b: int) -> tuple[float, np.ndarray, f
 
     Returns (value_bits, sigma_prime, width_bits); sigma_prime is the dual
     witness with I (x) sigma' >= rho and tr sigma' = 2^(-value).  The
-    constraints tr((I (x) g) Y) = tr g run over ``herm_matrices(d_b)``.
+    constraints tr((I (x) g) Y) = tr g run over ``herm_basis(d_b)``.
     """
     build = sdp.ProblemBuilder()
     blk = build.add_block(d_a * d_b, -rho)
@@ -516,7 +516,7 @@ def _fidelity_embedding(rho: np.ndarray
     states.  Returns the support factor (R, D) of ``_support_factor``, the
     matrix Gamma with tr(Gamma V) = Re tr(R Y), and the right-hand sides of
     the family that fixes the D corner (the coordinates of D in
-    ``herm_matrices(r)``, embedded at offset 0).
+    ``herm_basis(r)``, embedded at offset 0).
     """
     d = rho.shape[0]
     r_iso, d_mat = _support_factor(rho)
@@ -605,7 +605,7 @@ def _smooth_hmin_dense(rho: np.ndarray, d_a: int, d_b: int, eps: float
     sig_blk = build.add_block(d_b, np.eye(d_b, dtype=complex))
 
     build.add_family(r, {v_blk: sdp.embed(0)}, corner)
-    # rho_hat + (I (x) sigma' - rho_hat) = I (x) sigma', per h of herm_matrices(d)
+    # rho_hat + (I (x) sigma' - rho_hat) = I (x) sigma', per h of herm_basis(d)
     build.add_family(d, {v_blk: sdp.embed(r), s_blk: sdp.embed(0),
                          sig_blk: sdp.neg_trace_out(d_a)}, np.zeros(d * d))
     trace = np.zeros((r + d, r + d), dtype=complex)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -142,32 +142,14 @@ def _by_item(x: np.ndarray) -> np.ndarray:
 
 
 def herm_basis(d: int) -> np.ndarray:
-    """Orthonormal Hermitian basis of d x d matrices, shape (d*d, d, d): the
-    matrices of ``herm_matrices(d)`` stacked."""
-    return np.array(list(herm_matrices(d)), dtype=complex).reshape(d * d, d, d)
-
-
-def herm_matrices(d: int) -> Iterator[np.ndarray]:
-    """The orthonormal Hermitian basis of d x d matrices, one fresh matrix at
-    a time, so that only the consumer decides what to keep.
+    """Orthonormal Hermitian basis of d x d matrices, shape (d*d, d, d).
 
     Order: diagonal units, then (symmetric, antisymmetric) pairs for a < b,
-    the pairs in row-major order.
+    the pairs in row-major order.  ``herm_coords`` and ``herm_combination``
+    use the same order; the basis is ``herm_combination`` of the unit
+    vectors, + 0.0 so that every zero entry is +0.0.
     """
-    s = 1.0 / np.sqrt(2.0)
-    for a in range(d):
-        h = np.zeros((d, d), dtype=complex)
-        h[a, a] = 1.0
-        yield h
-    for a in range(d):
-        for b in range(a + 1, d):
-            h = np.zeros((d, d), dtype=complex)
-            h[a, b] = h[b, a] = s
-            yield h
-            h = np.zeros((d, d), dtype=complex)
-            h[a, b] = 1j * s
-            h[b, a] = -1j * s
-            yield h
+    return herm_combination(np.eye(d * d)) + 0.0
 
 
 def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -179,13 +161,13 @@ def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @functools.lru_cache(maxsize=None)
 def herm_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of each a < b, in the pair order of ``herm_matrices(d)``."""
+    """Row and column of each a < b, in the pair order of ``herm_basis(d)``."""
     return read_only(*np.triu_indices(d, 1))
 
 
 @functools.lru_cache(maxsize=None)
 def _herm_slots(d: int) -> tuple[np.ndarray, ...]:
-    """Index tables between ``herm_matrices(d)`` coordinates and the real view
+    """Index tables between ``herm_basis(d)`` coordinates and the real view
     of a d x d complex matrix (real and imaginary parts interleaved, 2 d^2
     slots): coordinate i is c1_i v[s1_i] + c2_i v[s2_i], and slot t of
     sum_i u_i h_i is k_t u[j_t]."""
@@ -206,7 +188,7 @@ def _herm_slots(d: int) -> tuple[np.ndarray, ...]:
 
 
 def herm_coords(m: np.ndarray) -> np.ndarray:
-    """Re tr(h_i m) for the matrices h_i of ``herm_matrices(d)``, over the last
+    """Re tr(h_i m) for the matrices h_i of ``herm_basis(d)``, over the last
     two axes: (..., d, d) -> (..., d*d), real.  For Hermitian m these are its
     coordinates in that orthonormal basis."""
     d = m.shape[-1]
@@ -217,7 +199,7 @@ def herm_coords(m: np.ndarray) -> np.ndarray:
 
 
 def herm_combination(u: np.ndarray) -> np.ndarray:
-    """sum_i u_i h_i over the matrices of ``herm_matrices(d)``, over the last
+    """sum_i u_i h_i over the matrices of ``herm_basis(d)``, over the last
     axis: (..., d*d) real -> (..., d, d) Hermitian; inverse of ``herm_coords``."""
     d = math.isqrt(u.shape[-1])
     *_, j, k = _herm_slots(d)
@@ -502,8 +484,7 @@ def _split_front(dims: Dims, front: Sequence[str]) -> tuple[Dims, Dims]:
 
 
 def apply_matrix(op: StateOperator, m: np.ndarray, on: Sequence[str],
-                 out: Sequence[LabelPair] | None = None, *,
-                 cap: int | None = None) -> StateOperator:
+                 out: Sequence[LabelPair] | None = None) -> StateOperator:
     """Sandwich (M (x) I) rho (M^dagger (x) I) applied to the ``on`` subsystems.
 
     ``m`` maps the composite ``on`` space (in the given label order) to the
@@ -528,7 +509,7 @@ def apply_matrix(op: StateOperator, m: np.ndarray, on: Sequence[str],
             raise LabelError(f"operator output dim {m.shape[0]} != {dout}")
     new_dims = Dims(out_pairs + rest.pairs)
     dtot = new_dims.total
-    check_cap(dtot, cap)
+    check_cap(dtot)
     perm = op.permute(list(on) + list(rest.labels))
     dr = rest.total
     t = perm.matrix.reshape(din, dr, din, dr)

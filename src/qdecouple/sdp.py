@@ -27,7 +27,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from qdecouple.linalg import (DimCapError, herm_basis, herm_pairs, hermitian_part,
+from qdecouple.linalg import (DimCapError, herm_combination, herm_pairs, hermitian_part,
                               read_only)
 
 
@@ -50,77 +50,70 @@ def default_gap_tol(primal_obj: float) -> float:
 
 @dataclass(frozen=True)
 class FamilyMap:
-    """One block's part of a constraint family: a linear map h -> T(h).
+    """One block's part of a constraint family: a linear map h -> T(h), given
+    by where it places h (``placement``).
 
-    ``embed``: h as the diagonal sub-block at ``offset``; ``kron``: I_lead (x) h;
-    ``trace_out``: -tr_A h for h on A (x) B with d_A = ``lead``, as the whole
-    block.  Build them with ``embed``, ``kron_eye`` and ``neg_trace_out``.
+    ``embed(o)``: h as the diagonal sub-block at offset o; ``kron_eye(a)``:
+    I_a (x) h, h at the a offsets 0, d, ..., (a - 1) d; ``neg_trace_out(a)``:
+    -tr_A h for h on A (x) B with d_A = a, as the whole block.
     """
 
-    kind: str
-    offset: int = 0
-    lead: int = 1
+    offset: int
+    lead: int
+    trace_out: bool
+
+    def placement(self, d: int) -> tuple[int, tuple[int, ...], np.ndarray | None,
+                                         np.ndarray]:
+        """(s, offsets, src, coef): T(h_i) = coef_i g_src_i placed as the s x s
+        diagonal sub-block at every offset, for h_i of ``herm_basis(d)`` and
+        g_j of ``herm_basis(s)``.  src None means g_src_i = h_i; a trace-out
+        map gathers from the ``_trace_out_rows`` table (coef -1 or 0)."""
+        if self.trace_out:
+            src, coef = _trace_out_rows(self.lead, d // self.lead)
+            return d // self.lead, (0,), src, coef
+        return (d, tuple(range(self.offset, self.offset + self.lead * d, d)), None,
+                np.ones(d * d))
 
     def fits(self, d: int, n: int) -> bool:
-        """Whether T(h) for h of size d fits a block of size n."""
-        if self.kind == "embed":
-            return self.offset + d <= n
-        if self.kind == "kron":
-            return self.lead * d <= n
-        return d % self.lead == 0 and d // self.lead == n
-
-    def base(self, d: int) -> tuple[int, tuple[int, ...]]:
-        """(s, offsets): T(h) is sum_o g(h) placed at offset o of size s, where
-        g(h) = h, or -tr_A h in ``herm_matrices(s)`` coordinates (``base_rows``)."""
-        if self.kind == "embed":
-            return d, (self.offset,)
-        if self.kind == "kron":
-            return d, tuple(range(0, self.lead * d, d))
-        return d // self.lead, (0,)
-
-    def base_rows(self, d: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """For ``trace_out``: -tr_A h_i = coef_i g_src_i over ``herm_matrices``
-        of the two sizes (coef is -1 or 0).  None for the other kinds (g = h)."""
-        if self.kind != "trace_out":
-            return None
-        return _trace_out_rows(self.lead, d // self.lead)
+        """Whether T(h) for h of size d fits a block of size n: every offset's
+        sub-block inside it, and a gathered map's table of size d filling it."""
+        s, offsets, src, coef = self.placement(d)
+        return len(coef) == d * d and offsets[-1] + s <= n and (src is None or s == n)
 
     def norms(self, d: int) -> np.ndarray:
-        """||T(h_i)||_F^2 for each h_i of ``herm_matrices(d)``."""
-        rows = self.base_rows(d)
-        if rows is None:
-            return np.full(d * d, float(len(self.base(d)[1])))
-        return rows[1] ** 2
+        """||T(h_i)||_F^2 for each h_i of ``herm_basis(d)``."""
+        _, offsets, _, coef = self.placement(d)
+        return len(offsets) * coef ** 2
 
     def materialize(self, d: int, n: int) -> np.ndarray:
-        """T(h_i) for every h_i of ``herm_matrices(d)`` as a (d*d, n, n) stack."""
-        basis = herm_basis(d)
-        if self.kind == "trace_out":
-            db = d // self.lead
-            # 0 - x, not -x: zero entries stay +0.0, as in a built stack
-            return 0.0 - np.einsum("iabac->ibc", basis.reshape(d * d, self.lead, db, self.lead, db))
+        """T(h_i) for every h_i of ``herm_basis(d)`` as a (d*d, n, n) stack."""
+        s, offsets, src, coef = self.placement(d)
+        u = np.zeros((d * d, s * s))
+        u[np.arange(d * d), np.arange(d * d) if src is None else src] = coef
+        # + 0.0: zero entries stay +0.0, as in a built stack
+        g = herm_combination(u) + 0.0
         out = np.zeros((d * d, n, n), dtype=complex)
-        for o in self.base(d)[1]:
-            out[:, o:o + d, o:o + d] = basis
+        for o in offsets:
+            out[:, o:o + s, o:o + s] = g
         return out
 
 
-def embed(offset: int = 0) -> FamilyMap:
-    return FamilyMap("embed", offset=offset)
+def embed(offset: int) -> FamilyMap:
+    return FamilyMap(offset, 1, False)
 
 
 def kron_eye(lead: int) -> FamilyMap:
-    return FamilyMap("kron", lead=lead)
+    return FamilyMap(0, lead, False)
 
 
 def neg_trace_out(lead: int) -> FamilyMap:
-    return FamilyMap("trace_out", lead=lead)
+    return FamilyMap(0, lead, True)
 
 
 @functools.lru_cache(maxsize=None)
 def _trace_out_rows(lead: int, db: int) -> tuple[np.ndarray, np.ndarray]:
-    """-tr_A h_i = coef_i g_src_i for h_i of ``herm_matrices(lead * db)`` and
-    g_j of ``herm_matrices(db)``: diagonal units go to diagonal units, a pair
+    """-tr_A h_i = coef_i g_src_i for h_i of ``herm_basis(lead * db)`` and
+    g_j of ``herm_basis(db)``: diagonal units go to diagonal units, a pair
     within one A index to the same pair of B indices, any other pair to 0."""
     d = lead * db
     src = np.zeros(d * d, dtype=np.intp)
@@ -142,7 +135,7 @@ def _trace_out_rows(lead: int, db: int) -> tuple[np.ndarray, np.ndarray]:
 class Family:
     """d^2 consecutive constraints from row ``start``: row start + i is
     sum_k T_k(h_i) over the (block k, map T_k) pairs of ``maps``, h_i the i-th
-    matrix of ``herm_matrices(d)``."""
+    matrix of ``herm_basis(d)``."""
 
     start: int
     d: int
@@ -185,7 +178,7 @@ class SdpProblem:
         for fam in self.families:
             for k, fmap in fam.maps:
                 if not (0 <= k < len(self.block_dims) and fmap.fits(fam.d, self.block_dims[k])):
-                    raise ValueError(f"{fmap.kind} map of a size-{fam.d} family does not "
+                    raise ValueError(f"{fmap} of a size-{fam.d} family does not "
                                      f"fit block {k}")
         for k, n in enumerate(self.block_dims):
             if self.c_blocks[k].shape != (n, n):
@@ -226,7 +219,7 @@ class SdpProblem:
         """The dense (m, n_k, n_k) constraint stacks, materialized."""
         return tuple(self.block_stack(k) for k in range(len(self.block_dims)))
 
-    def row_norms(self, closed_form: bool = True) -> np.ndarray:
+    def row_norms(self, closed_form: bool) -> np.ndarray:
         """||A_i||_F^2 summed over blocks: family rows in closed form, or, with
         ``closed_form`` False and in a program of explicit rows only, summed
         over the dense stacks block by block."""
@@ -317,7 +310,7 @@ class ProblemBuilder:
 
     def add_family(self, d: int, maps: dict[int, FamilyMap], rhs) -> None:
         """d^2 constraints sum_k T_k(h_i) = rhs_i, one per h_i of
-        ``herm_matrices(d)`` in that order, for the maps T_k of ``maps``."""
+        ``herm_basis(d)`` in that order, for the maps T_k of ``maps``."""
         self._check_size(self._m + d * d)
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (d * d,):
@@ -325,7 +318,7 @@ class ProblemBuilder:
         self._check_blocks(maps)
         for k, fmap in maps.items():
             if not fmap.fits(d, self._dims[k]):
-                raise ValueError(f"{fmap.kind} map of a size-{d} family does not fit "
+                raise ValueError(f"{fmap} of a size-{d} family does not fit "
                                  f"block {k} of size {self._dims[k]}")
         self._families.append(Family(self._m, d, tuple(maps.items())))
         self._rhs.append(rhs)
@@ -475,13 +468,10 @@ class _DenseSchur:
     def gram(self) -> np.ndarray:
         return (self.a_kept_flat @ self.a_kept_flat.conj().T).real
 
-    def schur(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def schur(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
         wb = w[None, :, :, :]
         t = np.matmul(np.matmul(wb, self.a_kept), wb)
-        res = (self.a_kept_flat @ t.reshape(t.shape[0], -1).conj().T).real
-        if out is None:
-            return res
-        out += res
+        out += (self.a_kept_flat @ t.reshape(t.shape[0], -1).conj().T).real
         return out
 
 

@@ -78,11 +78,11 @@ def test_c02_channel_family_table():
     for kind, m, mp, want in cases:
         ch = chan.reference_channel(kind, m, mp)
         tau = ch.choi
-        hmin = ent.h_min(tau, (chan.IN_LABEL,), (ch.out_label,)).value
+        hmin = ent.h_min(tau, (chan.IN_LABEL,), (chan.OUT_LABEL,)).value
         worst_hmin = max(worst_hmin, abs(hmin - want))
         assert hmin == pytest.approx(want, abs=1e-6)
-        flat = (ent.h_max(tau, (chan.IN_LABEL, ch.out_label)).value
-                - ent.h_min(tau, (ch.out_label,)).value)
+        flat = (ent.h_max(tau, (chan.IN_LABEL, chan.OUT_LABEL)).value
+                - ent.h_min(tau, (chan.OUT_LABEL,)).value)
         worst_flat = max(worst_flat, abs(flat - want))
         assert flat == pytest.approx(want, abs=1e-6)
     elapsed = time.monotonic() - start

@@ -2,12 +2,18 @@
 contraction against the Kraus route, and the builder family."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qdecouple import channel as chan
 from qdecouple import entropy as ent
+from qdecouple import haar
 from qdecouple.linalg import (
     StateOperator,
     apply_matrix,
@@ -25,7 +31,7 @@ from conftest import kraus_of
 def apply_via_kraus(ch, state, on):
     """sum_i K_i rho K_i^H on the ``on`` subsystems, the oracle for the Choi
     contraction of ``channel.apply``."""
-    out_pairs = ((ch.out_label, ch.dim_out),)
+    out_pairs = ((chan.OUT_LABEL, ch.dim_out),)
     terms = [apply_matrix(state, k, on, out=out_pairs) for k in kraus_of(ch)]
     return StateOperator(terms[0].dims, sum(t.matrix for t in terms), validate=False)
 
@@ -53,6 +59,60 @@ def test_choi_kraus_round_trip_random():
         back = chan.choi_of(kraus_of(ch))
         assert np.abs(back.choi.matrix - ch.choi.matrix).max() <= 1e-9
         assert back.trace_class is ch.trace_class
+
+
+def full_unitary_tp_channel(rng, dim_in, dim_out, env=None):
+    """A Haar unitary of size dim_out env, its first dim_in columns V, and
+    each Kraus entry filled from V row by row: the construction that
+    ``random_tp_channel`` draws bit for bit from d_in columns."""
+    env = env if env is not None else dim_in
+    total = dim_out * env
+    v = haar.haar_unitary(total, rng)[:, :dim_in]
+    kraus = []
+    for i in range(env):
+        k = np.zeros((dim_out, dim_in), dtype=complex)
+        for b in range(dim_out):
+            k[b, :] = v[b * env + i, :]
+        kraus.append(k)
+    return chan.choi_of(kraus)
+
+
+TP_SHAPES = ([(d_in, d_out, env) for d_in in (1, 2, 3, 4, 8) for d_out in (1, 2, 3, 4, 16)
+              for env in (None, 1, 2, 5) if d_out * (env or d_in) >= d_in]
+             + [(2, 128, None), (4, 64, None), (8, 32, None), (16, 16, None), (32, 8, None)])
+
+
+def test_random_tp_channel_matches_the_full_unitary_construction():
+    # oracle: full_unitary_tp_channel, compared byte for byte on the Choi
+    # matrix and on the generator's next draw.  A fresh interpreter at one
+    # BLAS thread runs it: at two threads the oracle's own 128 x 128 QR
+    # rounds differently from its one-thread run
+    code = textwrap.dedent("""
+        import numpy as np
+        from qdecouple import channel as chan
+        from test_channel import TP_SHAPES, full_unitary_tp_channel
+        count, differ = 0, []
+        for shape in TP_SHAPES:
+            for seed in range(4):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = chan.random_tp_channel(a, *shape).choi.matrix
+                want = full_unitary_tp_channel(b, *shape).choi.matrix
+                count += 1
+                if (got.tobytes() != want.tobytes()
+                        or a.standard_normal(2).tobytes() != b.standard_normal(2).tobytes()):
+                    differ.append((shape, seed))
+        print(count, differ)
+        """)
+    src = str(Path(chan.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+               [src, tests] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                               if p])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == f"{4 * len(TP_SHAPES)} []"
 
 
 def test_choi_bijection_on_random_psd():
@@ -133,7 +193,7 @@ TABLE_CASES = [
 def test_builder_choi_min_entropy(kind, m, mp, want):
     ch = chan.reference_channel(kind, m, mp)
     assert ch.trace_class is chan.TraceClass.TRACE_PRESERVING
-    got = ent.h_min(ch.choi, (chan.IN_LABEL,), (ch.out_label,)).value
+    got = ent.h_min(ch.choi, (chan.IN_LABEL,), (chan.OUT_LABEL,)).value
     assert got == pytest.approx(want, abs=1e-6)
 
 
@@ -159,8 +219,7 @@ def test_single_kind_specs_are_combined_builders(spec, combined):
 def test_trace_class_is_not_an_init_parameter():
     ch = chan.identity_channel(2)
     with pytest.raises(TypeError):
-        chan.Channel(ch.dim_in, ch.dim_out, ch.choi, ch.out_label,
-                     chan.TraceClass.GENERAL)
+        chan.Channel(ch.dim_in, ch.dim_out, ch.choi, chan.TraceClass.GENERAL)
     with pytest.raises(TypeError):
         chan.Channel(ch.dim_in, ch.dim_out, ch.choi, trace_class=chan.TraceClass.GENERAL)
 
@@ -189,8 +248,9 @@ def test_parse_spec():
     lambda o: o.pop("choi"),
     lambda o: o.update(choi=[]),
     lambda o: o.update(choi=state_to_json(maximally_mixed((("A'", 4),)))),
+    lambda o: o["choi"]["dims"][1].update(label="C"),
 ], ids=["float dim_in", "string dim_out", "bool dim_in", "no dim_out", "no choi",
-        "choi list", "one-system choi"])
+        "choi list", "one-system choi", "output label C"])
 def test_channel_json_rejects_malformed_objects(defect):
     obj = json.loads(json.dumps(chan.channel_to_json(chan.identity_channel(2))))
     defect(obj)

@@ -140,7 +140,7 @@ def test_kernel_distances_match_library_route(family, dims, d_out, on):
     ch = make(rng, d_in, d_out)
     exp = dec.DecouplingExperiment(st, ch, 30, seed=haar.RngSeed(8))
     refs = [lab for lab, _ in dims if lab not in on]
-    target = partial_trace(ch.choi, [ch.out_label]).matrix
+    target = partial_trace(ch.choi, [chan.OUT_LABEL]).matrix
     if refs:
         target = np.kron(target, partial_trace(st, refs).matrix)
     want = []
@@ -207,7 +207,7 @@ def _library_distances(exp):
     # oracle: rotate with apply_matrix, apply the channel with channel.apply,
     # and subtract tau_B (x) rho_E built from partial traces
     st, ch, on = exp.state, exp.channel, ["A"]
-    target = np.kron(partial_trace(ch.choi, [ch.out_label]).matrix,
+    target = np.kron(partial_trace(ch.choi, [chan.OUT_LABEL]).matrix,
                      partial_trace(st, list(exp.reference_labels)).matrix)
     out = []
     for i in range(exp.num_samples):

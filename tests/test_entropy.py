@@ -311,7 +311,7 @@ def hmax_fidelity_sdp(rho, d_a, d_b):
     v_blk = build.add_block(r + d, -gam)
     s_blk = build.add_block(d_b)
     build.add_family(r, {v_blk: sdp.embed(0)}, corner)
-    # X = I (x) sigma, one constraint per h of herm_matrices(d)
+    # X = I (x) sigma, one constraint per h of herm_basis(d)
     build.add_family(d, {v_blk: sdp.embed(r), s_blk: sdp.neg_trace_out(d_a)},
                      np.zeros(d * d))
     build.add_constraint({s_blk: np.eye(d_b, dtype=complex)}, 1.0)

@@ -27,7 +27,6 @@ from qdecouple.linalg import (
     herm_basis,
     herm_combination,
     herm_coords,
-    herm_matrices,
     maximally_entangled,
     maximally_mixed,
     partial_trace,
@@ -523,32 +522,40 @@ def test_purify_rejects_subnormalized():
 # swap operator
 # ---------------------------------------------------------------------------
 
-def test_herm_matrices_order_and_orthonormality():
-    # oracle: the basis written out by index, diagonal units first, then the
-    # (symmetric, antisymmetric) pair of each a < b in row-major order
-    for d in (1, 2, 3, 4):
-        want = []
-        for a in range(d):
-            want.append(np.outer(np.eye(d)[a], np.eye(d)[a]).astype(complex))
-        for a in range(d):
-            for b in range(a + 1, d):
-                e_ab = np.outer(np.eye(d)[a], np.eye(d)[b])
-                want.append((e_ab + e_ab.T) / np.sqrt(2))
-                want.append(1j * (e_ab - e_ab.T) / np.sqrt(2))
-        got = list(herm_matrices(d))
-        assert len(got) == d * d
-        for g, w in zip(got, want):
-            np.testing.assert_allclose(g, w, atol=1e-15)
-        np.testing.assert_array_equal(herm_basis(d), np.array(got))
-        gram = np.einsum("iab,jba->ij", np.array(got), np.array(got)).real
+def written_out_basis(d: int) -> np.ndarray:
+    """The Hermitian basis written out by index: diagonal units first, then
+    the (symmetric, antisymmetric) pair of each a < b in row-major order."""
+    want = []
+    for a in range(d):
+        want.append(np.outer(np.eye(d)[a], np.eye(d)[a]).astype(complex))
+    for a in range(d):
+        for b in range(a + 1, d):
+            e_ab = np.outer(np.eye(d)[a], np.eye(d)[b])
+            want.append((e_ab + e_ab.T) / np.sqrt(2))
+            want.append(1j * (e_ab - e_ab.T) / np.sqrt(2))
+    return np.array(want, dtype=complex).reshape(d * d, d, d)
+
+
+def test_herm_basis_order_and_orthonormality():
+    # oracle: the basis written out by index
+    for d in range(1, 7):
+        got = herm_basis(d)
+        assert got.shape == (d * d, d, d) and got.dtype == complex
+        np.testing.assert_array_equal(got, written_out_basis(d))
+        gram = np.einsum("iab,jba->ij", got, got).real
         np.testing.assert_allclose(gram, np.eye(d * d), atol=1e-14)
+        # every zero entry is +0.0: the sign bits are those of the d(d-1)/2
+        # entries -i/sqrt(2) of the antisymmetric matrices, in their imaginary part
+        assert int(np.signbit(got.view(float)).sum()) == d * (d - 1) // 2
+        assert not np.signbit(got.real).any()
 
 
 def test_herm_coords_and_combination_against_the_basis():
-    # oracle: Re tr(h_i m) and sum_i u_i h_i written out over herm_basis
+    # oracle: Re tr(h_i m) and sum_i u_i h_i written out over the basis
+    # written out by index
     rng = np.random.default_rng(23)
     for d in (1, 2, 3, 5):
-        basis = herm_basis(d)
+        basis = written_out_basis(d)
         m = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
         want = np.einsum("iab,kba->ki", basis, m).real
         np.testing.assert_allclose(herm_coords(m), want, atol=1e-14)

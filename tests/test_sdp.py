@@ -346,11 +346,12 @@ def test_family_term_matches_dense_sandwich(monkeypatch):
     assert {name for name, problem in programs.items() if problem.families} == {
         "hmin 2x3", "hmax fidelity 2x2", "dense smoothing 3x2",
         "dense smoothing 3x3 rank 4", "dense smoothing 2x2 subnormalized", "hmin 2x6"}
-    kinds = set()
+    placements = set()
     for name, problem in programs.items():
         m = problem.num_constraints
         row_scale = rng.uniform(0.5, 2.0, m)
-        kinds |= {fmap.kind for fam in problem.families for _, fmap in fam.maps}
+        placements |= {placement_shape(fmap, fam.d)
+                       for fam in problem.families for _, fmap in fam.maps}
         for s in sorted(set(problem.block_dims)):
             idx = [k for k, n in enumerate(problem.block_dims) if n == s]
             a = np.stack([problem.block_stack(k) for k in idx], axis=1)
@@ -359,14 +360,69 @@ def test_family_term_matches_dense_sandwich(monkeypatch):
             w = np.stack([rnd_pd(rng, s) for _ in idx])
             x = np.stack([rnd_herm(rng, s) for _ in idx])
             y = rng.standard_normal(m)
-            for op, args in (("schur", (w,)), ("apply", (x,)), ("adjoint", (y,)),
-                             ("gram", ())):
-                want = getattr(dense, op)(*args)
-                got = getattr(family, op)(*args)
+            calls = {"schur": lambda t: t.schur(w, np.zeros((m, m))),
+                     "apply": lambda t: t.apply(x), "adjoint": lambda t: t.adjoint(y),
+                     "gram": lambda t: t.gram()}
+            for op, call in calls.items():
+                want, got = call(dense), call(family)
                 assert got.shape == want.shape
                 err = float(np.abs(got - want).max()) / float(np.abs(want).max())
                 assert err <= 1e-12, (name, s, op, err)
-    assert kinds == {"embed", "kron", "trace_out"}
+    assert placements == {"one offset", "several offsets", "gather"}
+
+
+def placement_shape(fmap: sdp.FamilyMap, d: int) -> str:
+    _, offsets, src, _ = fmap.placement(d)
+    if src is not None:
+        return "gather"
+    return "one offset" if len(offsets) == 1 else "several offsets"
+
+
+def per_kind_materialize(kind: str, offset: int, lead: int, d: int, n: int) -> np.ndarray:
+    """T(h_i) for every h_i of herm_basis(d), built per kind: h at its
+    offsets, or 0 - tr_A h for a trace-out map (zero entries +0.0)."""
+    basis = herm_basis(d)
+    if kind == "trace_out":
+        db = d // lead
+        return 0.0 - np.einsum("iabac->ibc", basis.reshape(d * d, lead, db, lead, db))
+    out = np.zeros((d * d, n, n), dtype=complex)
+    for o in ((offset,) if kind == "embed" else range(0, lead * d, d)):
+        out[:, o:o + d, o:o + d] = basis
+    return out
+
+
+def per_kind_norms(kind: str, lead: int, d: int) -> np.ndarray:
+    if kind == "trace_out":
+        return sdp._trace_out_rows(lead, d // lead)[1] ** 2
+    return np.full(d * d, float(1 if kind == "embed" else lead))
+
+
+def per_kind_fits(kind: str, offset: int, lead: int, d: int, n: int) -> bool:
+    if kind == "embed":
+        return offset + d <= n
+    if kind == "kron":
+        return lead * d <= n
+    return d % lead == 0 and d // lead == n
+
+
+def test_family_maps_materialize_as_the_per_kind_code():
+    # oracle: each kind's stack, norms and fit written out on its own; the
+    # placements must give the same bytes
+    maps = ([("embed", o, 1, sdp.embed(o), d) for o in range(3) for d in range(1, 5)]
+            + [("kron", 0, a, sdp.kron_eye(a), d) for a in range(1, 4) for d in range(1, 5)]
+            + [("trace_out", 0, a, sdp.neg_trace_out(a), a * db)
+               for a in range(1, 5) for db in range(1, 5)])
+    for kind, offset, lead, fmap, d in maps:
+        n = d // lead if kind == "trace_out" else offset + lead * d + 1
+        got, want = fmap.materialize(d, n), per_kind_materialize(kind, offset, lead, d, n)
+        assert got.dtype == want.dtype and got.shape == want.shape, (kind, lead, d)
+        assert got.tobytes() == want.tobytes(), (kind, offset, lead, d)
+        got, want = fmap.norms(d), per_kind_norms(kind, lead, d)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (kind, lead, d)
+        for size in range(1, 3 * lead * d + 4):
+            for n in range(0, 3 * lead * d + 4):
+                assert fmap.fits(size, n) == per_kind_fits(kind, offset, lead, size, n), (
+                    kind, offset, lead, size, n)
 
 
 def newton_step(groups, w, rhs, dx):
@@ -447,7 +503,7 @@ def test_family_rows_materialize_as_their_maps(monkeypatch):
     want = np.array([-np.einsum("abac->bc", h.reshape(3, 2, 3, 2)) for h in basis])
     np.testing.assert_allclose(sig[lower.rows], want, atol=1e-15)
     norms = sum(np.einsum("ipq,ipq->i", a, a.conj()).real for a in problem.a_blocks)
-    np.testing.assert_allclose(problem.row_norms(), norms, rtol=1e-15)
+    np.testing.assert_allclose(problem.row_norms(closed_form=True), norms, rtol=1e-15)
 
 
 def count_lapack(monkeypatch) -> tuple[list, list]:
