@@ -2,7 +2,7 @@
 
 Dense, labeled tensor-product linear algebra; an embedded primal-dual SDP
 solver; exact and smooth conditional entropies; Choi-matrix channels; Haar
-sampling and twirling; decoupling experiments; one-shot state merging.
+sampling; decoupling experiments; one-shot state merging.
 """
 
 __version__ = "0.1.0"

@@ -24,8 +24,10 @@ from qdecouple.linalg import (
     Dims,
     TOL_TRACE,
     StateOperator,
+    block_eigh,
     check_cap,
     hermitian_part,
+    hermitian_trace_norms,
     partial_trace,
     psd_power,
     maximally_entangled,
@@ -128,22 +130,24 @@ def _kernel(exp: DecouplingExperiment) -> tuple[str, int, Kernel]:
     s <= S, to the s values || T(U rho U^H) - tau_B (x) rho_E ||_1.
 
     A sample gets the same BLAS and LAPACK calls in any chunk (each kernel
-    makes stacked ``matmul`` and ``eigvalsh`` calls, one call per item), and
-    ``trace_norms`` routes each sample's item on its own, so a sample's bits
-    do not depend on its chunk.
+    makes stacked ``matmul`` and ``eigvalsh`` calls, one call per item, or
+    takes 2 x 2 spectra elementwise in closed form), and ``trace_norms``
+    routes each sample's item on its own, so a sample's bits do not depend
+    on its chunk.
     A state classical on the reference, rho = sum_e rho_e (x) |e><e| (every
     entry off the reference diagonal exactly zero), makes the difference
     block diagonal: the norm is sum_e || T(U rho_e U^H) - w_e tau_B ||_1 with
     w_e = tr rho_e, computed on the stack of the n nonzero blocks (a zero
     block contributes exactly 0).  The block kernel works on factors taken
-    once per experiment: rho_e = sum_k lam_ek f_ek f_ek^H and
+    once per experiment (``_factors``): rho_e = sum_k lam_ek f_ek f_ek^H and
     T(X) = d_in sum_j mu_j K_j X K_j^H from the eigenvectors of the Choi
     matrix, so T(U rho_e U^H) = H_e diag(d_in mu_j lam_ek) H_e^H with
     columns K_j U f_ek.  When tau_B = t I exactly, every weight
     d_in mu_j lam_ek is >= 0 and k = kappa r < d_B, the Gram step takes
     block e's norm as sum_i |mu_ei - c_e| + (d_B - k) c_e from the
-    eigenvalues mu_ei of the k x k Gram matrix of H_e sqrt(w), with
-    c_e = t tr rho_e, and forms no d_B x d_B block; every other block
+    eigenvalues mu_ei of the k x k Gram matrix G_e of H_e sqrt(w), with
+    c_e = t tr rho_e: the first sum is ``hermitian_trace_norms`` of
+    G_e - c_e I, and no d_B x d_B block is formed; every other block
     experiment forms the (n, d_B, d_B) blocks and calls ``trace_norms``.
     Any other state takes the dense kernel: the
     matmuls of numpy's ``einsum`` split of ``apply_matrix`` +
@@ -195,8 +199,9 @@ def _kernel(exp: DecouplingExperiment) -> tuple[str, int, Kernel]:
 
         def gram_distances(us: np.ndarray) -> np.ndarray:
             h = products(us) * root_w
-            mu_e = np.linalg.eigvalsh(h.conj().swapaxes(-1, -2) @ h)
-            return np.abs(mu_e - c[:, None]).reshape(len(us), -1).sum(axis=1) + rest
+            g = h.conj().swapaxes(-1, -2) @ h
+            g[..., np.arange(k), np.arange(k)] -= c[:, None]  # G - c_e I
+            return hermitian_trace_norms(g) + rest
         return f"blocks:{n}", _chunk(entries, d_in), gram_distances
 
     target = tau_b
@@ -225,10 +230,13 @@ def _kernel(exp: DecouplingExperiment) -> tuple[str, int, Kernel]:
 def _factors(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signed eigen-factors of a stack of Hermitian matrices (m, d, d): weights
     (m, r) and vectors (m, d, r) with item i = sum_k w_ik v_ik v_ik^H.  Each
-    item keeps its eigenvalues above 1e-15 times its largest in modulus,
-    signs included, and is padded to the largest kept count r with
-    zero weights and zero vectors."""
-    lam, vec = np.linalg.eigh(hermitian_part(stack))
+    item's eigenpairs come from ``block_eigh`` (an isolated index's diagonal
+    entry and unit vector, one ``eigh`` for the linked indices); each item
+    keeps its eigenvalues above 1e-15 times its largest in modulus, signs
+    included, and is padded to the largest kept count r with zero weights
+    and zero vectors."""
+    pairs = [block_eigh(h) for h in hermitian_part(stack)]
+    lam, vec = np.array([w for w, _ in pairs]), np.array([v for _, v in pairs])
     mag = np.abs(lam)
     keep = mag > 1e-15 * mag.max(axis=1, keepdims=True)
     order = np.argsort(~keep, axis=1, kind="stable")[:, :int(keep.sum(axis=1).max())]

@@ -1,4 +1,4 @@
-"""Haar-random unitaries and exact two-copy twirling.
+"""Haar-random unitaries and their first columns.
 
 Sampling is counter-based: sample i of a seeded stream is a deterministic
 function of (seed, stream, i), so parallel evaluation order cannot change
@@ -11,8 +11,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-
-from qdecouple.linalg import is_hermitian, swap_operator
 
 
 @dataclass(frozen=True)
@@ -111,45 +109,3 @@ def _stiefel(g: np.ndarray) -> np.ndarray:
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (diag / np.abs(diag))[..., None, :]
     return q
-
-
-@dataclass(frozen=True)
-class TwirlCoefficients:
-    """Coefficients of the two-copy average in span{identity, swap}."""
-
-    alpha: float
-    beta: float
-    residual: float
-
-    def matrix(self, d: int) -> np.ndarray:
-        return self.alpha * np.eye(d * d) + self.beta * swap_operator(d)
-
-
-def twirl_exact(m: np.ndarray) -> tuple[TwirlCoefficients, np.ndarray]:
-    """Average of U^(x)2 M U^(x)2-dagger over Haar U, as alpha*I + beta*F.
-
-    M must be Hermitian, so that alpha and beta are real; a non-Hermitian M
-    raises ``ValueError``.  The coefficients solve tr M = alpha d^2 + beta d
-    and tr(M F) = alpha d + beta d^2; at d = 1 (where I = F) the convention
-    is alpha = tr M, beta = 0.
-    """
-    m = np.asarray(m, dtype=complex)
-    d2 = m.shape[0]
-    d = int(round(np.sqrt(d2)))
-    if m.shape != (d2, d2) or d * d != d2:
-        raise ValueError(f"matrix of shape {m.shape} is not a two-copy operator")
-    if not is_hermitian(m):
-        raise ValueError("twirl_exact needs a Hermitian matrix")
-    tr_m = complex(np.trace(m))
-    if d == 1:
-        coeffs = TwirlCoefficients(tr_m.real, 0.0, 0.0)
-        return coeffs, coeffs.matrix(1)
-    f = swap_operator(d)
-    tr_mf = complex(np.trace(m @ f))
-    system = np.array([[d * d, d], [d, d * d]], dtype=float)
-    rhs = np.array([tr_m.real, tr_mf.real])
-    alpha, beta = np.linalg.solve(system, rhs)
-    residual = float(np.linalg.norm(system @ np.array([alpha, beta]) - rhs))
-    coeffs = TwirlCoefficients(float(alpha), float(beta), residual)
-    return coeffs, coeffs.matrix(d)
-

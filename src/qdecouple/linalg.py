@@ -116,13 +116,6 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
-def is_hermitian(m: np.ndarray) -> bool:
-    """Hermitian within ``TOL_HERM``.
-
-    On a stack ``(..., n, n)`` the test covers the whole stack at once."""
-    return bool(_hermitian_items(np.asarray(m)[None], TOL_HERM)[0])
-
-
 def _hermitian_items(m: np.ndarray, tol: float, adjoint: np.ndarray | None = None
                      ) -> np.ndarray:
     """Per item of ``m`` (k, ..., n, n): max |m - m^dagger| <= tol max(1, max |m|).
@@ -275,35 +268,68 @@ def trace_norms(m: np.ndarray) -> np.ndarray:
     adjoint = m.conj().swapaxes(-1, -2)
     herm = _hermitian_items(m, 1e-12, adjoint)
     if herm.all():
-        return _eigenvalue_norms(m, adjoint)
+        return hermitian_trace_norms((m + adjoint) / 2)
     out = np.empty(m.shape[0])
     if herm.any():
-        out[herm] = _eigenvalue_norms(m[herm], adjoint[herm])
+        out[herm] = hermitian_trace_norms((m[herm] + adjoint[herm]) / 2)
     out[~herm] = _by_item(np.linalg.svd(m[~herm], compute_uv=False)).sum(axis=1)
     return out
 
 
-def _eigenvalue_norms(m: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
-    """Sum of |eigenvalues| of each item's Hermitian part (m + adjoint) / 2."""
-    return _by_item(np.abs(np.linalg.eigvalsh((m + adjoint) / 2))).sum(axis=1)
+def hermitian_trace_norms(h: np.ndarray) -> np.ndarray:
+    """Sum of |eigenvalues| of each item of a Hermitian stack ``(k, ..., n, n)``,
+    as a length-k array, read from the real diagonal and the lower triangle
+    as ``eigvalsh`` reads them.
 
-
-def _block_eigvalsh(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the Hermitian matrix ``h``, unsorted.
-
-    An index with no off-diagonal nonzero contributes its real diagonal
-    entry; the other indices contribute ``eigvalsh`` of their principal
-    submatrix.  When no index is isolated this is ``np.linalg.eigvalsh(h)``
-    itself, bit for bit.
+    At n = 2 the eigenvalues are (a + d)/2 +- hypot((a - d)/2, |b|), so the
+    sum of their moduli is max(|a + d|, hypot(a - d, 2|b|)): the closed form
+    of LAPACK's 2 x 2 symmetric eigenproblem (DLAE2), with no LAPACK call.
+    Every other n takes ``eigvalsh`` and sums the moduli in item order.
     """
+    if h.shape[-1] != 2:
+        return _by_item(np.abs(np.linalg.eigvalsh(h))).sum(axis=1)
+    a, d = h[..., 0, 0].real, h[..., 1, 1].real
+    return _by_item(np.maximum(np.abs(a + d),
+                               np.hypot(a - d, 2 * np.abs(h[..., 1, 0])))).sum(axis=1)
+
+
+def _split(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The isolated and the linked indices of the Hermitian matrix ``h``.
+
+    An isolated index has no off-diagonal nonzero in its row: its unit vector
+    is an eigenvector, with its real diagonal entry as eigenvalue.  The
+    linked indices span the rest of the spectrum, that of their principal
+    submatrix."""
     link = h != 0
     np.fill_diagonal(link, False)
     has_link = link.any(axis=1)
-    if has_link.all():
-        return np.linalg.eigvalsh(h)
-    linked = np.flatnonzero(has_link)
-    return np.concatenate([np.diagonal(h).real[~has_link],
+    return np.flatnonzero(~has_link), np.flatnonzero(has_link)
+
+
+def _block_eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hermitian matrix ``h``, unsorted: the isolated
+    indices' real diagonal entries (``_split``), then ``eigvalsh`` of the
+    linked indices' principal submatrix.  When no index is isolated that
+    submatrix is ``h`` itself, so this is ``np.linalg.eigvalsh(h)`` bit for bit.
+    """
+    isolated, linked = _split(h)
+    return np.concatenate([np.diagonal(h).real[isolated],
                            np.linalg.eigvalsh(h[np.ix_(linked, linked)])])
+
+
+def block_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (w, v) of the Hermitian matrix ``h``, unsorted, with
+    h = v diag(w) v^H: each isolated index (``_split``) gives its real
+    diagonal entry and its unit vector, and the linked indices one ``eigh``
+    of their principal submatrix.  When no index is isolated that submatrix
+    is ``h`` itself, so this is ``np.linalg.eigh(h)`` bit for bit.
+    """
+    isolated, linked = _split(h)
+    w, v_linked = np.linalg.eigh(h[np.ix_(linked, linked)])
+    v = np.zeros_like(h)
+    v[isolated, np.arange(len(isolated))] = 1.0
+    v[linked[:, None], len(isolated) + np.arange(len(linked))] = v_linked
+    return np.concatenate([np.diagonal(h).real[isolated], w]), v
 
 
 # ---------------------------------------------------------------------------
@@ -633,13 +659,6 @@ def extension_map(rho_ab: StateOperator, sigma_a: StateOperator
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
-
-def maximally_mixed(pairs: Sequence[LabelPair], cap: int | None = None) -> StateOperator:
-    dims = Dims(tuple(pairs))
-    check_cap(dims.total, cap)
-    d = dims.total
-    return StateOperator(dims, np.eye(d) / d, validate=False)
-
 
 def maximally_entangled(label_a: str, label_b: str, d: int,
                         cap: int | None = None) -> PureState:

@@ -78,7 +78,8 @@ class FamilyMap:
         """Whether T(h) for h of size d fits a block of size n: every offset's
         sub-block inside it, and a gathered map's table of size d filling it."""
         s, offsets, src, coef = self.placement(d)
-        return len(coef) == d * d and offsets[-1] + s <= n and (src is None or s == n)
+        return (len(coef) == d * d and offsets[0] >= 0 and offsets[-1] + s <= n
+                and (src is None or s == n))
 
     def norms(self, d: int) -> np.ndarray:
         """||T(h_i)||_F^2 for each h_i of ``herm_basis(d)``."""

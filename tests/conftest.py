@@ -5,7 +5,8 @@ import pytest
 
 from qdecouple import sdp
 from qdecouple.channel import Channel
-from qdecouple.linalg import Dims, PureState, hermitian_part
+from qdecouple.linalg import (Dims, LabelPair, PureState, StateOperator, check_cap,
+                              hermitian_part)
 
 KRAUS_CUTOFF = 1e-12
 
@@ -55,3 +56,10 @@ def tensor_pure(a: PureState, b: PureState) -> PureState:
     """|a> (x) |b> with concatenated labels."""
     return PureState(Dims(a.dims.pairs + b.dims.pairs),
                      np.kron(a.amplitudes, b.amplitudes), validate=False)
+
+
+def maximally_mixed(pairs: tuple[LabelPair, ...], cap: int | None = None) -> StateOperator:
+    """I / d on the labeled systems ``pairs``, checked against the dimension cap."""
+    dims = Dims(tuple(pairs))
+    check_cap(dims.total, cap)
+    return StateOperator(dims, np.eye(dims.total) / dims.total, validate=False)

@@ -18,14 +18,13 @@ from qdecouple.linalg import (
     StateOperator,
     apply_matrix,
     maximally_entangled,
-    maximally_mixed,
     partial_trace,
     random_density,
     state_to_json,
     trace_distance,
 )
 
-from conftest import kraus_of
+from conftest import kraus_of, maximally_mixed
 
 
 def apply_via_kraus(ch, state, on):

@@ -16,6 +16,8 @@ from qdecouple import entropy as ent
 from qdecouple.cli import main
 from qdecouple.linalg import state_from_json
 
+from conftest import maximally_mixed
+
 
 def run_cli(capsys, *args):
     code = main(list(args))
@@ -256,7 +258,7 @@ def test_gen_state_dims_and_kind_mismatch_exits_two(capsys, tmp_path, argv, need
 
 
 def _state_defects():
-    good = linalg.state_to_json(linalg.maximally_mixed((("A", 2),)))
+    good = linalg.state_to_json(maximally_mixed((("A", 2),)))
     dims, matrix = good["dims"], good["matrix"]
     return {
         "no matrix": {"dims": dims},

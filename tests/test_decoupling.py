@@ -15,12 +15,14 @@ from qdecouple.linalg import (
     Dims,
     StateOperator,
     apply_matrix,
-    maximally_mixed,
+    hermitian_part,
     partial_trace,
     random_density,
     tensor,
     trace_norm,
 )
+
+from conftest import maximally_mixed
 
 
 def test_sample_distance_erasure_is_zero():
@@ -277,6 +279,58 @@ def test_block_factors_pad_and_keep_signs():
     for ch, kappa in ((chan.identity_channel(3), 1),
                       (chan.random_cpm(np.random.default_rng(2), 3, 2), 6)):
         assert dec._factors(ch.choi.matrix[None])[0].shape == (1, kappa)
+
+
+def dense_factors(stack):
+    """``_factors`` through one ``eigh`` of each whole item: the route before
+    the isolated/linked split, kept as its oracle."""
+    lam, vec = np.linalg.eigh(hermitian_part(stack))
+    mag = np.abs(lam)
+    keep = mag > 1e-15 * mag.max(axis=1, keepdims=True)
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :int(keep.sum(axis=1).max())]
+    kept = np.take_along_axis(keep, order, axis=1)
+    lam = np.take_along_axis(lam, order, axis=1) * kept
+    vec = np.take_along_axis(vec, order[:, None, :], axis=2) * kept[:, None, :]
+    return lam, vec
+
+
+def _rebuilt(lam, vec):
+    return (vec * lam[:, None, :]) @ vec.conj().swapaxes(1, 2)
+
+
+@pytest.mark.parametrize("ch", [
+    *(chan.parse_spec(f"{kind}:{m},{mp}") for kind in ("id+trace", "id+meas")
+      for m in (1, 2, 3) for mp in range(m + 1)),
+    chan.identity_channel(3),
+], ids=lambda ch: f"{ch.dim_in}->{ch.dim_out}")
+def test_factors_match_dense_eigh_on_reference_choi_matrices(ch):
+    # these Choi matrices have isolated indices, so the split decomposes
+    # fewer of them but keeps the same factors up to the basis of each
+    # eigenspace
+    stack = ch.choi.matrix[None]
+    lam, vec = dec._factors(stack)
+    want_lam, want_vec = dense_factors(stack)
+    assert lam.shape == want_lam.shape and vec.shape == want_vec.shape
+    assert np.array_equal(np.sort(np.sign(lam)), np.sort(np.sign(want_lam)))
+    np.testing.assert_allclose(np.sort(lam), np.sort(want_lam), rtol=0, atol=1e-15)
+    assert np.abs(_rebuilt(lam, vec) - stack).max() <= 1e-15
+    assert np.abs(_rebuilt(lam, vec) - _rebuilt(want_lam, want_vec)).max() <= 1e-15
+
+
+def test_factors_on_a_random_choi_matrix_are_the_dense_bits():
+    # a Ginibre Choi matrix has no isolated index: its linked submatrix is
+    # the whole matrix, which eigh gets as the dense route gives it
+    for seed in (2, 3):
+        stack = chan.random_cpm(np.random.default_rng(seed), 3, 2).choi.matrix[None]
+        for got, want in zip(dec._factors(stack), dense_factors(stack)):
+            np.testing.assert_array_equal(got, want)
+    # beside a diagonal item, which the split takes whole, it keeps its bits
+    diagonal = np.diag([0.5, 0.0, 0.0, 0.25, 0.0, 0.0]).astype(complex)[None]
+    lam, vec = dec._factors(np.concatenate([stack, diagonal]))
+    want_lam, want_vec = dense_factors(stack)
+    r = want_lam.shape[1]
+    np.testing.assert_array_equal(lam[0, :r], want_lam[0])
+    np.testing.assert_array_equal(vec[0, :, :r], want_vec[0])
 
 
 def test_c5_block_kernel_chunk_sizes():

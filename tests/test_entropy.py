@@ -17,7 +17,6 @@ from qdecouple.linalg import (
     StateOperator,
     dims_of,
     hermitian_part,
-    maximally_mixed,
     partial_trace,
     psd_power,
     pure_marginal,
@@ -26,6 +25,8 @@ from qdecouple.linalg import (
     random_pure,
     tensor,
 )
+
+from conftest import maximally_mixed
 
 
 def diag_state(probs, pairs):

@@ -1,13 +1,55 @@
-"""Haar sampling and exact twirling tests, including the Monte Carlo
-cross-checks of the exact two-copy average."""
+"""Haar sampling tests, and the exact two-copy twirl (``twirl_exact``) with
+its Monte Carlo cross-checks."""
 
 import hashlib
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from qdecouple import haar
-from qdecouple.linalg import swap_operator
+from qdecouple.linalg import TOL_HERM, swap_operator
+
+
+@dataclass(frozen=True)
+class TwirlCoefficients:
+    """Coefficients of the two-copy average in span{identity, swap}."""
+
+    alpha: float
+    beta: float
+    residual: float
+
+    def matrix(self, d: int) -> np.ndarray:
+        return self.alpha * np.eye(d * d) + self.beta * swap_operator(d)
+
+
+def twirl_exact(m: np.ndarray) -> tuple[TwirlCoefficients, np.ndarray]:
+    """Average of U^(x)2 M U^(x)2-dagger over Haar U, as alpha*I + beta*F.
+
+    M must be Hermitian, so that alpha and beta are real; a non-Hermitian M
+    raises ``ValueError``.  The coefficients solve tr M = alpha d^2 + beta d
+    and tr(M F) = alpha d + beta d^2; at d = 1 (where I = F) the convention
+    is alpha = tr M, beta = 0.
+    """
+    m = np.asarray(m, dtype=complex)
+    d2 = m.shape[0]
+    d = int(round(np.sqrt(d2)))
+    if m.shape != (d2, d2) or d * d != d2:
+        raise ValueError(f"matrix of shape {m.shape} is not a two-copy operator")
+    if np.abs(m - m.conj().T).max() > TOL_HERM * max(1.0, np.abs(m).max()):
+        raise ValueError("twirl_exact needs a Hermitian matrix")
+    tr_m = complex(np.trace(m))
+    if d == 1:
+        coeffs = TwirlCoefficients(tr_m.real, 0.0, 0.0)
+        return coeffs, coeffs.matrix(1)
+    f = swap_operator(d)
+    tr_mf = complex(np.trace(m @ f))
+    system = np.array([[d * d, d], [d, d * d]], dtype=float)
+    rhs = np.array([tr_m.real, tr_mf.real])
+    alpha, beta = np.linalg.solve(system, rhs)
+    residual = float(np.linalg.norm(system @ np.array([alpha, beta]) - rhs))
+    coeffs = TwirlCoefficients(float(alpha), float(beta), residual)
+    return coeffs, coeffs.matrix(d)
 
 
 def test_unitarity():
@@ -161,17 +203,17 @@ def test_row_block_projector_average():
 
 
 def test_twirl_exact_identity_and_swap():
-    coeffs, mat = haar.twirl_exact(np.eye(4, dtype=complex))
+    coeffs, mat = twirl_exact(np.eye(4, dtype=complex))
     assert (coeffs.alpha, coeffs.beta) == pytest.approx((1.0, 0.0), abs=1e-12)
     np.testing.assert_allclose(mat, np.eye(4), atol=1e-12)
     f = swap_operator(2).astype(complex)
-    coeffs, mat = haar.twirl_exact(f)
+    coeffs, mat = twirl_exact(f)
     assert (coeffs.alpha, coeffs.beta) == pytest.approx((0.0, 1.0), abs=1e-12)
     np.testing.assert_allclose(mat, f, atol=1e-12)
 
 
 def test_twirl_exact_d1_convention():
-    coeffs, mat = haar.twirl_exact(np.array([[2.5 + 0j]]))
+    coeffs, mat = twirl_exact(np.array([[2.5 + 0j]]))
     assert coeffs.alpha == pytest.approx(2.5)
     assert coeffs.beta == 0.0
     np.testing.assert_allclose(mat, [[2.5]])
@@ -180,9 +222,9 @@ def test_twirl_exact_d1_convention():
 def test_twirl_exact_rejects_non_hermitian():
     # real coefficients cannot represent i I, the twirl of i I
     with pytest.raises(ValueError, match="Hermitian"):
-        haar.twirl_exact(1j * np.eye(4))
+        twirl_exact(1j * np.eye(4))
     with pytest.raises(ValueError, match="Hermitian"):
-        haar.twirl_exact(np.triu(np.ones((4, 4))))
+        twirl_exact(np.triu(np.ones((4, 4))))
 
 
 def test_twirl_trace_equations_residual():
@@ -190,7 +232,7 @@ def test_twirl_trace_equations_residual():
     for d in (2, 3, 4):
         g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
         m = (g + g.conj().T) / 2
-        coeffs, _ = haar.twirl_exact(m)
+        coeffs, _ = twirl_exact(m)
         f = swap_operator(d)
         eq1 = coeffs.alpha * d * d + coeffs.beta * d - np.trace(m).real
         eq2 = coeffs.alpha * d + coeffs.beta * d * d - np.trace(m @ f).real
@@ -205,7 +247,7 @@ def test_twirl_monte_carlo_oracle():
     rng = haar.generator(21)
     g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
     m = (g + g.conj().T) / 2
-    _, exact = haar.twirl_exact(m)
+    _, exact = twirl_exact(m)
     acc = np.zeros((d * d, d * d), dtype=complex)
     acc2 = np.zeros((d * d, d * d))
     for i in range(n):

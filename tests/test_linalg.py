@@ -28,7 +28,6 @@ from qdecouple.linalg import (
     herm_combination,
     herm_coords,
     maximally_entangled,
-    maximally_mixed,
     partial_trace,
     pure_marginal,
     purified_distance,
@@ -45,7 +44,11 @@ from qdecouple.linalg import (
     trace_norm,
     trace_norms,
     _block_eigvalsh,
+    block_eigh,
+    hermitian_trace_norms,
 )
+
+from conftest import maximally_mixed
 
 
 def basis_ket(pairs, index):
@@ -108,7 +111,8 @@ def dense_psd_decision(m):
     return not w[0] < -TOL_PSD * max(np.abs(w).max(), 1.0)
 
 
-@pytest.mark.parametrize("sizes, zeros", [
+# (block sizes, all-zero rows) of ``permuted_blocks``
+BLOCK_CASES = [
     ([1] * 12, 0),
     ([1] * 5, 7),
     ([40], 0),
@@ -116,7 +120,10 @@ def dense_psd_decision(m):
     ([2] * 20, 3),
     ([17, 1, 23, 1], 0),
     ([12, 12, 12, 1, 1], 30),
-])
+]
+
+
+@pytest.mark.parametrize("sizes, zeros", BLOCK_CASES)
 def test_block_eigvalsh_matches_dense_eigvalsh(sizes, zeros):
     rng = np.random.default_rng(sum(sizes) + zeros)
     h = permuted_blocks(rng, [rnd_herm(rng, s) for s in sizes], zeros)
@@ -129,6 +136,25 @@ def test_block_eigvalsh_matches_dense_eigvalsh(sizes, zeros):
     else:
         np.testing.assert_allclose(np.sort(w), dense, rtol=0,
                                    atol=1e-12 * np.abs(dense).max())
+
+
+@pytest.mark.parametrize("sizes, zeros", BLOCK_CASES)
+def test_block_eigh_matches_dense_eigh(sizes, zeros):
+    rng = np.random.default_rng(sum(sizes) + zeros)
+    h = permuted_blocks(rng, [rnd_herm(rng, s) for s in sizes], zeros)
+    w, v = block_eigh(h)
+    if min(sizes) > 1 and not zeros:
+        dense_w, dense_v = np.linalg.eigh(h)  # nothing isolated: the dense call
+        np.testing.assert_array_equal(w, dense_w)
+        np.testing.assert_array_equal(v, dense_v)
+        return
+    scale = np.abs(h).max()
+    np.testing.assert_allclose(np.sort(w), np.linalg.eigvalsh(h), rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(len(h)), rtol=0, atol=1e-13)
+    np.testing.assert_allclose((v * w) @ v.conj().T, h, rtol=0, atol=1e-13 * scale)
+    if max(sizes) == 1:  # diagonal: the diagonal entries and unit vectors
+        np.testing.assert_array_equal(np.sort(w), np.sort(np.diagonal(h).real))
+        np.testing.assert_array_equal(np.abs(v) ** 2 @ w, np.diagonal(h).real)
 
 
 def test_block_eigvalsh_on_a_choi_matrix():
@@ -391,6 +417,74 @@ def test_trace_norms_route_each_item_on_its_own():
         trace_norms(np.eye(3))
     with pytest.raises(ValueError):
         trace_norms(np.ones((2, 3, 4)))
+
+
+def eigvalsh_abs_sums(h):
+    """The LAPACK route: the |eigvalsh| of each item's matrices, summed in
+    item order."""
+    return np.abs(np.linalg.eigvalsh(h)).reshape(len(h), -1).sum(axis=1)
+
+
+def hermitian_2x2_cases(rng):
+    """Named (k, 2, 2) Hermitian stacks, random and adversarial."""
+    def herm(k):
+        g = rng.standard_normal((k, 2, 2)) + 1j * rng.standard_normal((k, 2, 2))
+        return (g + g.conj().swapaxes(-1, -2)) / 2
+
+    g = herm(50)
+    vec = rng.standard_normal((50, 2, 1)) + 1j * rng.standard_normal((50, 2, 1))
+    off = np.zeros((50, 2, 2), dtype=complex)
+    off[:, 1, 0] = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+    off[:, 0, 1] = off[:, 1, 0].conj()
+    near = np.zeros((50, 2, 2), dtype=complex)  # eigenvalues close to +-1
+    near[:, 0, 0], near[:, 1, 1] = 1.0, -1.0 + 1e-9 * rng.standard_normal(50)
+    near[:, 1, 0] = 1e-12 * rng.standard_normal(50)
+    near[:, 0, 1] = near[:, 1, 0]
+    noisy = g.copy()  # entries that eigvalsh does not read
+    noisy[:, 0, 0] += 1e-3j * rng.standard_normal(50)
+    noisy[:, 1, 1] += 1e-3j * rng.standard_normal(50)
+    noisy[:, 0, 1] += 1e-3 * rng.standard_normal(50)
+    return {
+        "random": g,
+        "zero": np.zeros((5, 2, 2), dtype=complex),
+        "rank-one": vec @ vec.conj().swapaxes(-1, -2),
+        "psd": g @ g.conj().swapaxes(-1, -2),
+        "nsd": -(g @ g.conj().swapaxes(-1, -2)),
+        "off-diagonal-only": off,
+        "near-cancelling": near,
+        "huge": 1e150 * g,
+        "tiny": 1e-150 * g,
+        "imaginary-diagonal-and-upper-noise": noisy,
+    }
+
+
+def test_hermitian_trace_norms_2x2_closed_form_matches_eigvalsh(monkeypatch):
+    cases = hermitian_2x2_cases(np.random.default_rng(11))
+    want = {name: eigvalsh_abs_sums(h) for name, h in cases.items()}
+    want["items"] = eigvalsh_abs_sums(cases["random"].reshape(10, 5, 2, 2))
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)  # 2 x 2 takes no LAPACK call
+    for name, h in cases.items():
+        got = hermitian_trace_norms(h)
+        scale = np.abs(h).max(axis=(1, 2))
+        assert np.all(np.abs(got - want[name]) <= 16 * np.finfo(float).eps * scale), name
+    assert not hermitian_trace_norms(cases["zero"]).any()
+    # an item of several matrices sums their norms
+    got = hermitian_trace_norms(cases["random"].reshape(10, 5, 2, 2))
+    assert np.allclose(got, want["items"], rtol=1e-14, atol=0)
+    assert hermitian_trace_norms(np.zeros((0, 2, 2))).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 8])
+def test_hermitian_trace_norms_other_sizes_keep_the_lapack_bits(n):
+    rng = np.random.default_rng(12 + n)
+    items = np.array([[rnd_herm(rng, n) for _ in range(3)] for _ in range(6)])
+    np.testing.assert_array_equal(hermitian_trace_norms(items), eigvalsh_abs_sums(items))
+    np.testing.assert_array_equal(trace_norms(items), eigvalsh_abs_sums(
+        (items + items.conj().swapaxes(-1, -2)) / 2))
 
 
 # ---------------------------------------------------------------------------

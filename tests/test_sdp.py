@@ -223,6 +223,16 @@ def test_problem_validation():
         SdpProblem((2,), eye, (np.zeros((0, 2, 2)),), np.zeros(3), (fam,))
 
 
+def test_family_map_with_a_negative_offset_does_not_fit():
+    # offset -1 ends inside the block (-1 + 2 <= 2) but starts before it
+    assert sdp.embed(0).fits(2, 2) and sdp.embed(1).fits(2, 3)
+    assert not sdp.embed(-1).fits(2, 2) and not sdp.embed(-1).fits(2, 3)
+    build = ProblemBuilder()
+    blk = build.add_block(2)
+    with pytest.raises(ValueError, match="does not fit"):
+        build.add_family(2, {blk: sdp.embed(-1)}, np.zeros(4))
+
+
 def test_program_without_constraints_is_rejected():
     build = ProblemBuilder()
     build.add_block(2, np.eye(2))
